@@ -11,7 +11,7 @@
 //                                          --> worker 1: local sketch
 //                                          ...
 //              periodic + final folds (merge mutex) --> accumulated sketch
-//                             publication --> SnapshotCell (epoch, lock-free
+//                             publication --> SnapshotCell (epoch, pinned
 //                                             readers)
 //
 // Linear sketches (CountSketch, CountMin) produce a merged result that is
@@ -22,10 +22,10 @@
 // docs/PARALLELISM.md); for those, prefer publish_every_batches = 0, since
 // every intermediate fold adds a little merge slack.
 //
-// Reads never block: Snapshot() returns a borrowed pointer to the latest
-// published merged sketch (epoch-published, RCU-style with reclamation
-// deferred to the ingestor's destruction), so queries run concurrently
-// with ingestion at any thread count.
+// Reads never wait for a fold: Snapshot() pins the latest published merged
+// sketch, an immutable copy (concurrent/snapshot.h), so queries run
+// concurrently with ingestion at any thread count. A superseded copy is
+// freed once no reader pins it, so memory does not grow with publications.
 //
 // Degraded modes (docs/ROBUSTNESS.md): producers can bound their push wait
 // (push_timeout_ms) and pick an OverflowPolicy for what happens when the
@@ -207,11 +207,14 @@ class ParallelIngestor {
     return accumulated_;
   }
 
-  /// The latest published merged sketch. Never null: an empty sketch is
-  /// published at construction. Wait-free for readers; the returned
-  /// pointer stays valid until the ingestor is destroyed (each published
-  /// snapshot is retained for the ingestor's lifetime).
-  const SketchT* Snapshot() const { return snapshot_.Read(); }
+  /// Pins the latest published merged sketch: it stays valid and unchanged
+  /// for as long as the caller holds the pointer, and is freed once it is
+  /// superseded and unpinned. Never null: an empty sketch is published at
+  /// construction. When `epoch` is given it receives the epoch of this
+  /// snapshot, read together with it.
+  std::shared_ptr<const SketchT> Snapshot(uint64_t* epoch = nullptr) const {
+    return snapshot_.Read(epoch);
+  }
 
   /// Publication count: 1 after construction, +1 per periodic or final
   /// fold. A reader that remembers the epoch can poll for freshness.
@@ -257,7 +260,7 @@ class ParallelIngestor {
         queue_(options.queue_batches),
         accumulated_(std::move(accumulated)),
         locals_(std::move(locals)) {
-    snapshot_.Publish(std::make_unique<const SketchT>(accumulated_));
+    snapshot_.Publish(std::make_shared<SketchT>(accumulated_));
     workers_.reserve(options_.threads);
     {
       MutexLock lock(drain_mu_);
@@ -405,7 +408,7 @@ class ParallelIngestor {
       publish_failures_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    snapshot_.Publish(std::make_unique<const SketchT>(accumulated_));
+    snapshot_.Publish(std::make_shared<SketchT>(accumulated_));
   }
 
   void RecordError(const Status& s) SFQ_EXCLUDES(merge_mu_) {

@@ -1,26 +1,22 @@
-// Epoch-published snapshots: single-site installation, wait-free readers.
+// Epoch-published snapshots: single-site installation, pinned readers, and
+// superseded copies freed as soon as nothing pins them.
 //
-// The publisher builds a fresh immutable T off to the side, hands ownership
-// to the cell, and installs the raw pointer with a release store; readers
-// acquire-load the current pointer and keep using it for as long as the
-// cell is alive. Reclamation is deferred to cell destruction (RCU-style
-// grace period of "the whole run"): a superseded snapshot is retained, not
-// freed, so a reader holding yesterday's pointer never observes a torn or
-// recycled value — the classic seqlock hazard this design avoids — and the
-// read path is a single atomic load with no lock, retry loop, or reference
-// count. The epoch counter advances on every publication so readers can
-// detect staleness without comparing pointers.
+// The publisher builds a fresh immutable T off to the side and installs it
+// as the current snapshot, advancing the epoch. A reader pins the current
+// snapshot (a shared_ptr) and may keep using it, unchanged, for as long as
+// it holds the pin, however many publications land meanwhile. A superseded
+// snapshot is freed when its last pin goes, so the cell keeps one T plus one
+// per outstanding pin rather than one per publication. Published copies are
+// immutable and live as long as their pins, so a reader never observes a
+// torn or recycled value — the classic seqlock hazard this design avoids.
 //
-// The memory cost is one retained T per publication, released when the
-// cell is destroyed. Publications are expected to be coarse (the ingestor
-// folds every publish_every_batches batches, or only at Finish).
+// Pinning is one reference-count increment under a mutex that publishers
+// hold only to swap a pointer; no T is copied or freed under it. The epoch
+// is read under the same lock, so a pin and its epoch always agree.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <utility>
-#include <vector>
 
 #include "util/macros.h"
 #include "util/mutex.h"
@@ -32,32 +28,37 @@ template <typename T>
 class SnapshotCell {
  public:
   /// Installs `next` as the current snapshot and advances the epoch. The
-  /// cell takes ownership and keeps every published snapshot alive until
-  /// it is destroyed, which is what makes Read a plain pointer load.
-  /// Publications may come from any thread; readers never block on one.
-  void Publish(std::unique_ptr<const T> next) {
-    const T* raw = next.get();
+  /// superseded snapshot is freed on return unless a reader still pins it.
+  /// Publications may come from any thread.
+  void Publish(std::shared_ptr<const T> next) SFQ_EXCLUDES(mu_) {
     {
-      MutexLock lock(retained_mu_);
-      retained_.push_back(std::move(next));
+      MutexLock lock(mu_);
+      current_.swap(next);
+      ++epoch_;
     }
-    current_.store(raw, std::memory_order_release);
-    epoch_.fetch_add(1, std::memory_order_release);
+    // `next` now holds the superseded snapshot. It is released on return,
+    // outside the lock, so readers never wait for a free.
   }
 
-  /// The latest published snapshot; nullptr before the first Publish.
-  /// Wait-free. The pointer stays valid until the cell is destroyed.
-  const T* Read() const { return current_.load(std::memory_order_acquire); }
+  /// Pins the latest published snapshot; nullptr before the first Publish.
+  /// When `epoch` is given it receives that snapshot's publication count.
+  std::shared_ptr<const T> Read(uint64_t* epoch = nullptr) const
+      SFQ_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    if (epoch != nullptr) *epoch = epoch_;
+    return current_;
+  }
 
   /// Number of publications so far.
-  uint64_t Epoch() const { return epoch_.load(std::memory_order_acquire); }
+  uint64_t Epoch() const SFQ_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    return epoch_;
+  }
 
  private:
-  std::atomic<const T*> current_{nullptr};
-  std::atomic<uint64_t> epoch_{0};
-
-  Mutex retained_mu_;  // publisher-side only; readers never touch it
-  std::vector<std::unique_ptr<const T>> retained_ SFQ_GUARDED_BY(retained_mu_);
+  mutable Mutex mu_;
+  std::shared_ptr<const T> current_ SFQ_GUARDED_BY(mu_);
+  uint64_t epoch_ SFQ_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace streamfreq

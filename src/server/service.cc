@@ -98,12 +98,13 @@ struct SketchService::Tenant {
   mutable Mutex mu;
   /// All-time heavy-hitter candidates; top-k scores them on the snapshot.
   std::unique_ptr<SpaceSaving> candidates SFQ_GUARDED_BY(mu);
-  /// Marked snapshot for max-change (kMarkEpoch copies, kMaxChange
-  /// subtracts — the paper's two-pass algorithm across live epochs).
-  std::unique_ptr<CountSketch> marked SFQ_GUARDED_BY(mu);
-  uint64_t marked_epoch SFQ_GUARDED_BY(mu) = 0;
-  /// Serving cache backing the server.publish degraded path.
-  const CountSketch* served SFQ_GUARDED_BY(mu) = nullptr;
+  /// Marked snapshot for max-change (kMarkEpoch pins the served snapshot,
+  /// kMaxChange subtracts it — the paper's two-pass algorithm across live
+  /// epochs). Snapshots are immutable, so the pin is the mark; no copy.
+  std::shared_ptr<const CountSketch> marked SFQ_GUARDED_BY(mu);
+  /// Serving cache backing the server.publish degraded path. It pins the
+  /// snapshot it caches, which keeps at most one superseded sketch alive.
+  std::shared_ptr<const CountSketch> served SFQ_GUARDED_BY(mu);
   uint64_t served_epoch SFQ_GUARDED_BY(mu) = 0;
   /// Admission bookkeeping (see the header's conservation contract).
   uint64_t offered_items SFQ_GUARDED_BY(mu) = 0;
@@ -127,19 +128,17 @@ struct SketchService::Tenant {
     return sample;
   }
 
-  /// The snapshot a query answers from: refreshes the serving cache unless
-  /// the server.publish failpoint holds it back (stale is fine, wrong
-  /// never is — the cached pointer stays valid for the ingestor's
-  /// lifetime).
-  const CountSketch* Serving(uint64_t* epoch) SFQ_REQUIRES(mu) {
+  /// The snapshot a query answers from, and its epoch: refreshes the
+  /// serving cache unless the server.publish failpoint holds it back
+  /// (stale is fine, wrong never is — the cache pins what it serves).
+  std::shared_ptr<const CountSketch> Serving(uint64_t* epoch)
+      SFQ_REQUIRES(mu) {
     if (const FailDecision fp = SFQ_FAILPOINT("server.publish");
         fp.action == FailAction::kError && served != nullptr) {
       ++stale_serves;
-      *epoch = served_epoch;
-      return served;
+    } else {
+      served = ingestor->Snapshot(&served_epoch);
     }
-    served = ingestor->Snapshot();
-    served_epoch = ingestor->SnapshotEpoch();
     *epoch = served_epoch;
     return served;
   }
@@ -350,8 +349,7 @@ Response SketchService::Seal(Tenant& tenant) {
     tenant.sealed = true;
     // Pin the serving cache to the final snapshot so post-seal queries are
     // exact even when server.publish withholds refreshes.
-    tenant.served = tenant.ingestor->Snapshot();
-    tenant.served_epoch = tenant.ingestor->SnapshotEpoch();
+    tenant.served = tenant.ingestor->Snapshot(&tenant.served_epoch);
     epoch = tenant.served_epoch;
   }
   // Persist the sealed state so a post-seal restart recovers a read-only
@@ -371,7 +369,8 @@ Response SketchService::TopK(Tenant& tenant, const Request& request) {
   MutexLock lock(tenant.mu);
   ++tenant.queries;
   Response resp;
-  const CountSketch* snapshot = tenant.Serving(&resp.epoch);
+  const std::shared_ptr<const CountSketch> snapshot =
+      tenant.Serving(&resp.epoch);
   // Score a wider candidate slate than k on the snapshot, then keep the
   // best k: Space-Saving's own counts are upper bounds with merge slack,
   // the sketch estimates are the paper's unbiased median.
@@ -395,7 +394,8 @@ Response SketchService::Estimate(Tenant& tenant, const Request& request) {
   MutexLock lock(tenant.mu);
   ++tenant.queries;
   Response resp;
-  const CountSketch* snapshot = tenant.Serving(&resp.epoch);
+  const std::shared_ptr<const CountSketch> snapshot =
+      tenant.Serving(&resp.epoch);
   resp.value = snapshot->Estimate(request.item);
   return resp;
 }
@@ -404,9 +404,9 @@ Response SketchService::MarkEpoch(Tenant& tenant) {
   MutexLock lock(tenant.mu);
   ++tenant.queries;
   Response resp;
-  const CountSketch* snapshot = tenant.Serving(&resp.epoch);
-  tenant.marked = std::make_unique<CountSketch>(*snapshot);
-  tenant.marked_epoch = resp.epoch;
+  const std::shared_ptr<const CountSketch> snapshot =
+      tenant.Serving(&resp.epoch);
+  tenant.marked = snapshot;
   return resp;
 }
 
@@ -422,7 +422,8 @@ Response SketchService::MaxChange(Tenant& tenant, const Request& request) {
         "maxchange: no marked epoch (send mark first)"));
   }
   Response resp;
-  const CountSketch* snapshot = tenant.Serving(&resp.epoch);
+  const std::shared_ptr<const CountSketch> snapshot =
+      tenant.Serving(&resp.epoch);
   // The paper's two-pass max-change via the group structure: subtract the
   // marked sketch from the current one and rank candidates by |delta|.
   CountSketch delta = *snapshot;
@@ -448,7 +449,8 @@ Response SketchService::Export(Tenant& tenant) {
   MutexLock lock(tenant.mu);
   ++tenant.queries;
   Response resp;
-  const CountSketch* snapshot = tenant.Serving(&resp.epoch);
+  const std::shared_ptr<const CountSketch> snapshot =
+      tenant.Serving(&resp.epoch);
   snapshot->SerializeTo(&resp.blob);
   return resp;
 }
@@ -570,8 +572,7 @@ Status SketchService::RecoverTenant(const std::string& name,
     tenant->sealed = opened.state.sealed;
     if (opened.state.sealed) {
       // A recovered sealed tenant serves read-only from its seed snapshot.
-      tenant->served = tenant->ingestor->Snapshot();
-      tenant->served_epoch = tenant->ingestor->SnapshotEpoch();
+      tenant->served = tenant->ingestor->Snapshot(&tenant->served_epoch);
     }
   }
   MutexLock lock(mu_);

@@ -14,7 +14,9 @@
 #include <vector>
 
 #include <map>
+#include <memory>
 
+#include "concurrent/snapshot.h"
 #include "core/count_min.h"
 #include "core/count_sketch.h"
 #include "core/misra_gries.h"
@@ -194,7 +196,7 @@ TEST(ParallelIngestorTest, SnapshotsReadableDuringIngestion) {
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_acquire)) {
-        const CountSketch* snap = (*ingestor)->Snapshot();
+        const std::shared_ptr<const CountSketch> snap = (*ingestor)->Snapshot();
         // Estimates on a consistent snapshot are well-defined values; the
         // hot item's estimate can never exceed the whole stream length.
         const Count est = snap->Estimate(hot);
@@ -214,7 +216,8 @@ TEST(ParallelIngestorTest, SnapshotsReadableDuringIngestion) {
   EXPECT_EQ((*ingestor)->ItemsIngested(), stream.size());
 
   // The final snapshot is the merged result.
-  const CountSketch* final_snap = (*ingestor)->Snapshot();
+  const std::shared_ptr<const CountSketch> final_snap =
+      (*ingestor)->Snapshot();
   ASSERT_NE(final_snap, nullptr);
   for (size_t row = 0; row < merged->depth(); ++row) {
     for (size_t col = 0; col < merged->width(); col += 7) {
@@ -223,6 +226,82 @@ TEST(ParallelIngestorTest, SnapshotsReadableDuringIngestion) {
   }
   // Periodic folds published intermediate epochs beyond the initial one.
   EXPECT_GT((*ingestor)->SnapshotEpoch(), 1u);
+}
+
+// A superseded snapshot is freed as soon as nothing pins it, and a pinned
+// one stays as it was published however many publications follow.
+TEST(SnapshotCellTest, FreesSupersededSnapshotsUnlessPinned) {
+  SnapshotCell<std::vector<int>> cell;
+  EXPECT_EQ(cell.Read(), nullptr);
+  EXPECT_EQ(cell.Epoch(), 0u);
+  cell.Publish(std::make_shared<std::vector<int>>(1000, 0));
+  uint64_t pinned_epoch = 0;
+  const std::shared_ptr<const std::vector<int>> pinned =
+      cell.Read(&pinned_epoch);
+  EXPECT_EQ(pinned_epoch, 1u);
+
+  std::weak_ptr<const std::vector<int>> unpinned;
+  for (int i = 1; i <= 100; ++i) {
+    cell.Publish(std::make_shared<std::vector<int>>(1000, i));
+    if (i == 1) unpinned = cell.Read();  // the pin ends with the statement
+  }
+  uint64_t epoch = 0;
+  EXPECT_EQ(cell.Read(&epoch)->front(), 100);
+  EXPECT_EQ(epoch, 101u);
+  EXPECT_EQ(cell.Epoch(), 101u);
+  EXPECT_TRUE(unpinned.expired()) << "an unpinned superseded copy survived";
+  EXPECT_EQ(pinned->front(), 0);
+  EXPECT_EQ(pinned.use_count(), 1) << "the cell still holds a superseded copy";
+}
+
+// Memory follows the pins, not the publications: after hundreds of folds,
+// every snapshot a reader saw is gone except the final one, and a snapshot
+// pinned through the whole run still reads as the empty epoch-1 sketch.
+TEST(ParallelIngestorTest, SupersededSnapshotsAreFreed) {
+  const Stream stream = MakeZipfStream(kStreamItems, 28);
+  IngestOptions opts;
+  opts.threads = 2;
+  opts.batch_items = 512;
+  opts.publish_every_batches = 1;
+  auto ingestor = ParallelIngestor<CountSketch>::Make(
+      MakeSharedParamsFactory<CountSketch>(SketchParams()), opts);
+  ASSERT_TRUE(ingestor.ok());
+  const std::shared_ptr<const CountSketch> first = (*ingestor)->Snapshot();
+
+  // One weak reference per epoch the reader observed.
+  std::vector<std::weak_ptr<const CountSketch>> seen;
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    uint64_t last_epoch = 0;
+    while (!stop.load(std::memory_order_acquire)) {
+      uint64_t epoch = 0;
+      std::shared_ptr<const CountSketch> snap = (*ingestor)->Snapshot(&epoch);
+      if (epoch != last_epoch) {
+        seen.push_back(snap);
+        last_epoch = epoch;
+      }
+    }
+  });
+  ASSERT_TRUE((*ingestor)->Ingest(std::span<const ItemId>(stream)).ok());
+  ASSERT_TRUE((*ingestor)->Finish().ok());
+  stop.store(true, std::memory_order_release);
+  reader.join();
+
+  const std::shared_ptr<const CountSketch> last = (*ingestor)->Snapshot();
+  EXPECT_GT((*ingestor)->SnapshotEpoch(), 100u);
+  size_t alive = 0;
+  for (const std::weak_ptr<const CountSketch>& weak : seen) {
+    const std::shared_ptr<const CountSketch> snap = weak.lock();
+    if (snap == nullptr) continue;
+    ++alive;
+    EXPECT_TRUE(snap == first || snap == last);
+  }
+  EXPECT_LE(alive, 2u) << "of " << seen.size() << " observed snapshots";
+  for (size_t row = 0; row < first->depth(); ++row) {
+    for (size_t col = 0; col < first->width(); ++col) {
+      ASSERT_EQ(first->CounterAt(row, col), 0) << "pinned snapshot changed";
+    }
+  }
 }
 
 TEST(ParallelIngestorTest, IngestAfterFinishFails) {
