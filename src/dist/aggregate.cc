@@ -118,7 +118,7 @@ Status RunWorker(const AggregateOptions& options, const TreeTopology& topo,
                               CountSketch::Make(options.params));
   STREAMFREQ_ASSIGN_OR_RETURN(SpaceSaving tracker,
                               SpaceSaving::Make(options.tracked));
-  DeltaChannel channel(node, acc);  // acc is still zero: the empty base
+  DeltaChannel channel(node);
   STREAMFREQ_ASSIGN_OR_RETURN(
       OwnedFd up, ConnectUnix(SocketPath(options.socket_dir,
                                          topo.parent[node])));
@@ -152,9 +152,7 @@ Status RunWorker(const AggregateOptions& options, const TreeTopology& topo,
 Status RunRelay(const AggregateOptions& options, const TreeTopology& topo,
                 uint64_t node, OwnedFd listener, NodeState* state) {
   const std::vector<uint64_t>& children = topo.children[node];
-  STREAMFREQ_ASSIGN_OR_RETURN(CountSketch zero,
-                              CountSketch::Make(options.params));
-  DeltaChannel channel(node, zero);
+  DeltaChannel channel(node);
   OwnedFd up;
   if (node != 0) {
     STREAMFREQ_ASSIGN_OR_RETURN(

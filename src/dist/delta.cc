@@ -138,7 +138,9 @@ Result<std::optional<std::string>> DeltaChannel::Ship(
   }
   const DistLedger inc = ledger.Minus(base_ledger_);
   CountSketch delta_sketch = current;
-  STREAMFREQ_RETURN_NOT_OK(delta_sketch.Subtract(base_));
+  if (base_.has_value()) {
+    STREAMFREQ_RETURN_NOT_OK(delta_sketch.Subtract(*base_));
+  }
 
   DeltaPayload payload;
   payload.node_id = node_id_;
@@ -164,7 +166,11 @@ Status DeltaChannel::Acked(uint64_t last_applied_seqno) {
   }
   acked_seqno_ = last_applied_seqno;
   if (pending_.has_value() && pending_->seqno <= last_applied_seqno) {
-    STREAMFREQ_RETURN_NOT_OK(base_.Merge(pending_->delta));
+    if (base_.has_value()) {
+      STREAMFREQ_RETURN_NOT_OK(base_->Merge(pending_->delta));
+    } else {
+      base_ = std::move(pending_->delta);
+    }
     base_ledger_ = pending_->ledger_after;
     if (pending_->final_flag) final_acked_ = true;
     pending_.reset();

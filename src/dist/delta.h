@@ -134,10 +134,12 @@ Result<uint64_t> DecodeAck(std::string_view payload);
 /// most one pending (shipped, unacked) delta; the pending encoding is
 /// stored and resent VERBATIM so re-delivery after a severed link is
 /// bit-identical, which is what makes receiver-side dedup exact.
+///
+/// The base starts empty (nothing acked yet, the zero sketch): the first
+/// delta is `current` itself, and the first ack moves it into the base.
 class DeltaChannel {
  public:
-  DeltaChannel(uint64_t node_id, CountSketch base)
-      : node_id_(node_id), base_(std::move(base)) {}
+  explicit DeltaChannel(uint64_t node_id) : node_id_(node_id) {}
 
   /// Builds (or returns the still-pending) delta against `current`. Returns
   /// std::nullopt when there is nothing new to ship and no pending delta.
@@ -164,7 +166,6 @@ class DeltaChannel {
   bool has_pending() const { return pending_.has_value(); }
   uint64_t next_seqno() const { return shipped_seqno_ + 1; }
   uint64_t acked_seqno() const { return acked_seqno_; }
-  const CountSketch& base() const { return base_; }
   const DistLedger& base_ledger() const { return base_ledger_; }
 
  private:
@@ -177,7 +178,7 @@ class DeltaChannel {
   };
 
   uint64_t node_id_;
-  CountSketch base_;          ///< sketch the receiver has acked
+  std::optional<CountSketch> base_;  ///< acked sketch; empty = zero
   DistLedger base_ledger_;    ///< ledger totals the receiver has acked
   uint64_t shipped_seqno_ = 0;
   uint64_t acked_seqno_ = 0;

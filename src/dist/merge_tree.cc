@@ -12,14 +12,13 @@ namespace streamfreq {
 
 MergeTreeSim::MergeTreeSim(TreeTopology topo, CountSketch zero, size_t tracked)
     : topo_(std::move(topo)),
-      params_(zero.params()),
       tracked_(tracked),
-      epoch_(zero),
       bottom_up_(topo_.BottomUpOrder()) {
   nodes_.reserve(topo_.size());
   for (uint64_t u = 0; u < topo_.size(); ++u) {
     nodes_.emplace_back(zero);
-    if (u != 0) nodes_[u].up.emplace(u, zero);
+    if (u != 0) nodes_[u].up.emplace(u);
+    if (topo_.is_leaf(u)) nodes_[u].ref.emplace(zero);
   }
 }
 
@@ -76,10 +75,9 @@ Status MergeTreeSim::Offer(uint64_t node, std::span<const ItemId> batch) {
   const std::span<const ItemId> admitted = batch.first(keep);
   n.own.ingested += admitted.size();
   n.acc.BatchAdd(admitted);
+  n.ref->BatchAddScalar(admitted);
   n.tracker->BatchAdd(admitted);
-  n.ingested_items.insert(n.ingested_items.end(), admitted.begin(),
-                          admitted.end());
-  n.covered[node] = n.ingested_items.size();
+  n.covered[node] = n.own.ingested;
   return Status::OK();
 }
 
@@ -195,11 +193,23 @@ Result<bool> MergeTreeSim::ShipRound() {
       ++stats_.nodes_lost;
       continue;
     }
+    const bool fresh = !n.up->has_pending();
+    std::vector<CoverageEntry> covered = CoveredSnapshot(u);
     STREAMFREQ_ASSIGN_OR_RETURN(
         std::optional<std::string> payload,
-        n.up->Ship(n.acc, TotalLedger(u), CoveredSnapshot(u),
-                   CandidateUnion(u), FinalReady(u)));
+        n.up->Ship(n.acc, TotalLedger(u), covered, CandidateUnion(u),
+                   FinalReady(u)));
     if (!payload.has_value()) continue;
+    if (fresh) {
+      // A new delta: remember what it covers, and checkpoint a leaf's
+      // reference at the watermark it carries.
+      if (n.ref.has_value()) {
+        if (auto it = n.covered.find(u); it != n.covered.end()) {
+          n.checkpoints.try_emplace(it->second, *n.ref);
+        }
+      }
+      n.in_flight = std::move(covered);
+    }
     ++stats_.deltas_shipped;
     const uint64_t parent = topo_.parent[u];
     if (!nodes_[parent].alive) {
@@ -238,7 +248,35 @@ Result<bool> MergeTreeSim::ShipRound() {
     }
     STREAMFREQ_RETURN_NOT_OK(n.up->Acked(*ack));
   }
+  for (uint64_t leaf : topo_.leaves) PruneCheckpoints(leaf);
   return progress;
+}
+
+void MergeTreeSim::PruneCheckpoints(uint64_t leaf) {
+  std::map<uint64_t, CountSketch>& checkpoints = nodes_[leaf].checkpoints;
+  if (checkpoints.empty()) return;
+  std::vector<uint64_t> pinned;
+  for (uint64_t u = leaf;; u = topo_.parent[u]) {
+    const Node& n = nodes_[u];
+    if (u != leaf) {
+      if (auto it = n.covered.find(leaf); it != n.covered.end()) {
+        pinned.push_back(it->second);
+      }
+    }
+    if (u == 0) break;
+    if (n.up->has_pending()) {
+      auto it = std::lower_bound(
+          n.in_flight.begin(), n.in_flight.end(), leaf,
+          [](const CoverageEntry& c, uint64_t id) { return c.leaf_id < id; });
+      if (it != n.in_flight.end() && it->leaf_id == leaf) {
+        pinned.push_back(it->count);
+      }
+    }
+  }
+  std::erase_if(checkpoints, [&pinned](const auto& entry) {
+    return std::find(pinned.begin(), pinned.end(), entry.first) ==
+           pinned.end();
+  });
 }
 
 bool MergeTreeSim::Quiescent() const {
@@ -284,6 +322,28 @@ std::vector<ItemCount> RankCandidates(const std::vector<ItemId>& ids,
   return out;
 }
 
+// True iff every counter of `acc` equals the sum of that counter over
+// `terms`. A plain loop over CounterAt, deliberately not CountSketch::Merge,
+// which is code under test. Sums are unsigned so they wrap as counters do.
+bool CountersEqualSum(const CountSketch& acc,
+                      const std::vector<const CountSketch*>& terms) {
+  for (const CountSketch* term : terms) {
+    if (!acc.CompatibleWith(*term)) return false;
+  }
+  for (size_t row = 0; row < acc.depth(); ++row) {
+    for (size_t bucket = 0; bucket < acc.width(); ++bucket) {
+      uint64_t sum = 0;
+      for (const CountSketch* term : terms) {
+        sum += static_cast<uint64_t>(term->CounterAt(row, bucket));
+      }
+      if (sum != static_cast<uint64_t>(acc.CounterAt(row, bucket))) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 std::vector<ItemCount> MergeTreeSim::ApproxTop(size_t k) const {
@@ -292,8 +352,12 @@ std::vector<ItemCount> MergeTreeSim::ApproxTop(size_t k) const {
 }
 
 Result<std::vector<ItemCount>> MergeTreeSim::MaxChange(size_t k) const {
+  if (!epoch_.has_value()) {
+    return RankCandidates(CandidateUnion(0), nodes_[0].acc, k,
+                          /*absolute=*/true);
+  }
   CountSketch diff = nodes_[0].acc;
-  STREAMFREQ_RETURN_NOT_OK(diff.Subtract(epoch_));
+  STREAMFREQ_RETURN_NOT_OK(diff.Subtract(*epoch_));
   return RankCandidates(CandidateUnion(0), diff, k, /*absolute=*/true);
 }
 
@@ -337,23 +401,30 @@ Status MergeTreeSim::CheckInvariants() const {
           std::to_string(total.ingested));
     }
     // Sketch bit-identity: the accumulated sketch equals the sketch of
-    // exactly the covered prefix of every leaf stream (delta linearity).
-    Result<CountSketch> ref = CountSketch::Make(params_);
-    STREAMFREQ_RETURN_NOT_OK(ref.status());
-    for (const auto& [leaf, count] : n.covered) {
-      const std::vector<ItemId>& items = nodes_[leaf].ingested_items;
-      if (count > items.size()) {
-        return Status::Internal("node " + std::to_string(u) +
-                                " covers more of leaf " +
-                                std::to_string(leaf) + " than it ingested");
+    // exactly the covered prefix of every leaf stream (delta linearity) —
+    // a leaf's scalar-path reference, or elsewhere the sum of the covered
+    // leaves' checkpoints at the covered watermarks.
+    std::vector<const CountSketch*> terms;
+    if (n.ref.has_value()) {
+      terms.push_back(&*n.ref);
+    } else {
+      for (const auto& [leaf, count] : n.covered) {
+        if (leaf >= nodes_.size() || !topo_.is_leaf(leaf)) {
+          return Status::Internal("node " + std::to_string(u) +
+                                  " covers non-leaf " + std::to_string(leaf));
+        }
+        const auto& checkpoints = nodes_[leaf].checkpoints;
+        const auto it = checkpoints.find(count);
+        if (it == checkpoints.end()) {
+          return Status::Internal(
+              "node " + std::to_string(u) + " covers leaf " +
+              std::to_string(leaf) + " at watermark " +
+              std::to_string(count) + " with no reference checkpoint");
+        }
+        terms.push_back(&it->second);
       }
-      ref->BatchAdd(
-          std::span<const ItemId>(items.data(), static_cast<size_t>(count)));
     }
-    std::string want, got;
-    ref->SerializeTo(&want);
-    n.acc.SerializeTo(&got);
-    if (want != got) {
+    if (!CountersEqualSum(n.acc, terms)) {
       return Status::Internal("node " + std::to_string(u) +
                               ": sketch differs from covered-prefix "
                               "reference (delta linearity broken)");

@@ -23,6 +23,17 @@
 //      its children's applied increments plus its own, and the law
 //      `offered − rejected == ingested + dropped` holds at each of them.
 //
+// Law 1 is held to a reference the shipping path never touches. Each leaf
+// feeds its admitted items into a second sketch, `ref`, through the scalar
+// kernel (CountSketch::BatchAddScalar; `acc` takes the SIMD BatchAdd), and
+// each time it builds a new delta it keeps a copy of `ref` as a checkpoint
+// under the watermark that delta carries. Count-Sketch is linear, so every
+// node's sketch must equal the counter-wise sum of the checkpoints at the
+// watermarks it covers. A leaf retains only the checkpoints still
+// referenced — the watermarks its ancestors hold plus those carried by a
+// pending delta on its path, at most 2·depth — so the oracle costs
+// O(sketch × depth) per leaf instead of a copy of every item.
+//
 // The process-backed deployment of the same protocol is src/dist/
 // aggregate.{h,cc}; the wire bytes are identical (delta.h).
 #pragma once
@@ -109,6 +120,7 @@ class MergeTreeSim {
   /// Two-pass max-change over the subtractive structure: MarkEpoch copies
   /// the root sketch; MaxChange scores the candidate union on
   /// (current − epoch) and returns the k largest |delta|.
+  /// Before any mark, MaxChange ranks against the zero sketch.
   void MarkEpoch() { epoch_ = nodes_[0].acc; }
   Result<std::vector<ItemCount>> MaxChange(size_t k) const;
 
@@ -118,11 +130,10 @@ class MergeTreeSim {
   const TreeTopology& topology() const { return topo_; }
   bool alive(uint64_t node) const { return nodes_[node].alive; }
 
-  /// Items leaf `node` actually ingested (admitted, post-shed), in order.
-  /// The covered watermark indexes into this stream — the reference sketch
-  /// for bit-identity checks is built from its covered prefix.
-  const std::vector<ItemId>& LeafIngested(uint64_t node) const {
-    return nodes_[node].ingested_items;
+  /// Reference checkpoints leaf `node` retains (0 for interior nodes);
+  /// never more than 2·depth after a ShipRound.
+  size_t checkpoint_count(uint64_t node) const {
+    return nodes_[node].checkpoints.size();
   }
 
   /// Composed ledger at `node` (own + children's applied increments).
@@ -132,8 +143,10 @@ class MergeTreeSim {
   /// applied child sum, and the composed total), at-most-once accounting
   /// (a parent's applied sum for a child never exceeds what that child has
   /// produced), ingested == Σ covered at every node, and sketch
-  /// bit-identity at EVERY node against its covered-prefix reference. Any
-  /// violation is Internal with a diagnostic.
+  /// bit-identity at EVERY node against its covered-prefix reference: a
+  /// leaf's `ref`, or the sum of the checkpoints at the node's covered
+  /// watermarks. Any violation, including a covered watermark with no
+  /// checkpoint, is Internal with a diagnostic.
   Status CheckInvariants() const;
 
  private:
@@ -151,8 +164,15 @@ class MergeTreeSim {
     std::map<uint64_t, std::vector<ItemId>> child_candidates;
     std::map<uint64_t, bool> child_final;
     std::optional<SpaceSaving> tracker;     ///< leaves only
-    std::vector<ItemId> ingested_items;     ///< leaves only
+    /// Leaves only: `acc`'s items, added through the scalar kernel.
+    std::optional<CountSketch> ref;
+    /// Leaves only: copies of `ref`, keyed by the watermark of the delta
+    /// built at that point; PruneCheckpoints drops unreferenced ones.
+    std::map<uint64_t, CountSketch> checkpoints;
     std::optional<DeltaChannel> up;         ///< non-root only
+    /// Coverage the pending delta carries; meaningful while
+    /// up->has_pending().
+    std::vector<CoverageEntry> in_flight;
     std::map<uint64_t, DeltaReceiver> receivers;  ///< per child
   };
 
@@ -164,6 +184,11 @@ class MergeTreeSim {
   std::vector<CoverageEntry> CoveredSnapshot(uint64_t node) const;
   bool FinalReady(uint64_t node) const;
 
+  /// Drops the checkpoints of `leaf` that no ancestor's covered map and no
+  /// pending delta on its path refers to — no node can reach any other
+  /// watermark of this leaf without a new delta, which checkpoints anew.
+  void PruneCheckpoints(uint64_t leaf);
+
   /// Delivers `frame` from `child` to `parent`; returns the cumulative ack
   /// seqno, or nullopt when the link severed (torn/bitflip caught by CRC).
   Result<std::optional<uint64_t>> Deliver(uint64_t parent, uint64_t child,
@@ -171,10 +196,9 @@ class MergeTreeSim {
                                           bool* applied);
 
   TreeTopology topo_;
-  CountSketchParams params_;
   size_t tracked_;
   std::vector<Node> nodes_;
-  CountSketch epoch_;
+  std::optional<CountSketch> epoch_;  ///< set by MarkEpoch
   std::vector<uint64_t> bottom_up_;
   MergeTreeStats stats_;
 };

@@ -1236,6 +1236,10 @@ Result<TreeIterationResult> RunTreeIteration(const ChaosOptions& options,
   const uint64_t leaves = topo.leaves.size();
   const uint64_t slice = (stream.size() + leaves - 1) / leaves;
   std::vector<uint64_t> offsets(leaves, 0);
+  // What each leaf ingested, in order, rebuilt from this harness's own
+  // stream: an Offer admits the prefix of its batch whose length is the
+  // growth of the leaf's ingested count.
+  std::map<uint64_t, Stream> ingested;
   const uint64_t batch = 128 + rng.UniformBelow(4) * 128;
   const uint64_t epoch_at = rng.UniformBelow(stream.size() + 1);
   uint64_t offered_so_far = 0;
@@ -1255,9 +1259,11 @@ Result<TreeIterationResult> RunTreeIteration(const ChaosOptions& options,
         offsets[li] = len;  // a dead leaf's remaining slice is never offered
         continue;
       }
-      const Status offer = sim.Offer(
-          leaf, std::span<const ItemId>(stream.data() + begin + offsets[li],
-                                        n));
+      const ItemId* const first = stream.data() + begin + offsets[li];
+      const uint64_t before = sim.TotalLedger(leaf).ingested;
+      const Status offer = sim.Offer(leaf, std::span<const ItemId>(first, n));
+      const uint64_t admitted = sim.TotalLedger(leaf).ingested - before;
+      ingested[leaf].insert(ingested[leaf].end(), first, first + admitted);
       offsets[li] += n;
       offered_so_far += n;
       if (!offer.ok() && !offer.IsNotFound()) {
@@ -1296,7 +1302,11 @@ Result<TreeIterationResult> RunTreeIteration(const ChaosOptions& options,
   // exactly the composed shed mass.
   Stream effective;
   for (const CoverageEntry& cov : sim.RootCovered()) {
-    const std::vector<ItemId>& items = sim.LeafIngested(cov.leaf_id);
+    const Stream& items = ingested[cov.leaf_id];
+    if (cov.count > items.size()) {
+      return fail("root covers more of leaf " + std::to_string(cov.leaf_id) +
+                  " than it ingested");
+    }
     effective.insert(effective.end(), items.begin(),
                      items.begin() + static_cast<ptrdiff_t>(cov.count));
   }
@@ -1326,8 +1336,7 @@ Result<TreeIterationResult> RunTreeIteration(const ChaosOptions& options,
     for (uint64_t leaf : topo.leaves) {
       Result<CountSketch> leaf_sketch = CountSketch::Make(plan.params);
       STREAMFREQ_RETURN_NOT_OK(leaf_sketch.status());
-      leaf_sketch->BatchAdd(
-          std::span<const ItemId>(sim.LeafIngested(leaf)));
+      leaf_sketch->BatchAdd(ingested[leaf]);
       STREAMFREQ_RETURN_NOT_OK(flat->Merge(*leaf_sketch));
     }
     std::string want, got;

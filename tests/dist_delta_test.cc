@@ -1,11 +1,14 @@
 // Delta-shipping protocol tests (satellite of the distributed merge tree,
 // docs/DISTRIBUTED.md): the codec's corruption matrix at every truncation
 // boundary, the channel's resend-verbatim/cumulative-ack discipline, the
-// receiver's WAL-style dedup, and an end-to-end severed-link schedule
-// proving at-most-once accounting through MergeTreeSim.
+// receiver's WAL-style dedup, an end-to-end severed-link schedule
+// proving at-most-once accounting through MergeTreeSim, and the bound on
+// the reference checkpoints MergeTreeSim keeps for its bit-identity check.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
@@ -113,7 +116,7 @@ TEST(DeltaCodecTest, AckRoundTripAndTruncation) {
 TEST(DeltaChannelTest, ResendsPendingVerbatimUntilAcked) {
   auto zero = CountSketch::Make(SmallParams());
   ASSERT_TRUE(zero.ok());
-  DeltaChannel channel(3, *zero);
+  DeltaChannel channel(3);
 
   CountSketch current = *zero;
   DistLedger ledger;
@@ -165,7 +168,7 @@ TEST(DeltaChannelTest, ResendsPendingVerbatimUntilAcked) {
 TEST(DeltaChannelTest, FinalFlagLatchesOnAck) {
   auto zero = CountSketch::Make(SmallParams());
   ASSERT_TRUE(zero.ok());
-  DeltaChannel channel(2, *zero);
+  DeltaChannel channel(2);
   CountSketch current = *zero;
   current.Add(1);
   const DistLedger ledger{1, 0, 1, 0};
@@ -182,6 +185,56 @@ TEST(DeltaChannelTest, FinalFlagLatchesOnAck) {
   auto quiet = channel.Ship(current, ledger, {{2, 1}}, {1}, true);
   ASSERT_TRUE(quiet.ok());
   EXPECT_FALSE(quiet->has_value());
+}
+
+// A channel starts from an empty base. Its first two deltas, across an ack,
+// must be byte for byte what a channel based on an explicit zero sketch
+// ships; that channel's arithmetic (delta = current − base, base += delta
+// on ack) is spelled out here.
+TEST(DeltaChannelTest, EmptyBaseShipsTheBytesOfAZeroBase) {
+  auto zero = CountSketch::Make(SmallParams());
+  ASSERT_TRUE(zero.ok());
+  DeltaChannel channel(3);
+  CountSketch zero_base = *zero;
+  auto encoded = [](uint64_t seqno, const CountSketch& delta,
+                    const DistLedger& inc,
+                    const std::vector<CoverageEntry>& covered,
+                    const std::vector<ItemId>& candidates) {
+    DeltaPayload payload;
+    payload.node_id = 3;
+    payload.seqno = seqno;
+    payload.ledger = inc;
+    payload.covered = covered;
+    payload.candidates = candidates;
+    delta.SerializeTo(&payload.sketch_blob);
+    return EncodeDelta(payload);
+  };
+
+  CountSketch current = *zero;
+  current.Add(5, 2);
+  current.Add(9, -1);
+  auto first = channel.Ship(current, DistLedger{2, 0, 2, 0}, {{3, 2}},
+                            {5, 9}, false);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(first->has_value());
+  CountSketch delta1 = current;
+  ASSERT_TRUE(delta1.Subtract(zero_base).ok());
+  EXPECT_EQ(**first,
+            encoded(1, delta1, DistLedger{2, 0, 2, 0}, {{3, 2}}, {5, 9}));
+
+  ASSERT_TRUE(channel.Acked(1).ok());
+  ASSERT_TRUE(zero_base.Merge(delta1).ok());
+
+  current.Add(6, 3);
+  current.Add(5, 1);
+  auto second = channel.Ship(current, DistLedger{6, 0, 6, 0}, {{3, 6}},
+                             {5, 6, 9}, false);
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(second->has_value());
+  CountSketch delta2 = current;
+  ASSERT_TRUE(delta2.Subtract(zero_base).ok());
+  EXPECT_EQ(**second,
+            encoded(2, delta2, DistLedger{4, 0, 4, 0}, {{3, 6}}, {5, 6, 9}));
 }
 
 TEST(DeltaReceiverTest, WalDisciplineDedupsAndRejectsGaps) {
@@ -343,6 +396,145 @@ TEST(DistDeltaE2ETest, TamperedFramesDieAtTheCrc) {
         << spec << ": " << sim->CheckInvariants().ToString();
     EXPECT_EQ(sim->root_ledger().ingested, 3u * 1000u) << spec;
   }
+}
+
+// Before any MarkEpoch, max-change ranks against the zero sketch: the
+// candidate union ordered by |root estimate|, ties toward smaller ids. The
+// narrow sketch makes some estimates negative, so the absolute value
+// matters.
+TEST(MergeTreeSimTest, MaxChangeWithoutMarkRanksByRootEstimate) {
+  auto topo = BuildBalancedTree(/*workers=*/4, /*fanout=*/2);
+  ASSERT_TRUE(topo.ok());
+  CountSketchParams params = SmallParams();
+  params.width = 8;
+  auto sim = MergeTreeSim::Make(*topo, params, /*tracked=*/32);
+  ASSERT_TRUE(sim.ok());
+  const auto& leaves = sim->topology().leaves;
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    auto gen = ZipfGenerator::Make(400, 0.8, 41 * (i + 1));
+    ASSERT_TRUE(gen.ok());
+    ASSERT_TRUE(sim->Offer(leaves[i], gen->Take(1000)).ok());
+  }
+  sim->Seal();
+  ASSERT_TRUE(sim->Drain(/*max_rounds=*/16).ok());
+
+  // ApproxTop scores the whole candidate union on the root sketch.
+  std::vector<ItemCount> want = sim->ApproxTop(SIZE_MAX);
+  ASSERT_GT(want.size(), 5u);
+  std::sort(want.begin(), want.end(),
+            [](const ItemCount& a, const ItemCount& b) {
+              if (std::llabs(a.count) != std::llabs(b.count)) {
+                return std::llabs(a.count) > std::llabs(b.count);
+              }
+              return a.item < b.item;
+            });
+  want.resize(5);
+  auto change = sim->MaxChange(5);
+  ASSERT_TRUE(change.ok()) << change.status().ToString();
+  EXPECT_EQ(*change, want);
+}
+
+// Shared fixture for the checkpoint-bound tests: `waves` rounds of one
+// Offer per live leaf then one ShipRound, asserting after every ShipRound
+// that each leaf retains at most 2·depth reference checkpoints.
+void RunWavesCheckingCheckpointBound(MergeTreeSim* sim, uint64_t waves,
+                                     uint64_t stream_seed,
+                                     size_t* max_seen) {
+  const TreeTopology& topo = sim->topology();
+  auto gen = ZipfGenerator::Make(1000, 1.1, stream_seed);
+  ASSERT_TRUE(gen.ok());
+  auto check_bound = [&] {
+    for (uint64_t leaf : topo.leaves) {
+      const size_t count = sim->checkpoint_count(leaf);
+      ASSERT_LE(count, 2 * topo.depth[leaf]) << "leaf " << leaf;
+      *max_seen = std::max(*max_seen, count);
+    }
+  };
+  for (uint64_t wave = 0; wave < waves; ++wave) {
+    for (uint64_t leaf : topo.leaves) {
+      if (!sim->alive(leaf)) continue;
+      ASSERT_TRUE(sim->Offer(leaf, gen->Take(64)).ok());
+    }
+    ASSERT_TRUE(sim->ShipRound().ok());
+    check_bound();
+  }
+  sim->Seal();
+  for (int round = 0; round < 16; ++round) {
+    ASSERT_TRUE(sim->ShipRound().ok());
+    check_bound();
+  }
+}
+
+// The bit-identity oracle holds O(sketch × depth) per leaf: in a fault-free
+// fleet the retained checkpoints stay within 2·depth no matter how long the
+// run is.
+TEST(MergeTreeSimTest, CheckpointsStayWithinTwiceDepth) {
+  for (uint64_t fanout : {uint64_t{4}, uint64_t{2}}) {
+    for (uint64_t waves : {uint64_t{8}, uint64_t{256}}) {
+      auto topo = BuildBalancedTree(/*workers=*/16, fanout);
+      ASSERT_TRUE(topo.ok());
+      auto sim = MergeTreeSim::Make(*topo, SmallParams(), /*tracked=*/16);
+      ASSERT_TRUE(sim.ok());
+      size_t max_seen = 0;
+      RunWavesCheckingCheckpointBound(&*sim, waves, /*stream_seed=*/13,
+                                      &max_seen);
+      if (HasFatalFailure()) return;
+      EXPECT_GT(max_seen, 0u) << "fanout " << fanout << ", " << waves
+                              << " waves";
+      ASSERT_TRUE(sim->Quiescent());
+      ASSERT_TRUE(sim->CheckInvariants().ok())
+          << sim->CheckInvariants().ToString();
+      EXPECT_EQ(sim->root_ledger().ingested, 16 * 64 * waves);
+    }
+  }
+}
+
+// A dead ancestor pins only its own frozen watermark. Kill a depth-1 node P
+// with dist.node: the relay R below it keeps applying its leaves' deltas
+// while its own delta to P stays pending forever, and every leaf under R
+// must still stay within 2·depth. dist.node fires once at a seeded random
+// node; the seeds are scanned until the node it kills is a P with live
+// descendants.
+TEST(MergeTreeSimTest, CheckpointsStayBoundedUnderADeadGrandparent) {
+  bool found = false;
+  for (uint64_t seed = 1; seed <= 64 && !found; ++seed) {
+    auto topo = BuildBalancedTree(/*workers=*/8, /*fanout=*/2);
+    ASSERT_TRUE(topo.ok());
+    ASSERT_EQ(topo->max_depth(), 3u);
+    auto sim = MergeTreeSim::Make(*topo, SmallParams(), /*tracked=*/16);
+    ASSERT_TRUE(sim.ok());
+    ScopedFailpoints failpoints("dist.node=crash@0.02*1", seed);
+    ASSERT_TRUE(failpoints.status().ok());
+    size_t max_seen = 0;
+    RunWavesCheckingCheckpointBound(&*sim, /*waves=*/48, /*stream_seed=*/seed,
+                                    &max_seen);
+    if (HasFatalFailure()) return;
+    ASSERT_TRUE(sim->CheckInvariants().ok())
+        << "seed " << seed << ": " << sim->CheckInvariants().ToString();
+
+    // Qualifies when the one dead node is at depth 1 and some leaf two
+    // levels under it ingested after the kill.
+    uint64_t dead = 0;
+    for (uint64_t u = 1; u < topo->size(); ++u) {
+      if (!sim->alive(u)) dead = u;
+    }
+    if (dead == 0 || topo->depth[dead] != 1) continue;
+    for (uint64_t leaf : topo->leaves) {
+      if (topo->parent[topo->parent[leaf]] != dead) continue;
+      // The root froze this leaf's watermark when P died; the leaf went on
+      // ingesting past it.
+      const auto covered = sim->RootCovered();
+      const auto at_root = std::find_if(
+          covered.begin(), covered.end(),
+          [leaf](const CoverageEntry& c) { return c.leaf_id == leaf; });
+      const uint64_t frozen = at_root == covered.end() ? 0 : at_root->count;
+      if (frozen < sim->TotalLedger(leaf).ingested) {
+        found = true;
+        EXPECT_GT(sim->checkpoint_count(leaf), 0u) << "leaf " << leaf;
+      }
+    }
+  }
+  EXPECT_TRUE(found) << "no seed killed a depth-1 node mid-run";
 }
 
 }  // namespace
