@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "hash/random.h"
 #include "util/bytes.h"
@@ -194,10 +195,9 @@ Count CountSketch::Estimate(ItemId item) const noexcept {
   return (lo + hi) / 2;
 }
 
-bool CountSketch::CompatibleWith(const CountSketch& other) const {
-  return depth_ == other.depth_ && width_ == other.width_ &&
-         params_.seed == other.params_.seed &&
-         params_.family == other.params_.family;
+bool CountSketch::CompatibleWith(const CountSketchParams& other) const {
+  return depth_ == other.depth && width_ == other.width &&
+         params_.seed == other.seed && params_.family == other.family;
 }
 
 Status CountSketch::Merge(const CountSketch& other) {
@@ -237,10 +237,58 @@ size_t CountSketch::SpaceBytes() const {
 }
 
 namespace {
+
 constexpr uint64_t kSketchMagic = 0x5346515343303153ULL;  // "SFQSC01S"
+// u64 magic, depth, width, seed, family, estimator.
+constexpr size_t kHeaderBytes = 6 * sizeof(uint64_t);
+
+// THE parser of the SerializeTo format. Validates the header and the
+// counter payload size; on success `params` describes the serialized
+// sketch and `counters` views its depth·width little-endian counters in
+// logical row-major order.
+Status ParseSerialized(std::string_view data, CountSketchParams* params,
+                       std::string_view* counters) {
+  ByteReader r(data);
+  uint64_t magic, depth, width, seed, family, estimator;
+  STREAMFREQ_RETURN_NOT_OK(r.GetU64(&magic));
+  if (magic != kSketchMagic) {
+    return Status::Corruption("serialized CountSketch: bad magic");
+  }
+  STREAMFREQ_RETURN_NOT_OK(r.GetU64(&depth));
+  STREAMFREQ_RETURN_NOT_OK(r.GetU64(&width));
+  STREAMFREQ_RETURN_NOT_OK(r.GetU64(&seed));
+  STREAMFREQ_RETURN_NOT_OK(r.GetU64(&family));
+  STREAMFREQ_RETURN_NOT_OK(r.GetU64(&estimator));
+  if (family > static_cast<uint64_t>(HashFamily::kTabulation) ||
+      estimator > static_cast<uint64_t>(Estimator::kMean)) {
+    return Status::Corruption("serialized CountSketch: bad enum value");
+  }
+  // Validate the payload size BEFORE anything allocates depth*width
+  // counters: a corrupted header must fail cleanly, not exhaust memory. The
+  // division avoids overflow in depth * width * 8 for hostile headers.
+  if (depth == 0 || width == 0 ||
+      r.remaining() / sizeof(int64_t) / depth != width ||
+      r.remaining() % sizeof(int64_t) != 0) {
+    return Status::Corruption(
+        "serialized CountSketch: counter payload size mismatch");
+  }
+  params->depth = depth;
+  params->width = width;
+  params->seed = seed;
+  params->family = static_cast<HashFamily>(family);
+  params->estimator = static_cast<Estimator>(estimator);
+  *counters = data.substr(kHeaderBytes);
+  return Status::OK();
+}
+
 }  // namespace
 
+size_t CountSketch::SerializedSize() const {
+  return kHeaderBytes + depth_ * width_ * sizeof(int64_t);
+}
+
 void CountSketch::SerializeTo(std::string* out) const {
+  out->reserve(out->size() + SerializedSize());
   ByteWriter w(out);
   w.PutU64(kSketchMagic);
   w.PutU64(depth_);
@@ -251,47 +299,39 @@ void CountSketch::SerializeTo(std::string* out) const {
   // Logical row-major order, padding skipped: the wire format is the same
   // as the historical unpadded layout.
   for (size_t i = 0; i < depth_; ++i) {
-    for (size_t j = 0; j < width_; ++j) w.PutI64(counters_.At(i, j));
+    w.PutBytes(counters_.Row(i), width_ * sizeof(int64_t));
   }
 }
 
-Result<CountSketch> CountSketch::Deserialize(std::string_view data) {
-  ByteReader r(data);
-  uint64_t magic, depth, width, seed, family, estimator;
-  STREAMFREQ_RETURN_NOT_OK(r.GetU64(&magic));
-  if (magic != kSketchMagic) {
-    return Status::Corruption("CountSketch::Deserialize: bad magic");
-  }
-  STREAMFREQ_RETURN_NOT_OK(r.GetU64(&depth));
-  STREAMFREQ_RETURN_NOT_OK(r.GetU64(&width));
-  STREAMFREQ_RETURN_NOT_OK(r.GetU64(&seed));
-  STREAMFREQ_RETURN_NOT_OK(r.GetU64(&family));
-  STREAMFREQ_RETURN_NOT_OK(r.GetU64(&estimator));
-  if (family > static_cast<uint64_t>(HashFamily::kTabulation) ||
-      estimator > static_cast<uint64_t>(Estimator::kMean)) {
-    return Status::Corruption("CountSketch::Deserialize: bad enum value");
-  }
-  // Validate the payload size BEFORE Make allocates depth*width counters:
-  // a corrupted header must fail cleanly, not exhaust memory. The division
-  // avoids overflow in depth * width * 8 for hostile headers.
-  if (depth == 0 || width == 0 ||
-      r.remaining() / sizeof(int64_t) / depth != width ||
-      r.remaining() % sizeof(int64_t) != 0) {
-    return Status::Corruption("CountSketch::Deserialize: counter payload size "
-                              "mismatch");
-  }
+Status CountSketch::MergeSerialized(std::string_view data) {
   CountSketchParams params;
-  params.depth = depth;
-  params.width = width;
-  params.seed = seed;
-  params.family = static_cast<HashFamily>(family);
-  params.estimator = static_cast<Estimator>(estimator);
-  STREAMFREQ_ASSIGN_OR_RETURN(CountSketch sketch, Make(params));
-  for (size_t i = 0; i < depth; ++i) {
-    for (size_t j = 0; j < width; ++j) {
-      STREAMFREQ_RETURN_NOT_OK(r.GetI64(&sketch.counters_.At(i, j)));
+  std::string_view counters;
+  STREAMFREQ_RETURN_NOT_OK(ParseSerialized(data, &params, &counters));
+  if (!CompatibleWith(params)) {
+    return Status::InvalidArgument(
+        "CountSketch::MergeSerialized: incompatible sketches (parameters or "
+        "seed differ)");
+  }
+  // Unsigned adds wrap exactly as Merge's counter arithmetic does, without
+  // signed-overflow UB; padding columns are never touched.
+  const char* in = counters.data();
+  for (size_t i = 0; i < depth_; ++i) {
+    int64_t* row = counters_.Row(i);
+    for (size_t j = 0; j < width_; ++j, in += sizeof(uint64_t)) {
+      uint64_t v;
+      std::memcpy(&v, in, sizeof(v));
+      row[j] = static_cast<int64_t>(static_cast<uint64_t>(row[j]) + v);
     }
   }
+  return Status::OK();
+}
+
+Result<CountSketch> CountSketch::Deserialize(std::string_view data) {
+  CountSketchParams params;
+  std::string_view counters;
+  STREAMFREQ_RETURN_NOT_OK(ParseSerialized(data, &params, &counters));
+  STREAMFREQ_ASSIGN_OR_RETURN(CountSketch sketch, Make(params));
+  STREAMFREQ_RETURN_NOT_OK(sketch.MergeSerialized(data));
   return sketch;
 }
 

@@ -117,12 +117,26 @@ class CountSketch {
 
   /// True iff `other` was built with identical parameters and seed, i.e.
   /// shares hash functions and may be merged/subtracted.
-  bool CompatibleWith(const CountSketch& other) const;
+  bool CompatibleWith(const CountSketch& other) const {
+    return CompatibleWith(other.params_);
+  }
 
-  /// Serializes parameters + counters to `out` (appended).
+  /// Serializes parameters + counters to `out` (appended), reserving
+  /// exactly SerializedSize() more bytes first.
   void SerializeTo(std::string* out) const;
 
-  /// Reconstructs a sketch serialized by SerializeTo. Returns Corruption on
+  /// Bytes SerializeTo appends: a 48-byte header plus depth·width counters.
+  size_t SerializedSize() const;
+
+  /// this += the sketch serialized in `data`, read straight from the bytes
+  /// (no sketch is materialized). Corruption on exactly the inputs
+  /// Deserialize rejects; InvalidArgument when `data` is well-formed but
+  /// not CompatibleWith this sketch. Everything is checked before any
+  /// counter changes, so a failed call leaves the sketch untouched.
+  Status MergeSerialized(std::string_view data);
+
+  /// Reconstructs a sketch serialized by SerializeTo: Make with the
+  /// serialized parameters, then MergeSerialized. Returns Corruption on
   /// truncated or malformed input.
   static Result<CountSketch> Deserialize(std::string_view data);
 
@@ -144,6 +158,9 @@ class CountSketch {
 
  private:
   explicit CountSketch(const CountSketchParams& params);
+
+  /// CompatibleWith for a sketch described only by its parameters.
+  bool CompatibleWith(const CountSketchParams& other) const;
 
   /// Row hash evaluation: bucket index and sign for `item` in row i.
   struct BucketSign {

@@ -64,8 +64,9 @@ struct NodeState {
   }
 
   /// Applies one decoded delta from `child` (or dedups it) and returns the
-  /// cumulative ack seqno.
-  Result<uint64_t> Apply(uint64_t child, const DeltaPayload& delta) {
+  /// cumulative ack seqno. The delta's counters are merged straight from
+  /// its wire bytes.
+  Result<uint64_t> Apply(uint64_t child, const DeltaView& delta) {
     DeltaReceiver& recv = receivers[child];
     bool duplicate = false;
     STREAMFREQ_RETURN_NOT_OK(recv.Classify(delta.seqno, &duplicate));
@@ -74,9 +75,7 @@ struct NodeState {
       ++delta_dedups;
       return recv.last_applied();
     }
-    STREAMFREQ_ASSIGN_OR_RETURN(CountSketch delta_sketch,
-                                CountSketch::Deserialize(delta.sketch_blob));
-    STREAMFREQ_RETURN_NOT_OK(acc.Merge(delta_sketch));
+    STREAMFREQ_RETURN_NOT_OK(acc.MergeSerialized(delta.sketch_blob));
     child_ledgers[child] += delta.ledger;
     for (const CoverageEntry& c : delta.covered) {
       uint64_t& cur = covered[c.leaf_id];
@@ -99,7 +98,7 @@ Status ShipAndAck(DeltaChannel* channel, int up_fd, const CountSketch& acc,
                   const std::vector<CoverageEntry>& covered,
                   const std::vector<ItemId>& candidates, bool final_flag) {
   STREAMFREQ_ASSIGN_OR_RETURN(
-      std::optional<std::string> payload,
+      std::optional<std::string_view> payload,
       channel->Ship(acc, ledger, covered, candidates, final_flag));
   if (!payload.has_value()) return Status::OK();
   STREAMFREQ_RETURN_NOT_OK(SendFrame(up_fd, *payload));
@@ -191,7 +190,7 @@ Status RunRelay(const AggregateOptions& options, const TreeTopology& topo,
         }
         return frame.status();
       }
-      STREAMFREQ_ASSIGN_OR_RETURN(DeltaPayload delta, DecodeDelta(*frame));
+      STREAMFREQ_ASSIGN_OR_RETURN(DeltaView delta, DecodeDelta(*frame));
       STREAMFREQ_ASSIGN_OR_RETURN(uint64_t ack,
                                   state->Apply(delta.node_id, delta));
       STREAMFREQ_RETURN_NOT_OK(SendFrame(conns[i].get(), EncodeAck(ack)));
@@ -296,6 +295,7 @@ Result<AggregateReport> RunAggregate(const AggregateOptions& options) {
   report.covered = root.CoveredSnapshot();
   report.deltas_applied = root.deltas_applied;
   report.delta_dedups = root.delta_dedups;
+  root.acc.SerializeTo(&report.root_sketch);
   std::vector<ItemId> cands = root.CandidateUnion();
   report.topk.reserve(cands.size());
   for (ItemId id : cands) {

@@ -54,6 +54,7 @@ struct AggregateReport {
   uint64_t deltas_applied = 0;        ///< at the root
   uint64_t delta_dedups = 0;          ///< at the root
   std::vector<ItemCount> topk;        ///< global ApproxTop(k)
+  std::string root_sketch;            ///< CountSketch::SerializeTo of the root
 };
 
 /// The exact substream worker `leaf_index` (0-based over topology.leaves)

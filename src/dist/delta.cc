@@ -18,11 +18,17 @@ constexpr uint64_t kKnownFlags = kFlagFinal | kFlagEpochMark;
 constexpr uint64_t kMaxCoverageEntries = 1ULL << 20;
 constexpr uint64_t kMaxCandidates = 1ULL << 20;
 
-}  // namespace
-
-std::string EncodeDelta(const DeltaPayload& delta) {
-  std::string out;
-  ByteWriter w(&out);
+// Appends every field of `delta` up to and including the sketch blob's
+// length prefix, after reserving room for the whole payload, so the blob
+// can follow in place without a reallocation.
+void PutDeltaHeader(const DeltaHeader& delta, size_t blob_size,
+                    std::string* out) {
+  // magic, node_id, seqno, flags, 4 ledger words, the two counts, the blob
+  // length: 11 words, plus the coverage pairs and the candidates.
+  const size_t words =
+      11 + 2 * delta.covered.size() + delta.candidates.size();
+  out->reserve(out->size() + words * sizeof(uint64_t) + blob_size);
+  ByteWriter w(out);
   w.PutU64(kDeltaMagic);
   w.PutU64(delta.node_id);
   w.PutU64(delta.seqno);
@@ -41,18 +47,29 @@ std::string EncodeDelta(const DeltaPayload& delta) {
   }
   w.PutU64(delta.candidates.size());
   for (ItemId id : delta.candidates) w.PutU64(id);
-  w.PutString(delta.sketch_blob);
+  w.PutU64(blob_size);
+}
+
+}  // namespace
+
+DeltaPayload::DeltaPayload(const DeltaView& view)
+    : DeltaHeader(view), sketch_blob(view.sketch_blob) {}
+
+std::string EncodeDelta(const DeltaPayload& delta) {
+  std::string out;
+  PutDeltaHeader(delta, delta.sketch_blob.size(), &out);
+  out.append(delta.sketch_blob);
   return out;
 }
 
-Result<DeltaPayload> DecodeDelta(std::string_view payload) {
+Result<DeltaView> DecodeDelta(std::string_view payload) {
   ByteReader r(payload);
   uint64_t magic = 0;
   STREAMFREQ_RETURN_NOT_OK(r.GetU64(&magic));
   if (magic != kDeltaMagic) {
     return Status::Corruption("delta payload magic mismatch");
   }
-  DeltaPayload delta;
+  DeltaView delta;
   STREAMFREQ_RETURN_NOT_OK(r.GetU64(&delta.node_id));
   STREAMFREQ_RETURN_NOT_OK(r.GetU64(&delta.seqno));
   if (delta.seqno == 0) {
@@ -95,7 +112,7 @@ Result<DeltaPayload> DecodeDelta(std::string_view payload) {
     STREAMFREQ_RETURN_NOT_OK(r.GetU64(&id));
     delta.candidates.push_back(id);
   }
-  STREAMFREQ_RETURN_NOT_OK(r.GetString(&delta.sketch_blob, r.remaining()));
+  STREAMFREQ_RETURN_NOT_OK(r.GetStringView(&delta.sketch_blob));
   if (r.remaining() != 0) {
     return Status::Corruption("trailing bytes after delta payload");
   }
@@ -125,36 +142,37 @@ Result<uint64_t> DecodeAck(std::string_view payload) {
   return last;
 }
 
-Result<std::optional<std::string>> DeltaChannel::Ship(
+Result<std::optional<std::string_view>> DeltaChannel::Ship(
     const CountSketch& current, const DistLedger& ledger,
     const std::vector<CoverageEntry>& covered,
     const std::vector<ItemId>& candidates, bool final_flag) {
   if (pending_.has_value()) {
     // At most one delta in flight: resend the exact bytes until acked.
-    return std::optional<std::string>(pending_->encoded);
+    return std::optional<std::string_view>(pending_->encoded);
   }
   if (NothingToShip(ledger, final_flag)) {
-    return std::optional<std::string>();  // nothing new to ship
+    return std::optional<std::string_view>();  // nothing new to ship
   }
-  const DistLedger inc = ledger.Minus(base_ledger_);
   CountSketch delta_sketch = current;
   if (base_.has_value()) {
     STREAMFREQ_RETURN_NOT_OK(delta_sketch.Subtract(*base_));
   }
 
-  DeltaPayload payload;
-  payload.node_id = node_id_;
-  payload.seqno = shipped_seqno_ + 1;
-  payload.final_flag = final_flag;
-  payload.ledger = inc;
-  payload.covered = covered;
-  payload.candidates = candidates;
-  delta_sketch.SerializeTo(&payload.sketch_blob);
+  DeltaHeader header;
+  header.node_id = node_id_;
+  header.seqno = shipped_seqno_ + 1;
+  header.final_flag = final_flag;
+  header.ledger = ledger.Minus(base_ledger_);
+  header.covered = covered;
+  header.candidates = candidates;
+  std::string encoded;
+  PutDeltaHeader(header, delta_sketch.SerializedSize(), &encoded);
+  delta_sketch.SerializeTo(&encoded);
 
-  shipped_seqno_ = payload.seqno;
-  pending_ = Pending{payload.seqno, EncodeDelta(payload),
+  shipped_seqno_ = header.seqno;
+  pending_ = Pending{header.seqno, std::move(encoded),
                      std::move(delta_sketch), ledger, final_flag};
-  return std::optional<std::string>(pending_->encoded);
+  return std::optional<std::string_view>(pending_->encoded);
 }
 
 Status DeltaChannel::Acked(uint64_t last_applied_seqno) {

@@ -102,10 +102,9 @@ struct CoverageEntry {
   }
 };
 
-/// One shipped delta. `sketch_blob` may be empty (a pure ledger/coverage
-/// advance, e.g. every admitted item was shed); candidates and coverage are
-/// absolute snapshots so re-delivery is idempotent.
-struct DeltaPayload {
+/// Every field of a shipped delta except its sketch. Candidates and
+/// coverage are absolute snapshots so re-delivery is idempotent.
+struct DeltaHeader {
   uint64_t node_id = 0;
   uint64_t seqno = 0;
   bool final_flag = false;  ///< sender is done; no further deltas follow
@@ -113,6 +112,23 @@ struct DeltaPayload {
   DistLedger ledger;        ///< increment since the sender's acked base
   std::vector<CoverageEntry> covered;
   std::vector<ItemId> candidates;
+};
+
+/// A decoded delta. `sketch_blob` is a view into the payload it was
+/// decoded from — valid only as long as those bytes are — so a receiver
+/// merges it (CountSketch::MergeSerialized) without copying it.
+struct DeltaView : DeltaHeader {
+  std::string_view sketch_blob;
+};
+
+/// A delta to encode; owns its sketch blob, which may be empty (a pure
+/// ledger/coverage advance, e.g. every admitted item was shed).
+struct DeltaPayload : DeltaHeader {
+  DeltaPayload() = default;
+  /// An owning copy of a decoded delta, for a caller that keeps it past
+  /// the payload it was decoded from (the sfq_bench codec timings).
+  explicit DeltaPayload(const DeltaView& view);
+
   std::string sketch_blob;
 };
 
@@ -123,8 +139,8 @@ inline constexpr uint64_t kAckMagic = 0x31304B4144514653ULL;
 std::string EncodeDelta(const DeltaPayload& delta);
 
 /// Decodes and validates; trailing bytes, bad magic, or truncated fields
-/// are Corruption.
-Result<DeltaPayload> DecodeDelta(std::string_view payload);
+/// are Corruption. The result's sketch blob views `payload`.
+Result<DeltaView> DecodeDelta(std::string_view payload);
 
 /// Cumulative ack: the receiver's last applied seqno for this link.
 std::string EncodeAck(uint64_t last_applied);
@@ -147,7 +163,11 @@ class DeltaChannel {
   /// coverage, and sketch — the caller only ever Adds/Merges into it). A
   /// `final_flag` delta is shipped once and latched on ack; repeat calls
   /// with no new mass then go quiet.
-  Result<std::optional<std::string>> Ship(
+  ///
+  /// The delta sketch is serialized straight into the pending encoding, and
+  /// the result is a view of that encoding: valid until the next Ship or
+  /// Acked call on this channel.
+  Result<std::optional<std::string_view>> Ship(
       const CountSketch& current, const DistLedger& ledger,
       const std::vector<CoverageEntry>& covered,
       const std::vector<ItemId>& candidates, bool final_flag);

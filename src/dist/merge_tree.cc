@@ -73,6 +73,12 @@ Status MergeTreeSim::Offer(uint64_t node, std::span<const ItemId> batch) {
     ++stats_.batches_torn;
   }
   const std::span<const ItemId> admitted = batch.first(keep);
+  if (!admitted.empty() && n.live.has_value()) {
+    // Copy-on-write: `ref` is the checkpoint at the live watermark until it
+    // moves past it, which it is about to.
+    n.checkpoints.try_emplace(*n.live, *n.ref);
+    n.live.reset();
+  }
   n.own.ingested += admitted.size();
   n.acc.BatchAdd(admitted);
   n.ref->BatchAddScalar(admitted);
@@ -131,17 +137,17 @@ bool MergeTreeSim::FinalReady(uint64_t node) const {
 
 Result<std::optional<uint64_t>> MergeTreeSim::Deliver(uint64_t parent,
                                                       uint64_t child,
-                                                      const std::string& frame,
+                                                      std::string_view frame,
                                                       bool* applied) {
   *applied = false;
-  std::string payload;
-  if (Status s = DecodeFrame(frame, &payload); !s.ok()) {
+  const Result<std::string_view> payload = DecodeFrame(frame);
+  if (!payload.ok()) {
     // A tampered frame MUST be caught here (CRC/length); anything else
     // reaching this path is a transport bug.
-    if (s.IsCorruption()) return std::optional<uint64_t>();
-    return s;
+    if (payload.status().IsCorruption()) return std::optional<uint64_t>();
+    return payload.status();
   }
-  STREAMFREQ_ASSIGN_OR_RETURN(DeltaPayload delta, DecodeDelta(payload));
+  STREAMFREQ_ASSIGN_OR_RETURN(DeltaView delta, DecodeDelta(*payload));
   if (delta.node_id != child) {
     return Status::Internal("delta sender id does not match link");
   }
@@ -160,9 +166,7 @@ Result<std::optional<uint64_t>> MergeTreeSim::Deliver(uint64_t parent,
     ++stats_.delta_dedups;
     return std::optional<uint64_t>(recv.last_applied());
   }
-  STREAMFREQ_ASSIGN_OR_RETURN(CountSketch delta_sketch,
-                              CountSketch::Deserialize(delta.sketch_blob));
-  STREAMFREQ_RETURN_NOT_OK(p.acc.Merge(delta_sketch));
+  STREAMFREQ_RETURN_NOT_OK(p.acc.MergeSerialized(delta.sketch_blob));
   p.child_ledgers[child] += delta.ledger;
   for (const CoverageEntry& c : delta.covered) {
     uint64_t& cur = p.covered[c.leaf_id];
@@ -171,7 +175,7 @@ Result<std::optional<uint64_t>> MergeTreeSim::Deliver(uint64_t parent,
     }
     cur = c.count;
   }
-  p.child_candidates[child] = delta.candidates;
+  p.child_candidates[child] = std::move(delta.candidates);
   if (delta.final_flag) p.child_final[child] = true;
   recv.Applied(delta.seqno);
   ++stats_.deltas_applied;
@@ -196,16 +200,16 @@ Result<bool> MergeTreeSim::ShipRound() {
     const bool fresh = !n.up->has_pending();
     std::vector<CoverageEntry> covered = CoveredSnapshot(u);
     STREAMFREQ_ASSIGN_OR_RETURN(
-        std::optional<std::string> payload,
+        std::optional<std::string_view> payload,
         n.up->Ship(n.acc, TotalLedger(u), covered, CandidateUnion(u),
                    FinalReady(u)));
     if (!payload.has_value()) continue;
     if (fresh) {
-      // A new delta: remember what it covers, and checkpoint a leaf's
-      // reference at the watermark it carries.
+      // A new delta: remember what it covers. At a leaf, `ref` itself is
+      // the checkpoint at the watermark it carries until Offer moves it.
       if (n.ref.has_value()) {
         if (auto it = n.covered.find(u); it != n.covered.end()) {
-          n.checkpoints.try_emplace(it->second, *n.ref);
+          n.live = it->second;
         }
       }
       n.in_flight = std::move(covered);
@@ -254,7 +258,8 @@ Result<bool> MergeTreeSim::ShipRound() {
 
 void MergeTreeSim::PruneCheckpoints(uint64_t leaf) {
   std::map<uint64_t, CountSketch>& checkpoints = nodes_[leaf].checkpoints;
-  if (checkpoints.empty()) return;
+  std::optional<uint64_t>& live = nodes_[leaf].live;
+  if (checkpoints.empty() && !live.has_value()) return;
   std::vector<uint64_t> pinned;
   for (uint64_t u = leaf;; u = topo_.parent[u]) {
     const Node& n = nodes_[u];
@@ -273,10 +278,12 @@ void MergeTreeSim::PruneCheckpoints(uint64_t leaf) {
       }
     }
   }
-  std::erase_if(checkpoints, [&pinned](const auto& entry) {
-    return std::find(pinned.begin(), pinned.end(), entry.first) ==
-           pinned.end();
-  });
+  const auto unpinned = [&pinned](uint64_t watermark) {
+    return std::find(pinned.begin(), pinned.end(), watermark) == pinned.end();
+  };
+  std::erase_if(checkpoints,
+                [&](const auto& entry) { return unpinned(entry.first); });
+  if (live.has_value() && unpinned(*live)) live.reset();
 }
 
 bool MergeTreeSim::Quiescent() const {
@@ -406,6 +413,14 @@ Status MergeTreeSim::CheckInvariants() const {
     // leaves' checkpoints at the covered watermarks.
     std::vector<const CountSketch*> terms;
     if (n.ref.has_value()) {
+      // `ref` stands in for the checkpoint at the live watermark only while
+      // it has not moved past it.
+      if (n.live.has_value() && *n.live != n.own.ingested) {
+        return Status::Internal("leaf " + std::to_string(u) +
+                                ": live watermark " +
+                                std::to_string(*n.live) + " behind ingested " +
+                                std::to_string(n.own.ingested));
+      }
       terms.push_back(&*n.ref);
     } else {
       for (const auto& [leaf, count] : n.covered) {
@@ -413,9 +428,13 @@ Status MergeTreeSim::CheckInvariants() const {
           return Status::Internal("node " + std::to_string(u) +
                                   " covers non-leaf " + std::to_string(leaf));
         }
-        const auto& checkpoints = nodes_[leaf].checkpoints;
-        const auto it = checkpoints.find(count);
-        if (it == checkpoints.end()) {
+        const Node& l = nodes_[leaf];
+        if (l.live == count) {
+          terms.push_back(&*l.ref);
+          continue;
+        }
+        const auto it = l.checkpoints.find(count);
+        if (it == l.checkpoints.end()) {
           return Status::Internal(
               "node " + std::to_string(u) + " covers leaf " +
               std::to_string(leaf) + " at watermark " +

@@ -26,10 +26,12 @@
 // Law 1 is held to a reference the shipping path never touches. Each leaf
 // feeds its admitted items into a second sketch, `ref`, through the scalar
 // kernel (CountSketch::BatchAddScalar; `acc` takes the SIMD BatchAdd), and
-// each time it builds a new delta it keeps a copy of `ref` as a checkpoint
-// under the watermark that delta carries. Count-Sketch is linear, so every
-// node's sketch must equal the counter-wise sum of the checkpoints at the
-// watermarks it covers. A leaf retains only the checkpoints still
+// each time it builds a new delta it checkpoints `ref` under the watermark
+// that delta carries. Count-Sketch is linear, so every node's sketch must
+// equal the counter-wise sum of the checkpoints at the watermarks it
+// covers. Checkpoints are copy-on-write: the newest one is `ref` itself
+// (the "live" watermark) until Offer is about to admit items past it, and
+// only then is it copied. A leaf retains only the checkpoints still
 // referenced — the watermarks its ancestors hold plus those carried by a
 // pending delta on its path, at most 2·depth — so the oracle costs
 // O(sketch × depth) per leaf instead of a copy of every item.
@@ -43,6 +45,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/count_sketch.h"
@@ -130,10 +133,12 @@ class MergeTreeSim {
   const TreeTopology& topology() const { return topo_; }
   bool alive(uint64_t node) const { return nodes_[node].alive; }
 
-  /// Reference checkpoints leaf `node` retains (0 for interior nodes);
-  /// never more than 2·depth after a ShipRound.
+  /// Reference checkpoints leaf `node` retains, the live one included (0
+  /// for interior nodes); never more than 2·depth after a ShipRound.
   size_t checkpoint_count(uint64_t node) const {
-    return nodes_[node].checkpoints.size();
+    const Node& n = nodes_[node];
+    return n.checkpoints.size() +
+           (n.live.has_value() && !n.checkpoints.contains(*n.live) ? 1 : 0);
   }
 
   /// Composed ledger at `node` (own + children's applied increments).
@@ -145,8 +150,8 @@ class MergeTreeSim {
   /// produced), ingested == Σ covered at every node, and sketch
   /// bit-identity at EVERY node against its covered-prefix reference: a
   /// leaf's `ref`, or the sum of the checkpoints at the node's covered
-  /// watermarks. Any violation, including a covered watermark with no
-  /// checkpoint, is Internal with a diagnostic.
+  /// watermarks (`ref` for a leaf's live one). Any violation, including a
+  /// covered watermark with no checkpoint, is Internal with a diagnostic.
   Status CheckInvariants() const;
 
  private:
@@ -169,6 +174,10 @@ class MergeTreeSim {
     /// Leaves only: copies of `ref`, keyed by the watermark of the delta
     /// built at that point; PruneCheckpoints drops unreferenced ones.
     std::map<uint64_t, CountSketch> checkpoints;
+    /// Leaves only: the watermark of the newest delta while `ref` has not
+    /// moved past it — the checkpoint there is `ref` itself. Offer copies
+    /// it into `checkpoints` before admitting items.
+    std::optional<uint64_t> live;
     std::optional<DeltaChannel> up;         ///< non-root only
     /// Coverage the pending delta carries; meaningful while
     /// up->has_pending().
@@ -184,15 +193,16 @@ class MergeTreeSim {
   std::vector<CoverageEntry> CoveredSnapshot(uint64_t node) const;
   bool FinalReady(uint64_t node) const;
 
-  /// Drops the checkpoints of `leaf` that no ancestor's covered map and no
-  /// pending delta on its path refers to — no node can reach any other
-  /// watermark of this leaf without a new delta, which checkpoints anew.
+  /// Drops the checkpoints of `leaf` (the live one included) that no
+  /// ancestor's covered map and no pending delta on its path refers to — no
+  /// node can reach any other watermark of this leaf without a new delta,
+  /// which checkpoints anew.
   void PruneCheckpoints(uint64_t leaf);
 
   /// Delivers `frame` from `child` to `parent`; returns the cumulative ack
   /// seqno, or nullopt when the link severed (torn/bitflip caught by CRC).
   Result<std::optional<uint64_t>> Deliver(uint64_t parent, uint64_t child,
-                                          const std::string& frame,
+                                          std::string_view frame,
                                           bool* applied);
 
   TreeTopology topo_;

@@ -112,7 +112,7 @@ Status VerifyFramePayload(std::string_view payload, uint32_t masked_crc) {
   return Status::OK();
 }
 
-Status DecodeFrame(std::string_view frame, std::string* payload) {
+Result<std::string_view> DecodeFrame(std::string_view frame) {
   if (frame.size() < kFrameHeaderSize) {
     return Status::Corruption("frame shorter than header");
   }
@@ -125,7 +125,12 @@ Status DecodeFrame(std::string_view frame, std::string* payload) {
     return Status::Corruption("frame payload length mismatch");
   }
   STREAMFREQ_RETURN_NOT_OK(VerifyFramePayload(body, masked_crc));
-  payload->assign(body.data(), body.size());
+  return body;
+}
+
+Status DecodeFrame(std::string_view frame, std::string* payload) {
+  STREAMFREQ_ASSIGN_OR_RETURN(std::string_view body, DecodeFrame(frame));
+  payload->assign(body);
   return Status::OK();
 }
 

@@ -78,6 +78,15 @@ class ByteReader {
   /// caps well-formed-but-absurd fields (protocol decoders pass their
   /// frame bound).
   Status GetString(std::string* v, size_t max_len = SIZE_MAX) {
+    std::string_view view;
+    STREAMFREQ_RETURN_NOT_OK(GetStringView(&view, max_len));
+    v->assign(view);
+    return Status::OK();
+  }
+
+  /// GetString without the copy: `v` views the reader's buffer and is
+  /// valid only as long as that buffer is.
+  Status GetStringView(std::string_view* v, size_t max_len = SIZE_MAX) {
     uint64_t len;
     STREAMFREQ_RETURN_NOT_OK(GetU64(&len));
     if (len > data_.size()) {
@@ -86,7 +95,7 @@ class ByteReader {
     if (len > max_len) {
       return Status::Corruption("byte string length exceeds field bound");
     }
-    v->assign(data_.data(), static_cast<size_t>(len));
+    *v = data_.substr(0, static_cast<size_t>(len));
     data_.remove_prefix(static_cast<size_t>(len));
     return Status::OK();
   }

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
+#include "hash/random.h"
 #include "stream/exact_counter.h"
 #include "stream/zipf.h"
 
@@ -173,6 +177,149 @@ TEST(CountSketchTest, DeserializeRejectsCorruption) {
   std::string bad_magic = buf;
   bad_magic[0] ^= 0x5A;
   EXPECT_TRUE(CountSketch::Deserialize(bad_magic).status().IsCorruption());
+}
+
+std::string Bytes(const CountSketch& sketch) {
+  std::string out;
+  sketch.SerializeTo(&out);
+  return out;
+}
+
+TEST(CountSketchTest, SerializedSizeIsExact) {
+  for (size_t width : {size_t{1}, size_t{13}, size_t{128}}) {
+    CountSketchParams p = SmallParams();
+    p.width = width;
+    auto s = CountSketch::Make(p);
+    ASSERT_TRUE(s.ok());
+    s->Add(7, 3);
+    std::string buf = "prefix";
+    s->SerializeTo(&buf);
+    EXPECT_EQ(buf.size(), 6 + s->SerializedSize());
+    EXPECT_EQ(s->SerializedSize(), 48 + p.depth * width * 8);
+  }
+}
+
+// MergeSerialized is Deserialize + Merge without the intermediate sketch,
+// so every malformed input must fail exactly as Deserialize does, and a
+// failure must leave the target's counters untouched.
+TEST(CountSketchTest, MergeSerializedRejectsEveryTruncation) {
+  auto into = CountSketch::Make(SmallParams());
+  auto from = CountSketch::Make(SmallParams());
+  ASSERT_TRUE(into.ok() && from.ok());
+  into->Add(1, 4);
+  from->Add(2, -9);
+  const std::string before = Bytes(*into);
+  const std::string blob = Bytes(*from);
+  for (size_t keep = 0; keep < blob.size(); ++keep) {
+    const std::string_view prefix = std::string_view(blob).substr(0, keep);
+    EXPECT_TRUE(into->MergeSerialized(prefix).IsCorruption())
+        << "prefix of " << keep << " bytes merged";
+    EXPECT_TRUE(CountSketch::Deserialize(prefix).status().IsCorruption());
+  }
+  EXPECT_TRUE(into->MergeSerialized(blob + '\0').IsCorruption());
+  EXPECT_EQ(Bytes(*into), before);
+}
+
+// Every single-bit flip in the 48-byte header (magic, depth, width, seed,
+// family, estimator). A flip that leaves the header malformed is
+// Corruption. A flip that describes a well-formed sketch with another seed
+// or hash family is InvalidArgument, as Merge of the deserialized sketch
+// would be. The estimator does not enter CompatibleWith, so the one flip
+// that selects the other estimator merges, exactly like Deserialize + Merge.
+TEST(CountSketchTest, MergeSerializedHeaderBitFlips) {
+  auto into = CountSketch::Make(SmallParams());
+  auto from = CountSketch::Make(SmallParams());
+  ASSERT_TRUE(into.ok() && from.ok());
+  into->Add(1, 4);
+  from->Add(2, -9);
+  const std::string before = Bytes(*into);
+  const std::string blob = Bytes(*from);
+  for (size_t byte = 0; byte < 48; ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string damaged = blob;
+      damaged[byte] = static_cast<char>(damaged[byte] ^ (1 << bit));
+      const size_t field = byte / 8;  // magic depth width seed family est.
+      CountSketch merged = *into;
+      const Status status = merged.MergeSerialized(damaged);
+      if (field == 3 || (field == 4 && byte == 32 && bit < 2)) {
+        EXPECT_TRUE(status.IsInvalidArgument())
+            << "byte " << byte << " bit " << bit << ": " << status.ToString();
+      } else if (field == 5 && byte == 40 && bit == 0) {
+        ASSERT_TRUE(status.ok()) << status.ToString();
+        CountSketch reference = *into;
+        auto parsed = CountSketch::Deserialize(damaged);
+        ASSERT_TRUE(parsed.ok());
+        ASSERT_TRUE(reference.Merge(*parsed).ok());
+        EXPECT_EQ(Bytes(merged), Bytes(reference));
+        continue;
+      } else {
+        EXPECT_TRUE(status.IsCorruption())
+            << "byte " << byte << " bit " << bit << ": " << status.ToString();
+        EXPECT_TRUE(CountSketch::Deserialize(damaged).status().IsCorruption());
+      }
+      EXPECT_EQ(Bytes(merged), before) << "byte " << byte << " bit " << bit;
+    }
+  }
+}
+
+TEST(CountSketchTest, MergeSerializedRejectsIncompatibleSketches) {
+  auto into = CountSketch::Make(SmallParams());
+  ASSERT_TRUE(into.ok());
+  into->Add(3, 11);
+  const std::string before = Bytes(*into);
+  std::vector<CountSketchParams> others(4, SmallParams());
+  others[0].seed += 1;
+  others[1].depth += 1;
+  others[2].width += 1;
+  others[3].family = HashFamily::kTabulation;
+  for (const CountSketchParams& p : others) {
+    auto other = CountSketch::Make(p);
+    ASSERT_TRUE(other.ok());
+    other->Add(3, 2);
+    EXPECT_TRUE(into->MergeSerialized(Bytes(*other)).IsInvalidArgument());
+    EXPECT_TRUE(into->Merge(*other).IsInvalidArgument());
+    EXPECT_EQ(Bytes(*into), before);
+  }
+}
+
+// Over random geometries, hash families and turnstile weights: odd widths
+// leave padding columns in every row, and negative counters wrap as
+// unsigned words in the byte-level add.
+TEST(CountSketchTest, MergeSerializedEqualsDeserializeThenMerge) {
+  SplitMix64 rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    CountSketchParams p;
+    p.depth = 1 + rng.Next() % 6;
+    p.width = 1 + rng.Next() % 40;
+    p.seed = rng.Next();
+    p.family = static_cast<HashFamily>(rng.Next() % 3);
+    auto into = CountSketch::Make(p);
+    auto from = CountSketch::Make(p);
+    ASSERT_TRUE(into.ok() && from.ok());
+    for (int i = 0; i < 50; ++i) {
+      // Magnitudes up to 2^52 per update keep every sum inside int64.
+      const Count w = static_cast<Count>(rng.Next() >> 12) - (Count{1} << 51);
+      into->Add(rng.Next() % 1000, w);
+      from->Add(rng.Next() % 1000, -w / 3);
+    }
+    const std::string blob = Bytes(*from);
+    CountSketch merged = *into;
+    ASSERT_TRUE(merged.MergeSerialized(blob).ok());
+    CountSketch reference = *into;
+    auto parsed = CountSketch::Deserialize(blob);
+    ASSERT_TRUE(parsed.ok());
+    ASSERT_TRUE(reference.Merge(*parsed).ok());
+    ASSERT_EQ(Bytes(merged), Bytes(reference)) << "trial " << trial;
+    // Padding columns (rows are padded to 8 counters) stay zero. CounterAt
+    // does not bound-check, so it reads them directly.
+    const size_t stride = (p.width + 7) / 8 * 8;
+    for (size_t row = 0; row < p.depth; ++row) {
+      for (size_t col = p.width; col < stride; ++col) {
+        ASSERT_EQ(merged.CounterAt(row, col), 0)
+            << "trial " << trial << " row " << row << " col " << col;
+      }
+    }
+  }
 }
 
 TEST(CountSketchTest, MedianIsRobustToOneHeavyCollision) {

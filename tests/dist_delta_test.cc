@@ -1,9 +1,10 @@
 // Delta-shipping protocol tests (satellite of the distributed merge tree,
 // docs/DISTRIBUTED.md): the codec's corruption matrix at every truncation
-// boundary, the channel's resend-verbatim/cumulative-ack discipline, the
-// receiver's WAL-style dedup, an end-to-end severed-link schedule
-// proving at-most-once accounting through MergeTreeSim, and the bound on
-// the reference checkpoints MergeTreeSim keeps for its bit-identity check.
+// boundary, the channel's resend-verbatim/cumulative-ack discipline and
+// in-place encoding, the receiver's WAL-style dedup, an end-to-end
+// severed-link schedule proving at-most-once accounting through
+// MergeTreeSim, and the bound on and copy-on-write lifecycle of the
+// reference checkpoints MergeTreeSim keeps for its bit-identity check.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -49,7 +50,8 @@ DeltaPayload SamplePayload() {
 
 TEST(DeltaCodecTest, RoundTripsEveryField) {
   const DeltaPayload delta = SamplePayload();
-  auto decoded = DecodeDelta(EncodeDelta(delta));
+  const std::string encoded = EncodeDelta(delta);
+  auto decoded = DecodeDelta(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->node_id, delta.node_id);
   EXPECT_EQ(decoded->seqno, delta.seqno);
@@ -59,6 +61,11 @@ TEST(DeltaCodecTest, RoundTripsEveryField) {
   EXPECT_EQ(decoded->covered, delta.covered);
   EXPECT_EQ(decoded->candidates, delta.candidates);
   EXPECT_EQ(decoded->sketch_blob, delta.sketch_blob);
+  // The blob is not copied out: it is the payload's trailing bytes.
+  EXPECT_EQ(decoded->sketch_blob.data(),
+            encoded.data() + encoded.size() - delta.sketch_blob.size());
+  // The owning form carries the same fields and re-encodes bit-identically.
+  EXPECT_EQ(EncodeDelta(DeltaPayload(*decoded)), encoded);
 }
 
 TEST(DeltaCodecTest, EveryTruncationBoundaryIsCorruption) {
@@ -131,6 +138,9 @@ TEST(DeltaChannelTest, ResendsPendingVerbatimUntilAcked) {
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(first->has_value());
   EXPECT_TRUE(channel.has_pending());
+  // Ship returns a view of the pending encoding; keep a copy of the bytes
+  // so the resend below is compared against what actually went out.
+  const std::string first_bytes(**first);
 
   // The sender keeps advancing, but until the ack arrives the SAME bytes
   // go out — bit-identical re-delivery is what makes dedup exact.
@@ -139,7 +149,8 @@ TEST(DeltaChannelTest, ResendsPendingVerbatimUntilAcked) {
   auto resend = channel.Ship(current, ledger, {{3, 3}}, {5, 6}, false);
   ASSERT_TRUE(resend.ok());
   ASSERT_TRUE(resend->has_value());
-  EXPECT_EQ(**resend, **first);
+  EXPECT_EQ(**resend, first_bytes);
+  EXPECT_EQ(resend->value().data(), first->value().data());  // not rebuilt
 
   // Cumulative ack folds the pending delta into the base; the next ship
   // carries only what came after it.
@@ -221,6 +232,16 @@ TEST(DeltaChannelTest, EmptyBaseShipsTheBytesOfAZeroBase) {
   ASSERT_TRUE(delta1.Subtract(zero_base).ok());
   EXPECT_EQ(**first,
             encoded(1, delta1, DistLedger{2, 0, 2, 0}, {{3, 2}}, {5, 9}));
+  const std::string first_bytes(**first);
+
+  // The first delta resends verbatim until acked, whatever `current` does.
+  current.Add(7, 4);
+  auto resend = channel.Ship(current, DistLedger{6, 0, 6, 0}, {{3, 6}},
+                             {5, 7, 9}, false);
+  ASSERT_TRUE(resend.ok());
+  ASSERT_TRUE(resend->has_value());
+  EXPECT_EQ(**resend, first_bytes);
+  current.Add(7, -4);
 
   ASSERT_TRUE(channel.Acked(1).ok());
   ASSERT_TRUE(zero_base.Merge(delta1).ok());
@@ -235,6 +256,54 @@ TEST(DeltaChannelTest, EmptyBaseShipsTheBytesOfAZeroBase) {
   ASSERT_TRUE(delta2.Subtract(zero_base).ok());
   EXPECT_EQ(**second,
             encoded(2, delta2, DistLedger{4, 0, 4, 0}, {{3, 6}}, {5, 6, 9}));
+}
+
+// Ship serializes the delta sketch straight into the pending encoding. Its
+// bytes must be exactly EncodeDelta of the payload they decode to, with a
+// full coverage map, a candidate slate, and a negative-counter delta.
+TEST(DeltaChannelTest, InPlaceEncodingEqualsEncodeDelta) {
+  auto zero = CountSketch::Make(SmallParams());
+  ASSERT_TRUE(zero.ok());
+  DeltaChannel channel(5);
+  CountSketch current = *zero;
+  auto gen = ZipfGenerator::Make(300, 1.0, 77);
+  ASSERT_TRUE(gen.ok());
+  current.BatchAdd(gen->Take(500));
+  ASSERT_TRUE(channel
+                  .Ship(current, DistLedger{500, 0, 500, 0}, {{5, 500}}, {1},
+                        false)
+                  .ok());
+  ASSERT_TRUE(channel.Acked(1).ok());
+  const CountSketch base = current;  // what the ack folded into the base
+  current.BatchAdd(gen->Take(300));
+  current.Add(12345, -40);
+  const std::vector<CoverageEntry> covered = {{5, 800}, {6, 10}, {9, 3}};
+  const std::vector<ItemId> candidates = {2, 4, 8, 16, 32};
+  auto shipped = channel.Ship(current, DistLedger{820, 20, 800, 0}, covered,
+                              candidates, /*final_flag=*/true);
+  ASSERT_TRUE(shipped.ok());
+  ASSERT_TRUE(shipped->has_value());
+  const std::string_view bytes = **shipped;
+
+  auto decoded = DecodeDelta(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->seqno, 2u);
+  EXPECT_TRUE(decoded->final_flag);
+  EXPECT_TRUE(decoded->ledger == (DistLedger{320, 20, 300, 0}));
+  EXPECT_EQ(decoded->covered, covered);
+  EXPECT_EQ(decoded->candidates, candidates);
+
+  DeltaPayload payload;
+  payload.node_id = 5;
+  payload.seqno = 2;
+  payload.final_flag = true;
+  payload.ledger = DistLedger{320, 20, 300, 0};
+  payload.covered = covered;
+  payload.candidates = candidates;
+  CountSketch delta = current;
+  ASSERT_TRUE(delta.Subtract(base).ok());
+  delta.SerializeTo(&payload.sketch_blob);
+  EXPECT_EQ(bytes, EncodeDelta(payload));
 }
 
 TEST(DeltaReceiverTest, WalDisciplineDedupsAndRejectsGaps) {
@@ -432,6 +501,62 @@ TEST(MergeTreeSimTest, MaxChangeWithoutMarkRanksByRootEstimate) {
   auto change = sim->MaxChange(5);
   ASSERT_TRUE(change.ok()) << change.status().ToString();
   EXPECT_EQ(*change, want);
+}
+
+// Copy-on-write checkpoints under lost acks: every ack is lost, so each
+// leaf's delta stays pending (resent, deduped by the parent) while the leaf
+// keeps admitting batches past the watermark it carries. The checkpoint at
+// that watermark must be copied before `ref` moves, and every node's sketch
+// must still equal its covered-prefix reference at every step.
+TEST(MergeTreeSimTest, LeafAdmitsWhileItsDeltaIsUnacked) {
+  auto topo = BuildBalancedTree(/*workers=*/4, /*fanout=*/2);
+  ASSERT_TRUE(topo.ok());
+  const CountSketchParams params = SmallParams();
+  auto sim = MergeTreeSim::Make(*topo, params, /*tracked=*/16);
+  ASSERT_TRUE(sim.ok());
+  const auto& leaves = sim->topology().leaves;
+  auto gen = ZipfGenerator::Make(500, 1.1, 23);
+  ASSERT_TRUE(gen.ok());
+  std::vector<Stream> streams(leaves.size());
+  const auto offer_wave = [&] {
+    for (size_t i = 0; i < leaves.size(); ++i) {
+      const Stream batch = gen->Take(128);
+      streams[i].insert(streams[i].end(), batch.begin(), batch.end());
+      ASSERT_TRUE(sim->Offer(leaves[i], batch).ok());
+    }
+  };
+  {
+    ScopedFailpoints failpoints("dist.ack=error", /*seed=*/3);
+    ASSERT_TRUE(failpoints.status().ok());
+    for (int wave = 0; wave < 6; ++wave) {
+      offer_wave();
+      if (HasFatalFailure()) return;
+      ASSERT_TRUE(sim->CheckInvariants().ok())
+          << "wave " << wave << " after Offer: "
+          << sim->CheckInvariants().ToString();
+      ASSERT_TRUE(sim->ShipRound().ok());
+      ASSERT_TRUE(sim->CheckInvariants().ok())
+          << "wave " << wave << " after ShipRound: "
+          << sim->CheckInvariants().ToString();
+      for (uint64_t leaf : leaves) {
+        EXPECT_GT(sim->checkpoint_count(leaf), 0u) << "leaf " << leaf;
+        EXPECT_LE(sim->checkpoint_count(leaf), 2 * topo->depth[leaf]);
+      }
+    }
+    EXPECT_GT(sim->stats().lost_acks, 0u);
+    EXPECT_GT(sim->stats().delta_dedups, 0u);
+  }
+  sim->Seal();
+  ASSERT_TRUE(sim->Drain(/*max_rounds=*/32).ok());
+  ASSERT_TRUE(sim->Quiescent());
+  ASSERT_TRUE(sim->CheckInvariants().ok()) << sim->CheckInvariants().ToString();
+  auto flat = CountSketch::Make(params);
+  ASSERT_TRUE(flat.ok());
+  for (const Stream& s : streams) flat->BatchAdd(s);
+  std::string root_bytes, flat_bytes;
+  sim->root_sketch().SerializeTo(&root_bytes);
+  flat->SerializeTo(&flat_bytes);
+  EXPECT_EQ(root_bytes, flat_bytes);
 }
 
 // Shared fixture for the checkpoint-bound tests: `waves` rounds of one

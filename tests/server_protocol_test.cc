@@ -122,31 +122,33 @@ TEST(FrameTest, RoundTripsPayloads) {
         std::string("\0\xff\x7f", 3)}) {
     const std::string frame = EncodeFrame(payload);
     ASSERT_EQ(frame.size(), kFrameHeaderSize + payload.size());
-    std::string decoded;
-    ASSERT_TRUE(DecodeFrame(frame, &decoded).ok());
-    EXPECT_EQ(decoded, payload);
+    auto decoded = DecodeFrame(frame);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(*decoded, payload);
+    // Validated in place: the payload is a view into the frame's bytes.
+    EXPECT_EQ(decoded->data(), frame.data() + kFrameHeaderSize);
   }
 }
 
 TEST(FrameTest, TruncationAtEveryBoundaryIsCorruption) {
   const std::string frame = EncodeFrame("corruption matrix payload");
-  std::string decoded;
   for (size_t len = 0; len < frame.size(); ++len) {
-    EXPECT_TRUE(DecodeFrame(frame.substr(0, len), &decoded).IsCorruption())
+    EXPECT_TRUE(DecodeFrame(std::string_view(frame).substr(0, len))
+                    .status()
+                    .IsCorruption())
         << "prefix of " << len << " bytes decoded";
   }
   // Trailing garbage after a valid frame is damage too.
-  EXPECT_TRUE(DecodeFrame(frame + "x", &decoded).IsCorruption());
+  EXPECT_TRUE(DecodeFrame(frame + "x").status().IsCorruption());
 }
 
 TEST(FrameTest, EveryHeaderBitFlipIsCorruption) {
   const std::string frame = EncodeFrame("bit flip battery");
-  std::string decoded;
   for (size_t byte = 0; byte < kFrameHeaderSize; ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string damaged = frame;
       damaged[byte] = static_cast<char>(damaged[byte] ^ (1 << bit));
-      EXPECT_TRUE(DecodeFrame(damaged, &decoded).IsCorruption())
+      EXPECT_TRUE(DecodeFrame(damaged).status().IsCorruption())
           << "flip at header byte " << byte << " bit " << bit;
     }
   }
@@ -154,12 +156,11 @@ TEST(FrameTest, EveryHeaderBitFlipIsCorruption) {
 
 TEST(FrameTest, EveryPayloadBitFlipIsCorruption) {
   const std::string frame = EncodeFrame("payload flip battery");
-  std::string decoded;
   for (size_t byte = kFrameHeaderSize; byte < frame.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string damaged = frame;
       damaged[byte] = static_cast<char>(damaged[byte] ^ (1 << bit));
-      EXPECT_TRUE(DecodeFrame(damaged, &decoded).IsCorruption())
+      EXPECT_TRUE(DecodeFrame(damaged).status().IsCorruption())
           << "flip at payload byte " << byte << " bit " << bit;
     }
   }
