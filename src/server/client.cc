@@ -16,25 +16,17 @@ namespace {
 // to be meaningful.
 constexpr size_t kIngestChunkItems = 1 << 16;
 
-// splitmix64: the jitter stream. Seeded, so a failing run replays exactly.
-uint64_t NextJitter(uint64_t* state) {
-  uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 }  // namespace
 
 Result<SfqClient> SfqClient::Connect(const std::string& socket_path,
                                      const RetryOptions& retry) {
-  uint64_t jitter_state = retry.seed;
+  SplitMix64 jitter(retry.seed);
   for (uint32_t attempt = 0;; ++attempt) {
     Result<OwnedFd> fd = ConnectUnix(socket_path);
     if (fd.ok()) {
       SfqClient client(std::move(*fd));
       client.retry_ = retry;
-      client.jitter_state_ = jitter_state;
+      client.jitter_ = jitter;
       // Remember the path only when retry is on: it is what arms the
       // reconnect-and-resend path inside Ingest.
       if (retry.retries > 0) client.socket_path_ = socket_path;
@@ -45,7 +37,7 @@ Result<SfqClient> SfqClient::Connect(const std::string& socket_path,
                             << std::min<uint32_t>(attempt, 6);
     const uint64_t half = cap_ms / 2;
     std::this_thread::sleep_for(std::chrono::milliseconds(
-        half + (cap_ms == 0 ? 0 : NextJitter(&jitter_state) % (half + 1))));
+        half + (cap_ms == 0 ? 0 : jitter.Next() % (half + 1))));
   }
 }
 
@@ -53,7 +45,7 @@ void SfqClient::BackoffSleep(uint32_t attempt) {
   const uint64_t cap_ms = retry_.backoff_ms << std::min<uint32_t>(attempt, 6);
   const uint64_t half = cap_ms / 2;
   std::this_thread::sleep_for(std::chrono::milliseconds(
-      half + (cap_ms == 0 ? 0 : NextJitter(&jitter_state_) % (half + 1))));
+      half + (cap_ms == 0 ? 0 : jitter_.Next() % (half + 1))));
 }
 
 Result<Response> SfqClient::Call(const Request& request) {

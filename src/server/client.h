@@ -37,6 +37,7 @@
 #include "stream/exact_counter.h"
 #include "stream/types.h"
 #include "util/result.h"
+#include "util/splitmix64.h"
 #include "util/status.h"
 
 namespace streamfreq {
@@ -107,7 +108,7 @@ class SfqClient {
   OwnedFd fd_;
   std::string socket_path_;  ///< empty when retry is off (no reconnects)
   RetryOptions retry_;
-  uint64_t jitter_state_ = 0;
+  SplitMix64 jitter_{0};  ///< seeded, so a failing run replays exactly
 };
 
 }  // namespace streamfreq

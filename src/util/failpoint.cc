@@ -33,18 +33,9 @@ const std::vector<std::string>* BuildKnownSites() {
   };
 }
 
-// Local splitmix64 step: util/ sits below hash/, so the generator is
-// inlined rather than imported (same constants as hash/random.h).
-uint64_t NextRandom(uint64_t* state) {
-  uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-double NextUnit(uint64_t* state) {
+double NextUnit(SplitMix64* rng) {
   // 53 random bits into [0, 1).
-  return static_cast<double>(NextRandom(state) >> 11) * 0x1.0p-53;
+  return static_cast<double>(rng->Next() >> 11) * 0x1.0p-53;
 }
 
 Status ParseAction(const std::string& text, FailAction* out) {
@@ -159,7 +150,7 @@ Status FailpointRegistry::Configure(const std::string& spec, uint64_t seed) {
 
   MutexLock lock(mu_);
   clauses_ = std::move(parsed);
-  rng_state_ = seed ^ 0xFA17F017FA17F017ULL;
+  rng_ = SplitMix64(seed ^ 0xFA17F017FA17F017ULL);
   armed_.store(!clauses_.empty(), std::memory_order_relaxed);
   return Status::OK();
 }
@@ -179,7 +170,7 @@ FailDecision FailpointRegistry::Evaluate(const char* site) {
   if (it == clauses_.end()) return {};
   Clause& clause = it->second;
   if (clause.max_fires > 0 && clause.fires >= clause.max_fires) return {};
-  if (clause.probability < 1.0 && NextUnit(&rng_state_) >= clause.probability) {
+  if (clause.probability < 1.0 && NextUnit(&rng_) >= clause.probability) {
     return {};
   }
   ++clause.fires;
@@ -187,7 +178,7 @@ FailDecision FailpointRegistry::Evaluate(const char* site) {
   decision.action = clause.action;
   decision.param = clause.param;
   if (clause.action == FailAction::kBitFlip && decision.param == 0) {
-    decision.param = NextRandom(&rng_state_);  // site maps onto payload bits
+    decision.param = rng_.Next();  // site maps onto payload bits
   }
   return decision;
 }

@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "util/mutex.h"
+#include "util/splitmix64.h"
 #include "util/status.h"
 
 #include <atomic>
@@ -131,7 +132,7 @@ class FailpointRegistry {
 
   mutable Mutex mu_;
   std::map<std::string, Clause> clauses_ SFQ_GUARDED_BY(mu_);
-  uint64_t rng_state_ SFQ_GUARDED_BY(mu_) = 0;
+  SplitMix64 rng_ SFQ_GUARDED_BY(mu_){0};
   // Fast disarmed check so un-armed evaluations never take the mutex.
   std::atomic<bool> armed_{false};
   static std::atomic<bool> crash_kills_process_;

@@ -62,38 +62,119 @@ Stream EffectiveStream(const Stream& stream, const std::vector<ItemId>& spill) {
   return effective;
 }
 
-struct IterationResult {
+/// What one iteration ended as. The iteration adds its own counters straight
+/// into the report; the campaign loop tallies only these three.
+struct Iteration {
   ChaosOutcome outcome = ChaosOutcome::kVerified;
   std::string detail;
-  IngestStats stats;
-  uint64_t fires = 0;
-  bool io_attempted = false;
-  bool io_faulted = false;
+  bool faulted = false;  ///< >= 1 fault fired (restart: >= 1 process death)
 };
 
-Result<IterationResult> RunIteration(const ChaosOptions& options,
-                                     const std::string& io_dir,
-                                     uint64_t index) {
-  const FuzzProgram program =
-      ProgramFromSeed(options.seed ^ kProgramSalt, index);
+/// Adds the armed schedule's fires to the report and says whether any fired.
+/// Call it while the ScopedFailpoints is alive: disarming clears the counts.
+bool CountFires(ChaosReport* report) {
+  const uint64_t fires = FailpointRegistry::Global().TotalFires();
+  report->fault_fires += fires;
+  return fires > 0;
+}
+
+/// `<io_dir>/<prefix><seed>_<index>`: where an iteration keeps its files.
+std::string IterationPath(const std::string& io_dir, const char* prefix,
+                          uint64_t seed, uint64_t index) {
+  return io_dir + "/" + prefix + std::to_string(seed) + "_" +
+         std::to_string(index);
+}
+
+/// What the four schedule functions share: coin flips from an rng seeded by
+/// (seed, index, stream) and the ';' join. `stream` keeps the schedules'
+/// draws apart.
+class ScheduleBuilder {
+ public:
+  ScheduleBuilder(uint64_t seed, uint64_t index, uint64_t stream)
+      : rng_(seed ^ kScheduleSalt ^ ((index + stream) * kMix)) {}
+
+  bool Chance(uint64_t percent) { return rng_.UniformBelow(100) < percent; }
+  uint64_t Below(uint64_t n) { return rng_.UniformBelow(n); }
+
+  void Add(const std::string& clause) {
+    if (!spec_.empty()) spec_ += ';';
+    spec_ += clause;
+  }
+  bool empty() const { return spec_.empty(); }
+  const std::string& spec() const { return spec_; }
+
+ private:
+  Xoshiro256 rng_;
+  std::string spec_;
+};
+
+/// An iteration's input stream, the MakeVerifySetup knobs its checks use,
+/// and the Count-Sketch sized for the full stream (what a production
+/// deployment would provision for); degraded runs are judged later against
+/// what actually arrived.
+struct Workload {
+  Stream stream;
+  size_t k = 0;  ///< the top-k target before MakeVerifySetup clamps it
+  VerifySetup setup;  ///< of the full stream; its knobs also drive Check
+  VerifySketchPlan plan;
+
+  /// The Lemma 4/5 check of `sketch` against the oracle of `reached`, the
+  /// items that actually reached it: the bounds widen by exactly the lost
+  /// mass, nothing more. Returns the first violation as "guarantee:
+  /// detail", or "" when the sketch is clean (or nothing reached it).
+  std::string Check(const CountSketch& sketch, const Stream& reached) const {
+    if (reached.empty()) return "";
+    const Oracle oracle(reached);
+    const std::vector<Violation> violations = CheckCountSketchAgainstOracle(
+        sketch, oracle,
+        MakeVerifySetup(k, setup.epsilon, setup.width_scale, setup.seed,
+                        oracle),
+        plan.lemma_width);
+    if (violations.empty()) return "";
+    return violations.front().guarantee + ": " + violations.front().detail;
+  }
+};
+
+Result<Workload> MakeWorkload(Stream stream, size_t k, double epsilon,
+                              double width_scale, uint64_t seed) {
+  Workload work{std::move(stream), k, {}, {}};
+  work.setup =
+      MakeVerifySetup(k, epsilon, width_scale, seed, Oracle(work.stream));
+  STREAMFREQ_ASSIGN_OR_RETURN(work.plan, PlanVerifyCountSketch(work.setup));
+  return work;
+}
+
+/// The fuzz program the ingest and tree scenarios replay at `index`; its
+/// FormatProgram is a failure's `sfq verify --program` line.
+FuzzProgram ChaosProgram(uint64_t seed, uint64_t index) {
+  return ProgramFromSeed(seed ^ kProgramSalt, index);
+}
+
+Result<Workload> FuzzWorkload(const FuzzProgram& program) {
   STREAMFREQ_ASSIGN_OR_RETURN(Stream stream, MaterializeStream(program));
+  return MakeWorkload(std::move(stream), program.k, program.epsilon,
+                      program.width_scale, program.seed);
+}
 
-  // Size the sketch for the full stream (what a production deployment
-  // would provision for); degraded runs are judged later against what
-  // actually arrived.
-  const Oracle full_oracle(stream);
-  const VerifySetup sizing = MakeVerifySetup(
-      program.k, program.epsilon, program.width_scale, program.seed,
-      full_oracle);
-  STREAMFREQ_ASSIGN_OR_RETURN(VerifySketchPlan plan,
-                              PlanVerifyCountSketch(sizing));
+/// The served scenarios' workload: `n` Zipf(1.0) items over 2000 ids.
+Result<Workload> ZipfWorkload(size_t n, uint64_t stream_seed,
+                              uint64_t setup_seed) {
+  auto gen = ZipfGenerator::Make(2000, 1.0, stream_seed);
+  STREAMFREQ_RETURN_NOT_OK(gen.status());
+  return MakeWorkload(gen->Take(n), /*k=*/10, /*epsilon=*/0.2,
+                      /*width_scale=*/1.0, setup_seed);
+}
 
-  const std::string schedule =
-      options.failpoints.empty()
-          ? ChaosScheduleForIteration(options.seed, index)
-          : options.failpoints;
-  ScopedFailpoints failpoints(schedule,
-                              options.seed ^ ((index + 1) * kMix));
+Result<Iteration> RunIngestIteration(const ChaosOptions& options,
+                                     const std::string& io_dir,
+                                     uint64_t index,
+                                     const std::string& schedule,
+                                     ChaosReport* report) {
+  STREAMFREQ_ASSIGN_OR_RETURN(
+      const Workload work, FuzzWorkload(ChaosProgram(options.seed, index)));
+  const Stream& stream = work.stream;
+
+  ScopedFailpoints failpoints(schedule, options.seed ^ ((index + 1) * kMix));
   STREAMFREQ_RETURN_NOT_OK(failpoints.status());
 
   Xoshiro256 rng(options.seed ^ ((index + 7) * kMix));
@@ -107,86 +188,64 @@ Result<IterationResult> RunIteration(const ChaosOptions& options,
   ingest.sample_keep_one_in = 4;
   ingest.record_shed = true;
 
-  IterationResult result;
-  auto finish_fires = [&result] {
-    result.fires = FailpointRegistry::Global().TotalFires();
-  };
-
-  const auto factory = [&plan]() { return CountSketch::Make(plan.params); };
-  auto ingestor =
-      ParallelIngestor<CountSketch>::Make(factory, ingest);
+  auto ingestor = ParallelIngestor<CountSketch>::Make(
+      [&work]() { return CountSketch::Make(work.plan.params); }, ingest);
   if (!ingestor.ok()) {
-    result.outcome = ChaosOutcome::kCleanError;
-    result.detail = ingestor.status().ToString();
-    finish_fires();
-    return result;
+    return Iteration{ChaosOutcome::kCleanError, ingestor.status().ToString(),
+                     CountFires(report)};
   }
   const Status ingest_status =
       (*ingestor)->Ingest(std::span<const ItemId>(stream));
   Result<CountSketch> merged = (*ingestor)->Finish();
-  result.stats = (*ingestor)->Stats();
+  const IngestStats stats = (*ingestor)->Stats();
+  report->worker_respawns += stats.worker_respawns;
+  report->dropped_items += stats.DroppedItems();
   const std::vector<ItemId> spill = (*ingestor)->SpilledItems();
 
   if (!ingest_status.ok() || !merged.ok()) {
-    result.outcome = ChaosOutcome::kCleanError;
-    result.detail =
-        (!ingest_status.ok() ? ingest_status : merged.status()).ToString();
-    finish_fires();
-    return result;
+    return Iteration{
+        ChaosOutcome::kCleanError,
+        (!ingest_status.ok() ? ingest_status : merged.status()).ToString(),
+        CountFires(report)};
   }
 
   // Conservation: every offered item is either in a sketch or accounted
   // dropped, and the recorded spill is exactly the dropped mass.
-  if (result.stats.items_ingested + result.stats.DroppedItems() !=
-          stream.size() ||
-      spill.size() != result.stats.DroppedItems()) {
-    result.outcome = ChaosOutcome::kGuaranteeFailure;
-    result.detail = "mass accounting broken: offered " +
-                    std::to_string(stream.size()) + ", ingested " +
-                    std::to_string(result.stats.items_ingested) +
-                    ", dropped " +
-                    std::to_string(result.stats.DroppedItems()) +
-                    ", spill " + std::to_string(spill.size());
-    finish_fires();
-    return result;
+  if (stats.items_ingested + stats.DroppedItems() != stream.size() ||
+      spill.size() != stats.DroppedItems()) {
+    return Iteration{ChaosOutcome::kGuaranteeFailure,
+                     "mass accounting broken: offered " +
+                         std::to_string(stream.size()) + ", ingested " +
+                         std::to_string(stats.items_ingested) +
+                         ", dropped " + std::to_string(stats.DroppedItems()) +
+                         ", spill " + std::to_string(spill.size()),
+                     CountFires(report)};
   }
 
-  // Guarantee check against the effective stream: the bounds widen by
-  // exactly the shed mass, nothing more.
-  const Stream effective = EffectiveStream(stream, spill);
-  if (!effective.empty()) {
-    const Oracle effective_oracle(effective);
-    const VerifySetup check_setup = MakeVerifySetup(
-        program.k, program.epsilon, program.width_scale, program.seed,
-        effective_oracle);
-    const std::vector<Violation> violations = CheckCountSketchAgainstOracle(
-        *merged, effective_oracle, check_setup, plan.lemma_width);
-    if (!violations.empty()) {
-      result.outcome = ChaosOutcome::kGuaranteeFailure;
-      result.detail = violations.front().guarantee + std::string(": ") +
-                      violations.front().detail;
-      finish_fires();
-      return result;
-    }
+  // Guarantee check against the effective stream.
+  if (std::string bad = work.Check(*merged, EffectiveStream(stream, spill));
+      !bad.empty()) {
+    return Iteration{ChaosOutcome::kGuaranteeFailure, std::move(bad),
+                     CountFires(report)};
   }
 
   // Round-trip the surviving sketch through persistence with the
   // sketch_io.* failpoints still armed: outcomes are a clean Status or a
   // loaded sketch whose estimates match the in-memory one exactly.
+  Iteration result;
   if (options.exercise_io) {
-    result.io_attempted = true;
+    ++report->io_round_trips;
     const std::string path =
-        io_dir + "/sfq_chaos_" + std::to_string(options.seed) + "_" +
-        std::to_string(index) + ".skf";
+        IterationPath(io_dir, "sfq_chaos_", options.seed, index) + ".skf";
     const Status write_status = WriteSketchFile(path, *merged);
     if (!write_status.ok()) {
-      result.io_faulted = true;
+      ++report->io_faults;
     } else {
       Result<CountSketch> loaded = ReadSketchFile(path);
       if (!loaded.ok()) {
-        result.io_faulted = true;
+        ++report->io_faults;
       } else {
-        for (const ItemId q : sizing.probes) {
+        for (const ItemId q : work.setup.probes) {
           if (loaded->Estimate(q) != merged->Estimate(q)) {
             result.outcome = ChaosOutcome::kGuaranteeFailure;
             result.detail =
@@ -201,7 +260,7 @@ Result<IterationResult> RunIteration(const ChaosOptions& options,
     std::remove((path + ".tmp").c_str());
   }
 
-  finish_fires();
+  result.faulted = CountFires(report);
   return result;
 }
 
@@ -231,19 +290,132 @@ int64_t TenantJsonField(const std::string& json, const std::string& tenant,
                       10);
 }
 
-struct ServerIterationResult {
-  ChaosOutcome outcome = ChaosOutcome::kVerified;
-  std::string detail;
-  uint64_t fires = 0;
-  uint64_t requests = 0;
-  uint64_t severs = 0;
-  uint64_t stale_serves = 0;
-  uint64_t dropped_items = 0;
-  uint64_t worker_respawns = 0;
-  uint64_t restarts = 0;         ///< daemon relaunches (restart campaign)
-  uint64_t deaths = 0;           ///< failpoint exits + real SIGKILLs
-  uint64_t recoveries = 0;       ///< relaunches reporting recovered state
-  uint64_t identity_checks = 0;  ///< bit-identity verified this iteration
+/// One tenant's conservation ledger as TenantsJson()/statsz report it. A
+/// field the document lacks reads -1; base_ingested exists only for durable
+/// tenants.
+struct TenantLedger {
+  int64_t offered = -1;
+  int64_t rejected = -1;
+  int64_t ingested = -1;
+  int64_t dropped = -1;
+  int64_t base_ingested = -1;
+  int64_t respawns = -1;
+  int64_t stale = -1;
+
+  bool Complete() const {
+    return offered >= 0 && rejected >= 0 && ingested >= 0 && dropped >= 0;
+  }
+  /// Nothing was rejected, dropped or lost in flight: the served sketch
+  /// must equal the sequential reference over all `sent` items.
+  bool LossFree(size_t sent) const {
+    return offered == static_cast<int64_t>(sent) && rejected == 0 &&
+           dropped == 0;
+  }
+
+  /// The reconciliation of a sealed tenant that was sent `sent` items and
+  /// acknowledged `acked` of them: the conservation law (a durable tenant's
+  /// recovered prefix sits in base_ingested), acks never exceed offers, and
+  /// offers never exceed what was sent. Returns the failure, or "".
+  std::string Reconcile(const std::string& tenant, uint64_t acked,
+                        size_t sent) const {
+    const int64_t base = std::max<int64_t>(0, base_ingested);
+    if (offered - rejected != base + ingested + dropped) {
+      return "conservation broken on " + tenant + ": offered " +
+             std::to_string(offered) + " - rejected " +
+             std::to_string(rejected) + " != base " + std::to_string(base) +
+             " + ingested " + std::to_string(ingested) + " + dropped " +
+             std::to_string(dropped);
+    }
+    if (static_cast<int64_t>(acked) > offered) {
+      return "acks exceed offers on " + tenant + ": acked " +
+             std::to_string(acked) + ", offered " + std::to_string(offered);
+    }
+    if (offered > static_cast<int64_t>(sent)) {
+      return "offers exceed the stream on " + tenant + ": offered " +
+             std::to_string(offered) + ", sent " + std::to_string(sent);
+    }
+    return "";
+  }
+};
+
+TenantLedger ReadTenantLedger(const std::string& json,
+                              const std::string& tenant) {
+  TenantLedger ledger;
+  ledger.offered = TenantJsonField(json, tenant, "offered_items");
+  ledger.rejected = TenantJsonField(json, tenant, "rejected_items");
+  ledger.ingested = TenantJsonField(json, tenant, "items_ingested");
+  ledger.dropped = TenantJsonField(json, tenant, "dropped_items");
+  ledger.base_ingested = TenantJsonField(json, tenant, "base_ingested");
+  ledger.respawns = TenantJsonField(json, tenant, "worker_respawns");
+  ledger.stale = TenantJsonField(json, tenant, "stale_serves");
+  return ledger;
+}
+
+/// The tenant both server scenarios create: the workload's sketch behind a
+/// small ingest pipeline whose admission control trips easily.
+TenantSpec ChaosTenantSpec(const CountSketchParams& params,
+                           OverflowPolicy policy) {
+  TenantSpec spec;
+  spec.depth = params.depth;
+  spec.width = params.width;
+  spec.seed = params.seed;
+  spec.threads = 2;
+  spec.batch_items = 512;
+  spec.queue_batches = 4;
+  spec.push_timeout_ms = 2;
+  spec.policy = policy;
+  spec.tracked = 256;
+  return spec;
+}
+
+/// A create can be applied and then severed before the ack, so "already
+/// exists" on the retry is success.
+bool TenantCreated(const Status& status) {
+  return status.ok() ||
+         (status.IsInvalidArgument() &&
+          status.message().find("already exists") != std::string::npos);
+}
+
+/// The served-sketch check: a loss-free export must be byte-identical to a
+/// sequential CountSketch over the whole stream (Count-Sketch linearity
+/// makes recovery and parallel ingest exact, not approximate) and clean
+/// under the Lemma 4/5 check. Returns the failure, or "".
+Result<std::string> CheckServedSketch(const CountSketch& exported,
+                                      const Workload& work) {
+  STREAMFREQ_ASSIGN_OR_RETURN(CountSketch reference,
+                              CountSketch::Make(work.plan.params));
+  for (const ItemId q : work.stream) reference.Add(q, 1);
+  std::string exported_bytes;
+  std::string reference_bytes;
+  exported.SerializeTo(&exported_bytes);
+  reference.SerializeTo(&reference_bytes);
+  if (exported_bytes != reference_bytes) {
+    return std::string(
+        "served sketch is not bit-identical to the sequential reference");
+  }
+  return work.Check(exported, work.stream);
+}
+
+/// An iteration's socket and data dir, `base` + ".sock" / ".data", removed
+/// on construction (a previous run's leftovers) and on every return path.
+class IterationFiles {
+ public:
+  explicit IterationFiles(const std::string& base)
+      : socket_path(base + ".sock"), data_dir(base + ".data") {
+    Remove();
+  }
+  ~IterationFiles() { Remove(); }
+  STREAMFREQ_DISALLOW_COPY_AND_ASSIGN(IterationFiles);
+
+  const std::string socket_path;
+  const std::string data_dir;
+
+ private:
+  void Remove() const {
+    std::error_code ec;
+    std::filesystem::remove_all(data_dir, ec);
+    std::remove(socket_path.c_str());
+  }
 };
 
 // One tenant's client-side ingest state: its own connection (SfqClient is
@@ -251,6 +423,7 @@ struct ServerIterationResult {
 // checks against.
 struct TenantDriver {
   std::string name;
+  OverflowPolicy policy = OverflowPolicy::kShed;
   std::unique_ptr<SfqClient> client;
   uint64_t acked_items = 0;
   uint64_t last_epoch = 0;
@@ -266,90 +439,59 @@ Status Reconnect(const std::string& socket_path, TenantDriver* driver) {
   return Status::OK();
 }
 
-Result<ServerIterationResult> RunServerIteration(const ChaosOptions& options,
-                                                 const std::string& io_dir,
-                                                 uint64_t index) {
-  ServerIterationResult result;
-  const auto fail = [&result](std::string detail) {
-    result.outcome = ChaosOutcome::kGuaranteeFailure;
-    result.detail = std::move(detail);
-    return result;
+Result<Iteration> RunServerIteration(const ChaosOptions& options,
+                                     const std::string& io_dir,
+                                     uint64_t index,
+                                     const std::string& schedule,
+                                     ChaosReport* report) {
+  bool faulted = false;
+  const auto fail = [&faulted](std::string detail) {
+    return Iteration{ChaosOutcome::kGuaranteeFailure, std::move(detail),
+                     faulted};
   };
 
   // Seeded workload: one zipf stream, every tenant receives all of it.
   Xoshiro256 rng(options.seed ^ ((index + 3) * kMix));
   const size_t n = 16384 + static_cast<size_t>(rng.UniformBelow(16384));
-  auto gen = ZipfGenerator::Make(2000, 1.0, options.seed ^ (index * kMix));
-  STREAMFREQ_RETURN_NOT_OK(gen.status());
-  const Stream stream = gen->Take(n);
-  const Oracle oracle(stream);
-  const VerifySetup setup = MakeVerifySetup(
-      /*k=*/10, /*epsilon=*/0.2, /*width_scale=*/1.0,
-      options.seed ^ ((index + 11) * kMix), oracle);
-  STREAMFREQ_ASSIGN_OR_RETURN(VerifySketchPlan plan,
-                              PlanVerifyCountSketch(setup));
+  STREAMFREQ_ASSIGN_OR_RETURN(
+      const Workload work,
+      ZipfWorkload(n, options.seed ^ (index * kMix),
+                   options.seed ^ ((index + 11) * kMix)));
+  const Stream& stream = work.stream;
 
+  const IterationFiles files(
+      IterationPath(io_dir, "sfq_chaos_srv_", options.seed, index));
   ServerOptions server_options;
-  server_options.socket_path = io_dir + "/sfq_chaos_srv_" +
-                               std::to_string(options.seed) + "_" +
-                               std::to_string(index) + ".sock";
+  server_options.socket_path = files.socket_path;
   auto server = SfqServer::Start(server_options);
   if (!server.ok()) {
-    result.outcome = ChaosOutcome::kCleanError;
-    result.detail = server.status().ToString();
-    return result;
+    return Iteration{ChaosOutcome::kCleanError, server.status().ToString(),
+                     false};
   }
 
-  TenantSpec spec;
-  spec.depth = plan.params.depth;
-  spec.width = plan.params.width;
-  spec.seed = plan.params.seed;
-  spec.threads = 2;
-  spec.batch_items = 512;
-  spec.queue_batches = 4;
-  spec.push_timeout_ms = 2;
-  spec.tracked = 256;
-  std::vector<TenantDriver> drivers;
-  {
-    TenantDriver shed;
-    shed.name = "shed";
-    drivers.push_back(std::move(shed));
-    TenantDriver sample;
-    sample.name = "sample";
-    drivers.push_back(std::move(sample));
-  }
-
-  const std::string schedule =
-      options.failpoints.empty()
-          ? ServerChaosScheduleForIteration(options.seed, index)
-          : options.failpoints;
+  std::vector<TenantDriver> drivers(2);
+  drivers[0].name = "shed";
+  drivers[1].name = "sample";
+  drivers[1].policy = OverflowPolicy::kSample;
 
   {
-    ScopedFailpoints failpoints(schedule,
-                                options.seed ^ ((index + 1) * kMix));
+    ScopedFailpoints failpoints(schedule, options.seed ^ ((index + 1) * kMix));
     STREAMFREQ_RETURN_NOT_OK(failpoints.status());
 
-    // Tenant creation must survive severs: a create can be applied and
-    // then severed before the ack, so "already exists" on the retry is
-    // success.
+    // Tenant creation must survive severs.
     for (TenantDriver& driver : drivers) {
-      TenantSpec tenant_spec = spec;
-      tenant_spec.policy = driver.name == "shed" ? OverflowPolicy::kShed
-                                                 : OverflowPolicy::kSample;
+      const TenantSpec spec = ChaosTenantSpec(work.plan.params, driver.policy);
       bool created = false;
       for (int attempt = 0; attempt < 16 && !created; ++attempt) {
         const Status conn = Reconnect(server_options.socket_path, &driver);
         if (!conn.ok()) {
           return fail("server died during create: " + conn.ToString());
         }
-        const Status status =
-            driver.client->CreateTenant(driver.name, tenant_spec);
-        if (status.ok() ||
-            (status.IsInvalidArgument() &&
-             status.message().find("already exists") != std::string::npos)) {
+        const Status status = driver.client->CreateTenant(driver.name, spec);
+        if (TenantCreated(status)) {
           created = true;
         } else if (IsSever(status)) {
-          ++result.severs;
+          ++report->server_severs;
         } else {
           return fail("create failed: " + status.ToString());
         }
@@ -372,7 +514,7 @@ Result<ServerIterationResult> RunServerIteration(const ChaosOptions& options,
         if (status.ok()) {
           driver.acked_items += len;
         } else if (IsSever(status)) {
-          ++result.severs;
+          ++report->server_severs;
           const Status conn = Reconnect(server_options.socket_path, &driver);
           if (!conn.ok()) {
             return fail("server died mid-ingest: " + conn.ToString());
@@ -380,7 +522,7 @@ Result<ServerIterationResult> RunServerIteration(const ChaosOptions& options,
         } else {
           // Admission control speaking (e.g. a kBlock timeout): an
           // explicit rejection, counted server-side as rejected_items.
-          ++result.severs;
+          ++report->server_severs;
         }
         // Interleave snapshot reads so server.publish staleness is
         // actually exercised; epochs must never move backwards.
@@ -393,7 +535,7 @@ Result<ServerIterationResult> RunServerIteration(const ChaosOptions& options,
             }
             driver.last_epoch = epoch;
           } else if (IsSever(top.status())) {
-            ++result.severs;
+            ++report->server_severs;
             const Status conn =
                 Reconnect(server_options.socket_path, &driver);
             if (!conn.ok()) {
@@ -412,47 +554,26 @@ Result<ServerIterationResult> RunServerIteration(const ChaosOptions& options,
     (*server)->service().SealAll();
     const std::string tenants_json = (*server)->service().TenantsJson();
     for (TenantDriver& driver : drivers) {
-      const int64_t offered =
-          TenantJsonField(tenants_json, driver.name, "offered_items");
-      const int64_t rejected =
-          TenantJsonField(tenants_json, driver.name, "rejected_items");
-      const int64_t ingested =
-          TenantJsonField(tenants_json, driver.name, "items_ingested");
-      const int64_t dropped =
-          TenantJsonField(tenants_json, driver.name, "dropped_items");
-      const int64_t respawns =
-          TenantJsonField(tenants_json, driver.name, "worker_respawns");
-      const int64_t stale =
-          TenantJsonField(tenants_json, driver.name, "stale_serves");
-      if (offered < 0 || rejected < 0 || ingested < 0 || dropped < 0) {
+      const TenantLedger ledger = ReadTenantLedger(tenants_json, driver.name);
+      if (!ledger.Complete()) {
         return fail("tenant " + driver.name + " missing from statsz: " +
                     tenants_json);
       }
-      result.dropped_items += static_cast<uint64_t>(dropped);
-      result.worker_respawns += static_cast<uint64_t>(respawns);
-      result.stale_serves += static_cast<uint64_t>(stale);
-      if (offered - rejected != ingested + dropped) {
-        return fail("conservation broken on " + driver.name + ": offered " +
-                    std::to_string(offered) + " - rejected " +
-                    std::to_string(rejected) + " != ingested " +
-                    std::to_string(ingested) + " + dropped " +
-                    std::to_string(dropped));
-      }
-      if (static_cast<int64_t>(driver.acked_items) > offered) {
-        return fail("acks exceed offers on " + driver.name + ": acked " +
-                    std::to_string(driver.acked_items) + ", offered " +
-                    std::to_string(offered));
-      }
-      if (offered > static_cast<int64_t>(stream.size())) {
-        return fail("offers exceed the stream on " + driver.name);
+      report->dropped_items += static_cast<uint64_t>(ledger.dropped);
+      report->worker_respawns += static_cast<uint64_t>(ledger.respawns);
+      report->stale_serves += static_cast<uint64_t>(ledger.stale);
+      if (std::string bad = ledger.Reconcile(driver.name, driver.acked_items,
+                                             stream.size());
+          !bad.empty()) {
+        return fail(bad);
       }
     }
-    result.fires = FailpointRegistry::Global().TotalFires();
+    faulted = CountFires(report);
   }  // failpoints disarm here; the server itself is still up
 
   // Fault-free epilogue: sealed tenants must answer, and when nothing made
-  // the applied multiset ambiguous the served sketch must be bit-identical
-  // to a sequential reference and clean under the Lemma 4/5 check.
+  // the applied multiset ambiguous the served sketch must pass the
+  // served-sketch check.
   const std::string tenants_json = (*server)->service().TenantsJson();
   auto epilogue = SfqClient::Connect(server_options.socket_path);
   if (!epilogue.ok()) {
@@ -468,44 +589,21 @@ Result<ServerIterationResult> RunServerIteration(const ChaosOptions& options,
     if (epoch < driver.last_epoch) {
       return fail("sealed epoch went backwards on " + driver.name);
     }
-    const int64_t offered =
-        TenantJsonField(tenants_json, driver.name, "offered_items");
-    const int64_t rejected =
-        TenantJsonField(tenants_json, driver.name, "rejected_items");
-    const int64_t dropped =
-        TenantJsonField(tenants_json, driver.name, "dropped_items");
-    const bool unambiguous = offered == static_cast<int64_t>(stream.size()) &&
-                             rejected == 0 && dropped == 0;
-    if (!unambiguous) continue;
+    if (!ReadTenantLedger(tenants_json, driver.name).LossFree(stream.size())) {
+      continue;
+    }
     auto exported = epilogue->Export(driver.name);
     if (!exported.ok()) {
       return fail("export failed on " + driver.name + ": " +
                   exported.status().ToString());
     }
-    auto reference = CountSketch::Make(plan.params);
-    STREAMFREQ_RETURN_NOT_OK(reference.status());
-    for (const ItemId q : stream) reference->Add(q, 1);
-    std::string exported_bytes;
-    std::string reference_bytes;
-    exported->SerializeTo(&exported_bytes);
-    reference->SerializeTo(&reference_bytes);
-    if (exported_bytes != reference_bytes) {
-      return fail("served sketch is not bit-identical to the sequential "
-                  "reference on " + driver.name);
-    }
-    const std::vector<Violation> violations = CheckCountSketchAgainstOracle(
-        *exported, oracle, setup, plan.lemma_width);
-    if (!violations.empty()) {
-      return fail(violations.front().guarantee + std::string(": ") +
-                  violations.front().detail);
-    }
+    STREAMFREQ_ASSIGN_OR_RETURN(std::string bad,
+                                CheckServedSketch(*exported, work));
+    if (!bad.empty()) return fail(bad + " on " + driver.name);
   }
 
-  result.requests = (*server)->Stats().requests;
-  (*server)->RequestStop();
-  server->reset();
-  std::remove(server_options.socket_path.c_str());
-  return result;
+  report->server_requests += (*server)->Stats().requests;
+  return Iteration{ChaosOutcome::kVerified, "", faulted};
 }
 
 // ---------------------------------------------------------------------------
@@ -515,10 +613,15 @@ Result<ServerIterationResult> RunServerIteration(const ChaosOptions& options,
 // back with its ledger intact.
 // ---------------------------------------------------------------------------
 
-/// One forked `sfq serve` child.
+/// One forked `sfq serve` child. The destructor kills and reaps it, so no
+/// return path of an iteration leaves a daemon running.
 struct ChildServer {
   pid_t pid = -1;
   int last_wstatus = 0;
+
+  ChildServer() = default;
+  ~ChildServer() { Kill(); }
+  STREAMFREQ_DISALLOW_COPY_AND_ASSIGN(ChildServer);
 
   /// Non-blocking liveness probe; reaps the child when it has exited and
   /// remembers how it died (for diagnostics on unexpected deaths).
@@ -602,43 +705,32 @@ Result<SfqClient> WaitReady(const std::string& socket_path,
   return Status::IoError("server never became ready on " + socket_path);
 }
 
-Result<ServerIterationResult> RunServerRestartIteration(
-    const ChaosOptions& options, const std::string& io_dir, uint64_t index) {
-  ServerIterationResult result;
-  const auto fail = [&result](std::string detail) {
-    result.outcome = ChaosOutcome::kGuaranteeFailure;
-    result.detail = std::move(detail);
-    return result;
+Result<Iteration> RunServerRestartIteration(const ChaosOptions& options,
+                                            const std::string& io_dir,
+                                            uint64_t index,
+                                            const std::string& schedule,
+                                            ChaosReport* report) {
+  // Every relaunch follows a death: a failpoint exit or a real SIGKILL.
+  const uint64_t deaths_before = report->crash_kills;
+  const auto fail = [&](std::string detail) {
+    return Iteration{ChaosOutcome::kGuaranteeFailure, std::move(detail),
+                     report->crash_kills > deaths_before};
   };
 
   // Seeded workload, sized so one iteration (including a couple of process
   // restarts) stays well under a second.
   Xoshiro256 rng(options.seed ^ ((index + 13) * kMix));
   const size_t n = 4096 + static_cast<size_t>(rng.UniformBelow(4096));
-  auto gen = ZipfGenerator::Make(2000, 1.0,
-                                 options.seed ^ ((index + 17) * kMix));
-  STREAMFREQ_RETURN_NOT_OK(gen.status());
-  const Stream stream = gen->Take(n);
-  const Oracle oracle(stream);
-  const VerifySetup setup = MakeVerifySetup(
-      /*k=*/10, /*epsilon=*/0.2, /*width_scale=*/1.0,
-      options.seed ^ ((index + 19) * kMix), oracle);
-  STREAMFREQ_ASSIGN_OR_RETURN(VerifySketchPlan plan,
-                              PlanVerifyCountSketch(setup));
+  STREAMFREQ_ASSIGN_OR_RETURN(
+      const Workload work,
+      ZipfWorkload(n, options.seed ^ ((index + 17) * kMix),
+                   options.seed ^ ((index + 19) * kMix)));
+  const Stream& stream = work.stream;
 
-  const std::string base = io_dir + "/sfq_chaos_rst_" +
-                           std::to_string(options.seed) + "_" +
-                           std::to_string(index);
-  const std::string data_dir = base + ".data";
-  const std::string socket_path = base + ".sock";
-  std::error_code ec;
-  std::filesystem::remove_all(data_dir, ec);
-  std::remove(socket_path.c_str());
-
-  const std::string schedule =
-      options.failpoints.empty()
-          ? ServerRestartScheduleForIteration(options.seed, index)
-          : options.failpoints;
+  // Declared before the child, so the child is reaped before its files go.
+  const IterationFiles files(
+      IterationPath(io_dir, "sfq_chaos_rst_", options.seed, index));
+  const std::string& socket_path = files.socket_path;
 
   // Rotate the WAL durability policy across iterations. Process kills (the
   // only death this campaign inflicts) preserve the page cache, so acked <=
@@ -649,9 +741,8 @@ Result<ServerIterationResult> RunServerRestartIteration(
 
   ChildServer child;
   // Masked to 63 bits: the CLI seed flag parses as a signed integer.
-  child.pid = SpawnServe(options.server_binary, socket_path, data_dir,
-                         schedule,
-                         (options.seed ^ ((index + 1) * kMix)) >> 1,
+  child.pid = SpawnServe(options.server_binary, socket_path, files.data_dir,
+                         schedule, (options.seed ^ ((index + 1) * kMix)) >> 1,
                          fsync_policy);
   if (child.pid < 0) return Status::Internal("chaos: fork failed");
 
@@ -663,10 +754,10 @@ Result<ServerIterationResult> RunServerRestartIteration(
   // for it, and records what recovery reported. Epochs reset with the
   // process, so the monotonicity baseline resets too.
   auto relaunch = [&]() -> Result<SfqClient> {
-    ++result.deaths;
-    ++result.restarts;
+    ++report->crash_kills;
+    ++report->server_restarts;
     std::remove(socket_path.c_str());
-    child.pid = SpawnServe(options.server_binary, socket_path, data_dir,
+    child.pid = SpawnServe(options.server_binary, socket_path, files.data_dir,
                            /*failpoints=*/"", 0, fsync_policy);
     if (child.pid < 0) return Status::Internal("chaos: fork failed");
     STREAMFREQ_ASSIGN_OR_RETURN(SfqClient client,
@@ -676,7 +767,7 @@ Result<ServerIterationResult> RunServerRestartIteration(
     // the correct recovery of an unacknowledged create, not an error.
     auto info = client.RecoveryInfo(tenant);
     if (info.ok() && info->find("\"recovered\":true") != std::string::npos) {
-      ++result.recoveries;
+      ++report->recoveries;
     }
     return client;
   };
@@ -685,52 +776,43 @@ Result<ServerIterationResult> RunServerRestartIteration(
   // process not yet reapable), so poll liveness and the socket together
   // instead of trusting one snapshot of either.
   auto reconnect = [&]() -> Result<SfqClient> {
-    for (int attempt = 0; attempt < 400; ++attempt) {
-      if (!child.Alive()) return relaunch();
-      auto conn = SfqClient::Connect(socket_path);
-      if (conn.ok()) return conn;
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    return Status::IoError("server alive but unreachable on " + socket_path);
+    auto conn = WaitReady(socket_path, &child);
+    return conn.ok() || child.Alive() ? std::move(conn) : relaunch();
   };
 
   auto ready = WaitReady(socket_path, &child);
   if (!ready.ok()) {
     // Fresh dir, no tenants: nothing can fire before the bind, so a death
     // here is a bug, not an armed crash.
-    child.Kill();
     return fail("server never came up: " + ready.status().ToString());
   }
   SfqClient client = std::move(*ready);
 
-  // Create the durable tenant, surviving severs and armed crashes; a
-  // create applied before the ack was lost answers "already exists" on the
-  // retry, which is success.
-  TenantSpec spec;
-  spec.depth = plan.params.depth;
-  spec.width = plan.params.width;
-  spec.seed = plan.params.seed;
-  spec.threads = 2;
-  spec.batch_items = 512;
-  spec.queue_batches = 4;
-  spec.push_timeout_ms = 2;
-  spec.policy = OverflowPolicy::kShed;
-  spec.tracked = 256;
+  // Counts a sever and moves `client` to a fresh connection. Returns the
+  // failure detail when no server can be reached, "" otherwise.
+  auto resume = [&](const char* during) -> std::string {
+    ++report->server_severs;
+    auto next = reconnect();
+    if (!next.ok()) {
+      return std::string("reconnect failed ") + during + ": " +
+             next.status().ToString();
+    }
+    client = std::move(*next);
+    return "";
+  };
+
+  // Create the durable tenant, surviving severs and armed crashes.
+  const TenantSpec spec =
+      ChaosTenantSpec(work.plan.params, OverflowPolicy::kShed);
   bool created = false;
   for (int attempt = 0; attempt < 16 && !created; ++attempt) {
     const Status status = client.CreateTenant(tenant, spec);
-    if (status.ok() ||
-        (status.IsInvalidArgument() &&
-         status.message().find("already exists") != std::string::npos)) {
+    if (TenantCreated(status)) {
       created = true;
     } else if (IsSever(status)) {
-      ++result.severs;
-      auto next = reconnect();
-      if (!next.ok()) {
-        return fail("reconnect failed during create: " +
-                    next.status().ToString());
+      if (std::string bad = resume("during create"); !bad.empty()) {
+        return fail(bad);
       }
-      client = std::move(*next);
     } else {
       return fail("create failed: " + status.ToString());
     }
@@ -762,13 +844,9 @@ Result<ServerIterationResult> RunServerRestartIteration(
     if (status.ok()) {
       acked_items += len;
     } else if (IsSever(status)) {
-      ++result.severs;
-      auto next = reconnect();
-      if (!next.ok()) {
-        return fail("reconnect failed mid-ingest: " +
-                    next.status().ToString());
+      if (std::string bad = resume("mid-ingest"); !bad.empty()) {
+        return fail(bad);
       }
-      client = std::move(*next);
     }
     // else: an explicit server-side rejection (admission control or a
     // poisoned journal) — accounted in rejected_items, move on.
@@ -782,13 +860,9 @@ Result<ServerIterationResult> RunServerRestartIteration(
         }
         last_epoch = epoch;
       } else if (IsSever(top.status())) {
-        ++result.severs;
-        auto next = reconnect();
-        if (!next.ok()) {
-          return fail("reconnect failed mid-query: " +
-                      next.status().ToString());
+        if (std::string bad = resume("mid-query"); !bad.empty()) {
+          return fail(bad);
         }
-        client = std::move(*next);
       } else {
         return fail("query failed: " + top.status().ToString());
       }
@@ -812,56 +886,33 @@ Result<ServerIterationResult> RunServerRestartIteration(
     const Status bad = epoch.ok() ? Status::IoError("statsz severed")
                                   : epoch.status();
     if (!IsSever(bad)) return fail("seal failed: " + bad.ToString());
-    ++result.severs;
-    auto next = reconnect();
-    if (!next.ok()) {
-      return fail("reconnect failed during seal: " + next.status().ToString());
+    if (std::string lost = resume("during seal"); !lost.empty()) {
+      return fail(lost);
     }
-    client = std::move(*next);
   }
   if (!sealed) return fail("seal never succeeded through the faults");
 
   // Conservation across every crash: the recovered prefix sits in
   // base_ingested, the post-recovery live ingest in items_ingested.
-  const int64_t offered = TenantJsonField(statsz, tenant, "offered_items");
-  const int64_t rejected = TenantJsonField(statsz, tenant, "rejected_items");
-  const int64_t ingested = TenantJsonField(statsz, tenant, "items_ingested");
-  const int64_t dropped = TenantJsonField(statsz, tenant, "dropped_items");
-  const int64_t base_ingested =
-      TenantJsonField(statsz, tenant, "base_ingested");
-  const int64_t stale = TenantJsonField(statsz, tenant, "stale_serves");
-  if (offered < 0 || rejected < 0 || ingested < 0 || dropped < 0 ||
-      base_ingested < 0) {
+  const TenantLedger ledger = ReadTenantLedger(statsz, tenant);
+  if (!ledger.Complete() || ledger.base_ingested < 0) {
     return fail("tenant missing from statsz: " + statsz);
   }
-  result.dropped_items += static_cast<uint64_t>(dropped);
-  if (stale > 0) result.stale_serves += static_cast<uint64_t>(stale);
-  if (offered - rejected != base_ingested + ingested + dropped) {
-    return fail("conservation broken across restarts: offered " +
-                std::to_string(offered) + " - rejected " +
-                std::to_string(rejected) + " != base " +
-                std::to_string(base_ingested) + " + ingested " +
-                std::to_string(ingested) + " + dropped " +
-                std::to_string(dropped));
+  report->dropped_items += static_cast<uint64_t>(ledger.dropped);
+  if (ledger.stale > 0) {
+    report->stale_serves += static_cast<uint64_t>(ledger.stale);
   }
-  // fsync=always: every acked batch was journaled to stable storage before
-  // the ack, so no crash can make acks exceed the durable offer.
-  if (static_cast<int64_t>(acked_items) > offered) {
-    return fail("acked items exceed recovered offers: acked " +
-                std::to_string(acked_items) + ", offered " +
-                std::to_string(offered));
-  }
-  if (offered > static_cast<int64_t>(stream.size())) {
-    return fail("offers exceed the stream (duplicated replay?): offered " +
-                std::to_string(offered) + ", sent " +
-                std::to_string(stream.size()));
+  // Acked batches were journaled before the ack (and a process kill keeps
+  // the page cache), so no crash can make acks exceed the recovered offer;
+  // offers beyond the stream would mean a duplicated replay.
+  if (std::string bad = ledger.Reconcile(tenant, acked_items, stream.size());
+      !bad.empty()) {
+    return fail(bad);
   }
 
   // Loss-free iterations (every chunk applied exactly once, nothing shed)
-  // must serve a sketch bit-identical to the uninterrupted sequential run —
-  // Count-Sketch linearity makes recovery exact, not approximate.
-  if (offered == static_cast<int64_t>(stream.size()) && rejected == 0 &&
-      dropped == 0) {
+  // must pass the served-sketch check.
+  if (ledger.LossFree(stream.size())) {
     // The schedule can still sever the connection (or crash the daemon)
     // between the seal ack and this export; the seal snapshot is already
     // durable at that point, so reconnect and re-ask the recovered server.
@@ -869,365 +920,78 @@ Result<ServerIterationResult> RunServerRestartIteration(
     for (int attempt = 0;
          attempt < 16 && !exported.ok() && IsSever(exported.status());
          ++attempt) {
-      ++result.severs;
-      auto next = reconnect();
-      if (!next.ok()) {
-        return fail("reconnect failed during export: " +
-                    next.status().ToString());
+      if (std::string bad = resume("during export"); !bad.empty()) {
+        return fail(bad);
       }
-      client = std::move(*next);
       exported = client.Export(tenant);
     }
     if (!exported.ok()) {
       return fail("export failed after seal: " +
                   exported.status().ToString());
     }
-    auto reference = CountSketch::Make(plan.params);
-    STREAMFREQ_RETURN_NOT_OK(reference.status());
-    for (const ItemId q : stream) reference->Add(q, 1);
-    std::string exported_bytes;
-    std::string reference_bytes;
-    exported->SerializeTo(&exported_bytes);
-    reference->SerializeTo(&reference_bytes);
-    if (exported_bytes != reference_bytes) {
-      return fail("recovered sketch is not bit-identical to the sequential "
-                  "reference");
-    }
-    const std::vector<Violation> violations = CheckCountSketchAgainstOracle(
-        *exported, oracle, setup, plan.lemma_width);
-    if (!violations.empty()) {
-      return fail(violations.front().guarantee + std::string(": ") +
-                  violations.front().detail);
-    }
-    ++result.identity_checks;
+    STREAMFREQ_ASSIGN_OR_RETURN(std::string bad,
+                                CheckServedSketch(*exported, work));
+    if (!bad.empty()) return fail(bad);
+    ++report->identity_checks;
   }
 
-  result.requests = static_cast<uint64_t>(
+  report->server_requests += static_cast<uint64_t>(
       std::max<int64_t>(0, TenantJsonField(statsz, "server", "requests")));
 
-  // Teardown: ask nicely, then make sure.
+  // Teardown: ask nicely; the child's destructor makes sure.
   const Status bye = client.Shutdown();
   (void)bye;
   for (int i = 0; i < 400 && child.Alive(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  child.Kill();
-  std::filesystem::remove_all(data_dir, ec);
-  std::remove(socket_path.c_str());
-  return result;
+  return Iteration{ChaosOutcome::kVerified, "",
+                   report->crash_kills > deaths_before};
 }
 
-}  // namespace
-
-std::string ChaosScheduleForIteration(uint64_t seed, uint64_t index) {
-  Xoshiro256 rng(seed ^ kScheduleSalt ^ ((index + 1) * kMix));
-  const auto chance = [&rng](uint64_t percent) {
-    return rng.UniformBelow(100) < percent;
-  };
-  std::vector<std::string> clauses;
-  // Crash clauses ALWAYS carry a fire budget: an unbounded always-crash
-  // worker would requeue and respawn forever.
-  if (chance(35)) {
-    clauses.push_back("ingestor.worker_batch=crash*" +
-                      std::to_string(1 + rng.UniformBelow(3)));
-  } else if (chance(25)) {
-    clauses.push_back("ingestor.worker_batch=stall:1@0.02");
-  }
-  if (chance(20)) clauses.push_back("batch_queue.push=error@0.02");
-  if (chance(20)) clauses.push_back("batch_queue.pop=stall:1@0.02");
-  if (chance(25)) clauses.push_back("ingestor.publish=error@0.5");
-  if (chance(30)) {
-    clauses.push_back(std::string("sketch_io.write=") +
-                      (chance(50) ? "torn*1" : "error*1"));
-  }
-  if (chance(20)) clauses.push_back("sketch_io.rename=error*1");
-  if (chance(30)) {
-    clauses.push_back(std::string("sketch_io.read=") +
-                      (chance(50) ? "bitflip*1" : "error*1"));
-  }
-  if (clauses.empty()) clauses.push_back("ingestor.worker_batch=crash*1");
-
-  std::string spec;
-  for (const std::string& clause : clauses) {
-    if (!spec.empty()) spec += ';';
-    spec += clause;
-  }
-  return spec;
-}
-
-Result<ChaosReport> RunChaosCampaign(const ChaosOptions& options) {
-  if (options.iterations == 0) {
-    return Status::InvalidArgument("chaos: iterations must be >= 1");
-  }
-  std::string io_dir = options.io_dir;
-  if (io_dir.empty()) {
-    std::error_code ec;
-    const std::filesystem::path tmp =
-        std::filesystem::temp_directory_path(ec);
-    if (ec) return Status::IoError("chaos: no temp directory: " + ec.message());
-    io_dir = tmp.string();
-  }
-
-  ChaosReport report;
-  for (uint64_t index = 0; index < options.iterations; ++index) {
-    STREAMFREQ_ASSIGN_OR_RETURN(IterationResult iteration,
-                                RunIteration(options, io_dir, index));
-    ++report.iterations;
-    report.fault_fires += iteration.fires;
-    if (iteration.fires > 0) ++report.faulted_iterations;
-    report.worker_respawns += iteration.stats.worker_respawns;
-    report.dropped_items += iteration.stats.DroppedItems();
-    if (iteration.io_attempted) ++report.io_round_trips;
-    if (iteration.io_faulted) ++report.io_faults;
-    switch (iteration.outcome) {
-      case ChaosOutcome::kVerified:
-        ++report.verified;
-        break;
-      case ChaosOutcome::kCleanError:
-        ++report.clean_errors;
-        break;
-      case ChaosOutcome::kGuaranteeFailure: {
-        ++report.guarantee_failures;
-        ChaosFailure failure;
-        failure.index = index;
-        failure.program =
-            FormatProgram(ProgramFromSeed(options.seed ^ kProgramSalt, index));
-        failure.schedule = options.failpoints.empty()
-                               ? ChaosScheduleForIteration(options.seed, index)
-                               : options.failpoints;
-        failure.detail = iteration.detail;
-        report.failures.push_back(std::move(failure));
-        break;
-      }
-    }
-  }
-  return report;
-}
-
-std::string ServerChaosScheduleForIteration(uint64_t seed, uint64_t index) {
-  Xoshiro256 rng(seed ^ kScheduleSalt ^ ((index + 5) * kMix));
-  const auto chance = [&rng](uint64_t percent) {
-    return rng.UniformBelow(100) < percent;
-  };
-  std::vector<std::string> clauses;
-  // Connection-level faults: each severs one conversation; the drivers
-  // reconnect and reconciliation trusts the server-side ledger.
-  if (chance(40)) clauses.push_back("server.accept=error@0.1");
-  if (chance(40)) clauses.push_back("server.read=error@0.03");
-  if (chance(40)) clauses.push_back("server.write=error@0.03");
-  // Staleness: snapshot refreshes withheld on a coin flip.
-  if (chance(40)) clauses.push_back("server.publish=error@0.5");
-  // Back-pressure behind the protocol: stalled queues arm the tenants'
-  // shed/sample admission control, crashed workers force respawns.
-  if (chance(25)) {
-    clauses.push_back("ingestor.worker_batch=crash*" +
-                      std::to_string(1 + rng.UniformBelow(2)));
-  }
-  if (chance(20)) clauses.push_back("batch_queue.pop=stall:1@0.02");
-  if (chance(20)) clauses.push_back("ingestor.publish=error@0.5");
-  if (clauses.empty()) clauses.push_back("server.write=error@0.05");
-
-  std::string spec;
-  for (const std::string& clause : clauses) {
-    if (!spec.empty()) spec += ';';
-    spec += clause;
-  }
-  return spec;
-}
-
-Result<ChaosReport> RunServerChaosCampaign(const ChaosOptions& options) {
-  if (options.iterations == 0) {
-    return Status::InvalidArgument("chaos: iterations must be >= 1");
-  }
-  std::string io_dir = options.io_dir;
-  if (io_dir.empty()) {
-    std::error_code ec;
-    const std::filesystem::path tmp =
-        std::filesystem::temp_directory_path(ec);
-    if (ec) return Status::IoError("chaos: no temp directory: " + ec.message());
-    io_dir = tmp.string();
-  }
-
-  ChaosReport report;
-  for (uint64_t index = 0; index < options.iterations; ++index) {
-    STREAMFREQ_ASSIGN_OR_RETURN(ServerIterationResult iteration,
-                                RunServerIteration(options, io_dir, index));
-    ++report.iterations;
-    report.fault_fires += iteration.fires;
-    if (iteration.fires > 0) ++report.faulted_iterations;
-    report.worker_respawns += iteration.worker_respawns;
-    report.dropped_items += iteration.dropped_items;
-    report.server_requests += iteration.requests;
-    report.server_severs += iteration.severs;
-    report.stale_serves += iteration.stale_serves;
-    switch (iteration.outcome) {
-      case ChaosOutcome::kVerified:
-        ++report.verified;
-        break;
-      case ChaosOutcome::kCleanError:
-        ++report.clean_errors;
-        break;
-      case ChaosOutcome::kGuaranteeFailure: {
-        ++report.guarantee_failures;
-        ChaosFailure failure;
-        failure.index = index;
-        failure.schedule =
-            options.failpoints.empty()
-                ? ServerChaosScheduleForIteration(options.seed, index)
-                : options.failpoints;
-        failure.detail = iteration.detail;
-        report.failures.push_back(std::move(failure));
-        break;
-      }
-    }
-  }
-  return report;
-}
-
-std::string ServerRestartScheduleForIteration(uint64_t seed, uint64_t index) {
-  Xoshiro256 rng(seed ^ kScheduleSalt ^ ((index + 9) * kMix));
-  const auto chance = [&rng](uint64_t percent) {
-    return rng.UniformBelow(100) < percent;
-  };
-  // Exactly one process-death clause, probability-throttled and *1-budgeted
-  // (each iteration dies at most once at a failpoint; the real SIGKILL in
-  // the driver is on top). Each site leaves a different on-disk shape:
-  //   wal.append       death before the record hits the journal
-  //   wal.fsync        record written but not yet forced (page cache)
-  //   snapshot.publish death before the snapshot's commit rename
-  //   sketch_io.write  death mid-blob-write (temp file only)
-  //   sketch_io.rename temp fully written, rename never happened
-  static constexpr const char* kDeathSites[] = {
-      "wal.append", "wal.fsync", "snapshot.publish", "sketch_io.write",
-      "sketch_io.rename"};
-  const char* death = kDeathSites[rng.UniformBelow(5)];
-  std::vector<std::string> clauses;
-  clauses.push_back(std::string(death) + "=crash@0.08*1");
-  // Benign companions: severed acks (the applied-but-unacked ambiguity)
-  // and, when the death site leaves wal.append free, one torn journal
-  // record — which poisons the store into loud rejections, not corruption.
-  if (chance(25)) clauses.push_back("server.write=error@0.02");
-  if (chance(15) && std::string(death) != "wal.append") {
-    clauses.push_back("wal.append=torn@0.05*1");
-  }
-
-  std::string spec;
-  for (const std::string& clause : clauses) {
-    if (!spec.empty()) spec += ';';
-    spec += clause;
-  }
-  return spec;
-}
-
-std::string TreeChaosScheduleForIteration(uint64_t seed, uint64_t index) {
-  Xoshiro256 rng(seed ^ kScheduleSalt ^ ((index + 13) * kMix));
-  const auto chance = [&rng](uint64_t percent) {
-    return rng.UniformBelow(100) < percent;
-  };
-  std::vector<std::string> clauses;
-  // Admission faults at the leaves: rejected batches and recorded sheds —
-  // the mass the conservation ledger must carry up the tree.
-  if (chance(30)) {
-    clauses.push_back("dist.ingest=error@0.05");
-  } else if (chance(25)) {
-    clauses.push_back("dist.ingest=torn@0.05");
-  }
-  // Uplink frame faults: severed, torn, or bit-flipped in flight. Torn and
-  // flipped frames must die at the CRC and count as severs, never as
-  // applied garbage.
-  if (chance(35)) {
-    clauses.push_back("dist.ship=error@0.08");
-  } else if (chance(25)) {
-    clauses.push_back("dist.ship=torn@0.06");
-  } else if (chance(20)) {
-    clauses.push_back("dist.ship=bitflip@0.05");
-  }
-  // Dropped deliveries re-ack the OLD seqno; lost acks force verbatim
-  // resends — both must dedup exactly.
-  if (chance(30)) clauses.push_back("dist.deliver=error@0.08");
-  if (chance(35)) clauses.push_back("dist.ack=error@0.1");
-  // Node loss ALWAYS carries a budget: an unbounded crash clause would
-  // eventually kill every node and leave nothing to assert.
-  if (chance(30)) {
-    clauses.push_back("dist.node=crash@0.02*" +
-                      std::to_string(1 + rng.UniformBelow(2)));
-  }
-  if (clauses.empty()) clauses.push_back("dist.ack=error@0.1");
-
-  std::string spec;
-  for (const std::string& clause : clauses) {
-    if (!spec.empty()) spec += ';';
-    spec += clause;
-  }
-  return spec;
-}
-
-namespace {
-
-struct TreeIterationResult {
-  ChaosOutcome outcome = ChaosOutcome::kVerified;
-  std::string detail;
-  MergeTreeStats stats;
-  uint64_t fires = 0;
-  uint64_t dropped_items = 0;
-  bool identity_checked = false;
-};
-
-Result<TreeIterationResult> RunTreeIteration(const ChaosOptions& options,
-                                             uint64_t index) {
-  const FuzzProgram program =
-      ProgramFromSeed(options.seed ^ kProgramSalt, index);
-  STREAMFREQ_ASSIGN_OR_RETURN(Stream stream, MaterializeStream(program));
-
-  // Size the sketch for the full stream; degraded runs are judged against
-  // the covered (effective) stream, same discipline as RunIteration.
-  const Oracle full_oracle(stream);
-  const VerifySetup sizing = MakeVerifySetup(
-      program.k, program.epsilon, program.width_scale, program.seed,
-      full_oracle);
-  STREAMFREQ_ASSIGN_OR_RETURN(VerifySketchPlan plan,
-                              PlanVerifyCountSketch(sizing));
+Result<Iteration> RunTreeIteration(const ChaosOptions& options,
+                                   const std::string& /*io_dir*/,
+                                   uint64_t index,
+                                   const std::string& schedule,
+                                   ChaosReport* report) {
+  // Sized for the full stream; degraded runs are judged against the
+  // covered (effective) stream, same discipline as the ingest scenario.
+  STREAMFREQ_ASSIGN_OR_RETURN(
+      const Workload work, FuzzWorkload(ChaosProgram(options.seed, index)));
+  const Stream& stream = work.stream;
 
   // Randomized topology: flat star, balanced, or ragged random tree over
   // fanout 1..8 and depth 1..4.
   Xoshiro256 rng(options.seed ^ ((index + 11) * kMix));
   const uint64_t workers = 2 + rng.UniformBelow(7);
-  Result<TreeTopology> topo_result = [&]() -> Result<TreeTopology> {
+  const auto build_topology = [&]() -> Result<TreeTopology> {
     const uint64_t shape = rng.UniformBelow(3);
     if (shape == 0) return BuildBalancedTree(workers, 0);  // flat star
     if (shape == 1) return BuildBalancedTree(workers, 2 + rng.UniformBelow(3));
     return BuildRandomTree(workers, 1 + rng.UniformBelow(8),
                            1 + rng.UniformBelow(4), &rng);
-  }();
-  STREAMFREQ_RETURN_NOT_OK(topo_result.status());
-  const TreeTopology& topo = *topo_result;
+  };
+  STREAMFREQ_ASSIGN_OR_RETURN(const TreeTopology topo, build_topology());
 
-  const size_t tracked = std::max<size_t>(16, 2 * program.k);
-  Result<MergeTreeSim> sim_result =
-      MergeTreeSim::Make(*topo_result, plan.params, tracked);
-  STREAMFREQ_RETURN_NOT_OK(sim_result.status());
-  MergeTreeSim& sim = *sim_result;
+  const size_t tracked = std::max<size_t>(16, 2 * work.k);
+  STREAMFREQ_ASSIGN_OR_RETURN(
+      MergeTreeSim sim, MergeTreeSim::Make(topo, work.plan.params, tracked));
 
-  const std::string schedule =
-      options.failpoints.empty()
-          ? TreeChaosScheduleForIteration(options.seed, index)
-          : options.failpoints;
-  ScopedFailpoints failpoints(schedule,
-                              options.seed ^ ((index + 1) * kMix));
+  ScopedFailpoints failpoints(schedule, options.seed ^ ((index + 1) * kMix));
   STREAMFREQ_RETURN_NOT_OK(failpoints.status());
 
-  TreeIterationResult result;
-  auto finish = [&result, &sim] {
-    result.stats = sim.stats();
-    result.fires = FailpointRegistry::Global().TotalFires();
+  // Every return path folds the sim's counters into the report.
+  const auto finish = [&](ChaosOutcome outcome, std::string detail) {
+    const MergeTreeStats& stats = sim.stats();
+    report->deltas_shipped += stats.deltas_shipped;
+    report->delta_dedups += stats.delta_dedups;
+    report->severed_links += stats.severed_links;
+    report->nodes_lost += stats.nodes_lost;
     const DistLedger root = sim.root_ledger();
-    result.dropped_items = root.rejected + root.dropped;
+    report->dropped_items += root.rejected + root.dropped;
+    return Iteration{outcome, std::move(detail), CountFires(report)};
   };
-  auto fail = [&](std::string detail) {
-    result.outcome = ChaosOutcome::kGuaranteeFailure;
-    result.detail = std::move(detail);
-    finish();
-    return result;
+  const auto fail = [&](std::string detail) {
+    return finish(ChaosOutcome::kGuaranteeFailure, std::move(detail));
   };
 
   // Stripe the stream across the leaves in contiguous slices, then offer
@@ -1267,10 +1031,7 @@ Result<TreeIterationResult> RunTreeIteration(const ChaosOptions& options,
       offsets[li] += n;
       offered_so_far += n;
       if (!offer.ok() && !offer.IsNotFound()) {
-        result.outcome = ChaosOutcome::kCleanError;
-        result.detail = offer.ToString();
-        finish();
-        return result;
+        return finish(ChaosOutcome::kCleanError, offer.ToString());
       }
       if (!epoch_marked && offered_so_far >= epoch_at) {
         sim.MarkEpoch();
@@ -1288,8 +1049,8 @@ Result<TreeIterationResult> RunTreeIteration(const ChaosOptions& options,
 
   // Exercise the root query surface (crash = failure; values are checked
   // below through the guarantee machinery).
-  (void)sim.ApproxTop(program.k);
-  const Result<std::vector<ItemCount>> change = sim.MaxChange(program.k);
+  (void)sim.ApproxTop(work.k);
+  const Result<std::vector<ItemCount>> change = sim.MaxChange(work.k);
   if (!change.ok()) return fail("max-change: " + change.status().ToString());
 
   // Law 1+2: conservation and composition at every node, and bit-identity
@@ -1298,8 +1059,7 @@ Result<TreeIterationResult> RunTreeIteration(const ChaosOptions& options,
     return fail(invariants.ToString());
   }
 
-  // Guarantee check over the effective (covered) stream: bounds widen by
-  // exactly the composed shed mass.
+  // Guarantee check over the effective (covered) stream.
   Stream effective;
   for (const CoverageEntry& cov : sim.RootCovered()) {
     const Stream& items = ingested[cov.leaf_id];
@@ -1310,17 +1070,9 @@ Result<TreeIterationResult> RunTreeIteration(const ChaosOptions& options,
     effective.insert(effective.end(), items.begin(),
                      items.begin() + static_cast<ptrdiff_t>(cov.count));
   }
-  if (!effective.empty()) {
-    const Oracle effective_oracle(effective);
-    const VerifySetup check_setup = MakeVerifySetup(
-        program.k, program.epsilon, program.width_scale, program.seed,
-        effective_oracle);
-    const std::vector<Violation> violations = CheckCountSketchAgainstOracle(
-        sim.root_sketch(), effective_oracle, check_setup, plan.lemma_width);
-    if (!violations.empty()) {
-      return fail(violations.front().guarantee + std::string(": ") +
-                  violations.front().detail);
-    }
+  if (std::string bad = work.Check(sim.root_sketch(), effective);
+      !bad.empty()) {
+    return fail(std::move(bad));
   }
 
   // Loss-free runs must be bit-identical to a flat one-shot Merge of all
@@ -1331,79 +1083,168 @@ Result<TreeIterationResult> RunTreeIteration(const ChaosOptions& options,
                          root_ledger.dropped == 0 &&
                          root_ledger.ingested == stream.size();
   if (loss_free) {
-    Result<CountSketch> flat = CountSketch::Make(plan.params);
-    STREAMFREQ_RETURN_NOT_OK(flat.status());
+    STREAMFREQ_ASSIGN_OR_RETURN(CountSketch flat,
+                                CountSketch::Make(work.plan.params));
     for (uint64_t leaf : topo.leaves) {
-      Result<CountSketch> leaf_sketch = CountSketch::Make(plan.params);
-      STREAMFREQ_RETURN_NOT_OK(leaf_sketch.status());
-      leaf_sketch->BatchAdd(ingested[leaf]);
-      STREAMFREQ_RETURN_NOT_OK(flat->Merge(*leaf_sketch));
+      STREAMFREQ_ASSIGN_OR_RETURN(CountSketch leaf_sketch,
+                                  CountSketch::Make(work.plan.params));
+      leaf_sketch.BatchAdd(ingested[leaf]);
+      STREAMFREQ_RETURN_NOT_OK(flat.Merge(leaf_sketch));
     }
     std::string want, got;
-    flat->SerializeTo(&want);
+    flat.SerializeTo(&want);
     sim.root_sketch().SerializeTo(&got);
     if (want != got) {
       return fail("loss-free root sketch differs from flat one-shot merge");
     }
-    result.identity_checked = true;
+    ++report->identity_checks;
   }
 
-  finish();
-  return result;
+  return finish(ChaosOutcome::kVerified, "");
+}
+
+/// A campaign: where its default schedules come from, what one iteration
+/// does, and whether a failure replays as a fuzz program.
+struct Scenario {
+  std::string (*schedule)(uint64_t seed, uint64_t index);
+  Result<Iteration> (*iteration)(const ChaosOptions& options,
+                                 const std::string& io_dir, uint64_t index,
+                                 const std::string& schedule,
+                                 ChaosReport* report);
+  bool replays_program;
+};
+
+Scenario ScenarioFor(ChaosScenario scenario) {
+  switch (scenario) {
+    case ChaosScenario::kIngest:
+      return {ChaosScheduleForIteration, RunIngestIteration, true};
+    case ChaosScenario::kServer:
+      return {ServerChaosScheduleForIteration, RunServerIteration, false};
+    case ChaosScenario::kServerRestart:
+      return {ServerRestartScheduleForIteration, RunServerRestartIteration,
+              false};
+    case ChaosScenario::kTree:
+      return {TreeChaosScheduleForIteration, RunTreeIteration, true};
+  }
+  return {ChaosScheduleForIteration, RunIngestIteration, true};
 }
 
 }  // namespace
 
-Result<ChaosReport> RunTreeChaosCampaign(const ChaosOptions& options) {
-  if (options.iterations == 0) {
-    return Status::InvalidArgument("chaos: iterations must be >= 1");
+std::string ChaosScheduleForIteration(uint64_t seed, uint64_t index) {
+  ScheduleBuilder s(seed, index, 1);
+  // Crash clauses ALWAYS carry a fire budget: an unbounded always-crash
+  // worker would requeue and respawn forever.
+  if (s.Chance(35)) {
+    s.Add("ingestor.worker_batch=crash*" + std::to_string(1 + s.Below(3)));
+  } else if (s.Chance(25)) {
+    s.Add("ingestor.worker_batch=stall:1@0.02");
   }
-  ChaosReport report;
-  for (uint64_t index = 0; index < options.iterations; ++index) {
-    STREAMFREQ_ASSIGN_OR_RETURN(TreeIterationResult iteration,
-                                RunTreeIteration(options, index));
-    ++report.iterations;
-    report.fault_fires += iteration.fires;
-    if (iteration.fires > 0) ++report.faulted_iterations;
-    report.dropped_items += iteration.dropped_items;
-    report.deltas_shipped += iteration.stats.deltas_shipped;
-    report.delta_dedups += iteration.stats.delta_dedups;
-    report.severed_links += iteration.stats.severed_links;
-    report.nodes_lost += iteration.stats.nodes_lost;
-    if (iteration.identity_checked) ++report.identity_checks;
-    switch (iteration.outcome) {
-      case ChaosOutcome::kVerified:
-        ++report.verified;
-        break;
-      case ChaosOutcome::kCleanError:
-        ++report.clean_errors;
-        break;
-      case ChaosOutcome::kGuaranteeFailure: {
-        ++report.guarantee_failures;
-        ChaosFailure failure;
-        failure.index = index;
-        failure.program =
-            FormatProgram(ProgramFromSeed(options.seed ^ kProgramSalt, index));
-        failure.schedule =
-            options.failpoints.empty()
-                ? TreeChaosScheduleForIteration(options.seed, index)
-                : options.failpoints;
-        failure.detail = iteration.detail;
-        report.failures.push_back(std::move(failure));
-        break;
-      }
-    }
+  if (s.Chance(20)) s.Add("batch_queue.push=error@0.02");
+  if (s.Chance(20)) s.Add("batch_queue.pop=stall:1@0.02");
+  if (s.Chance(25)) s.Add("ingestor.publish=error@0.5");
+  if (s.Chance(30)) {
+    s.Add(std::string("sketch_io.write=") +
+          (s.Chance(50) ? "torn*1" : "error*1"));
   }
-  return report;
+  if (s.Chance(20)) s.Add("sketch_io.rename=error*1");
+  if (s.Chance(30)) {
+    s.Add(std::string("sketch_io.read=") +
+          (s.Chance(50) ? "bitflip*1" : "error*1"));
+  }
+  if (s.empty()) s.Add("ingestor.worker_batch=crash*1");
+  return s.spec();
 }
 
-Result<ChaosReport> RunServerRestartCampaign(const ChaosOptions& options) {
+std::string ServerChaosScheduleForIteration(uint64_t seed, uint64_t index) {
+  ScheduleBuilder s(seed, index, 5);
+  // Connection-level faults: each severs one conversation; the drivers
+  // reconnect and reconciliation trusts the server-side ledger.
+  if (s.Chance(40)) s.Add("server.accept=error@0.1");
+  if (s.Chance(40)) s.Add("server.read=error@0.03");
+  if (s.Chance(40)) s.Add("server.write=error@0.03");
+  // Staleness: snapshot refreshes withheld on a coin flip.
+  if (s.Chance(40)) s.Add("server.publish=error@0.5");
+  // Back-pressure behind the protocol: stalled queues arm the tenants'
+  // shed/sample admission control, crashed workers force respawns.
+  if (s.Chance(25)) {
+    s.Add("ingestor.worker_batch=crash*" + std::to_string(1 + s.Below(2)));
+  }
+  if (s.Chance(20)) s.Add("batch_queue.pop=stall:1@0.02");
+  if (s.Chance(20)) s.Add("ingestor.publish=error@0.5");
+  if (s.empty()) s.Add("server.write=error@0.05");
+  return s.spec();
+}
+
+std::string ServerRestartScheduleForIteration(uint64_t seed, uint64_t index) {
+  ScheduleBuilder s(seed, index, 9);
+  // Exactly one process-death clause, probability-throttled and *1-budgeted
+  // (each iteration dies at most once at a failpoint; the real SIGKILL in
+  // the driver is on top). Each site leaves a different on-disk shape:
+  //   wal.append       death before the record hits the journal
+  //   wal.fsync        record written but not yet forced (page cache)
+  //   snapshot.publish death before the snapshot's commit rename
+  //   sketch_io.write  death mid-blob-write (temp file only)
+  //   sketch_io.rename temp fully written, rename never happened
+  static constexpr const char* kDeathSites[] = {
+      "wal.append", "wal.fsync", "snapshot.publish", "sketch_io.write",
+      "sketch_io.rename"};
+  const std::string death = kDeathSites[s.Below(5)];
+  s.Add(death + "=crash@0.08*1");
+  // Benign companions: severed acks (the applied-but-unacked ambiguity)
+  // and, when the death site leaves wal.append free, one torn journal
+  // record — which poisons the store into loud rejections, not corruption.
+  if (s.Chance(25)) s.Add("server.write=error@0.02");
+  if (s.Chance(15) && death != "wal.append") s.Add("wal.append=torn@0.05*1");
+  return s.spec();
+}
+
+std::string TreeChaosScheduleForIteration(uint64_t seed, uint64_t index) {
+  ScheduleBuilder s(seed, index, 13);
+  // Admission faults at the leaves: rejected batches and recorded sheds —
+  // the mass the conservation ledger must carry up the tree.
+  if (s.Chance(30)) {
+    s.Add("dist.ingest=error@0.05");
+  } else if (s.Chance(25)) {
+    s.Add("dist.ingest=torn@0.05");
+  }
+  // Uplink frame faults: severed, torn, or bit-flipped in flight. Torn and
+  // flipped frames must die at the CRC and count as severs, never as
+  // applied garbage.
+  if (s.Chance(35)) {
+    s.Add("dist.ship=error@0.08");
+  } else if (s.Chance(25)) {
+    s.Add("dist.ship=torn@0.06");
+  } else if (s.Chance(20)) {
+    s.Add("dist.ship=bitflip@0.05");
+  }
+  // Dropped deliveries re-ack the OLD seqno; lost acks force verbatim
+  // resends — both must dedup exactly.
+  if (s.Chance(30)) s.Add("dist.deliver=error@0.08");
+  if (s.Chance(35)) s.Add("dist.ack=error@0.1");
+  // Node loss ALWAYS carries a budget: an unbounded crash clause would
+  // eventually kill every node and leave nothing to assert.
+  if (s.Chance(30)) {
+    s.Add("dist.node=crash@0.02*" + std::to_string(1 + s.Below(2)));
+  }
+  if (s.empty()) s.Add("dist.ack=error@0.1");
+  return s.spec();
+}
+
+Result<ChaosReport> RunChaosCampaign(const ChaosOptions& options) {
   if (options.iterations == 0) {
     return Status::InvalidArgument("chaos: iterations must be >= 1");
   }
-  if (options.server_binary.empty()) {
+  if (options.scenario == ChaosScenario::kServerRestart &&
+      options.server_binary.empty()) {
     return Status::InvalidArgument(
         "chaos: --server-restart needs the sfq binary path");
+  }
+  // A malformed spec is a harness error in every scenario, including the
+  // one that only hands it to a child process.
+  {
+    const ScopedFailpoints probe(options.failpoints, options.seed);
+    STREAMFREQ_RETURN_NOT_OK(probe.status());
   }
   std::string io_dir = options.io_dir;
   if (io_dir.empty()) {
@@ -1414,21 +1255,17 @@ Result<ChaosReport> RunServerRestartCampaign(const ChaosOptions& options) {
     io_dir = tmp.string();
   }
 
+  const Scenario scenario = ScenarioFor(options.scenario);
   ChaosReport report;
   for (uint64_t index = 0; index < options.iterations; ++index) {
+    const std::string schedule =
+        options.failpoints.empty() ? scenario.schedule(options.seed, index)
+                                   : options.failpoints;
     STREAMFREQ_ASSIGN_OR_RETURN(
-        ServerIterationResult iteration,
-        RunServerRestartIteration(options, io_dir, index));
+        Iteration iteration,
+        scenario.iteration(options, io_dir, index, schedule, &report));
     ++report.iterations;
-    if (iteration.deaths > 0) ++report.faulted_iterations;
-    report.dropped_items += iteration.dropped_items;
-    report.server_requests += iteration.requests;
-    report.server_severs += iteration.severs;
-    report.stale_serves += iteration.stale_serves;
-    report.server_restarts += iteration.restarts;
-    report.crash_kills += iteration.deaths;
-    report.recoveries += iteration.recoveries;
-    report.identity_checks += iteration.identity_checks;
+    if (iteration.faulted) ++report.faulted_iterations;
     switch (iteration.outcome) {
       case ChaosOutcome::kVerified:
         ++report.verified;
@@ -1440,11 +1277,11 @@ Result<ChaosReport> RunServerRestartCampaign(const ChaosOptions& options) {
         ++report.guarantee_failures;
         ChaosFailure failure;
         failure.index = index;
-        failure.schedule =
-            options.failpoints.empty()
-                ? ServerRestartScheduleForIteration(options.seed, index)
-                : options.failpoints;
-        failure.detail = iteration.detail;
+        if (scenario.replays_program) {
+          failure.program = FormatProgram(ChaosProgram(options.seed, index));
+        }
+        failure.schedule = schedule;
+        failure.detail = std::move(iteration.detail);
         report.failures.push_back(std::move(failure));
         break;
       }

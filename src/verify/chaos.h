@@ -36,8 +36,70 @@
 
 namespace streamfreq {
 
+/// Which campaign RunChaosCampaign drives. Each scenario is one schedule
+/// function plus one iteration function under the shared campaign loop.
+enum class ChaosScenario : uint8_t {
+  /// The ingest campaign (`sfq chaos`): the contract at the top of this
+  /// file, scheduled by ChaosScheduleForIteration.
+  kIngest,
+  /// The server campaign (`sfq chaos --server`): each iteration boots an
+  /// in-process SfqServer on a socket under io_dir, pushes a seeded stream
+  /// into shed- and sample-policy tenants through real client connections
+  /// while server.accept/read/write/publish faults sever connections and
+  /// withhold snapshots, then seals and reconciles. The invariant:
+  ///
+  ///   per tenant, offered - rejected == items_ingested + dropped (the
+  ///   admission-control conservation law), client-acked items never exceed
+  ///   server-offered items (write faults make acks an undercount, never an
+  ///   overcount), query epochs never move backwards, and when no fault
+  ///   created ambiguity the exported sketch is bit-identical to a
+  ///   sequential reference and passes the Lemma 4/5 check.
+  ///
+  /// A severed connection is the expected fault surface, not a failure;
+  /// the campaign fails only on broken accounting, epoch regression, a dead
+  /// server, or a bad surviving sketch.
+  kServer,
+  /// The kill-restart campaign (`sfq chaos --server-restart`): each iteration
+  /// forks a real `sfq serve --data-dir` process with a crash failpoint
+  /// schedule armed (crash = std::_Exit at the site, a faithful power-cut for
+  /// everything except the page cache), drives a durable tenant through
+  /// at-most-once ingest chunks, and — whenever the daemon dies at a
+  /// failpoint or is SIGKILLed at a randomized chunk boundary — relaunches it
+  /// clean and continues against the recovered state. The invariant:
+  ///
+  ///   after recovery, offered - rejected == base_ingested + items_ingested
+  ///   + dropped (the conservation law, with the recovered prefix in
+  ///   base_ingested), client-acked items never exceed server-offered items
+  ///   (fsync=always makes every acked batch durable), epochs are monotone
+  ///   within each server process, and when no batch was lost in flight the
+  ///   exported sketch is bit-identical to a sequential reference and clean
+  ///   under the Lemma 4/5 check.
+  ///
+  /// Requires ChaosOptions::server_binary. A dead server that cannot be
+  /// relaunched, broken accounting, or a bad surviving sketch fails the
+  /// iteration; process deaths themselves are the point.
+  kServerRestart,
+  /// The merge-tree campaign (`sfq chaos --tree`): each iteration builds a
+  /// randomized topology (flat star, balanced, or ragged random tree) over a
+  /// seeded fuzz-program stream striped across the leaves, then drives
+  /// ingest and delta shipping (src/dist/merge_tree.h) under the dist.*
+  /// failpoint schedule. The invariant:
+  ///
+  ///   every iteration ends in a clean error Status, or in a root sketch
+  ///   that is bit-identical to the sketch of exactly the covered prefix of
+  ///   every leaf stream AND passes the Lemma 4/5 check against the oracle
+  ///   of that covered (effective) stream — the bounds widen by exactly the
+  ///   composed shed mass, nothing more. The conservation ledger
+  ///   (offered − rejected == ingested + dropped) must hold at every node
+  ///   and compose hop by hop, re-delivered deltas must dedup exactly, and
+  ///   loss-free runs must be bit-identical to a flat one-shot Merge of all
+  ///   leaf sketches.
+  kTree,
+};
+
 /// Campaign configuration.
 struct ChaosOptions {
+  ChaosScenario scenario = ChaosScenario::kIngest;
   uint64_t seed = 1;          ///< master seed for programs + schedules
   uint64_t iterations = 200;  ///< fuzz programs to replay under faults
   /// Failpoint spec applied to every iteration. Empty = derive a fresh
@@ -64,9 +126,11 @@ enum class ChaosOutcome : uint8_t {
 /// A failed iteration, kept for reproduction.
 struct ChaosFailure {
   uint64_t index = 0;
-  std::string program;   ///< replay line for `sfq verify --program`
+  std::string program;   ///< `sfq verify --program` line (ingest, tree)
   std::string schedule;  ///< the failpoint spec that was armed
   std::string detail;    ///< first violation / accounting mismatch
+
+  bool operator==(const ChaosFailure&) const = default;
 };
 
 /// Campaign totals. The campaign "passes" iff guarantee_failures == 0.
@@ -95,6 +159,7 @@ struct ChaosReport {
   std::vector<ChaosFailure> failures;  ///< guarantee failures only
 
   bool Passed() const { return guarantee_failures == 0; }
+  bool operator==(const ChaosReport&) const = default;
 };
 
 /// The deterministic per-iteration failpoint schedule used when
@@ -102,32 +167,9 @@ struct ChaosReport {
 /// schedules are bounded and reproducible.
 std::string ChaosScheduleForIteration(uint64_t seed, uint64_t index);
 
-/// Runs the campaign. Status errors here are harness-level problems
-/// (e.g. an unmaterializable program), not injected faults — those are
-/// tallied in the report.
-Result<ChaosReport> RunChaosCampaign(const ChaosOptions& options);
-
 /// The deterministic schedule for the server campaign: the four server.*
 /// sites plus ingestor back-pressure faults, all probability-bounded.
 std::string ServerChaosScheduleForIteration(uint64_t seed, uint64_t index);
-
-/// The server campaign (`sfq chaos --server`): each iteration boots an
-/// in-process SfqServer on a socket under io_dir, pushes a seeded stream
-/// into shed- and sample-policy tenants through real client connections
-/// while server.accept/read/write/publish faults sever connections and
-/// withhold snapshots, then seals and reconciles. The invariant:
-///
-///   per tenant, offered - rejected == items_ingested + dropped (the
-///   admission-control conservation law), client-acked items never exceed
-///   server-offered items (write faults make acks an undercount, never an
-///   overcount), query epochs never move backwards, and when no fault
-///   created ambiguity the exported sketch is bit-identical to a
-///   sequential reference and passes the Lemma 4/5 check.
-///
-/// A severed connection is the expected fault surface, not a failure;
-/// the campaign fails only on broken accounting, epoch regression, a dead
-/// server, or a bad surviving sketch.
-Result<ChaosReport> RunServerChaosCampaign(const ChaosOptions& options);
 
 /// The deterministic schedule for the kill-restart campaign: exactly one
 /// process-death clause (probability-throttled, *1-budgeted) drawn from the
@@ -136,48 +178,16 @@ Result<ChaosReport> RunServerChaosCampaign(const ChaosOptions& options);
 /// plus optional benign companions (severed writes, a torn journal record).
 std::string ServerRestartScheduleForIteration(uint64_t seed, uint64_t index);
 
-/// The kill-restart campaign (`sfq chaos --server-restart`): each iteration
-/// forks a real `sfq serve --data-dir` process with a crash failpoint
-/// schedule armed (crash = std::_Exit at the site, a faithful power-cut for
-/// everything except the page cache), drives a durable tenant through
-/// at-most-once ingest chunks, and — whenever the daemon dies at a
-/// failpoint or is SIGKILLed at a randomized chunk boundary — relaunches it
-/// clean and continues against the recovered state. The invariant:
-///
-///   after recovery, offered - rejected == base_ingested + items_ingested
-///   + dropped (the conservation law, with the recovered prefix in
-///   base_ingested), client-acked items never exceed server-offered items
-///   (fsync=always makes every acked batch durable), epochs are monotone
-///   within each server process, and when no batch was lost in flight the
-///   exported sketch is bit-identical to a sequential reference and clean
-///   under the Lemma 4/5 check.
-///
-/// Requires ChaosOptions::server_binary. A dead server that cannot be
-/// relaunched, broken accounting, or a bad surviving sketch fails the
-/// iteration; process deaths themselves are the point.
-Result<ChaosReport> RunServerRestartCampaign(const ChaosOptions& options);
-
 /// The deterministic schedule for the merge-tree campaign: the five dist.*
 /// sites (docs/ROBUSTNESS.md) — admission faults, severed/torn/bit-flipped
 /// uplink frames, dropped deliveries, lost acks — plus node-loss crash
 /// clauses that ALWAYS carry a *N budget so most of the tree stays alive.
 std::string TreeChaosScheduleForIteration(uint64_t seed, uint64_t index);
 
-/// The merge-tree campaign (`sfq chaos --tree`): each iteration builds a
-/// randomized topology (flat star, balanced, or ragged random tree) over a
-/// seeded fuzz-program stream striped across the leaves, then drives
-/// ingest and delta shipping (src/dist/merge_tree.h) under the dist.*
-/// failpoint schedule. The invariant:
-///
-///   every iteration ends in a clean error Status, or in a root sketch
-///   that is bit-identical to the sketch of exactly the covered prefix of
-///   every leaf stream AND passes the Lemma 4/5 check against the oracle
-///   of that covered (effective) stream — the bounds widen by exactly the
-///   composed shed mass, nothing more. The conservation ledger
-///   (offered − rejected == ingested + dropped) must hold at every node
-///   and compose hop by hop, re-delivered deltas must dedup exactly, and
-///   loss-free runs must be bit-identical to a flat one-shot Merge of all
-///   leaf sketches.
-Result<ChaosReport> RunTreeChaosCampaign(const ChaosOptions& options);
+/// Runs the campaign of `options.scenario`. Status errors here are
+/// harness-level problems (e.g. zero iterations, a malformed failpoint
+/// spec, an unmaterializable program), not injected faults — those are
+/// tallied in the report.
+Result<ChaosReport> RunChaosCampaign(const ChaosOptions& options);
 
 }  // namespace streamfreq

@@ -12,6 +12,16 @@ TEST(SplitMix64Test, DeterministicForSeed) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.Next(), b.Next());
 }
 
+// The reference splitmix64 outputs (Vigna's splitmix64.c) for seed 0: every
+// seeded stream in the library (hash seeds, failpoint probabilities, client
+// retry jitter) is this one generator.
+TEST(SplitMix64Test, MatchesReferenceSequence) {
+  SplitMix64 sm(0);
+  EXPECT_EQ(sm.Next(), 0xE220A8397B1DCDAFULL);
+  EXPECT_EQ(sm.Next(), 0x6E789E6AA1B965F4ULL);
+  EXPECT_EQ(sm.Next(), 0x06C45D188009454FULL);
+}
+
 TEST(SplitMix64Test, DifferentSeedsDiverge) {
   SplitMix64 a(1), b(2);
   EXPECT_NE(a.Next(), b.Next());

@@ -116,7 +116,7 @@ void PrintUsage() {
       "            [--shrink BOOL] [--json FILE] [--program \"LINE\"]\n"
       "            (differential guarantee fuzzing; see docs/VERIFICATION.md)\n"
       "  chaos     [--seed S] [--iters N] [--failpoints SPEC] [--io BOOL]\n"
-      "            [--server BOOL] [--server-restart BOOL] [--tree BOOL]\n"
+      "            [--server BOOL | --server-restart BOOL | --tree BOOL]\n"
       "            [--json FILE]\n"
       "            (fault-injection campaign; see docs/ROBUSTNESS.md and,\n"
       "             for --tree, docs/DISTRIBUTED.md)\n"
@@ -599,13 +599,21 @@ int CmdChaos(const Flags& flags) {
   if (*iters <= 0) {
     return Fail(Status::InvalidArgument("--iters must be positive"));
   }
+  if (int{*server} + int{*restart} + int{*tree} > 1) {
+    return Fail(Status::InvalidArgument(
+        "chaos: --server, --server-restart and --tree are exclusive"));
+  }
 
   ChaosOptions options;
+  options.scenario = *restart ? ChaosScenario::kServerRestart
+                     : *server ? ChaosScenario::kServer
+                     : *tree   ? ChaosScenario::kTree
+                               : ChaosScenario::kIngest;
   options.seed = static_cast<uint64_t>(*seed);
   options.iterations = static_cast<uint64_t>(*iters);
   options.failpoints = flags.GetString("failpoints", "");
   options.exercise_io = *io;
-  if (*restart) {
+  if (options.scenario == ChaosScenario::kServerRestart) {
     // The campaign forks fresh `sfq serve` processes from this very image.
     std::error_code ec;
     const std::filesystem::path self =
@@ -616,10 +624,7 @@ int CmdChaos(const Flags& flags) {
     }
     options.server_binary = self.string();
   }
-  auto report = *restart ? RunServerRestartCampaign(options)
-                : *server ? RunServerChaosCampaign(options)
-                : *tree   ? RunTreeChaosCampaign(options)
-                          : RunChaosCampaign(options);
+  auto report = RunChaosCampaign(options);
   if (!report.ok()) return Fail(report.status());
 
   TablePrinter table({"metric", "value"});
@@ -631,40 +636,79 @@ int CmdChaos(const Flags& flags) {
   table.AddRowValues("faulted iterations", report->faulted_iterations);
   table.AddRowValues("worker respawns", report->worker_respawns);
   table.AddRowValues("dropped items", report->dropped_items);
-  if (*restart) {
-    table.AddRowValues("server requests", report->server_requests);
-    table.AddRowValues("connection severs", report->server_severs);
-    table.AddRowValues("server restarts", report->server_restarts);
-    table.AddRowValues("process deaths", report->crash_kills);
-    table.AddRowValues("recoveries", report->recoveries);
-    table.AddRowValues("identity checks", report->identity_checks);
-  } else if (*server) {
-    table.AddRowValues("server requests", report->server_requests);
-    table.AddRowValues("connection severs", report->server_severs);
-    table.AddRowValues("stale serves", report->stale_serves);
-  } else if (*tree) {
-    table.AddRowValues("deltas shipped", report->deltas_shipped);
-    table.AddRowValues("delta dedups", report->delta_dedups);
-    table.AddRowValues("severed links", report->severed_links);
-    table.AddRowValues("nodes lost", report->nodes_lost);
-    table.AddRowValues("identity checks", report->identity_checks);
-  } else {
-    table.AddRowValues("io round trips", report->io_round_trips);
-    table.AddRowValues("io faults", report->io_faults);
+  std::vector<JsonField> fields;
+  const auto integer = [&fields](const char* name, uint64_t value) {
+    fields.push_back(JsonField::Integer(name, static_cast<int64_t>(value)));
+  };
+  fields.push_back(JsonField::Integer("seed", *seed));
+  integer("iterations", report->iterations);
+  integer("verified", report->verified);
+  integer("clean_errors", report->clean_errors);
+  integer("guarantee_failures", report->guarantee_failures);
+  integer("fault_fires", report->fault_fires);
+  integer("faulted_iterations", report->faulted_iterations);
+  integer("worker_respawns", report->worker_respawns);
+  integer("dropped_items", report->dropped_items);
+  integer("io_round_trips", report->io_round_trips);
+  integer("io_faults", report->io_faults);
+  const char* replay_flag = "";
+  switch (options.scenario) {
+    case ChaosScenario::kIngest:
+      table.AddRowValues("io round trips", report->io_round_trips);
+      table.AddRowValues("io faults", report->io_faults);
+      break;
+    case ChaosScenario::kServer:
+      replay_flag = " --server true";
+      table.AddRowValues("server requests", report->server_requests);
+      table.AddRowValues("connection severs", report->server_severs);
+      table.AddRowValues("stale serves", report->stale_serves);
+      integer("server_requests", report->server_requests);
+      integer("server_severs", report->server_severs);
+      integer("stale_serves", report->stale_serves);
+      break;
+    case ChaosScenario::kServerRestart:
+      replay_flag = " --server-restart true";
+      table.AddRowValues("server requests", report->server_requests);
+      table.AddRowValues("connection severs", report->server_severs);
+      table.AddRowValues("server restarts", report->server_restarts);
+      table.AddRowValues("process deaths", report->crash_kills);
+      table.AddRowValues("recoveries", report->recoveries);
+      table.AddRowValues("identity checks", report->identity_checks);
+      integer("server_requests", report->server_requests);
+      integer("server_severs", report->server_severs);
+      integer("stale_serves", report->stale_serves);
+      integer("server_restarts", report->server_restarts);
+      integer("crash_kills", report->crash_kills);
+      integer("recoveries", report->recoveries);
+      integer("identity_checks", report->identity_checks);
+      break;
+    case ChaosScenario::kTree:
+      replay_flag = " --tree true";
+      table.AddRowValues("deltas shipped", report->deltas_shipped);
+      table.AddRowValues("delta dedups", report->delta_dedups);
+      table.AddRowValues("severed links", report->severed_links);
+      table.AddRowValues("nodes lost", report->nodes_lost);
+      table.AddRowValues("identity checks", report->identity_checks);
+      integer("deltas_shipped", report->deltas_shipped);
+      integer("delta_dedups", report->delta_dedups);
+      integer("severed_links", report->severed_links);
+      integer("nodes_lost", report->nodes_lost);
+      integer("identity_checks", report->identity_checks);
+      break;
   }
   EmitTable(table, "chaos", std::cout);
   for (const ChaosFailure& failure : report->failures) {
     std::cout << "FAIL iteration " << failure.index << ": " << failure.detail
               << "\n  schedule: " << failure.schedule
               << "\n  replay: sfq chaos --seed " << *seed
-              << " --iters " << (failure.index + 1)
-              << (*restart ? " --server-restart true"
-                  : *server ? " --server true"
-                  : *tree   ? " --tree true" : "")
+              << " --iters " << (failure.index + 1) << replay_flag
               << (options.failpoints.empty()
                       ? ""
                       : " --failpoints \"" + options.failpoints + "\"")
-              << "\n  program: " << failure.program << "\n";
+              << "\n";
+    if (!failure.program.empty()) {
+      std::cout << "  program: " << failure.program << "\n";
+    }
   }
   std::cout << (report->Passed() ? "CHAOS PASS" : "CHAOS FAIL") << ": "
             << report->verified << " verified + " << report->clean_errors
@@ -672,59 +716,6 @@ int CmdChaos(const Flags& flags) {
             << report->fault_fires << " fault fires (seed=" << *seed
             << ")\n";
 
-  std::vector<JsonField> fields;
-  fields.push_back(JsonField::Integer("seed", *seed));
-  fields.push_back(JsonField::Integer(
-      "iterations", static_cast<int64_t>(report->iterations)));
-  fields.push_back(JsonField::Integer(
-      "verified", static_cast<int64_t>(report->verified)));
-  fields.push_back(JsonField::Integer(
-      "clean_errors", static_cast<int64_t>(report->clean_errors)));
-  fields.push_back(JsonField::Integer(
-      "guarantee_failures", static_cast<int64_t>(report->guarantee_failures)));
-  fields.push_back(JsonField::Integer(
-      "fault_fires", static_cast<int64_t>(report->fault_fires)));
-  fields.push_back(JsonField::Integer(
-      "faulted_iterations",
-      static_cast<int64_t>(report->faulted_iterations)));
-  fields.push_back(JsonField::Integer(
-      "worker_respawns", static_cast<int64_t>(report->worker_respawns)));
-  fields.push_back(JsonField::Integer(
-      "dropped_items", static_cast<int64_t>(report->dropped_items)));
-  fields.push_back(JsonField::Integer(
-      "io_round_trips", static_cast<int64_t>(report->io_round_trips)));
-  fields.push_back(JsonField::Integer(
-      "io_faults", static_cast<int64_t>(report->io_faults)));
-  if (*server || *restart) {
-    fields.push_back(JsonField::Integer(
-        "server_requests", static_cast<int64_t>(report->server_requests)));
-    fields.push_back(JsonField::Integer(
-        "server_severs", static_cast<int64_t>(report->server_severs)));
-    fields.push_back(JsonField::Integer(
-        "stale_serves", static_cast<int64_t>(report->stale_serves)));
-  }
-  if (*restart) {
-    fields.push_back(JsonField::Integer(
-        "server_restarts", static_cast<int64_t>(report->server_restarts)));
-    fields.push_back(JsonField::Integer(
-        "crash_kills", static_cast<int64_t>(report->crash_kills)));
-    fields.push_back(JsonField::Integer(
-        "recoveries", static_cast<int64_t>(report->recoveries)));
-    fields.push_back(JsonField::Integer(
-        "identity_checks", static_cast<int64_t>(report->identity_checks)));
-  }
-  if (*tree) {
-    fields.push_back(JsonField::Integer(
-        "deltas_shipped", static_cast<int64_t>(report->deltas_shipped)));
-    fields.push_back(JsonField::Integer(
-        "delta_dedups", static_cast<int64_t>(report->delta_dedups)));
-    fields.push_back(JsonField::Integer(
-        "severed_links", static_cast<int64_t>(report->severed_links)));
-    fields.push_back(JsonField::Integer(
-        "nodes_lost", static_cast<int64_t>(report->nodes_lost)));
-    fields.push_back(JsonField::Integer(
-        "identity_checks", static_cast<int64_t>(report->identity_checks)));
-  }
   const std::string json_path = flags.GetString("json", "");
   if (!json_path.empty()) {
     const Status s = WriteJsonReport(json_path, "chaos", fields);
