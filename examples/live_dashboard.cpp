@@ -1,18 +1,13 @@
 // Live monitoring scenario: "what is hot RIGHT NOW?"
 //
-// Contrasts three recency models over the same drifting stream:
+// Contrasts two views of the same drifting stream:
 //   * whole-stream Count-Sketch top-k (the paper's algorithm) — dominated
 //     by stale history after the workload shifts;
-//   * jumping-window sketch — hard cutoff at the last W items;
-//   * exponentially-decayed sketch — smooth recency weighting.
-// A DGIM counter supplies the windowed denominator for frequency-threshold
-// readouts.
+//   * jumping-window sketch — hard cutoff at the last W items.
 #include <cstdlib>
 #include <iostream>
 
 #include "core/count_sketch.h"
-#include "core/decayed.h"
-#include "core/dgim.h"
 #include "core/top_k_tracker.h"
 #include "core/windowed.h"
 #include "hash/random.h"
@@ -41,17 +36,6 @@ int main() {
   auto windowed = WindowedCountSketch::Make(wparams);
   SFQ_CHECK_OK(windowed.status());
 
-  DecayedSketchParams dparams;
-  dparams.depth = base.depth;
-  dparams.width = base.width;
-  dparams.seed = base.seed;
-  dparams.half_life = 30000.0;
-  auto decayed = DecayedCountSketch::Make(dparams);
-  SFQ_CHECK_OK(decayed.status());
-
-  auto hot_traffic = DgimCounter::Make(/*window=*/100000);
-  SFQ_CHECK_OK(hot_traffic.status());
-
   Xoshiro256 rng(5);
   for (int epoch = 0; epoch < kEpochs; ++epoch) {
     const ItemId hot = 1001 + static_cast<ItemId>(epoch);
@@ -61,18 +45,14 @@ int main() {
           is_hot ? hot : (1u << 20) + static_cast<ItemId>(rng.UniformBelow(1u << 18));
       whole_stream->Add(q);
       windowed->Add(q);
-      decayed->Add(q);
-      decayed->Tick();
-      hot_traffic->Observe(is_hot);
     }
   }
 
   std::cout << "After " << kEpochs << " epochs (current hot item: 1003):\n\n";
-  TablePrinter table(
-      {"item", "whole-stream est", "window est", "decayed est"});
+  TablePrinter table({"item", "whole-stream est", "window est"});
   for (ItemId item : {1001u, 1002u, 1003u}) {
     table.AddRowValues(item, whole_stream->Estimate(item),
-                       windowed->Estimate(item), decayed->Estimate(item));
+                       windowed->Estimate(item));
   }
   table.Print(std::cout);
 
@@ -80,13 +60,8 @@ int main() {
   for (const ItemCount& ic : whole_stream->Candidates(3)) {
     std::cout << "  item " << ic.item << " ~" << ic.count << "\n";
   }
-  std::cout << "\nHot-item traffic in the last " << 100000
-            << " arrivals (DGIM): ~" << hot_traffic->Estimate() << " ("
-            << hot_traffic->LowerBound() << " to "
-            << hot_traffic->UpperBound() << ")\n";
   std::cout << "\nReading: the whole-stream sketch still reports all three "
                "epochs' heroes at similar counts; the window has fully "
-               "forgotten items 1001-1002; the decayed sketch ranks 1003 "
-               ">> 1002 >> 1001.\n";
+               "forgotten items 1001-1002.\n";
   return EXIT_SUCCESS;
 }

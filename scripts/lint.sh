@@ -52,14 +52,14 @@ if [[ "$CHANGED" -eq 1 ]]; then
   )
   echo "== sfq-lint (--changed: ${#CHANGED_FILES[@]} file(s) vs $BASE) =="
   # --files with an empty list still runs every whole-program pass.
-  python3 tools/sfq_lint.py --files "${CHANGED_FILES[@]}"
+  PYTHONPATH=tools python3 -m sfq_lint --files "${CHANGED_FILES[@]}"
 else
   echo "== sfq-lint (domain invariants) =="
-  python3 tools/sfq_lint.py
+  PYTHONPATH=tools python3 -m sfq_lint
 fi
 
 echo "== sfq-lint fixture self-check =="
-python3 tools/sfq_lint.py --fixtures tests/lint_fixtures
+PYTHONPATH=tools python3 -m sfq_lint --fixtures tests/lint_fixtures
 
 if command -v clang-format >/dev/null 2>&1; then
   echo "== clang-format drift =="

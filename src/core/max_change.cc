@@ -1,6 +1,7 @@
 #include "core/max_change.h"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "util/logging.h"
 
@@ -77,6 +78,34 @@ size_t MaxChangeDetector::SpaceBytes() const {
       (sizeof(ItemId) + sizeof(Member) + sizeof(void*)) +
       (sizeof(std::pair<Count, ItemId>) + 3 * sizeof(void*));
   return sketch_.SpaceBytes() + members_.size() * per_member;
+}
+
+std::vector<ItemCount> RankByEstimate(std::span<const ItemId> candidates,
+                                      const CountSketch& score, size_t k,
+                                      bool absolute) {
+  std::vector<ItemCount> out;
+  out.reserve(candidates.size());
+  for (ItemId id : candidates) out.push_back({id, score.Estimate(id)});
+  const auto key = [absolute](const ItemCount& c) {
+    return absolute ? std::llabs(c.count) : c.count;
+  };
+  std::stable_sort(out.begin(), out.end(),
+                   [&key](const ItemCount& a, const ItemCount& b) {
+                     return key(a) > key(b);
+                   });
+  if (out.size() > k) out.resize(k);
+  return out;
+}
+
+Result<std::vector<ItemCount>> EpochMaxChange(
+    const CountSketch& current, const CountSketch* marked,
+    std::span<const ItemId> candidates, size_t k) {
+  if (marked == nullptr) {
+    return RankByEstimate(candidates, current, k, /*absolute=*/true);
+  }
+  CountSketch delta = current;
+  STREAMFREQ_RETURN_NOT_OK(delta.Subtract(*marked));
+  return RankByEstimate(candidates, delta, k, /*absolute=*/true);
 }
 
 }  // namespace streamfreq

@@ -14,16 +14,23 @@
 // Finally the k items with the largest exact |n_q(S2) - n_q(S1)| among A
 // are reported. Lemma 5 applies verbatim with n_q replaced by the change
 // magnitudes Delta_q.
+//
+// RankByEstimate and EpochMaxChange are the one-pass forms the served
+// tenants, the merge tree and the aggregate root use: a candidate slate is
+// scored on a sketch (or on current - marked, by the group structure) and
+// the best k are kept.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "core/count_sketch.h"
+#include "stream/exact_counter.h"
 #include "stream/types.h"
 #include "util/result.h"
 
@@ -90,5 +97,18 @@ class MaxChangeDetector {
   std::unordered_map<ItemId, Member> members_;
   std::set<std::pair<Count, ItemId>> by_nhat_;  // (|nhat|, item)
 };
+
+/// Scores each candidate on `score` and returns the k with the largest
+/// estimate (the largest |estimate| when `absolute`), descending. The sort
+/// is stable on that key alone, so ties keep the candidates' input order.
+std::vector<ItemCount> RankByEstimate(std::span<const ItemId> candidates,
+                                      const CountSketch& score, size_t k,
+                                      bool absolute);
+
+/// Ranks the candidates by |estimate| on current - *marked, or on `current`
+/// itself when `marked` is null. Fails when the sketches are incompatible.
+Result<std::vector<ItemCount>> EpochMaxChange(
+    const CountSketch& current, const CountSketch* marked,
+    std::span<const ItemId> candidates, size_t k);
 
 }  // namespace streamfreq

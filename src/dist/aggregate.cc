@@ -12,6 +12,7 @@
 #include <set>
 #include <utility>
 
+#include "core/max_change.h"
 #include "core/space_saving.h"
 #include "server/net.h"
 #include "stream/zipf.h"
@@ -296,17 +297,8 @@ Result<AggregateReport> RunAggregate(const AggregateOptions& options) {
   report.deltas_applied = root.deltas_applied;
   report.delta_dedups = root.delta_dedups;
   root.acc.SerializeTo(&report.root_sketch);
-  std::vector<ItemId> cands = root.CandidateUnion();
-  report.topk.reserve(cands.size());
-  for (ItemId id : cands) {
-    report.topk.push_back(ItemCount{id, root.acc.Estimate(id)});
-  }
-  std::sort(report.topk.begin(), report.topk.end(),
-            [](const ItemCount& a, const ItemCount& b) {
-              if (a.count != b.count) return a.count > b.count;
-              return a.item < b.item;
-            });
-  if (report.topk.size() > options.topk) report.topk.resize(options.topk);
+  report.topk = RankByEstimate(root.CandidateUnion(), root.acc, options.topk,
+                               /*absolute=*/false);
   if (!report.ledger.ConservationHolds()) {
     return Status::Internal("root ledger violates conservation");
   }

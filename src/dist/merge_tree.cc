@@ -1,10 +1,10 @@
 #include "dist/merge_tree.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 #include <utility>
 
+#include "core/max_change.h"
 #include "server/protocol.h"
 #include "util/failpoint.h"
 
@@ -309,26 +309,6 @@ std::vector<CoverageEntry> MergeTreeSim::RootCovered() const {
 
 namespace {
 
-// Scores `ids` on `score`, descending, ties toward smaller ids.
-std::vector<ItemCount> RankCandidates(const std::vector<ItemId>& ids,
-                                      const CountSketch& score, size_t k,
-                                      bool absolute) {
-  std::vector<ItemCount> out;
-  out.reserve(ids.size());
-  for (ItemId id : ids) {
-    out.push_back(ItemCount{id, score.Estimate(id)});
-  }
-  std::sort(out.begin(), out.end(),
-            [absolute](const ItemCount& a, const ItemCount& b) {
-              const int64_t ka = absolute ? std::llabs(a.count) : a.count;
-              const int64_t kb = absolute ? std::llabs(b.count) : b.count;
-              if (ka != kb) return ka > kb;
-              return a.item < b.item;
-            });
-  if (out.size() > k) out.resize(k);
-  return out;
-}
-
 // True iff every counter of `acc` equals the sum of that counter over
 // `terms`. A plain loop over CounterAt, deliberately not CountSketch::Merge,
 // which is code under test. Sums are unsigned so they wrap as counters do.
@@ -354,18 +334,13 @@ bool CountersEqualSum(const CountSketch& acc,
 }  // namespace
 
 std::vector<ItemCount> MergeTreeSim::ApproxTop(size_t k) const {
-  return RankCandidates(CandidateUnion(0), nodes_[0].acc, k,
+  return RankByEstimate(CandidateUnion(0), nodes_[0].acc, k,
                         /*absolute=*/false);
 }
 
 Result<std::vector<ItemCount>> MergeTreeSim::MaxChange(size_t k) const {
-  if (!epoch_.has_value()) {
-    return RankCandidates(CandidateUnion(0), nodes_[0].acc, k,
-                          /*absolute=*/true);
-  }
-  CountSketch diff = nodes_[0].acc;
-  STREAMFREQ_RETURN_NOT_OK(diff.Subtract(*epoch_));
-  return RankCandidates(CandidateUnion(0), diff, k, /*absolute=*/true);
+  return EpochMaxChange(nodes_[0].acc, epoch_ ? &*epoch_ : nullptr,
+                        CandidateUnion(0), k);
 }
 
 Status MergeTreeSim::CheckInvariants() const {

@@ -1,12 +1,13 @@
 #include "server/service.h"
 
-#include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "core/max_change.h"
 #include "util/failpoint.h"
 
 namespace streamfreq {
@@ -126,6 +127,20 @@ struct SketchService::Tenant {
     sample.candidate_capacity = candidates->capacity();
     sample.candidates = candidates->Entries();
     return sample;
+  }
+
+  /// The candidate slate a k-result query scores: Space-Saving's best 3k.
+  /// Its own counts are upper bounds with merge slack; the sketch estimate
+  /// is the paper's unbiased median. 3k saturates, so a wire k above
+  /// SIZE_MAX / 3 asks for every candidate instead of wrapping.
+  std::vector<ItemId> Slate(uint64_t k) const SFQ_REQUIRES(mu) {
+    const size_t max = std::numeric_limits<size_t>::max();
+    const size_t slate = k > max / 3 ? max : static_cast<size_t>(k) * 3;
+    std::vector<ItemId> ids;
+    for (const ItemCount& c : candidates->Candidates(slate)) {
+      ids.push_back(c.item);
+    }
+    return ids;
   }
 
   /// The snapshot a query answers from, and its epoch: refreshes the
@@ -371,22 +386,9 @@ Response SketchService::TopK(Tenant& tenant, const Request& request) {
   Response resp;
   const std::shared_ptr<const CountSketch> snapshot =
       tenant.Serving(&resp.epoch);
-  // Score a wider candidate slate than k on the snapshot, then keep the
-  // best k: Space-Saving's own counts are upper bounds with merge slack,
-  // the sketch estimates are the paper's unbiased median.
-  const size_t slate = static_cast<size_t>(request.k) * 3;
-  std::vector<ItemCount> candidates = tenant.candidates->Candidates(slate);
-  for (ItemCount& candidate : candidates) {
-    candidate.count = snapshot->Estimate(candidate.item);
-  }
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const ItemCount& a, const ItemCount& b) {
-                     return a.count > b.count;
-                   });
-  if (candidates.size() > request.k) {
-    candidates.resize(static_cast<size_t>(request.k));
-  }
-  resp.entries = std::move(candidates);
+  resp.entries = RankByEstimate(tenant.Slate(request.k), *snapshot,
+                                static_cast<size_t>(request.k),
+                                /*absolute=*/false);
   return resp;
 }
 
@@ -426,22 +428,11 @@ Response SketchService::MaxChange(Tenant& tenant, const Request& request) {
       tenant.Serving(&resp.epoch);
   // The paper's two-pass max-change via the group structure: subtract the
   // marked sketch from the current one and rank candidates by |delta|.
-  CountSketch delta = *snapshot;
-  const Status status = delta.Subtract(*tenant.marked);
-  if (!status.ok()) return Response::FromStatus(status);
-  const size_t slate = static_cast<size_t>(request.k) * 3;
-  std::vector<ItemCount> candidates = tenant.candidates->Candidates(slate);
-  for (ItemCount& candidate : candidates) {
-    candidate.count = delta.Estimate(candidate.item);
-  }
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const ItemCount& a, const ItemCount& b) {
-                     return std::llabs(a.count) > std::llabs(b.count);
-                   });
-  if (candidates.size() > request.k) {
-    candidates.resize(static_cast<size_t>(request.k));
-  }
-  resp.entries = std::move(candidates);
+  Result<std::vector<ItemCount>> changes =
+      EpochMaxChange(*snapshot, tenant.marked.get(), tenant.Slate(request.k),
+                     static_cast<size_t>(request.k));
+  if (!changes.ok()) return Response::FromStatus(changes.status());
+  resp.entries = std::move(*changes);
   return resp;
 }
 

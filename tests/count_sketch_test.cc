@@ -10,6 +10,7 @@
 #include "hash/random.h"
 #include "stream/exact_counter.h"
 #include "stream/zipf.h"
+#include "verify/program.h"
 
 namespace streamfreq {
 namespace {
@@ -101,6 +102,47 @@ TEST(CountSketchTest, MergeEqualsUnionStream) {
   // Linearity: the merged sketch is bitwise the sketch of the union.
   for (ItemId q = 1; q <= 300; ++q) {
     EXPECT_EQ(a->Estimate(q), combined->Estimate(q)) << "item " << q;
+  }
+}
+
+// Metamorphic relation under the verify fuzz grammar: round-robin ingest
+// into three sketches followed by Merge must be counter-exact against a
+// single sequential sketch, on every fuzz workload family (zipf / uniform /
+// flows / adversarial).
+TEST(CountSketchTest, MergeMatchesSequentialOnFuzzWorkloads) {
+  CountSketchParams params;
+  params.depth = 5;
+  params.width = 1024;
+  params.seed = 12;
+  for (uint64_t index = 0; index < 6; ++index) {
+    const FuzzProgram program = ProgramFromSeed(777, index);
+    auto stream = MaterializeStream(program);
+    ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+
+    std::vector<CountSketch> shards;
+    for (int s = 0; s < 3; ++s) {
+      auto shard = CountSketch::Make(params);
+      ASSERT_TRUE(shard.ok());
+      shards.push_back(std::move(*shard));
+    }
+    for (size_t i = 0; i < stream->size(); ++i) {
+      shards[i % 3].Add((*stream)[i]);
+    }
+    ASSERT_TRUE(shards[0].Merge(shards[1]).ok());
+    ASSERT_TRUE(shards[0].Merge(shards[2]).ok());
+
+    auto sequential = CountSketch::Make(params);
+    ASSERT_TRUE(sequential.ok());
+    for (ItemId q : *stream) sequential->Add(q);
+
+    for (size_t row = 0; row < sequential->depth(); ++row) {
+      for (size_t col = 0; col < sequential->width(); ++col) {
+        ASSERT_EQ(shards[0].CounterAt(row, col),
+                  sequential->CounterAt(row, col))
+            << "program " << index << " (" << WorkloadKindName(program.kind)
+            << ") row " << row << " col " << col;
+      }
+    }
   }
 }
 

@@ -1,5 +1,5 @@
-// Self-check for the sfq-lint static checker (tools/sfq_lint.py, whose
-// implementation is the tools/sfq_lint/ package).
+// Self-check for the sfq-lint static checker (the tools/sfq_lint/ package,
+// run as `PYTHONPATH=tools python3 -m sfq_lint`).
 //
 // Proves the properties scripts/lint.sh depends on:
 //   1. the real tree is clean (lint exits 0) under all 15 rules,
@@ -10,11 +10,14 @@
 //      covers the whole-program analyses (layer-dag, lock-order,
 //      blocking-under-lock, hot-path) as well as the per-file rules,
 //   3. the include-graph pass reports the *exact* defect edges on a
-//      synthetic tree with a known cycle and a known back-edge, and
-//   4. --json output obeys the schema documented in
+//      synthetic tree with a known cycle and a known back-edge,
+//   4. the orphan-module rule names exactly the uncalled header of a
+//      synthetic caller tree, and
+//   5. --json output obeys the schema documented in
 //      docs/STATIC_ANALYSIS.md.
 // The suppression fixture additionally proves that a justified
 // NOLINT(sfq-*) silences a rule without disabling it globally.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -50,8 +53,8 @@ RunResult Exec(const std::string& cmd) {
 }
 
 std::string LintCmd(const std::string& args) {
-  return std::string("python3 '") + kRoot + "/tools/sfq_lint.py' --root '" +
-         kRoot + "' " + args;
+  return std::string("PYTHONPATH='") + kRoot +
+         "/tools' python3 -m sfq_lint --root '" + kRoot + "' " + args;
 }
 
 // Parses the `sfq-lint-path:` / `sfq-lint-expect:` header comments.
@@ -134,7 +137,8 @@ TEST(LintSelfcheck, ListRulesMatchesDocumentedSet) {
         "sfq-dropped-status", "sfq-raw-mutex", "sfq-unguarded-member",
         "sfq-concurrent-label", "sfq-nodiscard-decl", "sfq-failpoint-site",
         "sfq-server-opcode", "sfq-simd-ifdef", "sfq-layer-dag",
-        "sfq-lock-order", "sfq-blocking-under-lock", "sfq-hot-path"}) {
+        "sfq-lock-order", "sfq-blocking-under-lock", "sfq-hot-path",
+        "sfq-orphan-module"}) {
     EXPECT_NE(r.output.find(rule), std::string::npos) << rule;
   }
 }
@@ -159,6 +163,25 @@ TEST(LintSelfcheck, IncludeGraphReportsExactCycleAndBackEdge) {
       << r.output;
   // Exactly the two planted defects, nothing else.
   EXPECT_NE(r.output.find("sfq-lint: 2 finding(s)"), std::string::npos)
+      << r.output;
+}
+
+// The orphan-module fixture tree has one header reached only from its own
+// .cc, a test, an example and a commented-out include, next to headers
+// reached from src/ and from sfq_bench/. The rule must report that header
+// and nothing else.
+TEST(LintSelfcheck, OrphanModuleRuleNamesOnlyTheUncalledHeader) {
+  const RunResult r = Exec(
+      std::string("PYTHONPATH='") + kRoot + "/tools' python3 -c '"
+      "import sys; from sfq_lint import repo_rules; "
+      "print(*(f.render() for f in repo_rules.check_orphan_modules("
+      "sys.argv[1])), sep=\"\\n\")' '" +
+      kRoot + "/tests/lint_fixtures/orphan_module_tree'");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_TRUE(r.output.starts_with("src/core/orphan.h:1: [sfq-orphan-module] "
+                                   "src/core/orphan.h has no caller"))
+      << r.output;
+  EXPECT_EQ(std::count(r.output.begin(), r.output.end(), '\n'), 1)
       << r.output;
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <unordered_set>
+#include <vector>
 
 #include "stream/exact_counter.h"
 #include "stream/query_log.h"
@@ -161,6 +163,75 @@ TEST(MaxChangeTest, AbsDeltaHelper) {
   ChangeResult r{1, 10, 3};
   EXPECT_EQ(r.Delta(), -7);
   EXPECT_EQ(r.AbsDelta(), 7);
+}
+
+// A sketch holding the signed counts of a few well-separated items, exact
+// under the 5x4096 geometry.
+CountSketch SketchOf(const std::vector<ItemCount>& counts) {
+  auto sketch = CountSketch::Make(DefaultSketch());
+  EXPECT_TRUE(sketch.ok());
+  for (const ItemCount& c : counts) sketch->Add(c.item, c.count);
+  return std::move(*sketch);
+}
+
+std::vector<ItemId> Items(const std::vector<ItemCount>& ranked) {
+  std::vector<ItemId> items;
+  for (const ItemCount& c : ranked) items.push_back(c.item);
+  return items;
+}
+
+TEST(RankByEstimateTest, TiesKeepInputOrder) {
+  const CountSketch sketch = SketchOf({{5, 10}, {3, 10}, {9, 10}, {7, 40}});
+  const std::vector<ItemId> candidates = {9, 3, 7, 5};
+  EXPECT_EQ(Items(RankByEstimate(candidates, sketch, 4, /*absolute=*/false)),
+            (std::vector<ItemId>{7, 9, 3, 5}));
+  const std::vector<ItemId> reversed = {5, 7, 3, 9};
+  EXPECT_EQ(Items(RankByEstimate(reversed, sketch, 4, /*absolute=*/false)),
+            (std::vector<ItemId>{7, 5, 3, 9}));
+}
+
+TEST(RankByEstimateTest, AbsoluteModeRanksByMagnitude) {
+  const CountSketch sketch = SketchOf({{1, 50}, {2, -80}, {3, 20}, {4, -50}});
+  const std::vector<ItemId> candidates = {1, 2, 3, 4};
+  EXPECT_EQ(RankByEstimate(candidates, sketch, 4, /*absolute=*/true),
+            (std::vector<ItemCount>{{2, -80}, {1, 50}, {4, -50}, {3, 20}}));
+  EXPECT_EQ(RankByEstimate(candidates, sketch, 4, /*absolute=*/false),
+            (std::vector<ItemCount>{{1, 50}, {3, 20}, {4, -50}, {2, -80}}));
+}
+
+TEST(RankByEstimateTest, KBeyondTheSlateReturnsTheWholeSlate) {
+  const CountSketch sketch = SketchOf({{1, 5}, {2, 9}, {3, 7}});
+  const std::vector<ItemId> candidates = {1, 2, 3};
+  EXPECT_EQ(Items(RankByEstimate(candidates, sketch, 2, /*absolute=*/false)),
+            (std::vector<ItemId>{2, 3}));
+  for (size_t k : {size_t{3}, size_t{100}, std::numeric_limits<size_t>::max()}) {
+    EXPECT_EQ(Items(RankByEstimate(candidates, sketch, k, /*absolute=*/false)),
+              (std::vector<ItemId>{2, 3, 1}))
+        << "k " << k;
+  }
+  EXPECT_TRUE(RankByEstimate({}, sketch, 5, /*absolute=*/false).empty());
+}
+
+TEST(RankByEstimateTest, EpochMaxChangeRanksTheDifference) {
+  const CountSketch marked = SketchOf({{1, 100}, {2, 30}, {3, 60}});
+  const CountSketch current = SketchOf({{1, 110}, {2, 90}, {3, 10}, {4, 5}});
+  const std::vector<ItemId> candidates = {1, 2, 3, 4};
+
+  auto unmarked = EpochMaxChange(current, nullptr, candidates, 3);
+  ASSERT_TRUE(unmarked.ok());
+  EXPECT_EQ(*unmarked,
+            RankByEstimate(candidates, current, 3, /*absolute=*/true));
+
+  auto changes = EpochMaxChange(current, &marked, candidates, 3);
+  ASSERT_TRUE(changes.ok());
+  EXPECT_EQ(*changes,
+            (std::vector<ItemCount>{{2, 60}, {3, -50}, {1, 10}}));
+
+  CountSketchParams other = DefaultSketch();
+  other.seed += 1;
+  auto incompatible = CountSketch::Make(other);
+  ASSERT_TRUE(incompatible.ok());
+  EXPECT_FALSE(EpochMaxChange(current, &*incompatible, candidates, 3).ok());
 }
 
 }  // namespace

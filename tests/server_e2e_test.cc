@@ -319,6 +319,33 @@ TEST_F(ServerE2eTest, MaxChangeFindsTheDeltaHeavyHitter) {
               static_cast<double>(true_delta), 0.2 * true_delta);
 }
 
+// A wire k whose 3k candidate slate wraps size_t (0x5555555555555556 * 3 is
+// 2 mod 2^64) still ranks every candidate instead of a two-entry slate.
+TEST_F(ServerE2eTest, HugeKRanksEveryCandidate) {
+  constexpr uint64_t kWrappingK = 0x5555555555555556ULL;
+  constexpr ItemId kDistinct = 20;
+  SfqClient client = MustConnect();
+  TenantSpec spec;
+  spec.threads = 1;
+  ASSERT_TRUE(client.CreateTenant("wide", spec).ok());
+  ASSERT_TRUE(client.MarkEpoch("wide").ok());
+  Stream stream;
+  for (ItemId q = 1; q <= kDistinct; ++q) {
+    stream.insert(stream.end(), static_cast<size_t>(10 * q), q);
+  }
+  ASSERT_TRUE(client.Ingest("wide", std::span<const ItemId>(stream)).ok());
+  ASSERT_TRUE(client.Seal("wide").ok());
+
+  auto top = client.TopK("wide", kWrappingK);
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  EXPECT_EQ(top->size(), kDistinct);
+  auto changes = client.MaxChange("wide", kWrappingK);
+  ASSERT_TRUE(changes.ok()) << changes.status().ToString();
+  EXPECT_EQ(changes->size(), kDistinct);
+  ASSERT_FALSE(top->empty());
+  EXPECT_EQ(top->front().item, kDistinct);
+}
+
 // Lifecycle errors come back as clean statuses on a connection that stays
 // usable: unknown tenants, double creation, ingest-after-seal, zero k.
 TEST_F(ServerE2eTest, LifecycleErrorsAreCleanAndNonFatal) {

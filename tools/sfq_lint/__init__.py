@@ -4,14 +4,13 @@ Package layout:
   tokenizer.py      comment/string/raw-string-aware code view
   findings.py       Finding record + NOLINT-with-reason suppression
   file_rules.py     the 11 per-file rules (ported from v1)
-  repo_rules.py     derived inputs + whole-tree v1 checks
+  repo_rules.py     derived inputs + whole-tree checks (orphan-module)
   include_graph.py  include graph + layer-DAG enforcement (layer-dag)
   locks.py          lock-order cycles + blocking-under-lock
   hotpath.py        // sfq-hot-path purity enforcement
   cli.py            driver (modes, --json, fixture self-check)
 
-`python3 tools/sfq_lint.py` remains the entry point (a thin shim), as does
-`python3 -m sfq_lint` with tools/ on sys.path.
+Run it from the repository root as `PYTHONPATH=tools python3 -m sfq_lint`.
 """
 
 from .cli import main  # noqa: F401

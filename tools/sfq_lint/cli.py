@@ -1,7 +1,7 @@
 """sfq-lint v2 driver: per-file rules + whole-program passes.
 
-Modes:
-  python3 tools/sfq_lint.py [--root DIR]       lint the repository
+Modes (run from the repository root with PYTHONPATH=tools):
+  python3 -m sfq_lint [--root DIR]             lint the repository
   ... --check-file F --as PATH                 lint one file as if at PATH
   ... --files P1 P2 ...                        lint the listed repo-relative
                                                files + all repo-level passes
@@ -43,6 +43,7 @@ RULE_IDS = [
     "lock-order",
     "blocking-under-lock",
     "hot-path",
+    "orphan-module",
 ]
 
 # Directories deliberately outside the normal scan: fixtures are broken on
@@ -126,6 +127,7 @@ def lint_repo(root, only_files=None):
     )
     findings += repo_rules.check_server_opcode_registry(root)
     findings += repo_rules.check_nodiscard_decl(root)
+    findings += repo_rules.check_orphan_modules(root)
     findings += include_graph.analyze(root, spec, layer_findings)
     return findings
 
@@ -154,7 +156,9 @@ def run_fixtures(root, fixtures_dir):
     A subdirectory with a CMakeLists.txt is a test-tree fixture for the
     concurrent-label rule; a subdirectory with a layers.toml is an
     include-graph fixture for the layer-dag rule (expectations live in
-    `# sfq-lint-expect:` lines in the respective file). Exit status 0 means
+    `# sfq-lint-expect:` lines in the respective file); any other
+    subdirectory with a src/ is a caller-tree fixture for the orphan-module
+    rule (expectations live in its files). Exit status 0 means
     the linter behaved on every fixture -- both firing on what is broken
     and staying silent on everything else.
     """
@@ -187,6 +191,13 @@ def run_fixtures(root, fixtures_dir):
                     os.path.join(full, "CMakeLists.txt"), full, entry + "/"
                 )
             }
+        elif os.path.isdir(os.path.join(full, "src")):
+            expected = set()
+            for path in repo_rules.walk_files(full, CXX_EXTENSIONS):
+                with open(path, encoding="utf-8") as f:
+                    expected.update(
+                        re.findall(r"sfq-lint-expect:\s*([\w-]+)", f.read()))
+            fired = {f.rule for f in repo_rules.check_orphan_modules(full)}
         elif entry.endswith(CXX_EXTENSIONS):
             with open(full, encoding="utf-8") as f:
                 text = f.read()

@@ -1,9 +1,10 @@
-"""Repo-level rules: derived rule inputs plus the whole-tree v1 checks.
+"""Repo-level rules: derived rule inputs plus the whole-tree checks.
 
-These are ported from sfq-lint v1 unchanged: the Status-method scan that
-feeds dropped-status, the failpoint site tables, the concurrent-label check
-over tests/CMakeLists.txt, the server opcode registry audit, and the
-nodiscard-decl disarmament check.
+Ported from sfq-lint v1 unchanged: the Status-method scan that feeds
+dropped-status, the failpoint site tables, the concurrent-label check over
+tests/CMakeLists.txt, the server opcode registry audit, and the
+nodiscard-decl disarmament check. Added since: the orphan-module check
+(every src/ header has a caller outside tests and examples).
 """
 
 from __future__ import annotations
@@ -11,7 +12,13 @@ from __future__ import annotations
 import os
 import re
 
-from .findings import Finding
+from .findings import Finding, report_unless_suppressed
+from .include_graph import CXX_EXTENSIONS, classify_include, file_includes
+from .tokenizer import code_lines
+
+# Trees whose includes make a module live. Tests and examples are not
+# callers: a module only they reach is dead library code.
+CALLER_DIRS = ("src", "tools", "bench", "sfq_bench")
 
 
 def walk_files(top, extensions):
@@ -204,4 +211,34 @@ def check_nodiscard_decl(root):
             text = ""
         if not re.search(pattern, text):
             findings.append(Finding(rel, 1, "nodiscard-decl", message))
+    return findings
+
+
+def check_orphan_modules(root):
+    """Every src/<layer>/<m>.h needs a caller besides its own .cc."""
+    includers = {}
+    for sub in CALLER_DIRS:
+        for path in walk_files(os.path.join(root, sub), CXX_EXTENSIONS):
+            rel = os.path.relpath(path, root).replace(os.sep, "/")
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+            for _, target in file_includes(text.splitlines(),
+                                           code_lines(text)):
+                includers.setdefault(classify_include(target), set()).add(rel)
+    findings = []
+    for path in walk_files(os.path.join(root, "src"), (".h",)):
+        rel = os.path.relpath(path, root).replace(os.sep, "/")
+        if rel.count("/") != 2:
+            continue
+        own_source = rel[: -len(".h")] + ".cc"
+        if includers.get(rel, set()) - {own_source}:
+            continue
+        with open(path, encoding="utf-8") as f:
+            raw = f.read().splitlines()
+        report_unless_suppressed(
+            findings, raw, rel, 0, "orphan-module",
+            f"{rel} has no caller: nothing under "
+            f"{'/, '.join(CALLER_DIRS)}/ includes it except {own_source}, "
+            "and tests and examples do not count. Give it a real caller "
+            "or delete it with its test.")
     return findings
