@@ -2,7 +2,8 @@
 # Verification sweep.
 #
 #   scripts/check.sh --quick    lint + build + ctest + TSan concurrent
-#                               re-check + 200-iteration chaos profile
+#                               re-check + STREAMFREQ_SIMD=OFF portable-
+#                               path tests + 200-iteration chaos profile
 #                               (incl. server failpoints, the 200-
 #                               iteration kill-restart recovery campaign,
 #                               and the 200-iteration merge-tree campaign)
@@ -115,6 +116,21 @@ cmake --build build-tsan --target parallel_ingestor_test batch_add_test \
   batch_queue_test failpoint_test chaos_test server_e2e_test \
   server_recovery_test
 ctest --test-dir build-tsan -L concurrent --output-on-failure
+
+# Portable-path check: STREAMFREQ_SIMD=OFF compiles out the SSE4.2 CRC-32C
+# and forces the scalar batch-hash kernels, and the default build runs
+# neither on an SSE4.2 machine. The CRC oracle, the frame codec with its
+# three formats, and the scalar/vector equivalence must hold there too.
+SIMD_OFF_TESTS=(crc32_test frame_test server_protocol_test
+  server_recovery_test simd_equivalence_test)
+cmake -B build-simd-off "${GEN[@]}" \
+  -DCMAKE_BUILD_TYPE=Release \
+  -DSTREAMFREQ_SIMD=OFF \
+  -DSTREAMFREQ_BUILD_BENCHMARKS=OFF \
+  -DSTREAMFREQ_BUILD_EXAMPLES=OFF
+cmake --build build-simd-off --target "${SIMD_OFF_TESTS[@]}"
+ctest --test-dir build-simd-off --output-on-failure \
+  -R "^($(IFS='|'; echo "${SIMD_OFF_TESTS[*]}"))\$"
 
 # Server smoke: boot `sfq serve`, run one tenant through its lifecycle,
 # check export bit-identity and clean errors (docs/SERVER.md).

@@ -1,18 +1,18 @@
 #include "core/sketch_io.h"
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 
-#include "util/bytes.h"
-#include "util/crc32.h"
 #include "util/failpoint.h"
+#include "util/frame.h"
 
 namespace streamfreq {
 
 namespace {
 
-constexpr size_t kHeaderSize = 20;  // u64 magic + u64 length + u32 crc
+// Implausible-length guard for blob payloads (a flipped high bit in the
+// length field must not claim terabytes).
+constexpr uint64_t kMaxBlobPayloadBytes = uint64_t{1} << 40;
 
 // Writes `blob` (or its first `len` bytes) to `path`, checking every stage:
 // open, write, and the explicit flush — a buffered ofstream happily reports
@@ -30,15 +30,11 @@ Status WriteBlob(const std::string& path, const std::string& blob,
 }  // namespace
 
 Status WriteBlobFileAtomic(const std::string& path, uint64_t magic,
-                           const std::string& payload) {
+                           const BlobPayloadWriter& write_payload) {
   std::string blob;
-  ByteWriter w(&blob);
-  w.PutU64(magic);
-  w.PutU64(payload.size());
-  const uint32_t crc =
-      crc32c::Mask(crc32c::Value(payload.data(), payload.size()));
-  w.PutBytes(&crc, sizeof(crc));
-  blob += payload;
+  const size_t start = frame::Begin(&blob);
+  write_payload(&blob);
+  frame::Finish(&blob, start, magic);
 
   if (const FailDecision fp = SFQ_FAILPOINT("sketch_io.write"); fp) {
     MaybeDieAtFailpoint(fp);  // power cut before any byte lands
@@ -85,67 +81,36 @@ Result<std::string> ReadBlobFileVerified(const std::string& path,
 
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open for reading: " + path);
-
-  char header[kHeaderSize];
-  in.read(header, sizeof(header));
-  if (in.gcount() != static_cast<std::streamsize>(sizeof(header))) {
-    return Status::Corruption("truncated blob file header: " + path);
-  }
-  uint64_t stored_magic, payload_len;
-  uint32_t stored_crc;
-  std::memcpy(&stored_magic, header, 8);
-  std::memcpy(&payload_len, header + 8, 8);
-  std::memcpy(&stored_crc, header + 16, 4);
-  if (stored_magic != magic) {
-    return Status::Corruption("bad blob file magic: " + path);
-  }
-  if (payload_len > (1ull << 40)) {
-    return Status::Corruption("implausible blob payload length: " + path);
-  }
-  // Check the declared length against the actual file size BEFORE
-  // allocating: a corrupted length field must not trigger a giant
-  // allocation (a flipped high bit can claim terabytes).
-  const auto payload_start = in.tellg();
-  in.seekg(0, std::ios::end);
-  const auto file_end = in.tellg();
-  in.seekg(payload_start);
-  const uint64_t available = static_cast<uint64_t>(file_end - payload_start);
-  if (payload_len > available) {
-    return Status::Corruption("truncated blob payload: " + path);
-  }
-  if (payload_len < available) {
-    return Status::Corruption("trailing bytes after blob payload: " + path);
+  // The buffer grows with the bytes actually read, never with the length
+  // field, so a corrupted length cannot trigger a giant allocation.
+  std::string data;
+  char chunk[1 << 14];
+  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
+    data.append(chunk, static_cast<size_t>(in.gcount()));
   }
 
-  std::string payload(payload_len, '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(payload_len));
-  if (in.gcount() != static_cast<std::streamsize>(payload_len)) {
-    return Status::Corruption("truncated blob payload: " + path);
-  }
-  // A complete file has nothing after the payload; trailing bytes mean the
-  // length field and the contents disagree.
-  if (in.peek() != std::ifstream::traits_type::eof()) {
-    return Status::Corruption("trailing bytes after blob payload: " + path);
+  if (fp.action == FailAction::kBitFlip && data.size() > frame::kHeaderSize) {
+    // Bit rot in the payload between write and read; the CRC must catch it.
+    const uint64_t bit = fp.param % ((data.size() - frame::kHeaderSize) * 8);
+    data[frame::kHeaderSize + bit / 8] ^= static_cast<char>(1u << (bit % 8));
   }
 
-  if (fp.action == FailAction::kBitFlip && !payload.empty()) {
-    // Bit rot between write and read; the CRC below must catch it.
-    const uint64_t bit = fp.param % (payload.size() * 8);
-    payload[bit / 8] = static_cast<char>(
-        static_cast<unsigned char>(payload[bit / 8]) ^ (1u << (bit % 8)));
+  // Exactly one frame: truncation, wrong magic, an implausible length,
+  // trailing bytes and a checksum mismatch are all Corruption.
+  const Result<std::string_view> payload =
+      frame::Decode(data, magic, kMaxBlobPayloadBytes);
+  if (!payload.ok()) {
+    const Status& status = payload.status();
+    return Status(status.code(), status.message() + ": " + path);
   }
-
-  const uint32_t actual = crc32c::Value(payload.data(), payload.size());
-  if (crc32c::Unmask(stored_crc) != actual) {
-    return Status::Corruption("blob payload checksum mismatch: " + path);
-  }
-  return payload;
+  data.erase(0, frame::kHeaderSize);
+  return data;
 }
 
 Status WriteSketchFile(const std::string& path, const CountSketch& sketch) {
-  std::string payload;
-  sketch.SerializeTo(&payload);
-  return WriteBlobFileAtomic(path, kSketchFileMagic, payload);
+  return WriteBlobFileAtomic(
+      path, kSketchFileMagic,
+      [&sketch](std::string* out) { sketch.SerializeTo(out); });
 }
 
 Result<CountSketch> ReadSketchFile(const std::string& path) {

@@ -1,21 +1,18 @@
 // Checksummed on-disk persistence for Count-Sketches and other blobs.
 //
-// File format (little-endian):
-//   u64 magic (e.g. "SFQSKF01" for sketch checkpoints)
-//   u64 payload length
-//   u32 masked CRC-32C of the payload
-//   payload bytes
-//
-// The CRC catches torn writes and bit rot; the caller's decoder inside the
-// payload additionally validates structure. Use these for checkpointing
-// long-lived sketches or shipping them between nodes (the distributed-
-// aggregation pattern the paper's additivity enables). The server's
-// durability layer (src/server/wal.h, snapshotter.h) reuses the generic
-// blob entry points so every durable artifact shares one write discipline.
+// A file is one util/frame.h frame (magic, length, masked CRC-32C,
+// payload). The CRC catches torn writes and bit rot; the caller's decoder
+// inside the payload additionally validates structure. Use these for
+// checkpointing long-lived sketches or shipping them between nodes (the
+// distributed-aggregation pattern the paper's additivity enables). The
+// server's durability layer (src/server/snapshotter.h) reuses the generic
+// blob entry points for tenant snapshots.
 //
 // Crash consistency: writes land the bytes in `path + ".tmp"` and publish
 // them with rename — atomic within a directory on POSIX — so a crash
-// mid-save leaves the previous checkpoint intact, never a prefix. Reads
+// mid-save leaves the previous checkpoint intact, never a prefix. Neither
+// the file nor the directory is fsynced, so after a power loss the rename
+// may not have reached the disk (docs/SERVER.md, "Durability gap"). Reads
 // treat every adversarial input as data, not UB: short reads, wrong magic,
 // implausible lengths, trailing bytes, and checksum mismatches all come
 // back as Corruption (see the corruption-matrix cases in
@@ -23,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "core/count_sketch.h"
@@ -33,14 +31,18 @@ namespace streamfreq {
 /// Magic tag of sketch checkpoint files ("SFQSKF01").
 constexpr uint64_t kSketchFileMagic = 0x5346515346303153ULL;
 
-/// Writes `magic` + length + masked CRC-32C + `payload` to `path`
-/// atomically: bytes land in `path + ".tmp"` and are published by rename,
-/// so concurrent readers and crash recovery see either the old file or the
-/// new one in full. Carries the `sketch_io.write` / `sketch_io.rename`
-/// failpoints (including process-death mid-publish in crash-kills-process
-/// mode — see util/failpoint.h).
+/// Appends a blob's payload bytes to the frame buffer it is handed.
+using BlobPayloadWriter = std::function<void(std::string* out)>;
+
+/// Writes one frame (`magic` + length + masked CRC-32C + the payload that
+/// `write_payload` appends in place) to `path` atomically: bytes land in
+/// `path + ".tmp"` and are published by rename, so concurrent readers and
+/// crash recovery see either the old file or the new one in full. Carries
+/// the `sketch_io.write` / `sketch_io.rename` failpoints (including
+/// process-death mid-publish in crash-kills-process mode — see
+/// util/failpoint.h).
 Status WriteBlobFileAtomic(const std::string& path, uint64_t magic,
-                           const std::string& payload);
+                           const BlobPayloadWriter& write_payload);
 
 /// Reads and verifies a file written by WriteBlobFileAtomic, returning the
 /// payload bytes. Corruption (bad magic, bad CRC, truncation, trailing

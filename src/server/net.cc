@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include "server/protocol.h"
+#include "util/frame.h"
 #include "util/macros.h"
 
 namespace streamfreq {
@@ -130,18 +131,18 @@ Result<std::string> RecvFrame(int fd) {
   if (got < sizeof(header)) {
     return Status::Corruption("connection closed inside a frame header");
   }
-  uint64_t payload_len;
-  uint32_t masked_crc;
-  STREAMFREQ_RETURN_NOT_OK(ParseFrameHeader(
-      std::string_view(header, sizeof(header)), &payload_len, &masked_crc));
-  std::string payload(static_cast<size_t>(payload_len), '\0');
-  if (payload_len > 0) {
+  STREAMFREQ_ASSIGN_OR_RETURN(
+      const frame::Header parsed,
+      frame::ParseHeader(std::string_view(header, sizeof(header)),
+                         kFrameMagic, kMaxPayloadBytes));
+  std::string payload(static_cast<size_t>(parsed.payload_len), '\0');
+  if (!payload.empty()) {
     STREAMFREQ_RETURN_NOT_OK(ReadAll(fd, payload.data(), payload.size(), &got));
     if (got < payload.size()) {
       return Status::Corruption("connection closed inside a frame payload");
     }
   }
-  STREAMFREQ_RETURN_NOT_OK(VerifyFramePayload(payload, masked_crc));
+  STREAMFREQ_RETURN_NOT_OK(frame::VerifyPayload(parsed, payload));
   return payload;
 }
 

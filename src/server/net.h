@@ -11,7 +11,7 @@
 // All calls handle EINTR and short reads/writes; RecvFrame distinguishes a
 // clean EOF at a frame boundary (NotFound, connection over) from
 // truncation inside a frame (Corruption) and from damaged headers or
-// checksums (Corruption via the protocol validators).
+// checksums (Corruption from the util/frame.h codec).
 #pragma once
 
 #include <string>

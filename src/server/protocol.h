@@ -1,15 +1,9 @@
 // Wire protocol for `sfq serve`: length-prefixed binary frames over local
 // sockets.
 //
-// A frame reuses the sketch_io header discipline byte for byte in spirit:
-//
-//   u64 magic      kFrameMagic ("SFQRPC01")
-//   u64 length     payload bytes that follow (bounded by kMaxPayloadBytes)
-//   u32 crc        masked CRC-32C of the payload (crc32c::Mask)
-//   [payload]
-//
-// so a truncated, torn, or bit-flipped frame is detected before any field
-// of the payload is trusted. Payloads are ByteWriter/ByteReader encodings
+// A frame is one util/frame.h frame under kFrameMagic ("SFQRPC01"), so a
+// truncated, torn, or bit-flipped frame is detected before any field of
+// the payload is trusted. Payloads are ByteWriter/ByteReader encodings
 // of Request/Response; every variable-length field is length-prefixed and
 // length-checked against the bytes actually present BEFORE allocation, and
 // trailing bytes after the last field are corruption — the decoder accepts
@@ -34,6 +28,7 @@
 #include "stream/exact_counter.h"
 #include "stream/types.h"
 #include "util/bytes.h"
+#include "util/frame.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -78,9 +73,9 @@ Result<Opcode> LookupOpcode(uint64_t raw);
 Result<Opcode> OpcodeFromName(std::string_view name);
 bool OpcodeNeedsTenant(Opcode op);
 
-/// Frame header geometry (mirrors sketch_io).
+/// Frame geometry: the util/frame.h header under the RPC magic.
 inline constexpr uint64_t kFrameMagic = 0x3130435052514653ULL;  // "SFQRPC01"
-inline constexpr size_t kFrameHeaderSize = 20;  // u64 magic + u64 len + u32 crc
+inline constexpr size_t kFrameHeaderSize = frame::kHeaderSize;
 /// Hard bound on one frame's payload; a header declaring more is corrupt
 /// (and nothing is allocated for it).
 inline constexpr uint64_t kMaxPayloadBytes = uint64_t{1} << 26;
@@ -98,14 +93,6 @@ Result<std::string_view> DecodeFrame(std::string_view frame);
 /// harness, which times it as the frame-decode layer, still calls this
 /// form; it copies after the single in-place validation above.
 Status DecodeFrame(std::string_view frame, std::string* payload);
-
-/// Streaming-path halves of DecodeFrame, used by the socket layer (read 20
-/// bytes, learn the payload length, read the payload, verify):
-/// ParseFrameHeader validates magic + bound and returns the payload length
-/// and the masked CRC the payload must match.
-Status ParseFrameHeader(std::string_view header, uint64_t* payload_len,
-                        uint32_t* masked_crc);
-Status VerifyFramePayload(std::string_view payload, uint32_t masked_crc);
 
 /// Per-tenant configuration carried by kCreateTenant: sketch geometry plus
 /// the PR-4 overflow policies as admission control. Zero depth/width means

@@ -24,38 +24,39 @@ std::string TenantStore::JournalPath(const std::string& dir) {
   return dir + "/" + kJournalFile;
 }
 
-Status WriteTenantSnapshot(const std::string& path,
-                           const TenantSnapshot& snap) {
-  std::string payload;
-  ByteWriter w(&payload);
-  w.PutU64(kSnapshotVersion);
-  snap.spec.EncodeTo(w);
-  w.PutU64(snap.wal_seqno);
-  w.PutU64(snap.durable_items);
-  w.PutU64(snap.rejected_items);
-  w.PutU64(snap.rejected_requests);
-  w.PutU64(snap.queries);
-  w.PutU64(snap.stale_serves);
-  w.PutU64(snap.sealed ? 1 : 0);
-  w.PutU64(snap.candidate_capacity);
-  w.PutU64(snap.candidates.size());
-  for (const SpaceSavingEntry& e : snap.candidates) {
-    w.PutU64(e.item);
-    w.PutI64(e.count);
-    w.PutI64(e.error);
-  }
-  w.PutString(snap.sketch_blob);
-
+Status WriteTenantSnapshot(const std::string& path, const TenantSnapshot& snap,
+                           const CountSketch& sketch) {
   if (const FailDecision fp = SFQ_FAILPOINT("snapshot.publish"); fp) {
     MaybeDieAtFailpoint(fp);  // power cut before the commit rename
     if (fp.action == FailAction::kError) {
       return Status::IoError("injected failure: snapshot.publish: " + path);
     }
   }
-  return WriteBlobFileAtomic(path, kSnapshotMagic, payload);
+  return WriteBlobFileAtomic(path, kSnapshotMagic, [&](std::string* out) {
+    ByteWriter w(out);
+    w.PutU64(kSnapshotVersion);
+    snap.spec.EncodeTo(w);
+    w.PutU64(snap.wal_seqno);
+    w.PutU64(snap.durable_items);
+    w.PutU64(snap.rejected_items);
+    w.PutU64(snap.rejected_requests);
+    w.PutU64(snap.queries);
+    w.PutU64(snap.stale_serves);
+    w.PutU64(snap.sealed ? 1 : 0);
+    w.PutU64(snap.candidate_capacity);
+    w.PutU64(snap.candidates.size());
+    for (const SpaceSavingEntry& e : snap.candidates) {
+      w.PutU64(e.item);
+      w.PutI64(e.count);
+      w.PutI64(e.error);
+    }
+    // PutString's layout, with the sketch serialized in place.
+    w.PutU64(sketch.SerializedSize());
+    sketch.SerializeTo(out);
+  });
 }
 
-Result<TenantSnapshot> ReadTenantSnapshot(const std::string& path) {
+Result<LoadedSnapshot> ReadTenantSnapshot(const std::string& path) {
   STREAMFREQ_ASSIGN_OR_RETURN(const std::string payload,
                               ReadBlobFileVerified(path, kSnapshotMagic));
   ByteReader r(payload);
@@ -95,11 +96,14 @@ Result<TenantSnapshot> ReadTenantSnapshot(const std::string& path) {
     STREAMFREQ_RETURN_NOT_OK(r.GetI64(&v));
     e.error = static_cast<Count>(v);
   }
-  STREAMFREQ_RETURN_NOT_OK(r.GetString(&snap.sketch_blob));
+  std::string_view sketch_blob;
+  STREAMFREQ_RETURN_NOT_OK(r.GetStringView(&sketch_blob));
   if (r.remaining() != 0) {
     return Status::Corruption("snapshot: trailing bytes: " + path);
   }
-  return snap;
+  STREAMFREQ_ASSIGN_OR_RETURN(CountSketch sketch,
+                              CountSketch::Deserialize(sketch_blob));
+  return LoadedSnapshot{std::move(snap), std::move(sketch)};
 }
 
 TenantStore::TenantStore(std::string dir, TenantSpec spec, CountSketch exact,
@@ -128,11 +132,10 @@ Result<std::unique_ptr<TenantStore>> TenantStore::Create(
   TenantSnapshot snap;
   snap.spec = spec;
   snap.candidate_capacity = spec.tracked;
-  exact.SerializeTo(&snap.sketch_blob);
   // The initial snapshot lands before any ingest is acknowledged, so a
   // journal can never exist without its base state: WAL-without-snapshot
   // at recovery is corruption, not a fresh tenant.
-  STREAMFREQ_RETURN_NOT_OK(WriteTenantSnapshot(SnapshotPath(dir), snap));
+  STREAMFREQ_RETURN_NOT_OK(WriteTenantSnapshot(SnapshotPath(dir), snap, exact));
   STREAMFREQ_ASSIGN_OR_RETURN(WalWriter wal,
                               WalWriter::Open(JournalPath(dir), fsync));
   return std::unique_ptr<TenantStore>(
@@ -142,10 +145,10 @@ Result<std::unique_ptr<TenantStore>> TenantStore::Create(
 
 Result<TenantStore::Opened> TenantStore::Open(std::string dir, WalFsync fsync,
                                               uint64_t snapshot_every_items) {
-  STREAMFREQ_ASSIGN_OR_RETURN(TenantSnapshot snap,
+  STREAMFREQ_ASSIGN_OR_RETURN(LoadedSnapshot loaded,
                               ReadTenantSnapshot(SnapshotPath(dir)));
-  STREAMFREQ_ASSIGN_OR_RETURN(CountSketch sketch,
-                              CountSketch::Deserialize(snap.sketch_blob));
+  TenantSnapshot& snap = loaded.state;
+  CountSketch& sketch = loaded.sketch;
   STREAMFREQ_ASSIGN_OR_RETURN(
       SpaceSaving candidates,
       SpaceSaving::FromEntries(
@@ -177,10 +180,9 @@ Result<TenantStore::Opened> TenantStore::Open(std::string dir, WalFsync fsync,
   snap.wal_seqno = replay.last_seqno;
   snap.durable_items += replayed_items;
   snap.candidates = candidates.Entries();
-  snap.sketch_blob.clear();
-  sketch.SerializeTo(&snap.sketch_blob);
   recovery.base_items = snap.durable_items;
-  STREAMFREQ_RETURN_NOT_OK(WriteTenantSnapshot(SnapshotPath(dir), snap));
+  STREAMFREQ_RETURN_NOT_OK(
+      WriteTenantSnapshot(SnapshotPath(dir), snap, sketch));
   STREAMFREQ_ASSIGN_OR_RETURN(WalWriter wal,
                               WalWriter::Open(JournalPath(dir), fsync));
   STREAMFREQ_RETURN_NOT_OK(wal.Truncate());
@@ -236,10 +238,10 @@ Status TenantStore::WriteSnapshot(const LedgerSample& ledger) {
   snap.sealed = ledger.sealed;
   snap.candidate_capacity = ledger.candidate_capacity;
   snap.candidates = ledger.candidates;
-  exact_.SerializeTo(&snap.sketch_blob);
   // A failed publish is benign: the journal still covers everything past
   // the previous snapshot, so recovery is unaffected.
-  STREAMFREQ_RETURN_NOT_OK(WriteTenantSnapshot(SnapshotPath(dir_), snap));
+  STREAMFREQ_RETURN_NOT_OK(
+      WriteTenantSnapshot(SnapshotPath(dir_), snap, exact_));
   ++snapshots_written_;
   const Status truncated = wal_.Truncate();
   if (!truncated.ok()) {

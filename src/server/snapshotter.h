@@ -48,7 +48,7 @@ namespace streamfreq {
 inline constexpr uint64_t kSnapshotMagic = 0x3130504E53515153ULL;
 inline constexpr uint64_t kSnapshotVersion = 1;
 
-/// Everything one snapshot file carries.
+/// Everything one snapshot file carries besides the sketch.
 struct TenantSnapshot {
   TenantSpec spec;
   uint64_t wal_seqno = 0;
@@ -60,17 +60,24 @@ struct TenantSnapshot {
   bool sealed = false;
   uint64_t candidate_capacity = 0;
   std::vector<SpaceSavingEntry> candidates;
-  std::string sketch_blob;  ///< CountSketch::SerializeTo bytes
 };
 
-/// Encodes and writes `snap` atomically. Carries the `snapshot.publish`
-/// failpoint (error, process death) in front of the sketch_io write path.
-Status WriteTenantSnapshot(const std::string& path,
-                           const TenantSnapshot& snap);
+/// Encodes `snap` and `sketch` straight into the file's frame buffer and
+/// writes it atomically. Carries the `snapshot.publish` failpoint (error,
+/// process death) in front of the sketch_io write path.
+Status WriteTenantSnapshot(const std::string& path, const TenantSnapshot& snap,
+                           const CountSketch& sketch);
+
+/// A snapshot file's contents.
+struct LoadedSnapshot {
+  TenantSnapshot state;
+  CountSketch sketch;
+};
 
 /// Reads and fully validates a snapshot file (framing CRC via sketch_io,
-/// then field-by-field decode with trailing-byte rejection).
-Result<TenantSnapshot> ReadTenantSnapshot(const std::string& path);
+/// then field-by-field decode with trailing-byte rejection, then the
+/// sketch's own decode).
+Result<LoadedSnapshot> ReadTenantSnapshot(const std::string& path);
 
 /// Ledger + candidate sample the service captures under the tenant mutex
 /// and hands to WriteSnapshot.

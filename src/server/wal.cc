@@ -3,13 +3,12 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cstring>
 #include <iterator>
 #include <vector>
 
 #include "util/bytes.h"
-#include "util/crc32.h"
 #include "util/failpoint.h"
+#include "util/frame.h"
 
 namespace streamfreq {
 
@@ -58,21 +57,15 @@ Status WalWriter::OpenStreams(bool truncate) {
 }
 
 Status WalWriter::Append(uint64_t seqno, std::span<const ItemId> items) {
-  std::string payload;
-  ByteWriter pw(&payload);
-  pw.PutU64(seqno);
-  pw.PutU64(items.size());
-  for (const ItemId id : items) pw.PutU64(id);
-
   std::string record;
-  record.reserve(kWalRecordHeaderSize + payload.size());
+  // Header, seqno, count, items.
+  record.reserve(frame::kHeaderSize + 16 + items.size_bytes());
+  const size_t start = frame::Begin(&record);
   ByteWriter w(&record);
-  w.PutU64(kWalMagic);
-  w.PutU64(payload.size());
-  const uint32_t crc =
-      crc32c::Mask(crc32c::Value(payload.data(), payload.size()));
-  w.PutBytes(&crc, sizeof(crc));
-  record += payload;
+  w.PutU64(seqno);
+  w.PutU64(items.size());
+  w.PutBytes(items.data(), items.size_bytes());
+  frame::Finish(&record, start, kWalMagic);
 
   if (const FailDecision fp = SFQ_FAILPOINT("wal.append"); fp) {
     MaybeDieAtFailpoint(fp);  // power cut before the record lands
@@ -133,24 +126,13 @@ Result<WalReplayStats> ReplayWal(const std::string& path, uint64_t base_seqno,
   size_t off = 0;
   std::vector<ItemId> scratch;
   while (off < data.size()) {
-    // Frame validation mirrors the protocol reader: any truncation, magic
-    // mismatch, implausible length, or checksum failure ends the intact
-    // prefix — everything from here on is the torn tail.
-    if (data.size() - off < kWalRecordHeaderSize) break;
-    uint64_t magic, payload_len;
-    uint32_t stored_crc;
-    std::memcpy(&magic, data.data() + off, 8);
-    std::memcpy(&payload_len, data.data() + off + 8, 8);
-    std::memcpy(&stored_crc, data.data() + off + 16, 4);
-    if (magic != kWalMagic) break;
-    if (payload_len > kWalMaxPayloadBytes) break;
-    if (data.size() - off - kWalRecordHeaderSize < payload_len) break;
-    const std::string_view payload(data.data() + off + kWalRecordHeaderSize,
-                                   static_cast<size_t>(payload_len));
-    if (crc32c::Unmask(stored_crc) !=
-        crc32c::Value(payload.data(), payload.size())) {
-      break;
-    }
+    // Any truncation, magic mismatch, implausible length, or checksum
+    // failure ends the intact prefix: everything from here on is the torn
+    // tail.
+    const Result<std::string_view> record = frame::DecodePrefix(
+        std::string_view(data).substr(off), kWalMagic, kWalMaxPayloadBytes);
+    if (!record.ok()) break;
+    const std::string_view payload = *record;
 
     // A CRC-valid record with a malformed payload is not a torn write —
     // the checksum vouches these bytes were written whole. Fail loudly.
@@ -162,8 +144,7 @@ Result<WalReplayStats> ReplayWal(const std::string& path, uint64_t base_seqno,
       return Status::Corruption("wal: record item count mismatch: " + path);
     }
 
-    const size_t record_size =
-        kWalRecordHeaderSize + static_cast<size_t>(payload_len);
+    const size_t record_size = frame::kHeaderSize + payload.size();
     if (seqno <= base_seqno) {
       // The snapshot already covers this batch (crash between snapshot
       // publish and journal truncation): skip, exactly-once.

@@ -1,12 +1,9 @@
 // Per-tenant append-only write-ahead journal for `sfq serve`.
 //
-// A journal file is a sequence of self-delimiting records, each framed with
-// the SFQRPC01 header discipline (magic + length + masked CRC-32C):
+// A journal file is a sequence of records, each one util/frame.h frame
+// under kWalMagic ("SFQWAL01") whose payload is
 //
-//   u64 magic        kWalMagic ("SFQWAL01")
-//   u64 length       payload bytes that follow
-//   u32 crc          masked CRC-32C of the payload
-//   payload          u64 seqno | u64 item count | count x u64 items
+//   u64 seqno | u64 item count | count x u64 items
 //
 // Sequence numbers are assigned by the service, start at 1, and increase by
 // exactly 1 per accepted ingest batch; the tenant snapshot records the
@@ -52,8 +49,6 @@ namespace streamfreq {
 
 /// Magic tag of journal records ("SFQWAL01").
 inline constexpr uint64_t kWalMagic = 0x31304C4157514653ULL;
-/// u64 magic + u64 length + u32 crc, byte-compatible with the frame header.
-inline constexpr size_t kWalRecordHeaderSize = 20;
 /// Hard bound on one record's payload (mirrors the protocol frame bound).
 inline constexpr uint64_t kWalMaxPayloadBytes = uint64_t{1} << 26;
 

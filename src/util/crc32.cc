@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "util/simd.h"
+
 namespace streamfreq {
 namespace crc32c {
 
@@ -23,16 +25,37 @@ constexpr std::array<uint32_t, 256> BuildTable() {
 
 constexpr std::array<uint32_t, 256> kTable = BuildTable();
 
-}  // namespace
-
-uint32_t Extend(uint32_t crc, const void* data, size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  uint32_t state = crc ^ 0xFFFFFFFFU;
+uint32_t TableKernel(uint32_t state, const unsigned char* p, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     state = kTable[(state ^ p[i]) & 0xFF] ^ (state >> 8);
   }
-  return state ^ 0xFFFFFFFFU;
+  return state;
 }
+
+// Chosen on first use and kept for the life of the process.
+simd::Crc32cKernel Kernel() {
+  static const simd::Crc32cKernel kernel = [] {
+    const simd::Crc32cKernel hardware = simd::HardwareCrc32c();
+    return hardware != nullptr ? hardware : &TableKernel;
+  }();
+  return kernel;
+}
+
+}  // namespace
+
+uint32_t Extend(uint32_t crc, const void* data, size_t n) {
+  return Kernel()(crc ^ 0xFFFFFFFFU, static_cast<const unsigned char*>(data),
+                  n) ^
+         0xFFFFFFFFU;
+}
+
+uint32_t ExtendPortable(uint32_t crc, const void* data, size_t n) {
+  return TableKernel(crc ^ 0xFFFFFFFFU,
+                     static_cast<const unsigned char*>(data), n) ^
+         0xFFFFFFFFU;
+}
+
+bool HardwareAccelerated() { return Kernel() != &TableKernel; }
 
 }  // namespace crc32c
 }  // namespace streamfreq

@@ -1,7 +1,10 @@
-// CRC-32C (Castagnoli) checksums for on-disk integrity of sketch and trace
-// files. Software slice-by-one implementation — file I/O here is not a hot
-// path, and the polynomial matches what RocksDB/LevelDB use, including the
-// same masking trick for checksums-of-checksums.
+// CRC-32C (Castagnoli) checksums: the integrity check of every RPC frame,
+// journal record, snapshot and sketch file (util/frame.h), so it runs on
+// every request and every shipped merge-tree delta. Extend uses the SSE4.2
+// crc32 instruction when the CPU has it (picked once, util/simd.h) and a
+// byte-at-a-time table otherwise; both give identical values. The
+// polynomial matches what RocksDB/LevelDB use, including the same masking
+// trick for checksums-of-checksums.
 #pragma once
 
 #include <cstddef>
@@ -12,6 +15,14 @@ namespace crc32c {
 
 /// Extends `crc` with `data[0, n)`; start from crc = 0.
 uint32_t Extend(uint32_t crc, const void* data, size_t n);
+
+/// The portable table implementation of Extend: the fallback when the CPU
+/// or the build (STREAMFREQ_SIMD=OFF) has no hardware CRC, and the oracle
+/// the hardware path is tested against.
+uint32_t ExtendPortable(uint32_t crc, const void* data, size_t n);
+
+/// True when Extend runs on the hardware crc32 instruction.
+bool HardwareAccelerated();
 
 /// CRC-32C of a whole buffer.
 inline uint32_t Value(const void* data, size_t n) { return Extend(0, data, n); }

@@ -16,8 +16,13 @@
 // set this translation unit was compiled for. The authoritative value for
 // the library hot path is batch_hash::BackendName() (compiled into
 // streamfreq_hash, the only library that receives the SIMD flags).
+//
+// It also holds the one run-time-dispatched kernel, the SSE4.2 CRC-32C
+// behind util/crc32.h: streamfreq_util gets no SIMD flags, so the kernel
+// carries its own target attribute and is handed out after a CPU check.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 
@@ -28,6 +33,15 @@
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
 #pragma GCC diagnostic pop
+#endif
+
+// The crc32 intrinsics are declared for any x86-64 unit; no flags needed.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
+    !defined(STREAMFREQ_FORCE_SCALAR_SIMD)
+#define SFQ_SIMD_HW_CRC32C 1
+#include <nmmintrin.h>
+#else
+#define SFQ_SIMD_HW_CRC32C 0
 #endif
 
 namespace streamfreq {
@@ -78,7 +92,46 @@ inline constexpr size_t kLanes = 8;
 #define SFQ_SIMD_NO_AUTOVEC
 #endif
 
+// -- hardware CRC-32C ------------------------------------------------------
+
+/// A raw CRC-32C update of `state` by `data[0, n)`, without the pre- and
+/// post-inversion util/crc32.cc adds: the reflected-table loop's contract.
+using Crc32cKernel = uint32_t (*)(uint32_t state, const unsigned char* data,
+                                  size_t n);
+
+#if SFQ_SIMD_HW_CRC32C
+/// Eight bytes per crc32 instruction, then a byte tail.
+__attribute__((target("sse4.2"))) inline uint32_t Crc32cSse42(
+    uint32_t state, const unsigned char* data, size_t n) {
+  uint64_t wide = state;
+  for (; n >= 8; n -= 8, data += 8) {
+    uint64_t word;
+    std::memcpy(&word, data, 8);
+    wide = _mm_crc32_u64(wide, word);
+  }
+  uint32_t narrow = static_cast<uint32_t>(wide);
+  for (; n > 0; --n, ++data) narrow = _mm_crc32_u8(narrow, *data);
+  return narrow;
+}
+#endif
+
+/// The hardware CRC-32C kernel, or nullptr when the build
+/// (STREAMFREQ_SIMD=OFF, non-x86) or the CPU has none.
+inline Crc32cKernel HardwareCrc32c() {
+#if SFQ_SIMD_HW_CRC32C
+  if (__builtin_cpu_supports("sse4.2")) return &Crc32cSse42;
+#endif
+  return nullptr;
+}
+
 // -- the lane bundle ------------------------------------------------------
+
+// util/crc32.cc, built without SIMD flags, never calls the lane math below
+// (all callers are in streamfreq_hash), so GCC's AVX-512 ABI note is moot.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpsabi"
+#endif
 
 #if SFQ_SIMD_VECTOR_EXT
 
@@ -234,6 +287,10 @@ inline U64x8 FastRange64(U64x8 hash, U64x8 n) { return MulHi64(hash, n); }
 
 /// Lane-wise conditional subtract: a - m where a >= m, else a.
 inline U64x8 SubWhereGe(U64x8 a, U64x8 m) { return a - (m & MaskGe(a, m)); }
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 }  // namespace simd
 }  // namespace streamfreq

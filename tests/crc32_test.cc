@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <string>
 
 namespace streamfreq {
@@ -15,6 +17,70 @@ TEST(Crc32cTest, KnownVectors) {
   EXPECT_EQ(Value(num.data(), num.size()), 0xE3069283U);
   const std::string zeros(32, '\0');
   EXPECT_EQ(Value(zeros.data(), zeros.size()), 0x8A9136AAU);
+}
+
+// RFC 3720 appendix B.4, checked through both the dispatched Extend and the
+// portable table.
+TEST(Crc32cTest, Rfc3720Vectors) {
+  std::string ones(32, '\xff');
+  std::string ascending(32, '\0');
+  std::string descending(32, '\0');
+  for (int i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<char>(i);
+    descending[i] = static_cast<char>(31 - i);
+  }
+  const std::string zeros(32, '\0');
+  const struct {
+    const std::string* data;
+    uint32_t crc;
+  } kVectors[] = {{&zeros, 0x8A9136AAU},
+                  {&ones, 0x62A8AB43U},
+                  {&ascending, 0x46DD794EU},
+                  {&descending, 0x113FDB5CU}};
+  for (const auto& v : kVectors) {
+    EXPECT_EQ(Value(v.data->data(), v.data->size()), v.crc);
+    EXPECT_EQ(ExtendPortable(0, v.data->data(), v.data->size()), v.crc);
+  }
+}
+
+// The dispatched path (the SSE4.2 loop when the CPU has it) against the
+// table oracle at every length up to 4 KB and every start alignment
+// within a word, so the 8-byte body and the byte tail both meet every
+// split.
+TEST(Crc32cTest, HardwareMatchesTableAtEveryLengthAndAlignment) {
+  std::printf("crc32c: %s\n",
+              HardwareAccelerated() ? "hardware (sse4.2)" : "portable table");
+  constexpr size_t kMaxLen = 4096;
+  constexpr size_t kAlignments = 8;
+  std::string buffer(kMaxLen + kAlignments, '\0');
+  uint64_t x = 0x9E3779B97F4A7C15ULL;
+  for (char& c : buffer) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    c = static_cast<char>(x);
+  }
+  for (size_t align = 0; align < kAlignments; ++align) {
+    const char* base = buffer.data() + align;
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      ASSERT_EQ(Extend(0, base, len), ExtendPortable(0, base, len))
+          << "length " << len << " alignment " << align;
+    }
+  }
+}
+
+TEST(Crc32cTest, ExtendAtEverySplitMatchesWholeBuffer) {
+  std::string data(1024, '\0');
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>(i * 131 + 7);
+  }
+  const uint32_t whole = Value(data.data(), data.size());
+  ASSERT_EQ(whole, ExtendPortable(0, data.data(), data.size()));
+  for (size_t split = 0; split <= data.size(); ++split) {
+    const uint32_t head = Extend(0, data.data(), split);
+    ASSERT_EQ(Extend(head, data.data() + split, data.size() - split), whole)
+        << "split at " << split;
+  }
 }
 
 TEST(Crc32cTest, ExtendMatchesWholeBuffer) {

@@ -210,6 +210,28 @@ TEST(LintSelfcheck, JsonOutputMatchesDocumentedSchema) {
   EXPECT_GE(objects, 1);
 }
 
+// simd-ifdef covers run-time CPU dispatch as well as compile-time ISA
+// conditionals: the fixture's hand-rolled SSE4.2 CRC must be reported at
+// its header include, its target attribute, its builtin and its CPU check,
+// so dispatch cannot leave src/util/simd.h unnoticed.
+TEST(LintSelfcheck, SimdIfdefCatchesRuntimeDispatchTokens) {
+  const RunResult r = Exec(LintCmd(
+      "--check-file '" + std::string(kRoot) +
+      "/tests/lint_fixtures/raw_simd_ifdef.cc' --as "
+      "src/core/hand_rolled_simd.cc"));
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  for (const char* token :
+       {"'nmmintrin.h'", "'__attribute__((target('",
+        "'__builtin_ia32_crc32di'", "'__builtin_cpu_supports'"}) {
+    EXPECT_NE(r.output.find(std::string("[sfq-simd-ifdef] instruction-set "
+                                        "token ") +
+                            token),
+              std::string::npos)
+        << token << "\n"
+        << r.output;
+  }
+}
+
 // On a clean tree --json prints nothing at all (no summary line), so CI
 // annotation consumers can treat every output line as a finding object.
 TEST(LintSelfcheck, JsonOutputSilentWhenClean) {

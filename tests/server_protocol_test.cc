@@ -14,6 +14,7 @@
 
 #include "server/net.h"
 #include "util/bytes.h"
+#include "util/frame.h"
 
 namespace streamfreq {
 namespace {
@@ -174,9 +175,11 @@ TEST(FrameTest, OversizedDeclaredLengthIsCorruptionNotAllocation) {
   writer.PutU64(kFrameMagic);
   writer.PutU64(kMaxPayloadBytes + 1);
   writer.PutBytes("\0\0\0\0", 4);
-  uint64_t payload_len = 0;
-  uint32_t crc = 0;
-  EXPECT_TRUE(ParseFrameHeader(header, &payload_len, &crc).IsCorruption());
+  EXPECT_TRUE(frame::ParseHeader(header, kFrameMagic, kMaxPayloadBytes)
+                  .status()
+                  .IsCorruption());
+  // The whole-frame decoder rejects on the same bound.
+  EXPECT_TRUE(DecodeFrame(header).status().IsCorruption());
 }
 
 TEST(RequestTest, RoundTripsEveryOpcode) {

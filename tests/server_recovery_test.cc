@@ -17,8 +17,8 @@
 #include "server/snapshotter.h"
 #include "server/wal.h"
 #include "util/bytes.h"
-#include "util/crc32.h"
 #include "util/failpoint.h"
+#include "util/frame.h"
 
 namespace streamfreq {
 namespace {
@@ -204,13 +204,7 @@ TEST(WalTest, CrcValidMalformedPayloadIsCorruption) {
   pw.PutU64(5);  // claims 5 items...
   pw.PutU64(42);  // ...but carries 1
   std::string record;
-  ByteWriter w(&record);
-  w.PutU64(kWalMagic);
-  w.PutU64(payload.size());
-  const uint32_t crc =
-      crc32c::Mask(crc32c::Value(payload.data(), payload.size()));
-  w.PutBytes(&crc, sizeof(crc));
-  record += payload;
+  frame::Append(&record, kWalMagic, payload);
   WriteFileBytes(path, record);
   Replayed got;
   EXPECT_TRUE(Replay(path, 0, &got).status().IsCorruption());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "util/failpoint.h"
@@ -41,6 +42,15 @@ TEST(SketchIoTest, RoundTrip) {
 
 TEST(SketchIoTest, MissingFileIsIoError) {
   EXPECT_TRUE(ReadSketchFile(TempPath("nope.skf")).status().IsIoError());
+}
+
+// A path that opens but cannot be read as a file (a directory, say a
+// mistyped --sketch flag) is a clean error, not a size-driven allocation.
+TEST(SketchIoTest, DirectoryIsCorruptionNotACrash) {
+  const std::string dir = TempPath("sfq_sketch_dir.skf");
+  std::filesystem::create_directories(dir);
+  EXPECT_TRUE(ReadSketchFile(dir).status().IsCorruption());
+  std::filesystem::remove(dir);
 }
 
 TEST(SketchIoTest, FlippedPayloadBitIsCorruption) {

@@ -319,13 +319,17 @@ class FileLinter:
     SIMD_TOKEN_RE = re.compile(
         r"__AVX512[A-Z0-9]*__|__AVX2?__|__SSE[0-9_]*__"
         r"|__ARM_NEON(?:__)?|STREAMFREQ_FORCE_SCALAR_SIMD"
-        r"|\b(?:imm|x86|arm_ne|smm|emm|tmm)\w*intrin\.h|\barm_neon\.h"
+        r"|\b\w*intrin\.h|\barm_neon\.h"
         r"|\b_mm(?:256|512)?_\w+|\bv(?:ld|st)[1-4]q?_\w+"
         r"|vector_size\s*\("
+        # Run-time CPU dispatch: builtins and per-function ISA targets.
+        r"|\b__builtin_ia32_\w+|\b__builtin_cpu_(?:supports|is|init)\b"
+        r"|__attribute__\s*\(\(\s*(?:__)?target(?:__)?\s*\("
+        r"|\[\[\s*gnu::target\s*\("
     )
 
     def check_simd_ifdef(self):
-        """ISA conditionals and intrinsics live in src/util/simd.h only.
+        """ISA conditionals, intrinsics and CPU dispatch live in simd.h only.
 
         The whole bit-identity argument (docs/PERFORMANCE.md) rests on the
         kernels being compiled once, against one lane-bundle abstraction,
