@@ -10,9 +10,18 @@
 //   producers --Ingest(span)--> BatchQueue --> worker 0: local sketch
 //                                          --> worker 1: local sketch
 //                                          ...
-//              periodic + final folds (merge mutex) --> accumulated sketch
+//              periodic + final folds (merge mutex):
+//                  latest' = copy of latest + delta --> latest
 //                             publication --> SnapshotCell (epoch, pinned
 //                                             readers)
+//
+// The latest merged sketch is itself the published snapshot (immutable,
+// shared with readers), so a fold copies it rather than keeping a mutable
+// accumulator beside it. The copy is written into a recycled sketch: a
+// superseded snapshot that no reader pins any more is kept as the spare
+// for the next fold, so steady folding asks for no new counter arrays.
+// An ingestor holds threads + 1 counter arrays, one spare once it has
+// folded, and whatever superseded snapshots readers still pin.
 //
 // Linear sketches (CountSketch, CountMin) produce a merged result that is
 // bit-identical to single-threaded ingestion of the same multiset — the
@@ -25,7 +34,8 @@
 // Reads never wait for a fold: Snapshot() pins the latest published merged
 // sketch, an immutable copy (concurrent/snapshot.h), so queries run
 // concurrently with ingestion at any thread count. A superseded copy is
-// freed once no reader pins it, so memory does not grow with publications.
+// recycled or freed once no reader pins it, so memory does not grow with
+// publications.
 //
 // Degraded modes (docs/ROBUSTNESS.md): producers can bound their push wait
 // (push_timeout_ms) and pick an OverflowPolicy for what happens when the
@@ -98,8 +108,10 @@ struct IngestStats {
 
 /// Tuning knobs for ParallelIngestor.
 struct IngestOptions {
-  /// Worker threads (>= 1). Each owns a full private sketch, so memory is
-  /// threads x SpaceBytes().
+  /// Worker threads (>= 1). Each owns a full private sketch; with the
+  /// latest merged sketch and the fold's recycled spare, memory is
+  /// (threads + 2) x SpaceBytes() plus any superseded snapshots readers
+  /// still pin.
   size_t threads = 4;
   /// Items per queued batch: the granularity of sharding and of the
   /// BatchAdd fast path. Larger batches amortize queue locking further but
@@ -107,8 +119,8 @@ struct IngestOptions {
   size_t batch_items = 8192;
   /// Bound on in-flight batches (backpressure for producers).
   size_t queue_batches = 64;
-  /// When > 0, a worker folds its private sketch into the shared
-  /// accumulated sketch and publishes a fresh snapshot after ingesting this
+  /// When > 0, a worker folds its private sketch into the latest merged
+  /// sketch and publishes a fresh snapshot after ingesting this
   /// many batches. 0 publishes only at Finish — the right setting for
   /// counter summaries, whose merges accrue slack.
   size_t publish_every_batches = 0;
@@ -131,22 +143,22 @@ struct IngestOptions {
 /// Shards a stream across worker threads that each ingest into a private
 /// SketchT, folding results into a concurrently readable merged snapshot.
 ///
-/// SketchT must be copyable and provide BatchAdd(span<const ItemId>) and
-/// Status Merge(const SketchT&); all sketches in src/core/ that the
-/// ingestor is used with satisfy this.
+/// SketchT must be copyable and provide BatchAdd(span<const ItemId>),
+/// Status Merge(const SketchT&) and Clear(); all sketches in src/core/ that
+/// the ingestor is used with satisfy this.
 template <typename SketchT>
 class ParallelIngestor {
  public:
-  /// Builds one compatible sketch per use site (workers, deltas, the
-  /// accumulator). Capture shared params + seed so the results merge.
+  /// Builds the workers' sketches and the empty epoch-0 snapshot. Capture
+  /// shared params + seed so the results merge.
   using Factory = std::function<Result<SketchT>()>;
 
-  /// Validates options, builds the accumulator and every worker's private
-  /// sketch up front (so factory errors surface here, not mid-stream),
+  /// Validates options, builds every worker's private sketch up front (the
+  /// factory is not called after Make, so its errors surface here),
   /// publishes an empty epoch-0 snapshot, and starts the workers.
   ///
-  /// When `initial` is set it replaces the factory-built accumulator: the
-  /// epoch-0 snapshot and every later fold include that state. This is the
+  /// When `initial` is set it is the epoch-0 snapshot instead of an empty
+  /// sketch, so every later fold includes that state. This is the
   /// crash-recovery seam — the server seeds a recovered sketch here and
   /// then replays only the journal tail (sketch linearity makes the result
   /// identical to re-ingesting the whole stream). `initial` must be
@@ -165,17 +177,19 @@ class ParallelIngestor {
       return Status::InvalidArgument("ParallelIngestor: factory is empty");
     }
     options.sample_keep_one_in = std::max<size_t>(2, options.sample_keep_one_in);
-    STREAMFREQ_ASSIGN_OR_RETURN(SketchT accumulated, factory());
-    if (initial) accumulated = std::move(*initial);
+    if (!initial) {
+      STREAMFREQ_ASSIGN_OR_RETURN(SketchT empty, factory());
+      initial = std::move(empty);
+    }
+    auto latest = std::make_unique<SketchT>(std::move(*initial));
     std::vector<SketchT> locals;
     locals.reserve(options.threads);
     for (size_t i = 0; i < options.threads; ++i) {
       STREAMFREQ_ASSIGN_OR_RETURN(SketchT local, factory());
       locals.push_back(std::move(local));
     }
-    return std::unique_ptr<ParallelIngestor>(
-        new ParallelIngestor(std::move(factory), options, std::move(accumulated),
-                             std::move(locals)));
+    return std::unique_ptr<ParallelIngestor>(new ParallelIngestor(
+        options, std::move(latest), std::move(locals)));
   }
 
   ~ParallelIngestor() { Shutdown(); }
@@ -204,14 +218,14 @@ class ParallelIngestor {
     Shutdown();
     MutexLock lock(merge_mu_);
     if (!first_error_.ok()) return first_error_;
-    return accumulated_;
+    return *latest_;
   }
 
   /// Pins the latest published merged sketch: it stays valid and unchanged
-  /// for as long as the caller holds the pointer, and is freed once it is
-  /// superseded and unpinned. Never null: an empty sketch is published at
-  /// construction. When `epoch` is given it receives the epoch of this
-  /// snapshot, read together with it.
+  /// for as long as the caller holds the pointer, and is recycled or freed
+  /// once it is superseded and unpinned. Never null: an empty sketch is
+  /// published at construction. When `epoch` is given it receives the
+  /// epoch of this snapshot, read together with it.
   std::shared_ptr<const SketchT> Snapshot(uint64_t* epoch = nullptr) const {
     return snapshot_.Read(epoch);
   }
@@ -253,14 +267,24 @@ class ParallelIngestor {
   size_t threads() const { return options_.threads; }
 
  private:
-  ParallelIngestor(Factory factory, const IngestOptions& options,
-                   SketchT accumulated, std::vector<SketchT> locals)
+  /// Holds the spare sketch for the next fold: the last superseded
+  /// snapshot that no reader pins any more. Shared with the deleter of
+  /// every published snapshot, so a pin that outlives the ingestor still
+  /// has somewhere to go.
+  struct Recycler {
+    Mutex mu;
+    std::unique_ptr<SketchT> spare SFQ_GUARDED_BY(mu);
+  };
+
+  ParallelIngestor(const IngestOptions& options,
+                   std::unique_ptr<SketchT> latest,
+                   std::vector<SketchT> locals)
       : options_(options),
-        factory_(std::move(factory)),
         queue_(options.queue_batches),
-        accumulated_(std::move(accumulated)),
+        recycler_(std::make_shared<Recycler>()),
+        latest_(Recyclable(std::move(latest))),
         locals_(std::move(locals)) {
-    snapshot_.Publish(std::make_shared<SketchT>(accumulated_));
+    snapshot_.Publish(latest_);
     workers_.reserve(options_.threads);
     {
       MutexLock lock(drain_mu_);
@@ -377,38 +401,58 @@ class ParallelIngestor {
       if (options_.publish_every_batches > 0 &&
           ++batches_since_fold >= options_.publish_every_batches) {
         batches_since_fold = 0;
-        // Swap the delta out for a fresh empty sketch so the fold never
-        // reads state a worker is still writing.
-        Result<SketchT> fresh = factory_();
-        if (!fresh.ok()) {
-          RecordError(fresh.status());
-          continue;  // keep accumulating; the final fold picks it up
-        }
-        SketchT delta = std::exchange(*local, std::move(*fresh));
-        FoldAndPublish(delta);
+        // The fold runs on this thread, so nothing writes the local while
+        // it is read: fold it, then clear it for the next batches.
+        FoldAndPublish(*local);
+        local->Clear();
       }
     }
     FoldAndPublish(*local);
     return true;
   }
 
-  /// Merges a worker delta into the accumulator and publishes a copy.
-  /// Serialized by merge_mu_; the publication itself never blocks readers.
+  /// Shares `sketch`; its last owner hands it to the recycler as the next
+  /// spare, which frees any older spare.
+  std::shared_ptr<const SketchT> Recyclable(std::unique_ptr<SketchT> sketch) {
+    return std::shared_ptr<SketchT>(
+        sketch.release(), [recycler = recycler_](SketchT* done) {
+          std::unique_ptr<SketchT> older;
+          MutexLock lock(recycler->mu);
+          older = std::exchange(recycler->spare,
+                                std::unique_ptr<SketchT>(done));
+        });
+  }
+
+  /// Replaces the latest merged sketch by a copy of it plus `delta`, and
+  /// publishes that. The copy goes into the recycled spare when there is
+  /// one, so it reuses that storage. Serialized by merge_mu_; the
+  /// publication itself never blocks readers.
   void FoldAndPublish(const SketchT& delta) SFQ_EXCLUDES(merge_mu_) {
     MutexLock lock(merge_mu_);
-    const Status s = accumulated_.Merge(delta);
+    std::unique_ptr<SketchT> next;
+    {
+      MutexLock recycler_lock(recycler_->mu);
+      next = std::move(recycler_->spare);
+    }
+    if (next) {
+      *next = *latest_;
+    } else {
+      next = std::make_unique<SketchT>(*latest_);
+    }
+    const Status s = next->Merge(delta);
     if (!s.ok()) {
       if (first_error_.ok()) first_error_ = s;
       return;
     }
-    // A publish fault degrades freshness, never correctness: the merge
-    // above already happened, readers just keep the previous snapshot.
+    latest_ = Recyclable(std::move(next));
+    // A publish fault degrades freshness, never correctness: the merged
+    // mass is kept in latest_, readers just keep the previous snapshot.
     if (const FailDecision fp = SFQ_FAILPOINT("ingestor.publish");
         fp.action == FailAction::kError) {
       publish_failures_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    snapshot_.Publish(std::make_shared<SketchT>(accumulated_));
+    snapshot_.Publish(latest_);
   }
 
   void RecordError(const Status& s) SFQ_EXCLUDES(merge_mu_) {
@@ -443,7 +487,6 @@ class ParallelIngestor {
   }
 
   const IngestOptions options_;
-  const Factory factory_;
   BatchQueue queue_;
   SnapshotCell<SketchT> snapshot_;
   std::atomic<uint64_t> items_ingested_{0};
@@ -458,8 +501,9 @@ class ParallelIngestor {
   std::atomic<uint64_t> publish_failures_{0};
   std::atomic<bool> abort_drain_{false};
 
+  const std::shared_ptr<Recycler> recycler_;
   Mutex merge_mu_;
-  SketchT accumulated_ SFQ_GUARDED_BY(merge_mu_);
+  std::shared_ptr<const SketchT> latest_ SFQ_GUARDED_BY(merge_mu_);
   Status first_error_ SFQ_GUARDED_BY(merge_mu_);
 
   mutable Mutex spill_mu_;

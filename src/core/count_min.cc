@@ -14,14 +14,16 @@ Result<CountMin> CountMin::Make(const CountMinParams& params) {
   if (params.depth > (1u << 20) || params.width > (1ull << 34)) {
     return Status::InvalidArgument("CountMin: dimensions implausibly large");
   }
-  return CountMin(params);
+  STREAMFREQ_ASSIGN_OR_RETURN(CounterMatrix counters,
+                              CounterMatrix::Make(params.depth, params.width));
+  return CountMin(params, std::move(counters));
 }
 
-CountMin::CountMin(const CountMinParams& params)
+CountMin::CountMin(const CountMinParams& params, CounterMatrix counters)
     : params_(params),
       depth_(params.depth),
       width_(params.width),
-      counters_(params.depth, params.width) {
+      counters_(std::move(counters)) {
   SplitMix64 seeder(SplitMix64(params.seed).Next() ^ 0xC3117EULL);
   hashes_.reserve(depth_);
   for (size_t i = 0; i < depth_; ++i) hashes_.emplace_back(seeder);
@@ -110,6 +112,8 @@ Status CountMin::Merge(const CountMin& other) {
   counters_.AddAll(other.counters_);
   return Status::OK();
 }
+
+void CountMin::Clear() noexcept { counters_.Clear(); }
 
 size_t CountMin::SpaceBytes() const {
   return counters_.AllocatedBytes() + depth_ * 2 * sizeof(uint64_t);

@@ -36,7 +36,8 @@ struct CountMinParams {
 /// The Count-Min sketch. Point-query estimates are upper bounds.
 class CountMin {
  public:
-  /// Validates parameters and builds a zeroed sketch.
+  /// Validates parameters and builds a zeroed sketch; IoError when the
+  /// counter array cannot be allocated.
   static Result<CountMin> Make(const CountMinParams& params);
 
   /// Processes `weight` occurrences. Weight must be non-negative; the
@@ -65,6 +66,9 @@ class CountMin {
   /// Counter-wise addition of a compatible sketch.
   Status Merge(const CountMin& other);
 
+  /// Resets all counters to zero (hash functions are kept).
+  void Clear() noexcept;
+
   bool CompatibleWith(const CountMin& other) const;
 
   size_t depth() const { return depth_; }
@@ -81,7 +85,7 @@ class CountMin {
   size_t SpaceBytes() const;
 
  private:
-  explicit CountMin(const CountMinParams& params);
+  CountMin(const CountMinParams& params, CounterMatrix counters);
 
   void BatchAddDispatch(std::span<const ItemId> items, Count weight,
                         batch_hash::Backend backend) noexcept;

@@ -20,14 +20,17 @@ Result<CountSketch> CountSketch::Make(const CountSketchParams& params) {
   if (params.depth > (1u << 20) || params.width > (1ull << 34)) {
     return Status::InvalidArgument("CountSketch: dimensions implausibly large");
   }
-  return CountSketch(params);
+  STREAMFREQ_ASSIGN_OR_RETURN(CounterMatrix counters,
+                              CounterMatrix::Make(params.depth, params.width));
+  return CountSketch(params, std::move(counters));
 }
 
-CountSketch::CountSketch(const CountSketchParams& params)
+CountSketch::CountSketch(const CountSketchParams& params,
+                         CounterMatrix counters)
     : params_(params),
       depth_(params.depth),
       width_(params.width),
-      counters_(params.depth, params.width) {
+      counters_(std::move(counters)) {
   // One seed stream per role keeps bucket and sign functions mutually
   // independent, as the analysis requires.
   SplitMix64 bucket_seeder(SplitMix64(params.seed).Next() ^ 0xB0C4E7ULL);

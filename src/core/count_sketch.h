@@ -63,7 +63,8 @@ struct CountSketchParams {
 class CountSketch {
  public:
   /// Validates parameters (depth and width must be positive) and builds a
-  /// zeroed sketch with freshly seeded hash functions.
+  /// zeroed sketch with freshly seeded hash functions. IoError when the
+  /// counter array cannot be allocated.
   static Result<CountSketch> Make(const CountSketchParams& params);
 
   /// ADD(C, q): processes `weight` occurrences of `item` (weight may be
@@ -157,7 +158,7 @@ class CountSketch {
   }
 
  private:
-  explicit CountSketch(const CountSketchParams& params);
+  CountSketch(const CountSketchParams& params, CounterMatrix counters);
 
   /// CompatibleWith for a sketch described only by its parameters.
   bool CompatibleWith(const CountSketchParams& other) const;

@@ -19,15 +19,21 @@
 // For the common power-of-two widths (>= 8) the stride equals the width
 // and the padding is zero bytes; only odd widths pay (at most 56 bytes
 // per row).
+//
+// Storage comes from util/pages.h: arrays of PageBuffer::kMapThreshold
+// bytes or more are their own pre-faulted (and, from 2 MiB, huge-page)
+// mapping, smaller ones stay on the heap. Either way the cells start zero.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <utility>
+
+#include "util/logging.h"
+#include "util/pages.h"
+#include "util/result.h"
 
 namespace streamfreq {
 
@@ -39,28 +45,38 @@ class CounterMatrix {
 
   CounterMatrix() = default;
 
-  /// Builds a zeroed matrix. Dimension validation (non-zero, plausible)
-  /// belongs to the owning sketch's Make.
-  CounterMatrix(size_t depth, size_t width)
-      : depth_(depth),
-        width_(width),
-        stride_((width + kLineCounters - 1) / kLineCounters * kLineCounters) {
-    data_.reset(static_cast<int64_t*>(
-        std::aligned_alloc(64, depth_ * stride_ * sizeof(int64_t))));
-    Clear();
+  /// A zeroed matrix, or the error that kept its storage from being
+  /// allocated. Dimension validation (non-zero, plausible) belongs to the
+  /// owning sketch's Make.
+  static Result<CounterMatrix> Make(size_t depth, size_t width) {
+    CounterMatrix m;
+    m.depth_ = depth;
+    m.width_ = width;
+    m.stride_ = (width + kLineCounters - 1) / kLineCounters * kLineCounters;
+    STREAMFREQ_ASSIGN_OR_RETURN(m.buf_,
+                                PageBuffer::Zeroed(m.AllocatedBytes()));
+    return m;
   }
 
+  /// Copies must not fail quietly: a copy that cannot get its storage
+  /// aborts with the reason rather than write through a null pointer.
   CounterMatrix(const CounterMatrix& other)
-      : depth_(other.depth_), width_(other.width_), stride_(other.stride_) {
-    if (other.data_ == nullptr) return;
-    data_.reset(static_cast<int64_t*>(
-        std::aligned_alloc(64, depth_ * stride_ * sizeof(int64_t))));
-    std::memcpy(data_.get(), other.data_.get(),
-                depth_ * stride_ * sizeof(int64_t));
-  }
+      : depth_(other.depth_),
+        width_(other.width_),
+        stride_(other.stride_),
+        buf_(CopyOrDie(other.buf_)) {}
 
+  /// Copies into this matrix's own storage when it is the same size, so
+  /// refreshing a recycled sketch asks for no memory.
   CounterMatrix& operator=(const CounterMatrix& other) {
-    if (this != &other) *this = CounterMatrix(other);
+    if (this == &other) return *this;
+    if (buf_.size() != other.buf_.size()) return *this = CounterMatrix(other);
+    depth_ = other.depth_;
+    width_ = other.width_;
+    stride_ = other.stride_;
+    if (buf_.size() > 0) {
+      std::memcpy(buf_.data(), other.buf_.data(), buf_.size());
+    }
     return *this;
   }
 
@@ -73,11 +89,9 @@ class CounterMatrix {
 
   /// First counter of row i (64-byte aligned).
   // sfq-hot-path
-  int64_t* Row(size_t i) noexcept { return data_.get() + i * stride_; }
+  int64_t* Row(size_t i) noexcept { return data() + i * stride_; }
   // sfq-hot-path
-  const int64_t* Row(size_t i) const noexcept {
-    return data_.get() + i * stride_;
-  }
+  const int64_t* Row(size_t i) const noexcept { return data() + i * stride_; }
 
   // sfq-hot-path
   int64_t& At(size_t row, size_t col) noexcept { return Row(row)[col]; }
@@ -87,15 +101,15 @@ class CounterMatrix {
   /// Zeroes every cell, padding included.
   // sfq-hot-path
   void Clear() noexcept {
-    std::memset(data_.get(), 0, depth_ * stride_ * sizeof(int64_t));
+    std::memset(buf_.data(), 0, buf_.size());
   }
 
   /// this += other, over the whole padded buffer (padding stays zero).
   /// Caller guarantees equal dimensions (the sketches' CompatibleWith).
   // sfq-hot-path
   void AddAll(const CounterMatrix& other) noexcept {
-    int64_t* a = data_.get();
-    const int64_t* b = other.data_.get();
+    int64_t* a = data();
+    const int64_t* b = other.data();
     const size_t n = depth_ * stride_;
     for (size_t i = 0; i < n; ++i) a[i] += b[i];
   }
@@ -103,8 +117,8 @@ class CounterMatrix {
   /// this -= other, same contract as AddAll.
   // sfq-hot-path
   void SubtractAll(const CounterMatrix& other) noexcept {
-    int64_t* a = data_.get();
-    const int64_t* b = other.data_.get();
+    int64_t* a = data();
+    const int64_t* b = other.data();
     const size_t n = depth_ * stride_;
     for (size_t i = 0; i < n; ++i) a[i] -= b[i];
   }
@@ -122,14 +136,18 @@ class CounterMatrix {
   size_t AllocatedBytes() const { return depth_ * stride_ * sizeof(int64_t); }
 
  private:
-  struct Free {
-    void operator()(int64_t* p) const { std::free(p); }
-  };
+  static PageBuffer CopyOrDie(const PageBuffer& from) {
+    Result<PageBuffer> copy = PageBuffer::CopyOf(from);
+    SFQ_CHECK(copy.ok()) << "CounterMatrix copy: " << copy.status().ToString();
+    return std::move(copy).ValueOrDie();
+  }
+
+  int64_t* data() const noexcept { return static_cast<int64_t*>(buf_.data()); }
 
   size_t depth_ = 0;
   size_t width_ = 0;
   size_t stride_ = 0;
-  std::unique_ptr<int64_t[], Free> data_;
+  PageBuffer buf_;
 };
 
 }  // namespace streamfreq

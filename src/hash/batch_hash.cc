@@ -109,6 +109,7 @@ void Buckets(const CarterWegmanHash& h, std::span<const uint64_t> keys,
       const U64x8 e = CwEval(LoadUnaligned(keys.data() + i), a, b, p);
       StoreUnaligned(out_bucket + i, simd::FastRange64(e << 3, r));
     }
+    simd::ZeroUpper();
   }
   ScalarBuckets(h, keys.data() + i, n - i, range, out_bucket + i);
 }
@@ -134,6 +135,7 @@ void BucketsAndSigns(const CarterWegmanHash& hb, const CarterWegmanHash& hs,
       StoreUnaligned(out_bucket + i, simd::FastRange64(eb << 3, r));
       StoreSigns(out_sign + i, SignFromBit(es, 60));
     }
+    simd::ZeroUpper();
   }
   ScalarBucketsAndSigns(hb, hs, keys.data() + i, n - i, range, out_bucket + i,
                         out_sign + i);
@@ -154,6 +156,7 @@ void Buckets(const MultiplyShiftHash& h, std::span<const uint64_t> keys,
       const U64x8 mix = MsMix(LoadUnaligned(keys.data() + i), a, b);
       StoreUnaligned(out_bucket + i, simd::FastRange64(mix, r));
     }
+    simd::ZeroUpper();
   }
   ScalarBuckets(h, keys.data() + i, n - i, range, out_bucket + i);
 }
@@ -176,6 +179,7 @@ void BucketsAndSigns(const MultiplyShiftHash& hb, const MultiplyShiftHash& hs,
       StoreUnaligned(out_bucket + i, simd::FastRange64(MsMix(x, ab, bb), r));
       StoreSigns(out_sign + i, SignFromBit(MsMix(x, as, bs), 63));
     }
+    simd::ZeroUpper();
   }
   ScalarBucketsAndSigns(hb, hs, keys.data() + i, n - i, range, out_bucket + i,
                         out_sign + i);

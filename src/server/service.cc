@@ -15,9 +15,14 @@ namespace streamfreq {
 namespace {
 
 // Bounds on per-tenant knobs: a hostile or confused client must not be able
-// to ask one tenant for unbounded threads or candidate slots.
+// to ask one tenant for unbounded threads, candidate slots or counters.
 constexpr uint64_t kMaxTenantThreads = 16;
 constexpr uint64_t kMaxTracked = 4096;
+// Counters across every array one tenant holds: a sketch per worker, the
+// latest snapshot, the fold's recycled spare, and for a durable tenant its
+// journaled sketch. 2^25 int64 counters are 256 MiB, all allocated (and
+// pre-faulted) at create, before any item arrives.
+constexpr uint64_t kMaxTenantCounters = uint64_t{1} << 25;
 constexpr uint64_t kMaxBatchItems = uint64_t{1} << 20;
 
 void AppendJsonKey(std::string* out, const char* key, uint64_t value) {
@@ -228,6 +233,13 @@ Response SketchService::CreateTenant(const Request& request) {
   }
 
   const CountSketchParams params = ResolveParams(spec);
+  const uint64_t arrays = spec.threads + 2 + (durable() ? 1 : 0);
+  if (params.width > kMaxTenantCounters / arrays / params.depth) {
+    return Response::FromStatus(Status::InvalidArgument(
+        "create: (threads + " + std::to_string(arrays - spec.threads) +
+        ") x depth x width must be at most " +
+        std::to_string(kMaxTenantCounters) + " counters"));
+  }
 
   std::unique_ptr<TenantStore> store;
   if (durable()) {
@@ -536,7 +548,7 @@ Status SketchService::RecoverTenant(const std::string& name,
       TenantStore::Open(dir, options_.fsync, options_.snapshot_every_items));
   const TenantSpec spec = opened.state.spec;
   const CountSketchParams params = opened.sketch.params();
-  // Seed the ingestor's accumulator with the recovered sketch: linearity
+  // The recovered sketch is the ingestor's epoch-0 snapshot: linearity
   // makes (recovered state + replayed live stream) bit-identical to one
   // uninterrupted ingest of the same items.
   auto ingestor = ParallelIngestor<CountSketch>::Make(

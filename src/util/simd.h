@@ -26,7 +26,7 @@
 #include <cstdint>
 #include <cstring>
 
-#if defined(__AVX512F__) && !defined(STREAMFREQ_FORCE_SCALAR_SIMD)
+#if defined(__AVX__) && !defined(STREAMFREQ_FORCE_SCALAR_SIMD)
 // GCC 12's avx512fintrin.h trips -Wmaybe-uninitialized on its own
 // _mm512_undefined_epi32 self-initialization idiom under -Werror.
 #pragma GCC diagnostic push
@@ -91,6 +91,18 @@ inline constexpr size_t kLanes = 8;
 #else
 #define SFQ_SIMD_NO_AUTOVEC
 #endif
+
+/// Zeroes the upper halves of the vector registers (vzeroupper). While an
+/// AVX kernel leaves them dirty, the thread's later SSE code -- anything
+/// built without streamfreq_hash's -march flags, such as the counter
+/// scatter in core -- pays a state-transition penalty, and GCC emits no
+/// vzeroupper on its own under -march=native here. Vectorized kernels
+/// call this before they return; a no-op on builds without AVX.
+inline void ZeroUpper() {
+#if defined(__AVX__) && !defined(STREAMFREQ_FORCE_SCALAR_SIMD)
+  _mm256_zeroupper();
+#endif
+}
 
 // -- hardware CRC-32C ------------------------------------------------------
 

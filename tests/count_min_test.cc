@@ -25,6 +25,15 @@ TEST(CountMinTest, RejectsBadParams) {
   EXPECT_TRUE(CountMin::Make(p).status().IsInvalidArgument());
 }
 
+TEST(CountMinTest, UnallocatableDimensionsAreAnError) {
+  CountMinParams p = SmallParams();
+  p.depth = 1u << 20;
+  p.width = 1ull << 34;
+  const Result<CountMin> s = CountMin::Make(p);
+  ASSERT_FALSE(s.ok());
+  EXPECT_TRUE(s.status().IsIoError()) << s.status().ToString();
+}
+
 TEST(CountMinTest, SingleItemExact) {
   auto s = CountMin::Make(SmallParams());
   ASSERT_TRUE(s.ok());

@@ -35,6 +35,18 @@ TEST(CountSketchTest, RejectsBadParams) {
   EXPECT_TRUE(CountSketch::Make(p).status().IsInvalidArgument());
 }
 
+// Dimensions Make accepts as plausible but no machine can back (2^20 rows
+// of 2^34 counters, 128 PiB) come back as an error, not a null counter
+// array the zeroing would write through.
+TEST(CountSketchTest, UnallocatableDimensionsAreAnError) {
+  CountSketchParams p = SmallParams();
+  p.depth = 1u << 20;
+  p.width = 1ull << 34;
+  const Result<CountSketch> s = CountSketch::Make(p);
+  ASSERT_FALSE(s.ok());
+  EXPECT_TRUE(s.status().IsIoError()) << s.status().ToString();
+}
+
 TEST(CountSketchTest, EmptySketchEstimatesZero) {
   auto s = CountSketch::Make(SmallParams());
   ASSERT_TRUE(s.ok());

@@ -18,13 +18,14 @@
 // The suppression fixture additionally proves that a justified
 // NOLINT(sfq-*) silences a rule without disabling it globally.
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <regex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -57,6 +58,30 @@ std::string LintCmd(const std::string& args) {
          "/tools' python3 -m sfq_lint --root '" + kRoot + "' " + args;
 }
 
+// Every token that follows `key` and any blanks in `text`, a token being
+// the longest non-empty run of characters `in_token` accepts.
+template <typename Pred>
+std::vector<std::string> TokensAfter(const std::string& text,
+                                     std::string_view key, Pred in_token) {
+  std::vector<std::string> tokens;
+  for (size_t at = text.find(key); at != std::string::npos;
+       at = text.find(key, at)) {
+    at += key.size();
+    while (at < text.size() &&
+           std::isspace(static_cast<unsigned char>(text[at]))) {
+      ++at;
+    }
+    size_t end = at;
+    while (end < text.size() &&
+           in_token(static_cast<unsigned char>(text[end]))) {
+      ++end;
+    }
+    if (end > at) tokens.push_back(text.substr(at, end - at));
+    at = end;
+  }
+  return tokens;
+}
+
 // Parses the `sfq-lint-path:` / `sfq-lint-expect:` header comments.
 struct Fixture {
   fs::path file;
@@ -67,8 +92,6 @@ struct Fixture {
 std::vector<Fixture> LoadFixtures() {
   std::vector<Fixture> fixtures;
   const fs::path dir = fs::path(kRoot) / "tests" / "lint_fixtures";
-  const std::regex path_re(R"(sfq-lint-path:\s*(\S+))");
-  const std::regex expect_re(R"(sfq-lint-expect:\s*([\w-]+))");
   for (const auto& entry : fs::directory_iterator(dir)) {
     if (!entry.is_regular_file()) continue;
     const auto ext = entry.path().extension();
@@ -78,12 +101,14 @@ std::vector<Fixture> LoadFixtures() {
                      std::istreambuf_iterator<char>());
     Fixture f;
     f.file = entry.path();
-    std::smatch m;
-    if (std::regex_search(text, m, path_re)) f.pretend_path = m[1];
-    for (auto it = std::sregex_iterator(text.begin(), text.end(), expect_re);
-         it != std::sregex_iterator(); ++it) {
-      f.expected_rules.push_back((*it)[1]);
-    }
+    const std::vector<std::string> paths =
+        TokensAfter(text, "sfq-lint-path:",
+                    [](unsigned char c) { return !std::isspace(c); });
+    if (!paths.empty()) f.pretend_path = paths.front();
+    f.expected_rules =
+        TokensAfter(text, "sfq-lint-expect:", [](unsigned char c) {
+          return std::isalnum(c) || c == '_' || c == '-';
+        });
     fixtures.push_back(std::move(f));
   }
   return fixtures;
@@ -136,7 +161,8 @@ TEST(LintSelfcheck, ListRulesMatchesDocumentedSet) {
        {"sfq-row-seed", "sfq-raw-geometry", "sfq-nondet-random",
         "sfq-dropped-status", "sfq-raw-mutex", "sfq-unguarded-member",
         "sfq-concurrent-label", "sfq-nodiscard-decl", "sfq-failpoint-site",
-        "sfq-server-opcode", "sfq-simd-ifdef", "sfq-layer-dag",
+        "sfq-server-opcode", "sfq-simd-ifdef", "sfq-raw-pages",
+        "sfq-layer-dag",
         "sfq-lock-order", "sfq-blocking-under-lock", "sfq-hot-path",
         "sfq-orphan-module"}) {
     EXPECT_NE(r.output.find(rule), std::string::npos) << rule;
@@ -185,6 +211,30 @@ TEST(LintSelfcheck, OrphanModuleRuleNamesOnlyTheUncalledHeader) {
       << r.output;
 }
 
+// Whether `line` is one --json object with exactly the documented keys:
+// {"path": "<text>", "line": <digits>, "rule": "sfq-<[a-z-]+>",
+//  "message": "<text>"}.
+bool MatchesJsonSchema(std::string_view line) {
+  const auto literal = [&line](std::string_view text) {
+    if (!line.starts_with(text)) return false;
+    line.remove_prefix(text.size());
+    return true;
+  };
+  const auto run = [&line](auto accept) {
+    size_t n = 0;
+    while (n < line.size() && accept(static_cast<unsigned char>(line[n]))) ++n;
+    line.remove_prefix(n);
+    return n > 0;
+  };
+  return literal(R"({"path": ")") &&
+         run([](unsigned char c) { return c != '"'; }) &&
+         literal(R"(", "line": )") &&
+         run([](unsigned char c) { return std::isdigit(c) != 0; }) &&
+         literal(R"(, "rule": "sfq-)") &&
+         run([](unsigned char c) { return std::islower(c) || c == '-'; }) &&
+         literal(R"(", "message": ")") && line.ends_with(R"("})");
+}
+
 // --json emits one object per line with exactly the documented keys:
 // path (string), line (number), rule ("sfq-" id), message (string).
 TEST(LintSelfcheck, JsonOutputMatchesDocumentedSchema) {
@@ -194,16 +244,13 @@ TEST(LintSelfcheck, JsonOutputMatchesDocumentedSchema) {
       "src/server/lock_cycle_probe.cc"));
   EXPECT_EQ(r.exit_code, 1) << r.output;
   ASSERT_FALSE(r.output.empty());
-  const std::regex schema_re(
-      R"(^\{"path": "[^"]+", "line": [0-9]+, "rule": "sfq-[a-z-]+", )"
-      R"("message": ".*"\}$)");
   std::istringstream lines(r.output);
   std::string line;
   int objects = 0;
   while (std::getline(lines, line)) {
     if (line.empty()) continue;
     ++objects;
-    EXPECT_TRUE(std::regex_match(line, schema_re)) << line;
+    EXPECT_TRUE(MatchesJsonSchema(line)) << line;
     EXPECT_NE(line.find("\"rule\": \"sfq-lock-order\""), std::string::npos)
         << line;
   }
@@ -230,6 +277,33 @@ TEST(LintSelfcheck, SimdIfdefCatchesRuntimeDispatchTokens) {
         << token << "\n"
         << r.output;
   }
+}
+
+// raw-pages keeps counter storage on one allocation path: the fixture's
+// hand-rolled mapping must be reported at its <sys/mman.h> include and at
+// each mmap, madvise, munmap and aligned_alloc, none of which the rules
+// before it flagged.
+TEST(LintSelfcheck, RawPagesConfinesMappingsToPagesModule) {
+  const RunResult r = Exec(LintCmd(
+      "--check-file '" + std::string(kRoot) +
+      "/tests/lint_fixtures/raw_pages.cc' --as "
+      "src/core/hand_rolled_pages.cc"));
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  for (const char* token : {"'#include <sys/mman.h>'", "'mmap'", "'madvise'",
+                            "'munmap'", "'aligned_alloc'"}) {
+    EXPECT_NE(r.output.find(std::string("[sfq-raw-pages] raw page "
+                                        "allocation ") +
+                            token),
+              std::string::npos)
+        << token << "\n"
+        << r.output;
+  }
+  // util/pages.* itself is the one place the calls belong.
+  const RunResult home = Exec(LintCmd(
+      "--check-file '" + std::string(kRoot) +
+      "/tests/lint_fixtures/raw_pages.cc' --as src/util/pages.cc"));
+  EXPECT_EQ(home.output.find("[sfq-raw-pages]"), std::string::npos)
+      << home.output;
 }
 
 // On a clean tree --json prints nothing at all (no summary line), so CI

@@ -346,6 +346,41 @@ TEST_F(ServerE2eTest, HugeKRanksEveryCandidate) {
   EXPECT_EQ(top->front().item, kDistinct);
 }
 
+// A create asking for more counters than the server allows (here 2^34
+// buckets per row) is refused with InvalidArgument before any allocation,
+// and the server keeps answering on the same connection.
+TEST_F(ServerE2eTest, OversizedGeometryIsRefusedAndServerKeepsServing) {
+  SfqClient client = MustConnect();
+  TenantSpec spec;
+  spec.threads = 1;
+  spec.width = uint64_t{1} << 34;
+  const Status created = client.CreateTenant("huge", spec);
+  EXPECT_TRUE(created.IsInvalidArgument()) << created.ToString();
+  spec.width = 0;
+  spec.depth = uint64_t{1} << 40;
+  EXPECT_TRUE(client.CreateTenant("deep", spec).IsInvalidArgument());
+  EXPECT_TRUE(client.Ping().ok());
+  EXPECT_TRUE(client.TopK("huge", 5).status().IsNotFound());
+}
+
+// The cap covers the whole tenant, not one array: sixteen workers over
+// 2^24-counter sketches would hold 18 such arrays (2.25 GiB), so the create
+// is refused before any of them is allocated.
+TEST_F(ServerE2eTest, CounterCapCoversEveryArrayOfATenant) {
+  SfqClient client = MustConnect();
+  TenantSpec spec;
+  spec.threads = 16;
+  spec.depth = 4;
+  spec.width = uint64_t{1} << 22;
+  const Status created = client.CreateTenant("wide16", spec);
+  EXPECT_TRUE(created.IsInvalidArgument()) << created.ToString();
+  EXPECT_TRUE(client.Ping().ok());
+  EXPECT_TRUE(client.TopK("wide16", 5).status().IsNotFound());
+  spec.threads = 1;
+  spec.width = 4096;
+  EXPECT_TRUE(client.CreateTenant("narrow", spec).ok());
+}
+
 // Lifecycle errors come back as clean statuses on a connection that stays
 // usable: unknown tenants, double creation, ingest-after-seal, zero k.
 TEST_F(ServerE2eTest, LifecycleErrorsAreCleanAndNonFatal) {

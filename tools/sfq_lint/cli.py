@@ -39,6 +39,7 @@ RULE_IDS = [
     "server-opcode",
     "durable-write",
     "simd-ifdef",
+    "raw-pages",
     "layer-dag",
     "lock-order",
     "blocking-under-lock",

@@ -66,6 +66,8 @@ class FileLinter:
             in_src or in_tools or self.path.startswith("bench/")
         ) and self.path != "src/util/simd.h":
             self.check_simd_ifdef()
+        if not self.path.startswith("src/util/pages."):
+            self.check_raw_pages()
         if self.path.startswith(("src/verify/", "src/stream/")):
             self.check_nondet_random()
         self.check_dropped_status()
@@ -346,6 +348,33 @@ class FileLinter:
                     "src/util/simd.h; program against simd::U64x8 (or add a "
                     "new primitive to simd.h) so SIMD stays confined to the "
                     "one audited dispatch header.",
+                )
+
+    # -- raw-pages ---------------------------------------------------------
+    RAW_PAGES_RE = re.compile(
+        r"\b(?:mmap|munmap|madvise|aligned_alloc)\b"
+        r"|#\s*include\s*<sys/mman\.h>"
+    )
+
+    def check_raw_pages(self):
+        """Raw page mappings and aligned heap blocks live in util/pages.* only.
+
+        Counter storage takes one allocation path (PageBuffer): it pre-faults
+        and huge-page-advises large arrays, munmaps them, and turns a failed
+        allocation into a Status. A second mmap or aligned_alloc site would
+        bring back the per-page faults, or a null pointer a memset writes
+        through.
+        """
+        for idx, code in enumerate(self.code):
+            m = self.RAW_PAGES_RE.search(code)
+            if m:
+                self.report(
+                    idx,
+                    "raw-pages",
+                    f"raw page allocation '{m.group(0).strip()}' outside "
+                    "src/util/pages.*; take zeroed, aligned storage from "
+                    "PageBuffer (util/pages.h), which reports failure as a "
+                    "Status.",
                 )
 
     # -- unguarded-member --------------------------------------------------
