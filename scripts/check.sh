@@ -120,9 +120,10 @@ ctest --test-dir build-tsan -L concurrent --output-on-failure
 # Portable-path check: STREAMFREQ_SIMD=OFF compiles out the SSE4.2 CRC-32C
 # and forces the scalar batch-hash kernels, and the default build runs
 # neither on an SSE4.2 machine. The CRC oracle, the frame codec with its
-# three formats, and the scalar/vector equivalence must hold there too.
+# three formats, the piecewise CRC of files written from counter memory
+# (sketch_io_test) and the scalar/vector equivalence must hold there too.
 SIMD_OFF_TESTS=(crc32_test frame_test server_protocol_test
-  server_recovery_test simd_equivalence_test)
+  server_recovery_test simd_equivalence_test sketch_io_test)
 cmake -B build-simd-off "${GEN[@]}" \
   -DCMAKE_BUILD_TYPE=Release \
   -DSTREAMFREQ_SIMD=OFF \

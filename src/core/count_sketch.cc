@@ -165,7 +165,8 @@ CountSketch::EstimateInterval CountSketch::EstimateWithSpread(
   return out;
 }
 
-Count CountSketch::Estimate(ItemId item) const noexcept {
+template <typename CounterFn>
+Count CountSketch::CombineRows(ItemId item, CounterFn counter) const noexcept {
   // Row estimates live on the stack for the common shallow depths; deep
   // sketches fall back to the heap-allocating path.
   constexpr size_t kStackRows = 64;
@@ -180,7 +181,7 @@ Count CountSketch::Estimate(ItemId item) const noexcept {
   }
   for (size_t i = 0; i < depth_; ++i) {
     const BucketSign bs = Locate(i, item);
-    est[i] = counters_.At(i, bs.bucket) * bs.sign;
+    est[i] = counter(i, bs.bucket) * bs.sign;
   }
   if (params_.estimator == Estimator::kMean) {
     // Mean ablation: average rounded toward zero.
@@ -196,6 +197,22 @@ Count CountSketch::Estimate(ItemId item) const noexcept {
   const Count hi = est[mid];
   const Count lo = *std::max_element(est, est + mid);
   return (lo + hi) / 2;
+}
+
+Count CountSketch::Estimate(ItemId item) const noexcept {
+  return CombineRows(item, [this](size_t row, uint64_t bucket) {
+    return counters_.At(row, bucket);
+  });
+}
+
+Count CountSketch::EstimateDifference(ItemId item,
+                                      const CountSketch& base) const noexcept {
+  SFQ_DCHECK(CompatibleWith(base));
+  return CombineRows(item, [this, &base](size_t row, uint64_t bucket) {
+    return static_cast<Count>(
+        static_cast<uint64_t>(counters_.At(row, bucket)) -
+        static_cast<uint64_t>(base.counters_.At(row, bucket)));
+  });
 }
 
 bool CountSketch::CompatibleWith(const CountSketchParams& other) const {
@@ -292,6 +309,11 @@ size_t CountSketch::SerializedSize() const {
 
 void CountSketch::SerializeTo(std::string* out) const {
   out->reserve(out->size() + SerializedSize());
+  AppendSerializedHeader(out);
+  for (size_t i = 0; i < depth_; ++i) out->append(SerializedRow(i));
+}
+
+void CountSketch::AppendSerializedHeader(std::string* out) const {
   ByteWriter w(out);
   w.PutU64(kSketchMagic);
   w.PutU64(depth_);
@@ -299,11 +321,13 @@ void CountSketch::SerializeTo(std::string* out) const {
   w.PutU64(params_.seed);
   w.PutU64(static_cast<uint64_t>(params_.family));
   w.PutU64(static_cast<uint64_t>(params_.estimator));
+}
+
+std::string_view CountSketch::SerializedRow(size_t row) const {
   // Logical row-major order, padding skipped: the wire format is the same
   // as the historical unpadded layout.
-  for (size_t i = 0; i < depth_; ++i) {
-    w.PutBytes(counters_.Row(i), width_ * sizeof(int64_t));
-  }
+  return std::string_view(reinterpret_cast<const char*>(counters_.Row(row)),
+                          width_ * sizeof(int64_t));
 }
 
 Status CountSketch::MergeSerialized(std::string_view data) {

@@ -92,6 +92,12 @@ class CountSketch {
   /// Mean estimates round toward zero.
   Count Estimate(ItemId item) const noexcept;
 
+  /// Estimate(item) on this − base, without building the difference: each
+  /// row's counter minus base's (wrapping like Subtract), then Estimate's
+  /// median or mean. Equal to copying this, Subtract(base) and Estimate.
+  /// `base` must be CompatibleWith this sketch.
+  Count EstimateDifference(ItemId item, const CountSketch& base) const noexcept;
+
   /// The per-row estimates C[i][h_i(q)]*s_i(q), in row order. Exposed for
   /// tests and the variance experiments (E2/E3).
   std::vector<Count> RowEstimates(ItemId item) const;
@@ -123,8 +129,18 @@ class CountSketch {
   }
 
   /// Serializes parameters + counters to `out` (appended), reserving
-  /// exactly SerializedSize() more bytes first.
+  /// exactly SerializedSize() more bytes first: AppendSerializedHeader,
+  /// then every SerializedRow in order.
   void SerializeTo(std::string* out) const;
+
+  /// SerializeTo's bytes in pieces, for writers that send the counters from
+  /// where they live (sketch files, tenant snapshots): the 48-byte header
+  /// appended to `out`, then one view per row.
+  void AppendSerializedHeader(std::string* out) const;
+
+  /// Row i's serialized bytes: a view of its `width` counters, padding
+  /// skipped. Valid while the sketch is alive and unchanged.
+  std::string_view SerializedRow(size_t row) const;
 
   /// Bytes SerializeTo appends: a 48-byte header plus depth·width counters.
   size_t SerializedSize() const;
@@ -169,6 +185,11 @@ class CountSketch {
     int64_t sign;
   };
   BucketSign Locate(size_t row, ItemId item) const noexcept;
+
+  /// Estimate's median or mean over the row values
+  /// counter(row, bucket) * sign, with `counter` reading the cell.
+  template <typename CounterFn>
+  Count CombineRows(ItemId item, CounterFn counter) const noexcept;
 
   /// Row-major batch update over one hash family's function vectors,
   /// through the selected batch-hash backend.

@@ -106,10 +106,11 @@ class CounterMatrix {
 
   /// this += other, over the whole padded buffer (padding stays zero).
   /// Caller guarantees equal dimensions (the sketches' CompatibleWith).
+  /// Cells wrap modulo 2^64 (unsigned arithmetic, no signed-overflow UB).
   // sfq-hot-path
   void AddAll(const CounterMatrix& other) noexcept {
-    int64_t* a = data();
-    const int64_t* b = other.data();
+    uint64_t* a = static_cast<uint64_t*>(buf_.data());
+    const uint64_t* b = static_cast<const uint64_t*>(other.buf_.data());
     const size_t n = depth_ * stride_;
     for (size_t i = 0; i < n; ++i) a[i] += b[i];
   }
@@ -117,8 +118,8 @@ class CounterMatrix {
   /// this -= other, same contract as AddAll.
   // sfq-hot-path
   void SubtractAll(const CounterMatrix& other) noexcept {
-    int64_t* a = data();
-    const int64_t* b = other.data();
+    uint64_t* a = static_cast<uint64_t*>(buf_.data());
+    const uint64_t* b = static_cast<const uint64_t*>(other.buf_.data());
     const size_t n = depth_ * stride_;
     for (size_t i = 0; i < n; ++i) a[i] -= b[i];
   }

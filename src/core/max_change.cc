@@ -80,12 +80,16 @@ size_t MaxChangeDetector::SpaceBytes() const {
   return sketch_.SpaceBytes() + members_.size() * per_member;
 }
 
-std::vector<ItemCount> RankByEstimate(std::span<const ItemId> candidates,
-                                      const CountSketch& score, size_t k,
-                                      bool absolute) {
+namespace {
+
+// Scores each candidate with `estimate` and keeps the k best by `absolute`
+// or signed estimate; the sort is stable on that key alone.
+template <typename EstimateFn>
+std::vector<ItemCount> RankBy(std::span<const ItemId> candidates, size_t k,
+                              bool absolute, EstimateFn estimate) {
   std::vector<ItemCount> out;
   out.reserve(candidates.size());
-  for (ItemId id : candidates) out.push_back({id, score.Estimate(id)});
+  for (ItemId id : candidates) out.push_back({id, estimate(id)});
   const auto key = [absolute](const ItemCount& c) {
     return absolute ? std::llabs(c.count) : c.count;
   };
@@ -97,15 +101,29 @@ std::vector<ItemCount> RankByEstimate(std::span<const ItemId> candidates,
   return out;
 }
 
+}  // namespace
+
+std::vector<ItemCount> RankByEstimate(std::span<const ItemId> candidates,
+                                      const CountSketch& score, size_t k,
+                                      bool absolute) {
+  return RankBy(candidates, k, absolute,
+                [&score](ItemId id) { return score.Estimate(id); });
+}
+
 Result<std::vector<ItemCount>> EpochMaxChange(
     const CountSketch& current, const CountSketch* marked,
     std::span<const ItemId> candidates, size_t k) {
   if (marked == nullptr) {
     return RankByEstimate(candidates, current, k, /*absolute=*/true);
   }
-  CountSketch delta = current;
-  STREAMFREQ_RETURN_NOT_OK(delta.Subtract(*marked));
-  return RankByEstimate(candidates, delta, k, /*absolute=*/true);
+  if (!current.CompatibleWith(*marked)) {
+    return Status::InvalidArgument(
+        "EpochMaxChange: incompatible sketches (parameters or seed differ)");
+  }
+  // Scored on current - marked row by row: no difference sketch is built.
+  return RankBy(candidates, k, /*absolute=*/true, [&](ItemId id) {
+    return current.EstimateDifference(id, *marked);
+  });
 }
 
 }  // namespace streamfreq

@@ -106,7 +106,9 @@ std::vector<ItemCount> RankByEstimate(std::span<const ItemId> candidates,
                                       bool absolute);
 
 /// Ranks the candidates by |estimate| on current - *marked, or on `current`
-/// itself when `marked` is null. Fails when the sketches are incompatible.
+/// itself when `marked` is null. current - *marked is never materialized:
+/// each candidate is scored with CountSketch::EstimateDifference. Fails
+/// when the sketches are incompatible.
 Result<std::vector<ItemCount>> EpochMaxChange(
     const CountSketch& current, const CountSketch* marked,
     std::span<const ItemId> candidates, size_t k);

@@ -1,10 +1,21 @@
 #include "core/sketch_io.h"
 
+#include <algorithm>
+#include <array>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <vector>
+
+#include <fcntl.h>
+#include <sys/uio.h>
+#include <unistd.h>
 
 #include "util/failpoint.h"
 #include "util/frame.h"
+#include "util/iovec.h"
 
 namespace streamfreq {
 
@@ -14,37 +25,57 @@ namespace {
 // length field must not claim terabytes).
 constexpr uint64_t kMaxBlobPayloadBytes = uint64_t{1} << 40;
 
-// Writes `blob` (or its first `len` bytes) to `path`, checking every stage:
-// open, write, and the explicit flush — a buffered ofstream happily reports
-// success until close on a full disk.
-Status WriteBlob(const std::string& path, const std::string& blob,
-                 size_t len) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out.write(blob.data(), static_cast<std::streamsize>(len));
-  out.flush();
-  if (!out) return Status::IoError("write failed: " + path);
+Status ErrnoStatus(const std::string& what, const std::string& path) {
+  return Status::IoError(what + ": " + path + ": " + std::strerror(errno));
+}
+
+// Writes `head` and then `pieces` back to back to a new `path` (created or
+// truncated) with writev on its own fd, and checks the close as well: a
+// full disk may only report there.
+Status WritePieces(const std::string& path, std::string_view head,
+                   std::span<const std::string_view> pieces) {
+  const int fd =
+      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) return ErrnoStatus("cannot open for writing", path);
+  std::vector<iovec> iov;
+  iov.reserve(1 + pieces.size());
+  iov.push_back({const_cast<char*>(head.data()), head.size()});
+  for (const std::string_view piece : pieces) {
+    iov.push_back({const_cast<char*>(piece.data()), piece.size()});
+  }
+  const bool written =
+      WriteAllIovecs(iov.data(), iov.size(), [fd](iovec* rest, size_t n) {
+        return ::writev(fd, rest, static_cast<int>(std::min<size_t>(
+                                      n, static_cast<size_t>(IOV_MAX))));
+      });
+  if (!written) {
+    const Status status = ErrnoStatus("write failed", path);
+    ::close(fd);
+    return status;
+  }
+  if (::close(fd) != 0) return ErrnoStatus("write failed", path);
   return Status::OK();
 }
 
 }  // namespace
 
 Status WriteBlobFileAtomic(const std::string& path, uint64_t magic,
-                           const BlobPayloadWriter& write_payload) {
-  std::string blob;
-  const size_t start = frame::Begin(&blob);
-  write_payload(&blob);
-  frame::Finish(&blob, start, magic);
+                           std::span<const std::string_view> pieces) {
+  const std::array<char, frame::kHeaderSize> header =
+      frame::HeaderFor(magic, pieces);
 
   if (const FailDecision fp = SFQ_FAILPOINT("sketch_io.write"); fp) {
     MaybeDieAtFailpoint(fp);  // power cut before any byte lands
     if (fp.action == FailAction::kTorn) {
       // Simulate a crash mid-write of a non-atomic writer: a prefix of the
-      // blob lands at the *destination* path, bypassing the temp+rename
+      // frame lands at the *destination* path, bypassing the temp+rename
       // protocol, so readers must catch it via truncation/CRC checks.
-      size_t keep = fp.param == 0 ? blob.size() / 2 : fp.param;
-      keep = keep < blob.size() ? keep : blob.size();
-      (void)WriteBlob(path, blob, keep);
+      std::string frame_bytes(header.data(), header.size());
+      for (const std::string_view piece : pieces) frame_bytes.append(piece);
+      size_t keep = fp.param == 0 ? frame_bytes.size() / 2 : fp.param;
+      keep = keep < frame_bytes.size() ? keep : frame_bytes.size();
+      (void)WritePieces(path, std::string_view(frame_bytes).substr(0, keep),
+                        {});
     }
     return Status::IoError("injected failure: sketch_io.write: " + path);
   }
@@ -52,8 +83,10 @@ Status WriteBlobFileAtomic(const std::string& path, uint64_t magic,
   // Crash consistency: land the bytes in a sibling temp file, then publish
   // with rename — atomic within a directory on POSIX, so a reader sees
   // either the old complete file or the new complete file, never a prefix.
+  // The payload is written from where it lives, behind the header.
   const std::string tmp_path = path + ".tmp";
-  const Status write_status = WriteBlob(tmp_path, blob, blob.size());
+  const Status write_status = WritePieces(
+      tmp_path, std::string_view(header.data(), header.size()), pieces);
   if (!write_status.ok()) {
     std::remove(tmp_path.c_str());
     return write_status;
@@ -107,10 +140,22 @@ Result<std::string> ReadBlobFileVerified(const std::string& path,
   return data;
 }
 
+std::vector<std::string_view> PiecesWithSketch(std::string_view head,
+                                               const CountSketch& sketch) {
+  std::vector<std::string_view> pieces;
+  pieces.reserve(1 + sketch.depth());
+  pieces.push_back(head);
+  for (size_t i = 0; i < sketch.depth(); ++i) {
+    pieces.push_back(sketch.SerializedRow(i));
+  }
+  return pieces;
+}
+
 Status WriteSketchFile(const std::string& path, const CountSketch& sketch) {
-  return WriteBlobFileAtomic(
-      path, kSketchFileMagic,
-      [&sketch](std::string* out) { sketch.SerializeTo(out); });
+  std::string head;
+  sketch.AppendSerializedHeader(&head);
+  return WriteBlobFileAtomic(path, kSketchFileMagic,
+                             PiecesWithSketch(head, sketch));
 }
 
 Result<CountSketch> ReadSketchFile(const std::string& path) {

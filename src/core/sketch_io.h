@@ -8,6 +8,12 @@
 // server's durability layer (src/server/snapshotter.h) reuses the generic
 // blob entry points for tenant snapshots.
 //
+// Files are written from where their bytes already live: the writer takes
+// the payload as a list of pieces (a small head buffer, then one view per
+// counter row of the sketch), builds the frame header over them and hands
+// header and pieces to one writev. No sketch-sized copy of the file is made,
+// so publishing a sketch costs its bytes on disk and a few small buffers.
+//
 // Crash consistency: writes land the bytes in `path + ".tmp"` and publish
 // them with rename — atomic within a directory on POSIX — so a crash
 // mid-save leaves the previous checkpoint intact, never a prefix. Neither
@@ -20,8 +26,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/count_sketch.h"
 #include "util/result.h"
@@ -31,18 +39,21 @@ namespace streamfreq {
 /// Magic tag of sketch checkpoint files ("SFQSKF01").
 constexpr uint64_t kSketchFileMagic = 0x5346515346303153ULL;
 
-/// Appends a blob's payload bytes to the frame buffer it is handed.
-using BlobPayloadWriter = std::function<void(std::string* out)>;
-
-/// Writes one frame (`magic` + length + masked CRC-32C + the payload that
-/// `write_payload` appends in place) to `path` atomically: bytes land in
-/// `path + ".tmp"` and are published by rename, so concurrent readers and
-/// crash recovery see either the old file or the new one in full. Carries
-/// the `sketch_io.write` / `sketch_io.rename` failpoints (including
-/// process-death mid-publish in crash-kills-process mode — see
-/// util/failpoint.h).
+/// Writes one frame (`magic` + length + masked CRC-32C + `pieces` back to
+/// back as the payload) to `path` atomically: bytes land in `path + ".tmp"`
+/// and are published by rename, so concurrent readers and crash recovery
+/// see either the old file or the new one in full. The pieces are written
+/// where they are, with one writev. Carries the `sketch_io.write` /
+/// `sketch_io.rename` failpoints (including process-death mid-publish in
+/// crash-kills-process mode — see util/failpoint.h).
 Status WriteBlobFileAtomic(const std::string& path, uint64_t magic,
-                           const BlobPayloadWriter& write_payload);
+                           std::span<const std::string_view> pieces);
+
+/// The payload pieces of a blob that ends in `sketch`'s serialized form:
+/// `head` (which must end in the sketch's AppendSerializedHeader bytes),
+/// then one view per counter row. The views alias the sketch.
+std::vector<std::string_view> PiecesWithSketch(std::string_view head,
+                                               const CountSketch& sketch);
 
 /// Reads and verifies a file written by WriteBlobFileAtomic, returning the
 /// payload bytes. Corruption (bad magic, bad CRC, truncation, trailing

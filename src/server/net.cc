@@ -1,15 +1,18 @@
 #include "server/net.h"
 
+#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include "server/protocol.h"
 #include "util/frame.h"
+#include "util/iovec.h"
 #include "util/macros.h"
 
 namespace streamfreq {
@@ -33,22 +36,6 @@ Status FillAddr(const std::string& path, sockaddr_un* addr) {
   std::memset(addr, 0, sizeof(*addr));
   addr->sun_family = AF_UNIX;
   std::memcpy(addr->sun_path, path.c_str(), path.size() + 1);
-  return Status::OK();
-}
-
-/// send(2) until done, retrying EINTR. MSG_NOSIGNAL turns a peer hangup
-/// into EPIPE instead of a process-killing SIGPIPE — both server and
-/// client treat it as an ordinary IoError.
-Status WriteAll(int fd, const char* data, size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoStatus("write");
-    }
-    data += n;
-    len -= static_cast<size_t>(n);
-  }
   return Status::OK();
 }
 
@@ -119,8 +106,22 @@ Status SendFrame(int fd, std::string_view payload) {
   if (payload.size() > kMaxPayloadBytes) {
     return Status::InvalidArgument("frame payload exceeds bound");
   }
-  const std::string frame = EncodeFrame(payload);
-  return WriteAll(fd, frame.data(), frame.size());
+  // Header and payload go out as two iovecs: the payload is sent from the
+  // caller's buffer, never copied behind a header.
+  const std::string_view pieces[] = {payload};
+  std::array<char, kFrameHeaderSize> header =
+      frame::HeaderFor(kFrameMagic, pieces);
+  iovec iov[] = {{header.data(), header.size()},
+                 {const_cast<char*>(payload.data()), payload.size()}};
+  // MSG_NOSIGNAL turns a peer hangup into EPIPE instead of a process-killing
+  // SIGPIPE — both server and client treat it as an ordinary IoError.
+  const bool sent = WriteAllIovecs(iov, 2, [fd](iovec* rest, size_t n) {
+    msghdr msg{};
+    msg.msg_iov = rest;
+    msg.msg_iovlen = n;
+    return ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+  });
+  return sent ? Status::OK() : ErrnoStatus("write");
 }
 
 Result<std::string> RecvFrame(int fd) {

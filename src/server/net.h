@@ -65,8 +65,10 @@ Result<OwnedFd> AcceptConn(const OwnedFd& listener);
 /// Connects to the unix-domain socket at `path`.
 Result<OwnedFd> ConnectUnix(const std::string& path);
 
-/// Writes one checksummed frame (header + payload), looping over partial
-/// writes. InvalidArgument when the payload exceeds kMaxPayloadBytes.
+/// Writes one checksummed frame: the header and the payload as two iovecs
+/// of one sendmsg loop (partial sends resume where they stopped), so the
+/// payload is not copied. InvalidArgument when the payload exceeds
+/// kMaxPayloadBytes; IoError when the peer is gone (never SIGPIPE).
 Status SendFrame(int fd, std::string_view payload);
 
 /// Reads one frame and returns its payload. NotFound on EOF before any

@@ -32,28 +32,31 @@ Status WriteTenantSnapshot(const std::string& path, const TenantSnapshot& snap,
       return Status::IoError("injected failure: snapshot.publish: " + path);
     }
   }
-  return WriteBlobFileAtomic(path, kSnapshotMagic, [&](std::string* out) {
-    ByteWriter w(out);
-    w.PutU64(kSnapshotVersion);
-    snap.spec.EncodeTo(w);
-    w.PutU64(snap.wal_seqno);
-    w.PutU64(snap.durable_items);
-    w.PutU64(snap.rejected_items);
-    w.PutU64(snap.rejected_requests);
-    w.PutU64(snap.queries);
-    w.PutU64(snap.stale_serves);
-    w.PutU64(snap.sealed ? 1 : 0);
-    w.PutU64(snap.candidate_capacity);
-    w.PutU64(snap.candidates.size());
-    for (const SpaceSavingEntry& e : snap.candidates) {
-      w.PutU64(e.item);
-      w.PutI64(e.count);
-      w.PutI64(e.error);
-    }
-    // PutString's layout, with the sketch serialized in place.
-    w.PutU64(sketch.SerializedSize());
-    sketch.SerializeTo(out);
-  });
+  // Everything before the counter rows goes into one small head buffer;
+  // the rows are written straight from the sketch.
+  std::string head;
+  ByteWriter w(&head);
+  w.PutU64(kSnapshotVersion);
+  snap.spec.EncodeTo(w);
+  w.PutU64(snap.wal_seqno);
+  w.PutU64(snap.durable_items);
+  w.PutU64(snap.rejected_items);
+  w.PutU64(snap.rejected_requests);
+  w.PutU64(snap.queries);
+  w.PutU64(snap.stale_serves);
+  w.PutU64(snap.sealed ? 1 : 0);
+  w.PutU64(snap.candidate_capacity);
+  w.PutU64(snap.candidates.size());
+  for (const SpaceSavingEntry& e : snap.candidates) {
+    w.PutU64(e.item);
+    w.PutI64(e.count);
+    w.PutI64(e.error);
+  }
+  // PutString's layout: the length prefix, then the serialized sketch.
+  w.PutU64(sketch.SerializedSize());
+  sketch.AppendSerializedHeader(&head);
+  return WriteBlobFileAtomic(path, kSnapshotMagic,
+                             PiecesWithSketch(head, sketch));
 }
 
 Result<LoadedSnapshot> ReadTenantSnapshot(const std::string& path) {

@@ -62,9 +62,10 @@ struct TenantSnapshot {
   std::vector<SpaceSavingEntry> candidates;
 };
 
-/// Encodes `snap` and `sketch` straight into the file's frame buffer and
-/// writes it atomically. Carries the `snapshot.publish` failpoint (error,
-/// process death) in front of the sketch_io write path.
+/// Encodes `snap` into a small head buffer and writes it atomically with
+/// `sketch`'s counter rows straight from counter memory (no sketch-sized
+/// staging copy). Carries the `snapshot.publish` failpoint (error, process
+/// death) in front of the sketch_io write path.
 Status WriteTenantSnapshot(const std::string& path, const TenantSnapshot& snap,
                            const CountSketch& sketch);
 

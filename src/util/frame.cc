@@ -15,19 +15,32 @@ size_t Begin(std::string* out) {
 }
 
 void Finish(std::string* out, size_t start, uint64_t magic) {
-  char* header = out->data() + start;
-  const uint64_t payload_len = out->size() - start - kHeaderSize;
-  const uint32_t crc =
-      crc32c::Mask(crc32c::Value(header + kHeaderSize, payload_len));
-  std::memcpy(header, &magic, 8);
-  std::memcpy(header + 8, &payload_len, 8);
-  std::memcpy(header + 16, &crc, 4);
+  const std::string_view payload[] = {
+      std::string_view(*out).substr(start + kHeaderSize)};
+  const std::array<char, kHeaderSize> header = HeaderFor(magic, payload);
+  std::memcpy(out->data() + start, header.data(), kHeaderSize);
 }
 
 void Append(std::string* out, uint64_t magic, std::string_view payload) {
   const size_t start = Begin(out);
   out->append(payload);
   Finish(out, start, magic);
+}
+
+std::array<char, kHeaderSize> HeaderFor(
+    uint64_t magic, std::span<const std::string_view> pieces) {
+  uint64_t payload_len = 0;
+  uint32_t crc = 0;
+  for (const std::string_view piece : pieces) {
+    payload_len += piece.size();
+    crc = crc32c::Extend(crc, piece.data(), piece.size());
+  }
+  crc = crc32c::Mask(crc);
+  std::array<char, kHeaderSize> header;
+  std::memcpy(header.data(), &magic, 8);
+  std::memcpy(header.data() + 8, &payload_len, 8);
+  std::memcpy(header.data() + 16, &crc, 4);
+  return header;
 }
 
 Result<Header> ParseHeader(std::string_view header, uint64_t magic,

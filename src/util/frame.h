@@ -9,14 +9,19 @@
 //
 // Encoding happens in the caller's buffer: Begin reserves the header, the
 // caller appends the payload behind it, Finish fills in length and CRC.
+// Writers that send a payload from where its bytes already live (writev,
+// sendmsg) take HeaderFor over the payload's pieces instead and never
+// copy the payload behind a header.
 // Decoding checks magic, the length bound (before anything is sized by
 // it), the bytes present and the CRC, and returns a view of the payload.
 // Every failure is Corruption; each format decides what that means (the
 // server closes the connection, replay stops at a torn tail).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -36,6 +41,12 @@ void Finish(std::string* out, size_t start, uint64_t magic);
 
 /// Begin, append `payload`, Finish.
 void Append(std::string* out, uint64_t magic, std::string_view payload);
+
+/// The header of a frame whose payload is `pieces` back to back: the CRC
+/// runs across them in order, so the frame equals Append over their
+/// concatenation.
+std::array<char, kHeaderSize> HeaderFor(
+    uint64_t magic, std::span<const std::string_view> pieces);
 
 struct Header {
   uint64_t payload_len = 0;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -73,6 +74,29 @@ TEST(FrameCodecTest, EncodesInPlaceBehindExistingBytes) {
   ASSERT_TRUE(payload.ok()) << payload.status().ToString();
   EXPECT_EQ(*payload, "payload");
   EXPECT_EQ(payload->data(), out.data() + start + frame::kHeaderSize);
+}
+
+// The CRC runs across the pieces in order, so any split of a payload (empty
+// pieces and no pieces at all included) gives Append's header.
+TEST(FrameCodecTest, HeaderOverPiecesMatchesAppend) {
+  const std::string payload = "the payload, split at every byte";
+  for (size_t cut = 0; cut <= payload.size(); ++cut) {
+    const std::string_view whole(payload);
+    const std::vector<std::string_view> pieces = {
+        whole.substr(0, cut), "", whole.substr(cut)};
+    const std::array<char, frame::kHeaderSize> header =
+        frame::HeaderFor(kTestMagic, pieces);
+    std::string appended;
+    frame::Append(&appended, kTestMagic, payload);
+    EXPECT_EQ(std::string(header.data(), header.size()),
+              appended.substr(0, frame::kHeaderSize))
+        << "cut at " << cut;
+  }
+  std::string empty;
+  frame::Append(&empty, kTestMagic, "");
+  const std::array<char, frame::kHeaderSize> none =
+      frame::HeaderFor(kTestMagic, {});
+  EXPECT_EQ(std::string(none.data(), none.size()), empty);
 }
 
 TEST(FrameCodecTest, DecodePrefixLeavesTheRestForTheCaller) {
@@ -155,9 +179,8 @@ class FrameFormatTest : public ::testing::TestWithParam<Format> {
       }
       case Format::kBlobFile:
         EXPECT_TRUE(WriteBlobFileAtomic(path_, kSketchFileMagic,
-                                        [](std::string* out) {
-                                          *out += "blob payload bytes";
-                                        })
+                                        std::vector<std::string_view>{
+                                            "blob payload ", "bytes"})
                         .ok());
         break;
     }

@@ -234,5 +234,45 @@ TEST(RankByEstimateTest, EpochMaxChangeRanksTheDifference) {
   EXPECT_FALSE(EpochMaxChange(current, &*incompatible, candidates, 3).ok());
 }
 
+// EstimateDifference is Subtract-then-Estimate without the copy: identical
+// answers at every depth from 1 to 8 (odd and even medians), under both
+// estimators, and where current - marked wraps around int64.
+TEST(RankByEstimateTest, EstimateDifferenceEqualsSubtractThenEstimate) {
+  constexpr ItemId kHeavy = 123456789;
+  // 1000 below the limit: the small weights below stay inside int64 on each
+  // sketch, while the difference of the heavy item's cells wraps.
+  constexpr Count kNearMax = std::numeric_limits<Count>::max() - 1000;
+  for (size_t depth = 1; depth <= 8; ++depth) {
+    for (const Estimator estimator : {Estimator::kMedian, Estimator::kMean}) {
+      CountSketchParams p;
+      p.depth = depth;
+      p.width = 64;
+      p.seed = 40 + depth;
+      p.estimator = estimator;
+      auto current = CountSketch::Make(p);
+      auto marked = CountSketch::Make(p);
+      ASSERT_TRUE(current.ok() && marked.ok());
+      current->Add(kHeavy, kNearMax);
+      marked->Add(kHeavy, -kNearMax);
+      for (ItemId q = 1; q <= 200; ++q) current->Add(q, 1);
+      for (ItemId q = 100; q <= 300; ++q) marked->Add(q, 1);
+
+      CountSketch delta = *current;
+      ASSERT_TRUE(delta.Subtract(*marked).ok());
+      std::vector<ItemId> candidates = {kHeavy};
+      for (ItemId q = 1; q <= 400; ++q) candidates.push_back(q);
+      for (const ItemId q : candidates) {
+        ASSERT_EQ(current->EstimateDifference(q, *marked), delta.Estimate(q))
+            << "depth " << depth << " mean "
+            << (estimator == Estimator::kMean) << " item " << q;
+      }
+      auto changes = EpochMaxChange(*current, &*marked, candidates, 50);
+      ASSERT_TRUE(changes.ok());
+      EXPECT_EQ(*changes,
+                RankByEstimate(candidates, delta, 50, /*absolute=*/true));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace streamfreq

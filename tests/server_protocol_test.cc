@@ -7,10 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cerrno>
+#include <csignal>
 #include <string>
 #include <sys/socket.h>
+#include <thread>
 #include <unistd.h>
 #include <vector>
+
+#include <pthread.h>
 
 #include "server/net.h"
 #include "util/bytes.h"
@@ -305,6 +311,71 @@ TEST(NetTest, CleanEofVsMidFrameTruncation) {
   OwnedFd reader2(more[0]);
   { OwnedFd writer2(more[1]); }  // close immediately: EOF at a boundary
   EXPECT_TRUE(RecvFrame(reader2.get()).status().IsNotFound());
+}
+
+void IgnoreSignal(int) {}
+
+// A multi-MB frame through a socket with a small send buffer: the kernel
+// moves it in many pieces, and signals sent to the blocked writer end its
+// sendmsg early (a partial count, or EINTR when nothing moved), so SendFrame
+// has to resume mid-iovec. The reader sees the exact frame.
+TEST(NetTest, LargeFrameRoundTripsAcrossPartialSends) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  OwnedFd reader(fds[0]);
+  OwnedFd writer(fds[1]);
+  const int small = 4096;
+  ASSERT_EQ(::setsockopt(writer.get(), SOL_SOCKET, SO_SNDBUF, &small,
+                         sizeof(small)),
+            0);
+
+  std::string payload(3 << 20, '\0');
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>((i * 2654435761u) >> 13);
+  }
+
+  // No SA_RESTART: a signal interrupts the writer's sendmsg.
+  struct sigaction action {};
+  struct sigaction previous {};
+  action.sa_handler = IgnoreSignal;
+  sigemptyset(&action.sa_mask);
+  ASSERT_EQ(::sigaction(SIGUSR1, &action, &previous), 0);
+
+  std::atomic<bool> done{false};
+  Status sent;
+  std::thread send_thread([&] {
+    sent = SendFrame(writer.get(), payload);
+    done = true;
+  });
+  // Read in small chunks, poking the writer between them.
+  std::string received;
+  const size_t frame_bytes = frame::kHeaderSize + payload.size();
+  char chunk[16 << 10];
+  while (received.size() < frame_bytes) {
+    if (!done) ::pthread_kill(send_thread.native_handle(), SIGUSR1);
+    const ssize_t n = ::read(reader.get(), chunk, sizeof(chunk));
+    if (n < 0 && errno == EINTR) continue;
+    ASSERT_GT(n, 0);
+    received.append(chunk, static_cast<size_t>(n));
+  }
+  send_thread.join();
+  ASSERT_EQ(::sigaction(SIGUSR1, &previous, nullptr), 0);
+
+  ASSERT_TRUE(sent.ok()) << sent.ToString();
+  auto decoded = DecodeFrame(received);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(*decoded == payload);
+}
+
+// A peer that hung up makes SendFrame an IoError (EPIPE); MSG_NOSIGNAL keeps
+// SIGPIPE from killing the process, which would end this test binary.
+TEST(NetTest, SendToClosedPeerIsIoError) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  OwnedFd writer(fds[1]);
+  { OwnedFd reader(fds[0]); }
+  EXPECT_TRUE(SendFrame(writer.get(), "nobody listens").IsIoError());
+  EXPECT_TRUE(SendFrame(writer.get(), std::string(1 << 20, 'x')).IsIoError());
 }
 
 TEST(NetTest, OversizedSendRejectedBeforeWrite) {

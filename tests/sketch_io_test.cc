@@ -2,12 +2,38 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <new>
 
+#include "server/snapshotter.h"
+#include "util/bytes.h"
 #include "util/failpoint.h"
+#include "util/frame.h"
 #include "verify/program.h"
+
+// Every operator new in this binary is counted, so a test can bound what a
+// call allocates (WriterAllocatesNoSketchSizedBuffer). The array, nothrow
+// and sized forms of the standard library all route through these two.
+namespace {
+std::atomic<size_t> g_new_bytes{0};
+}  // namespace
+
+void* operator new(size_t size) {
+  g_new_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+// Out of line, so GCC does not see free() meet a new-expression's pointer
+// after inlining (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
 
 namespace streamfreq {
 namespace {
@@ -308,6 +334,135 @@ TEST(SketchIoTest, InjectedReadFaultsSurfaceAsStatuses) {
   // Disarmed again: the file itself was never touched.
   EXPECT_TRUE(ReadSketchFile(path).ok());
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// The writer sends the frame header, a small head buffer and the counter
+// rows straight from the sketch. The file must be exactly the frame the
+// copying encoder built: the header over the SerializeTo payload.
+
+CountSketch MakeSketch(size_t depth, size_t width) {
+  CountSketchParams p;
+  p.depth = depth;
+  p.width = width;
+  p.seed = 2026;
+  auto s = CountSketch::Make(p);
+  EXPECT_TRUE(s.ok()) << s.status().ToString();
+  for (ItemId q = 1; q <= 5000; ++q) s->Add(q * 7919, static_cast<Count>(q % 13));
+  return std::move(*s);
+}
+
+TEST(SketchIoTest, SketchFileIsTheFrameOfSerializeTo) {
+  const std::string path = TempPath("sfq_sketch_bytes.skf");
+  // Width 37 has a padded row stride (40 counters); 4096 has none.
+  for (const size_t width : {size_t{37}, size_t{4096}}) {
+    for (const size_t depth : {size_t{1}, size_t{5}}) {
+      const CountSketch sketch = MakeSketch(depth, width);
+      ASSERT_TRUE(WriteSketchFile(path, sketch).ok());
+      std::string payload;
+      sketch.SerializeTo(&payload);
+      std::string want;
+      frame::Append(&want, kSketchFileMagic, payload);
+      EXPECT_EQ(ReadAll(path), want) << "depth " << depth << " width " << width;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// The snapshot layout of snapshotter.h, encoded the copying way: every field,
+// then the sketch as a length-prefixed SerializeTo string.
+std::string CopyingSnapshotPayload(const TenantSnapshot& snap,
+                                   const CountSketch& sketch) {
+  std::string out;
+  ByteWriter w(&out);
+  w.PutU64(kSnapshotVersion);
+  snap.spec.EncodeTo(w);
+  w.PutU64(snap.wal_seqno);
+  w.PutU64(snap.durable_items);
+  w.PutU64(snap.rejected_items);
+  w.PutU64(snap.rejected_requests);
+  w.PutU64(snap.queries);
+  w.PutU64(snap.stale_serves);
+  w.PutU64(snap.sealed ? 1 : 0);
+  w.PutU64(snap.candidate_capacity);
+  w.PutU64(snap.candidates.size());
+  for (const SpaceSavingEntry& e : snap.candidates) {
+    w.PutU64(e.item);
+    w.PutI64(e.count);
+    w.PutI64(e.error);
+  }
+  std::string blob;
+  sketch.SerializeTo(&blob);
+  w.PutString(blob);
+  return out;
+}
+
+TenantSnapshot MakeSnapshotState(const CountSketch& sketch) {
+  TenantSnapshot snap;
+  snap.spec.depth = sketch.depth();
+  snap.spec.width = sketch.width();
+  snap.spec.seed = sketch.seed();
+  snap.spec.tracked = 64;
+  snap.wal_seqno = 17;
+  snap.durable_items = 5000;
+  snap.rejected_items = 3;
+  snap.rejected_requests = 1;
+  snap.queries = 9;
+  snap.stale_serves = 2;
+  snap.sealed = true;
+  snap.candidate_capacity = 64;
+  for (ItemId q = 1; q <= 40; ++q) {
+    snap.candidates.push_back({q * 7919, static_cast<Count>(100 - q),
+                               static_cast<Count>(q % 3)});
+  }
+  return snap;
+}
+
+TEST(SketchIoTest, TenantSnapshotIsTheFrameOfItsCopyingEncoding) {
+  const std::string path = TempPath("sfq_snapshot_bytes.sfs");
+  for (const size_t width : {size_t{37}, size_t{4096}}) {
+    const CountSketch sketch = MakeSketch(5, width);
+    const TenantSnapshot snap = MakeSnapshotState(sketch);
+    ASSERT_TRUE(WriteTenantSnapshot(path, snap, sketch).ok());
+    std::string want;
+    frame::Append(&want, kSnapshotMagic, CopyingSnapshotPayload(snap, sketch));
+    EXPECT_EQ(ReadAll(path), want) << "width " << width;
+
+    auto loaded = ReadTenantSnapshot(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->state.candidates.size(), snap.candidates.size());
+    for (ItemId q = 1; q <= 5000; q += 97) {
+      ASSERT_EQ(loaded->sketch.Estimate(q * 7919), sketch.Estimate(q * 7919));
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// Publishing a 2^20-counter (8 MiB) sketch allocates a few small buffers:
+// the head, the piece list, the iovecs and the temp path. A copy of the file
+// in a staging buffer would be over 8 MiB.
+TEST(SketchIoTest, WriterAllocatesNoSketchSizedBuffer) {
+  constexpr size_t kBound = 64 << 10;
+  const CountSketch sketch = MakeSketch(4, size_t{1} << 18);
+  const TenantSnapshot snap = MakeSnapshotState(sketch);
+  const std::string sketch_path = TempPath("sfq_alloc_guard.skf");
+  const std::string snapshot_path = TempPath("sfq_alloc_guard.sfs");
+
+  const size_t before = g_new_bytes.load();
+  const Status sketch_written = WriteSketchFile(sketch_path, sketch);
+  const Status snapshot_written =
+      WriteTenantSnapshot(snapshot_path, snap, sketch);
+  const size_t allocated = g_new_bytes.load() - before;
+
+  ASSERT_TRUE(sketch_written.ok()) << sketch_written.ToString();
+  ASSERT_TRUE(snapshot_written.ok()) << snapshot_written.ToString();
+  EXPECT_LT(allocated, kBound);
+  // The counting operator new is live: reading the file back allocates it.
+  const size_t before_read = g_new_bytes.load();
+  ASSERT_TRUE(ReadSketchFile(sketch_path).ok());
+  EXPECT_GT(g_new_bytes.load() - before_read, sketch.SerializedSize());
+  std::remove(sketch_path.c_str());
+  std::remove(snapshot_path.c_str());
 }
 
 }  // namespace
