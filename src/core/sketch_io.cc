@@ -6,10 +6,10 @@
 #include <climits>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <vector>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
@@ -56,6 +56,11 @@ Status WritePieces(const std::string& path, std::string_view head,
   if (::close(fd) != 0) return ErrnoStatus("write failed", path);
   return Status::OK();
 }
+
+struct FdCloser {
+  int fd;
+  ~FdCloser() { ::close(fd); }
+};
 
 }  // namespace
 
@@ -112,32 +117,54 @@ Result<std::string> ReadBlobFileVerified(const std::string& path,
     return Status::IoError("injected failure: sketch_io.read: " + path);
   }
 
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  // The buffer grows with the bytes actually read, never with the length
-  // field, so a corrupted length cannot trigger a giant allocation.
-  std::string data;
-  char chunk[1 << 14];
-  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
-    data.append(chunk, static_cast<size_t>(in.gcount()));
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return ErrnoStatus("cannot open for reading", path);
+  const FdCloser closer{fd};
+  struct stat st;
+  if (::fstat(fd, &st) != 0) return ErrnoStatus("cannot stat", path);
+  // A path that opens but is no file (a directory, say) holds no frame.
+  if (!S_ISREG(st.st_mode)) {
+    return Status::Corruption("not a regular file: " + path);
   }
-
-  if (fp.action == FailAction::kBitFlip && data.size() > frame::kHeaderSize) {
-    // Bit rot in the payload between write and read; the CRC must catch it.
-    const uint64_t bit = fp.param % ((data.size() - frame::kHeaderSize) * 8);
-    data[frame::kHeaderSize + bit / 8] ^= static_cast<char>(1u << (bit % 8));
-  }
+  const auto with_path = [&path](const Status& status) {
+    return Status(status.code(), status.message() + ": " + path);
+  };
 
   // Exactly one frame: truncation, wrong magic, an implausible length,
-  // trailing bytes and a checksum mismatch are all Corruption.
-  const Result<std::string_view> payload =
-      frame::Decode(data, magic, kMaxBlobPayloadBytes);
-  if (!payload.ok()) {
-    const Status& status = payload.status();
-    return Status(status.code(), status.message() + ": " + path);
+  // trailing bytes and a checksum mismatch are all Corruption. The length
+  // field must account for the whole file before anything is sized by it.
+  std::array<char, frame::kHeaderSize> header_bytes;
+  const ssize_t header_got =
+      ReadUpTo(fd, header_bytes.data(), header_bytes.size());
+  if (header_got < 0) return ErrnoStatus("read failed", path);
+  const Result<frame::Header> header = frame::ParseHeader(
+      std::string_view(header_bytes.data(), static_cast<size_t>(header_got)),
+      magic, kMaxBlobPayloadBytes);
+  if (!header.ok()) return with_path(header.status());
+  const uint64_t file_size = static_cast<uint64_t>(st.st_size);
+  if (header->payload_len + frame::kHeaderSize < file_size) {
+    return Status::Corruption("trailing bytes after frame payload: " + path);
   }
-  data.erase(0, frame::kHeaderSize);
-  return data;
+  if (header->payload_len + frame::kHeaderSize > file_size) {
+    return Status::Corruption("frame payload truncated: " + path);
+  }
+
+  std::string payload(static_cast<size_t>(header->payload_len), '\0');
+  const ssize_t payload_got = ReadUpTo(fd, payload.data(), payload.size());
+  if (payload_got < 0) return ErrnoStatus("read failed", path);
+  if (static_cast<size_t>(payload_got) != payload.size()) {
+    return Status::Corruption("frame payload truncated: " + path);
+  }
+  if (fp.action == FailAction::kBitFlip && !payload.empty()) {
+    // Bit rot in the payload between write and read; the CRC must catch it.
+    const uint64_t bit = fp.param % (payload.size() * 8);
+    payload[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+  }
+  if (const Status verified = frame::VerifyPayload(*header, payload);
+      !verified.ok()) {
+    return with_path(verified);
+  }
+  return payload;
 }
 
 std::vector<std::string_view> PiecesWithSketch(std::string_view head,

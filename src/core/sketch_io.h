@@ -57,8 +57,9 @@ std::vector<std::string_view> PiecesWithSketch(std::string_view head,
 
 /// Reads and verifies a file written by WriteBlobFileAtomic, returning the
 /// payload bytes. Corruption (bad magic, bad CRC, truncation, trailing
-/// bytes) is distinguished from filesystem errors. Carries the
-/// `sketch_io.read` failpoint.
+/// bytes, not a regular file) is distinguished from filesystem errors. The
+/// payload is read into one buffer, allocated only once the header's length
+/// matches the file's size. Carries the `sketch_io.read` failpoint.
 Result<std::string> ReadBlobFileVerified(const std::string& path,
                                          uint64_t magic);
 

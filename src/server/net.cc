@@ -39,22 +39,6 @@ Status FillAddr(const std::string& path, sockaddr_un* addr) {
   return Status::OK();
 }
 
-/// read(2) until `len` bytes arrive. `*got` reports progress so callers can
-/// tell EOF-at-boundary from EOF-mid-object.
-Status ReadAll(int fd, char* data, size_t len, size_t* got) {
-  *got = 0;
-  while (*got < len) {
-    const ssize_t n = ::read(fd, data + *got, len - *got);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoStatus("read");
-    }
-    if (n == 0) return Status::OK();  // EOF; *got says how far we came
-    *got += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 void OwnedFd::Reset() {
@@ -126,10 +110,10 @@ Status SendFrame(int fd, std::string_view payload) {
 
 Result<std::string> RecvFrame(int fd) {
   char header[kFrameHeaderSize];
-  size_t got = 0;
-  STREAMFREQ_RETURN_NOT_OK(ReadAll(fd, header, sizeof(header), &got));
+  const ssize_t got = ReadUpTo(fd, header, sizeof(header));
+  if (got < 0) return ErrnoStatus("read");
   if (got == 0) return Status::NotFound("connection closed");
-  if (got < sizeof(header)) {
+  if (static_cast<size_t>(got) < sizeof(header)) {
     return Status::Corruption("connection closed inside a frame header");
   }
   STREAMFREQ_ASSIGN_OR_RETURN(
@@ -138,8 +122,9 @@ Result<std::string> RecvFrame(int fd) {
                          kFrameMagic, kMaxPayloadBytes));
   std::string payload(static_cast<size_t>(parsed.payload_len), '\0');
   if (!payload.empty()) {
-    STREAMFREQ_RETURN_NOT_OK(ReadAll(fd, payload.data(), payload.size(), &got));
-    if (got < payload.size()) {
+    const ssize_t payload_got = ReadUpTo(fd, payload.data(), payload.size());
+    if (payload_got < 0) return ErrnoStatus("read");
+    if (static_cast<size_t>(payload_got) < payload.size()) {
       return Status::Corruption("connection closed inside a frame payload");
     }
   }

@@ -1,8 +1,9 @@
-// Vectored writes that finish. One writev(2) or sendmsg(2) may move fewer
-// bytes than asked — a full socket buffer, a signal, a file-size limit —
-// and stop inside an iovec; WriteAllIovecs repeats the call on what is left.
-// Callers send bytes from where they already live (a frame header and a
-// payload, a file head and counter rows) without joining them in a buffer.
+// Vectored writes and reads that finish. One writev(2) or sendmsg(2) may
+// move fewer bytes than asked — a full socket buffer, a signal, a file-size
+// limit — and stop inside an iovec; WriteAllIovecs repeats the call on what
+// is left. Callers send bytes from where they already live (a frame header
+// and a payload, a file head and counter rows) without joining them in a
+// buffer. ReadUpTo does the same for read(2) into one buffer.
 #pragma once
 
 #include <cerrno>
@@ -10,6 +11,7 @@
 
 #include <sys/types.h>
 #include <sys/uio.h>
+#include <unistd.h>
 
 namespace streamfreq {
 
@@ -37,6 +39,23 @@ bool WriteAllIovecs(iovec* iov, size_t count, WriteSome write_some) {
     }
   }
   return true;
+}
+
+/// read(2) into `data` until `len` bytes arrive or the input ends,
+/// retrying EINTR. Returns the bytes read, fewer than `len` only at end of
+/// input, or -1 with errno set on any other failure.
+inline ssize_t ReadUpTo(int fd, char* data, size_t len) {
+  size_t got = 0;
+  while (got < len) {
+    const ssize_t n = ::read(fd, data + got, len - got);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return -1;
+    }
+    if (n == 0) break;
+    got += static_cast<size_t>(n);
+  }
+  return static_cast<ssize_t>(got);
 }
 
 }  // namespace streamfreq

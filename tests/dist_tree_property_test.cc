@@ -18,12 +18,8 @@
 #include <string>
 #include <vector>
 
-#include "core/ams_f2.h"
 #include "core/count_min.h"
 #include "core/count_sketch.h"
-#include "core/group_testing.h"
-#include "core/hierarchical.h"
-#include "core/hierarchical_cm.h"
 #include "core/misra_gries.h"
 #include "core/space_saving.h"
 #include "dist/tree.h"
@@ -160,106 +156,6 @@ TEST(DistTreePropertyTest, CountMinCountersInvariantAcrossShapes) {
         }
       }
     }
-  }
-}
-
-TEST(DistTreePropertyTest, AmsF2CountersInvariantAcrossShapes) {
-  const uint64_t workers = 6;
-  const auto streams = LeafStreams(workers, 2500, 1 << 14, 31);
-  AmsF2Params params;
-  params.groups = 8;
-  params.atoms_per_group = 16;
-  params.seed = 3;
-  auto zero = AmsF2Sketch::Make(params);
-  ASSERT_TRUE(zero.ok());
-  std::vector<AmsF2Sketch> leaves;
-  for (const Stream& s : streams) {
-    AmsF2Sketch sketch = *zero;
-    for (const ItemId q : s) sketch.Add(q);
-    leaves.push_back(std::move(sketch));
-  }
-  const AmsF2Sketch reference = FlatMerge(leaves, *zero);
-  const auto ref_counters = reference.counters();
-  for (const TreeTopology& topo : ShapeBattery(workers, 37)) {
-    const AmsF2Sketch root = TreeMerge(topo, leaves, *zero);
-    const auto counters = root.counters();
-    ASSERT_EQ(counters.size(), ref_counters.size());
-    for (size_t i = 0; i < counters.size(); ++i) {
-      ASSERT_EQ(counters[i], ref_counters[i]) << "atom " << i;
-    }
-  }
-}
-
-TEST(DistTreePropertyTest, GroupTestingCountersInvariantAcrossShapes) {
-  const uint64_t workers = 5;
-  const auto streams = LeafStreams(workers, 2500, 1 << 12, 41);
-  GroupTestingParams params;
-  params.depth = 3;
-  params.groups = 64;
-  params.key_bits = 16;
-  params.seed = 9;
-  auto zero = GroupTestingSketch::Make(params);
-  ASSERT_TRUE(zero.ok());
-  std::vector<GroupTestingSketch> leaves;
-  for (const Stream& s : streams) {
-    GroupTestingSketch sketch = *zero;
-    for (const ItemId q : s) sketch.Add(q & 0xFFFF);
-    leaves.push_back(std::move(sketch));
-  }
-  const GroupTestingSketch reference = FlatMerge(leaves, *zero);
-  const auto ref_counters = reference.counters();
-  for (const TreeTopology& topo : ShapeBattery(workers, 43)) {
-    const GroupTestingSketch root = TreeMerge(topo, leaves, *zero);
-    const auto counters = root.counters();
-    ASSERT_EQ(counters.size(), ref_counters.size());
-    for (size_t i = 0; i < counters.size(); ++i) {
-      ASSERT_EQ(counters[i], ref_counters[i]) << "counter " << i;
-    }
-  }
-}
-
-TEST(DistTreePropertyTest, HierarchicalEstimatesInvariantAcrossShapes) {
-  // No raw counter accessor here; the dyadic structure is a stack of
-  // linear sketches, so probe equality on points, ranges, and ranks across
-  // shapes is the observable form of the same invariant.
-  const uint64_t workers = 6;
-  const auto streams = LeafStreams(workers, 2000, 1 << 12, 51);
-  HierarchicalParams params;
-  params.bits = 12;
-  params.depth = 4;
-  params.width = 256;
-  params.seed = 7;
-  auto zero_cs = HierarchicalCountSketch::Make(params);
-  auto zero_cm = HierarchicalCountMin::Make(params);
-  ASSERT_TRUE(zero_cs.ok() && zero_cm.ok());
-  std::vector<HierarchicalCountSketch> cs_leaves;
-  std::vector<HierarchicalCountMin> cm_leaves;
-  for (const Stream& s : streams) {
-    HierarchicalCountSketch cs = *zero_cs;
-    HierarchicalCountMin cm = *zero_cm;
-    for (const ItemId q : s) {
-      cs.Add(q & 0xFFF);
-      cm.Add(q & 0xFFF);
-    }
-    cs_leaves.push_back(std::move(cs));
-    cm_leaves.push_back(std::move(cm));
-  }
-  const HierarchicalCountSketch cs_ref = FlatMerge(cs_leaves, *zero_cs);
-  const HierarchicalCountMin cm_ref = FlatMerge(cm_leaves, *zero_cm);
-  Xoshiro256 rng(53);
-  std::vector<uint64_t> probes;
-  for (int i = 0; i < 64; ++i) probes.push_back(rng.UniformBelow(1 << 12));
-  for (const TreeTopology& topo : ShapeBattery(workers, 59)) {
-    const HierarchicalCountSketch cs_root = TreeMerge(topo, cs_leaves, *zero_cs);
-    const HierarchicalCountMin cm_root = TreeMerge(topo, cm_leaves, *zero_cm);
-    for (const uint64_t key : probes) {
-      ASSERT_EQ(cs_root.EstimatePoint(key), cs_ref.EstimatePoint(key));
-      ASSERT_EQ(cm_root.EstimatePoint(key), cm_ref.EstimatePoint(key));
-    }
-    auto range_root = cs_root.EstimateRange(100, 3000);
-    auto range_ref = cs_ref.EstimateRange(100, 3000);
-    ASSERT_TRUE(range_root.ok() && range_ref.ok());
-    ASSERT_EQ(*range_root, *range_ref);
   }
 }
 

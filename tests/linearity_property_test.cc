@@ -3,7 +3,6 @@
 // checked counter-exactly across parameterizations.
 #include <gtest/gtest.h>
 
-#include "core/ams_f2.h"
 #include "core/count_sketch.h"
 #include "stream/zipf.h"
 
@@ -109,30 +108,6 @@ INSTANTIATE_TEST_SUITE_P(
                       LawCase{4, 128, HashFamily::kMultiplyShift},
                       LawCase{3, 512, HashFamily::kTabulation}),
     CaseName);
-
-TEST(AmsLawTest, MergeIsAssociative) {
-  AmsF2Params p;
-  p.groups = 3;
-  p.atoms_per_group = 4;
-  p.seed = 9;
-  auto make_loaded = [&](uint64_t salt) {
-    auto s = AmsF2Sketch::Make(p);
-    EXPECT_TRUE(s.ok());
-    for (ItemId q = 1; q <= 200; ++q) s->Add(q * salt, 3);
-    return std::move(*s);
-  };
-  AmsF2Sketch left = make_loaded(1);
-  AmsF2Sketch mid = make_loaded(2);
-  ASSERT_TRUE(left.Merge(mid).ok());
-  ASSERT_TRUE(left.Merge(make_loaded(3)).ok());
-
-  AmsF2Sketch right_tail = make_loaded(2);
-  ASSERT_TRUE(right_tail.Merge(make_loaded(3)).ok());
-  AmsF2Sketch right = make_loaded(1);
-  ASSERT_TRUE(right.Merge(right_tail).ok());
-
-  EXPECT_DOUBLE_EQ(left.Estimate(), right.Estimate());
-}
 
 }  // namespace
 }  // namespace streamfreq

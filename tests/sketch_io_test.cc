@@ -16,8 +16,9 @@
 #include "verify/program.h"
 
 // Every operator new in this binary is counted, so a test can bound what a
-// call allocates (WriterAllocatesNoSketchSizedBuffer). The array, nothrow
-// and sized forms of the standard library all route through these two.
+// call allocates (WriterAllocatesNoSketchSizedBuffer,
+// ReaderAllocatesThePayloadOnce). The array, nothrow and sized forms of the
+// standard library all route through these two.
 namespace {
 std::atomic<size_t> g_new_bytes{0};
 }  // namespace
@@ -463,6 +464,29 @@ TEST(SketchIoTest, WriterAllocatesNoSketchSizedBuffer) {
   EXPECT_GT(g_new_bytes.load() - before_read, sketch.SerializedSize());
   std::remove(sketch_path.c_str());
   std::remove(snapshot_path.c_str());
+}
+
+// Reading a 2^20-counter (8 MiB) sketch file back allocates its payload
+// once: the header goes to a local array and the payload to one string
+// sized from the checked length field. A reader that grows a buffer in
+// chunks and then drops the header allocates several times the file.
+TEST(SketchIoTest, ReaderAllocatesThePayloadOnce) {
+  const CountSketch sketch = MakeSketch(4, size_t{1} << 18);
+  const std::string path = TempPath("sfq_alloc_guard_read.skf");
+  ASSERT_TRUE(WriteSketchFile(path, sketch).ok());
+  const size_t file_bytes = std::filesystem::file_size(path);
+
+  const size_t before = g_new_bytes.load();
+  const Result<std::string> payload =
+      ReadBlobFileVerified(path, kSketchFileMagic);
+  const size_t allocated = g_new_bytes.load() - before;
+
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  EXPECT_LE(allocated, file_bytes + file_bytes / 10);
+  std::string want;
+  sketch.SerializeTo(&want);
+  EXPECT_EQ(*payload, want);
+  std::remove(path.c_str());
 }
 
 }  // namespace
