@@ -48,11 +48,16 @@ for arg in "$@"; do
 done
 
 # Prefer Ninja for speed, but fall back to the platform default generator
-# when it is not installed.
-GEN=()
-if command -v ninja >/dev/null 2>&1; then
-  GEN=(-G Ninja)
-fi
+# when it is not installed. A build directory that is already configured
+# keeps its generator: CMake refuses to switch one, so `-G` goes only to a
+# directory without a CMakeCache.txt (say, `build/` made by a plain
+# `cmake -B build -S .` stays on Unix Makefiles).
+gen_for() {
+  GEN=()
+  if [[ ! -f "$1/CMakeCache.txt" ]] && command -v ninja >/dev/null 2>&1; then
+    GEN=(-G Ninja)
+  fi
+}
 
 # Throughput regression gate: rerun the ingest-trajectory benchmarks and
 # compare against the committed baseline. 5 repetitions, best-of (the
@@ -60,6 +65,7 @@ fi
 # loaded box only slows runs down) keeps single-core noise from tripping
 # the budget.
 if [[ "$BENCH" -eq 1 ]]; then
+  gen_for build
   cmake -B build "${GEN[@]}" -DCMAKE_BUILD_TYPE=Release
   cmake --build build --target bench_throughput bench_serve bench_merge_tree
   out="$(mktemp /tmp/sfq_bench.XXXXXX.json)"
@@ -99,6 +105,8 @@ else
   scripts/lint.sh
 fi
 
+gen_for build
+
 cmake -B build "${GEN[@]}" -DCMAKE_BUILD_TYPE=Release
 cmake --build build
 ctest --test-dir build --output-on-failure
@@ -106,6 +114,7 @@ ctest --test-dir build --output-on-failure
 # Race check: src/concurrent/ and the batch paths must stay TSan-clean.
 # Separate build tree (TSan is ABI-incompatible with the normal build);
 # benchmarks/examples are skipped — only the concurrent-labelled tests run.
+gen_for build-tsan
 cmake -B build-tsan "${GEN[@]}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSTREAMFREQ_BUILD_BENCHMARKS=OFF \
@@ -124,6 +133,7 @@ ctest --test-dir build-tsan -L concurrent --output-on-failure
 # (sketch_io_test) and the scalar/vector equivalence must hold there too.
 SIMD_OFF_TESTS=(crc32_test frame_test server_protocol_test
   server_recovery_test simd_equivalence_test sketch_io_test)
+gen_for build-simd-off
 cmake -B build-simd-off "${GEN[@]}" \
   -DCMAKE_BUILD_TYPE=Release \
   -DSTREAMFREQ_SIMD=OFF \
@@ -164,6 +174,7 @@ for e in build/examples/*; do "$e"; done
 
 # Memory/UB check: the full test suite — including the fuzz and metamorphic
 # tests — must stay clean under AddressSanitizer + UndefinedBehaviorSanitizer.
+gen_for build-asan
 cmake -B build-asan "${GEN[@]}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSTREAMFREQ_BUILD_BENCHMARKS=OFF \
@@ -177,6 +188,7 @@ ctest --test-dir build-asan --output-on-failure
 # SFQ_FAILPOINT site compiled out, and the overhead bench from that tree
 # is the measurement backing the "free when disabled" claim. No ctest
 # here — injection-dependent tests are meaningless without failpoints.
+gen_for build-nofp
 cmake -B build-nofp "${GEN[@]}" \
   -DCMAKE_BUILD_TYPE=Release \
   -DSTREAMFREQ_FAILPOINTS=OFF \

@@ -36,50 +36,80 @@ BatchQueue::BatchQueue(size_t max_batches)
     : max_batches_(std::max<size_t>(1, max_batches)) {}
 
 bool BatchQueue::Push(std::vector<ItemId> batch) {
-  if (ApplyPushFailpoint()) return false;
-  {
-    MutexLock lock(mu_);
-    while (!closed_ && batches_.size() >= max_batches_) not_full_.Wait(mu_);
-    if (closed_) return false;
-    batches_.push_back(std::move(batch));
-  }
-  not_empty_.NotifyOne();
+  if (Reserve(1, std::nullopt) != QueuePushResult::kOk) return false;
+  Commit(std::move(batch));
   return true;
-}
-
-QueuePushResult BatchQueue::TryPush(std::vector<ItemId>* batch) {
-  if (ApplyPushFailpoint()) return QueuePushResult::kClosed;
-  {
-    MutexLock lock(mu_);
-    if (closed_) return QueuePushResult::kClosed;
-    if (batches_.size() >= max_batches_) return QueuePushResult::kTimedOut;
-    batches_.push_back(std::move(*batch));
-  }
-  not_empty_.NotifyOne();
-  return QueuePushResult::kOk;
 }
 
 QueuePushResult BatchQueue::PushWithTimeout(std::vector<ItemId>* batch,
                                             std::chrono::milliseconds timeout) {
+  const QueuePushResult result = Reserve(1, timeout);
+  if (result == QueuePushResult::kOk) Commit(std::move(*batch));
+  return result;
+}
+
+QueuePushResult BatchQueue::Reserve(
+    size_t slots, std::optional<std::chrono::milliseconds> timeout) {
   if (ApplyPushFailpoint()) return QueuePushResult::kClosed;
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  slots = std::clamp<size_t>(slots, 1, max_batches_);
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      timeout.value_or(std::chrono::milliseconds::zero());
+  MutexLock lock(mu_);
+  while (!closed_ && batches_.size() + reserved_ + slots > max_batches_) {
+    if (!timeout) {
+      not_full_.Wait(mu_);
+      continue;
+    }
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= deadline) return QueuePushResult::kTimedOut;
+    // WaitFor may wake spuriously or early; the deadline governs, not the
+    // per-wait budget, so the loop re-derives the remaining time.
+    (void)not_full_.WaitFor(
+        mu_, std::chrono::duration_cast<std::chrono::milliseconds>(
+                 deadline - now) +
+                 std::chrono::milliseconds(1));
+  }
+  if (closed_) return QueuePushResult::kClosed;
+  reserved_ += slots;
+  return QueuePushResult::kOk;
+}
+
+void BatchQueue::Commit(std::vector<ItemId> batch) {
+  bool last_after_close;
   {
     MutexLock lock(mu_);
-    while (!closed_ && batches_.size() >= max_batches_) {
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= deadline) return QueuePushResult::kTimedOut;
-      // WaitFor may wake spuriously or early; the deadline governs, not the
-      // per-wait budget, so the loop re-derives the remaining time.
-      (void)not_full_.WaitFor(
-          mu_, std::chrono::duration_cast<std::chrono::milliseconds>(
-                   deadline - now) +
-                   std::chrono::milliseconds(1));
-    }
-    if (closed_) return QueuePushResult::kClosed;
-    batches_.push_back(std::move(*batch));
+    --reserved_;
+    batches_.push_back(std::move(batch));
+    last_after_close = closed_ && reserved_ == 0;
   }
-  not_empty_.NotifyOne();
-  return QueuePushResult::kOk;
+  // The last commit after Close also ends the wait of idle consumers.
+  if (last_after_close) {
+    not_empty_.NotifyAll();
+  } else {
+    not_empty_.NotifyOne();
+  }
+}
+
+void BatchQueue::Release(size_t slots) {
+  if (slots == 0) return;
+  {
+    MutexLock lock(mu_);
+    reserved_ -= slots;
+  }
+  not_full_.NotifyAll();
+  // After Close, consumers may be waiting only for this reservation.
+  not_empty_.NotifyAll();
+}
+
+bool BatchQueue::PushTokens(size_t n) {
+  {
+    MutexLock lock(mu_);
+    if (closed_) return false;
+    batches_.insert(batches_.end(), n, std::vector<ItemId>());
+  }
+  not_empty_.NotifyAll();
+  return true;
 }
 
 void BatchQueue::Requeue(std::vector<ItemId> batch) {
@@ -98,12 +128,16 @@ std::optional<std::vector<ItemId>> BatchQueue::Pop() {
   std::vector<ItemId> batch;
   {
     MutexLock lock(mu_);
-    while (!closed_ && batches_.empty()) not_empty_.Wait(mu_);
+    while (batches_.empty() && !(closed_ && reserved_ == 0)) {
+      not_empty_.Wait(mu_);
+    }
     if (batches_.empty()) return std::nullopt;  // closed and drained
     batch = std::move(batches_.front());
     batches_.pop_front();
   }
-  not_full_.NotifyOne();
+  // All waiters: a producer reserving several places may not fit in the
+  // room one pop makes, while a single-place producer behind it would.
+  not_full_.NotifyAll();
   return batch;
 }
 

@@ -10,10 +10,20 @@
 //
 // Overload handling: plain Push blocks indefinitely, which is the right
 // default for bounded in-process pipelines but wedges the producer if a
-// consumer stalls. TryPush and PushWithTimeout give producers a deadline so
+// consumer stalls. PushWithTimeout gives producers a deadline so
 // ParallelIngestor can implement shed/sample overflow policies (see
-// docs/ROBUSTNESS.md); both keep ownership of the batch on failure so the
+// docs/ROBUSTNESS.md); it keeps ownership of the batch on failure so the
 // caller decides whether to drop, downsample, or retry it.
+//
+// Reservations split a push in two: Reserve takes places (this is where a
+// producer waits), Commit fills one without ever blocking. A durable
+// tenant journals a batch between the two, under its store lock, so the
+// journal order is the queue order and no queue wait happens under that
+// lock. A reservation survives Close: consumers keep draining until every
+// reserved place is committed or released.
+//
+// Fold tokens are empty batches (a data batch is never empty) that
+// ParallelIngestor's fold barrier pushes past the capacity bound.
 #pragma once
 
 #include <chrono>
@@ -49,16 +59,32 @@ class BatchQueue {
   /// the queue was closed (the batch is dropped).
   [[nodiscard]] bool Push(std::vector<ItemId> batch);
 
-  /// Enqueues `*batch` only if there is room right now. On kOk the batch
-  /// has been moved out; on kTimedOut/kClosed `*batch` is untouched.
-  [[nodiscard]] QueuePushResult TryPush(std::vector<ItemId>* batch);
-
   /// Enqueues `*batch`, waiting up to `timeout` for room. Returns
   /// kTimedOut (batch retained) if the queue is still full at the
   /// deadline — the fix for the stalled-consumer livelock: a producer is
-  /// never parked past its deadline even if no consumer ever wakes it.
+  /// never parked past its deadline even if no consumer ever wakes it. A
+  /// zero timeout never blocks.
   [[nodiscard]] QueuePushResult PushWithTimeout(
       std::vector<ItemId>* batch, std::chrono::milliseconds timeout);
+
+  /// Reserves `slots` places at once (clamped to the capacity), waiting
+  /// while queued plus reserved batches leave too little room: forever
+  /// when `timeout` is nullopt, else until it passes. Every kOk must be
+  /// paid back by `slots` Commit/Release calls.
+  [[nodiscard]] QueuePushResult Reserve(
+      size_t slots, std::optional<std::chrono::milliseconds> timeout);
+
+  /// Fills one reserved place. Never blocks, and is accepted after Close:
+  /// the reservation predates it.
+  void Commit(std::vector<ItemId> batch);
+
+  /// Gives back `slots` reserved places that will not be filled.
+  void Release(size_t slots);
+
+  /// Appends `n` fold tokens (empty batches) past the capacity bound, in
+  /// one step, so no batch lands between them. Never blocks. Returns false
+  /// and pushes nothing once the queue is closed.
+  [[nodiscard]] bool PushTokens(size_t n);
 
   /// Puts a batch back at the *front* of the queue, ignoring the capacity
   /// bound and closed state. Reserved for crash recovery: a respawning
@@ -67,7 +93,7 @@ class BatchQueue {
   void Requeue(std::vector<ItemId> batch);
 
   /// Dequeues the oldest batch, blocking while the queue is empty. Returns
-  /// nullopt once the queue is closed and drained.
+  /// nullopt once the queue is closed, drained, and holds no reservation.
   [[nodiscard]] std::optional<std::vector<ItemId>> Pop();
 
   /// Begins shutdown: wakes every waiter; subsequent Push calls fail and
@@ -83,6 +109,7 @@ class BatchQueue {
   CondVar not_full_;
   CondVar not_empty_;
   std::deque<std::vector<ItemId>> batches_ SFQ_GUARDED_BY(mu_);
+  size_t reserved_ SFQ_GUARDED_BY(mu_) = 0;
   bool closed_ SFQ_GUARDED_BY(mu_) = false;
 };
 

@@ -37,6 +37,22 @@
 // recycled or freed once no reader pins it, so memory does not grow with
 // publications.
 //
+// Producers go through two steps, Admit and Enqueue. Admit reserves queue
+// places, waiting if it must, and applies the overflow policy; Enqueue
+// fills the reserved places and never blocks. Ingest is Admit + Enqueue
+// per batch. A durable tenant journals the admitted items between the two
+// steps under its own lock (server/snapshotter.h), so its journal holds
+// exactly what the workers will fold, in queue order.
+//
+// Fold barrier (StartFold + AwaitFold): StartFold queues one fold token
+// per worker behind every batch enqueued so far and never blocks. A worker
+// that pops a token waits until every token of that barrier has been
+// popped, so no worker takes a batch queued after the tokens. The last
+// worker to arrive folds every worker's private sketch in one fold and
+// pins the result: it covers exactly the batches enqueued before the
+// tokens. A crashed worker requeues its batch at the front, ahead of the
+// tokens, so the barrier still covers it.
+//
 // Degraded modes (docs/ROBUSTNESS.md): producers can bound their push wait
 // (push_timeout_ms) and pick an OverflowPolicy for what happens when the
 // deadline passes — fail the Ingest call, shed the batch, or downsample it.
@@ -54,6 +70,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -63,6 +81,7 @@
 
 #include "concurrent/batch_queue.h"
 #include "concurrent/snapshot.h"
+#include "core/count_sketch.h"
 #include "stream/types.h"
 #include "util/failpoint.h"
 #include "util/mutex.h"
@@ -165,61 +184,86 @@ class ParallelIngestor {
   /// mergeable with the factory's sketches (same geometry and seed).
   static Result<std::unique_ptr<ParallelIngestor>> Make(
       Factory factory, IngestOptions options,
-      std::optional<SketchT> initial = std::nullopt) {
-    if (options.threads == 0) {
-      return Status::InvalidArgument("ParallelIngestor: threads must be >= 1");
-    }
-    if (options.batch_items == 0) {
-      return Status::InvalidArgument(
-          "ParallelIngestor: batch_items must be >= 1");
-    }
-    if (!factory) {
-      return Status::InvalidArgument("ParallelIngestor: factory is empty");
-    }
-    options.sample_keep_one_in = std::max<size_t>(2, options.sample_keep_one_in);
-    if (!initial) {
-      STREAMFREQ_ASSIGN_OR_RETURN(SketchT empty, factory());
-      initial = std::move(empty);
-    }
-    auto latest = std::make_unique<SketchT>(std::move(*initial));
-    std::vector<SketchT> locals;
-    locals.reserve(options.threads);
-    for (size_t i = 0; i < options.threads; ++i) {
-      STREAMFREQ_ASSIGN_OR_RETURN(SketchT local, factory());
-      locals.push_back(std::move(local));
-    }
-    return std::unique_ptr<ParallelIngestor>(new ParallelIngestor(
-        options, std::move(latest), std::move(locals)));
-  }
+      std::optional<SketchT> initial = std::nullopt);
 
-  ~ParallelIngestor() { Shutdown(); }
+  ~ParallelIngestor();
 
   ParallelIngestor(const ParallelIngestor&) = delete;
   ParallelIngestor& operator=(const ParallelIngestor&) = delete;
 
-  /// Copies `items` into batches of batch_items and hands them to the
-  /// workers, blocking while the queue is full (up to push_timeout_ms when
-  /// set, then applying overflow_policy). Safe to call from multiple
-  /// producer threads. Fails once Finish has been called.
-  Status Ingest(std::span<const ItemId> items) {
-    while (!items.empty()) {
-      const size_t take = std::min(items.size(), options_.batch_items);
-      std::vector<ItemId> batch(items.begin(), items.begin() + take);
-      STREAMFREQ_RETURN_NOT_OK(PushOne(std::move(batch)));
-      items = items.subspan(take);
+  /// Items that passed Admit, holding their queue places until Enqueue.
+  /// Destroying one that was never enqueued gives the places back.
+  class Admission {
+   public:
+    Admission() = default;
+    Admission(Admission&& other) noexcept
+        : queue_(std::exchange(other.queue_, nullptr)),
+          slots_(std::exchange(other.slots_, 0)),
+          items_(std::move(other.items_)) {}
+    ~Admission() {
+      if (slots_ > 0) queue_->Release(slots_);
     }
-    return Status::OK();
+
+    /// What the workers will fold: every offered item, the kept sample
+    /// (kSample), or nothing (kShed).
+    std::span<const ItemId> items() const { return items_; }
+
+   private:
+    friend class ParallelIngestor;
+
+    BatchQueue* queue_ = nullptr;
+    size_t slots_ = 0;
+    std::vector<ItemId> items_;
+  };
+
+  /// The most items one Admit takes: a full queue of batches.
+  size_t MaxAdmitItems() const {
+    const size_t batches = std::max<size_t>(1, options_.queue_batches);
+    const size_t max = std::numeric_limits<size_t>::max();
+    if (options_.batch_items > max / batches) return max;
+    return options_.batch_items * batches;
   }
+
+  /// Reserves queue places for `items` (at most MaxAdmitItems()), blocking
+  /// while the queue is full (up to push_timeout_ms when set, then
+  /// applying overflow_policy), and copies what is admitted. Fails once
+  /// Finish has been called, or under kBlock when the deadline passes.
+  Result<Admission> Admit(std::span<const ItemId> items)
+      SFQ_EXCLUDES(spill_mu_);
+
+  /// Hands admitted items to the workers, in batches of batch_items, into
+  /// the places Admit reserved. Never blocks; accepted even after Finish
+  /// began, since the places were reserved before it.
+  void Enqueue(Admission admission);
+
+  /// Admits and enqueues `items` batch by batch. Safe to call from
+  /// multiple producer threads. Fails once Finish has been called.
+  Status Ingest(std::span<const ItemId> items);
+
+  /// A started fold barrier: the generation whose tokens were queued, or
+  /// `finished` when the queue had already closed.
+  struct FoldTicket {
+    uint64_t generation = 0;
+    bool finished = false;
+  };
+
+  /// Queues one fold token per worker behind every batch enqueued so far.
+  /// Never blocks, so a caller may hold its own lock; every ticket must be
+  /// passed to AwaitFold.
+  FoldTicket StartFold() SFQ_EXCLUDES(fold_mu_);
+
+  /// Waits for `ticket`'s barrier and pins the merged sketch of exactly the
+  /// batches enqueued before its tokens, whether or not the ingestor.publish
+  /// failpoint withheld that sketch from readers. A ticket taken after
+  /// Finish began waits for the drain and pins the final sketch. Fails when
+  /// a fold failed or a drain deadline abandoned batches.
+  Result<std::shared_ptr<const SketchT>> AwaitFold(FoldTicket ticket)
+      SFQ_EXCLUDES(fold_mu_, drain_mu_, merge_mu_);
 
   /// Drains the queue, joins the workers, folds every worker's remaining
   /// delta, publishes the final snapshot, and returns a copy of the merged
   /// sketch. Idempotent; the first internal error (if any) wins.
-  Result<SketchT> Finish() {
-    Shutdown();
-    MutexLock lock(merge_mu_);
-    if (!first_error_.ok()) return first_error_;
-    return *latest_;
-  }
+  Result<SketchT> Finish();
 
   /// Pins the latest published merged sketch: it stays valid and unchanged
   /// for as long as the caller holds the pointer, and is recycled or freed
@@ -240,22 +284,7 @@ class ParallelIngestor {
   }
 
   /// Degradation counters (relaxed reads; exact after Finish).
-  IngestStats Stats() const {
-    IngestStats stats;
-    stats.items_ingested = items_ingested_.load(std::memory_order_relaxed);
-    stats.deadline_misses = deadline_misses_.load(std::memory_order_relaxed);
-    stats.shed_batches = shed_batches_.load(std::memory_order_relaxed);
-    stats.shed_items = shed_items_.load(std::memory_order_relaxed);
-    stats.sampled_batches = sampled_batches_.load(std::memory_order_relaxed);
-    stats.sampled_items_dropped =
-        sampled_items_dropped_.load(std::memory_order_relaxed);
-    stats.worker_respawns = worker_respawns_.load(std::memory_order_relaxed);
-    stats.abandoned_batches =
-        abandoned_batches_.load(std::memory_order_relaxed);
-    stats.abandoned_items = abandoned_items_.load(std::memory_order_relaxed);
-    stats.publish_failures = publish_failures_.load(std::memory_order_relaxed);
-    return stats;
-  }
+  IngestStats Stats() const;
 
   /// Every item dropped so far, in drop order (requires record_shed; empty
   /// otherwise). Call after Finish for the complete spill.
@@ -276,215 +305,86 @@ class ParallelIngestor {
     std::unique_ptr<SketchT> spare SFQ_GUARDED_BY(mu);
   };
 
+  /// One worker's private sketch and how many batches it holds that no
+  /// fold has taken yet (kept across a simulated crash).
+  struct Local {
+    SketchT sketch;
+    size_t unfolded_batches = 0;
+  };
+
   ParallelIngestor(const IngestOptions& options,
                    std::unique_ptr<SketchT> latest,
-                   std::vector<SketchT> locals)
-      : options_(options),
-        queue_(options.queue_batches),
-        recycler_(std::make_shared<Recycler>()),
-        latest_(Recyclable(std::move(latest))),
-        locals_(std::move(locals)) {
-    snapshot_.Publish(latest_);
-    workers_.reserve(options_.threads);
-    {
-      MutexLock lock(drain_mu_);
-      active_workers_ = options_.threads;
-    }
-    for (size_t w = 0; w < options_.threads; ++w) {
-      workers_.emplace_back([this, w] { RunWorker(w); });
-    }
+                   std::vector<SketchT> locals);
+
+  /// Queue places for `items` items: one per batch.
+  size_t SlotsFor(size_t items) const {
+    return (items + options_.batch_items - 1) / options_.batch_items;
   }
 
-  /// Applies the configured overflow behavior to one batch.
-  Status PushOne(std::vector<ItemId> batch) SFQ_EXCLUDES(spill_mu_) {
-    if (options_.push_timeout_ms == 0) {
-      if (!queue_.Push(std::move(batch))) {
-        return Status::InvalidArgument(
-            "ParallelIngestor::Ingest: already finished");
-      }
-      return Status::OK();
-    }
-    QueuePushResult result = queue_.PushWithTimeout(
-        &batch, std::chrono::milliseconds(options_.push_timeout_ms));
-    if (result == QueuePushResult::kClosed) {
-      return Status::InvalidArgument(
-          "ParallelIngestor::Ingest: already finished");
-    }
-    if (result == QueuePushResult::kOk) return Status::OK();
-
-    deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-    switch (options_.overflow_policy) {
-      case OverflowPolicy::kBlock:
-        return Status::IoError(
-            "ParallelIngestor::Ingest: push deadline exceeded "
-            "(queue full; consumer stalled?)");
-      case OverflowPolicy::kShed:
-        shed_batches_.fetch_add(1, std::memory_order_relaxed);
-        shed_items_.fetch_add(batch.size(), std::memory_order_relaxed);
-        RecordSpill(batch);
-        return Status::OK();
-      case OverflowPolicy::kSample: {
-        // Deterministic 1-in-k decimation: keep indices 0, k, 2k, ...
-        sampled_batches_.fetch_add(1, std::memory_order_relaxed);
-        std::vector<ItemId> kept;
-        std::vector<ItemId> dropped;
-        kept.reserve(batch.size() / options_.sample_keep_one_in + 1);
-        for (size_t i = 0; i < batch.size(); ++i) {
-          if (i % options_.sample_keep_one_in == 0) {
-            kept.push_back(batch[i]);
-          } else {
-            dropped.push_back(batch[i]);
-          }
-        }
-        sampled_items_dropped_.fetch_add(dropped.size(),
-                                         std::memory_order_relaxed);
-        RecordSpill(dropped);
-        // The decimated batch goes in with classic backpressure: it is
-        // 1/k of the load, and dropping it too would be double shedding.
-        if (!queue_.Push(std::move(kept))) {
-          return Status::InvalidArgument(
-              "ParallelIngestor::Ingest: already finished");
-        }
-        return Status::OK();
-      }
-    }
-    return Status::Internal("ParallelIngestor: unreachable overflow policy");
+  void Admitted(Admission* admission, size_t slots,
+                std::vector<ItemId> items) {
+    admission->queue_ = &queue_;
+    admission->slots_ = slots;
+    admission->items_ = std::move(items);
   }
 
-  void RecordSpill(const std::vector<ItemId>& items) SFQ_EXCLUDES(spill_mu_) {
-    if (!options_.record_shed || items.empty()) return;
-    MutexLock lock(spill_mu_);
-    spill_.insert(spill_.end(), items.begin(), items.end());
+  static Status AlreadyFinished() {
+    return Status::InvalidArgument(
+        "ParallelIngestor::Ingest: already finished");
   }
+
+  void RecordSpill(std::span<const ItemId> items) SFQ_EXCLUDES(spill_mu_);
 
   /// Worker thread body: respawn WorkerLoop after every simulated crash
   /// (the crashed iteration has already requeued its in-flight batch, so
   /// no mass is lost and linear-sketch results stay bit-identical).
-  void RunWorker(size_t w) SFQ_EXCLUDES(drain_mu_) {
-    while (!WorkerLoop(w)) {
-      worker_respawns_.fetch_add(1, std::memory_order_relaxed);
-    }
-    MutexLock lock(drain_mu_);
-    --active_workers_;
-    drain_cv_.NotifyAll();
-  }
+  void RunWorker(size_t w) SFQ_EXCLUDES(drain_mu_);
 
   /// Pops batches into this worker's private sketch; folds periodically
-  /// when configured and always once at end-of-stream. Returns false iff
-  /// the worker "crashed" (fault injection) and must be respawned.
-  bool WorkerLoop(size_t w) {
-    SketchT* local = &locals_[w];  // single-writer: only this thread
-    size_t batches_since_fold = 0;
-    while (auto batch = queue_.Pop()) {
-      if (abort_drain_.load(std::memory_order_relaxed)) {
-        // Drain deadline passed: discard the backlog instead of hanging.
-        abandoned_batches_.fetch_add(1, std::memory_order_relaxed);
-        abandoned_items_.fetch_add(batch->size(), std::memory_order_relaxed);
-        RecordSpill(*batch);
-        continue;
-      }
-      if (const FailDecision fp = SFQ_FAILPOINT("ingestor.worker_batch"); fp) {
-        if (fp.action == FailAction::kStall) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(fp.param));
-        } else if (fp.action == FailAction::kCrash) {
-          // Die before touching the sketch; the batch goes back first so
-          // the respawned worker (or a peer) re-processes it exactly once.
-          queue_.Requeue(std::move(*batch));
-          return false;
-        } else if (fp.action == FailAction::kError) {
-          RecordError(Status::Internal(
-              "injected failure: ingestor.worker_batch"));
-        }
-      }
-      local->BatchAdd(std::span<const ItemId>(*batch));
-      items_ingested_.fetch_add(batch->size(), std::memory_order_relaxed);
-      if (options_.publish_every_batches > 0 &&
-          ++batches_since_fold >= options_.publish_every_batches) {
-        batches_since_fold = 0;
-        // The fold runs on this thread, so nothing writes the local while
-        // it is read: fold it, then clear it for the next batches.
-        FoldAndPublish(*local);
-        local->Clear();
-      }
-    }
-    FoldAndPublish(*local);
-    return true;
+  /// when configured, at every fold token, and always once at
+  /// end-of-stream. Returns false iff the worker "crashed" (fault
+  /// injection) and must be respawned.
+  bool WorkerLoop(size_t w);
+
+  /// A worker's arrival at the oldest open fold barrier. Tokens of one
+  /// barrier sit together in the queue and each arrival waits here until
+  /// the barrier is done, so every worker takes exactly one of them. The
+  /// last to arrive folds every worker's local in one fold (one copy of
+  /// the latest sketch, one new array at most) while the others stay
+  /// parked and write nothing; it folds outside fold_mu_, so StartFold
+  /// never waits for a fold.
+  void ArriveAtFold() SFQ_EXCLUDES(fold_mu_);
+
+  /// What a fold barrier pinned, or why it does not cover what was
+  /// admitted.
+  struct FoldOutcome {
+    Status status;
+    std::shared_ptr<const SketchT> pin;
+  };
+
+  /// The merged sketch so far, or why it does not cover what was admitted.
+  FoldOutcome FoldResult() SFQ_EXCLUDES(merge_mu_);
+
+  static Result<std::shared_ptr<const SketchT>> Unpack(FoldOutcome outcome) {
+    if (!outcome.status.ok()) return outcome.status;
+    return std::move(outcome.pin);
   }
 
   /// Shares `sketch`; its last owner hands it to the recycler as the next
   /// spare, which frees any older spare.
-  std::shared_ptr<const SketchT> Recyclable(std::unique_ptr<SketchT> sketch) {
-    return std::shared_ptr<SketchT>(
-        sketch.release(), [recycler = recycler_](SketchT* done) {
-          std::unique_ptr<SketchT> older;
-          MutexLock lock(recycler->mu);
-          older = std::exchange(recycler->spare,
-                                std::unique_ptr<SketchT>(done));
-        });
-  }
+  std::shared_ptr<const SketchT> Recyclable(std::unique_ptr<SketchT> sketch);
 
-  /// Replaces the latest merged sketch by a copy of it plus `delta`, and
-  /// publishes that. The copy goes into the recycled spare when there is
-  /// one, so it reuses that storage. Serialized by merge_mu_; the
-  /// publication itself never blocks readers.
-  void FoldAndPublish(const SketchT& delta) SFQ_EXCLUDES(merge_mu_) {
-    MutexLock lock(merge_mu_);
-    std::unique_ptr<SketchT> next;
-    {
-      MutexLock recycler_lock(recycler_->mu);
-      next = std::move(recycler_->spare);
-    }
-    if (next) {
-      *next = *latest_;
-    } else {
-      next = std::make_unique<SketchT>(*latest_);
-    }
-    const Status s = next->Merge(delta);
-    if (!s.ok()) {
-      if (first_error_.ok()) first_error_ = s;
-      return;
-    }
-    latest_ = Recyclable(std::move(next));
-    // A publish fault degrades freshness, never correctness: the merged
-    // mass is kept in latest_, readers just keep the previous snapshot.
-    if (const FailDecision fp = SFQ_FAILPOINT("ingestor.publish");
-        fp.action == FailAction::kError) {
-      publish_failures_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    snapshot_.Publish(latest_);
-  }
+  /// Replaces the latest merged sketch by a copy of it plus every local in
+  /// `locals`, publishes that, and clears the locals for their next
+  /// batches. The copy goes into the recycled spare when there is one, so
+  /// it reuses that storage. Serialized by merge_mu_; the publication
+  /// itself never blocks readers. The caller guarantees nothing writes the
+  /// locals meanwhile.
+  void FoldAndPublish(std::span<Local* const> locals) SFQ_EXCLUDES(merge_mu_);
 
-  void RecordError(const Status& s) SFQ_EXCLUDES(merge_mu_) {
-    MutexLock lock(merge_mu_);
-    if (first_error_.ok()) first_error_ = s;
-  }
+  void RecordError(const Status& s) SFQ_EXCLUDES(merge_mu_);
 
-  void Shutdown() SFQ_EXCLUDES(drain_mu_) {
-    queue_.Close();
-    if (options_.drain_timeout_ms > 0) {
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::milliseconds(options_.drain_timeout_ms);
-      MutexLock lock(drain_mu_);
-      while (active_workers_ > 0) {
-        const auto now = std::chrono::steady_clock::now();
-        if (now >= deadline) {
-          // Tell workers to discard what remains; they exit promptly since
-          // Pop never blocks after Close.
-          abort_drain_.store(true, std::memory_order_relaxed);
-          break;
-        }
-        (void)drain_cv_.WaitFor(
-            drain_mu_, std::chrono::duration_cast<std::chrono::milliseconds>(
-                           deadline - now) +
-                           std::chrono::milliseconds(1));
-      }
-    }
-    for (std::thread& t : workers_) {
-      if (t.joinable()) t.join();
-    }
-  }
+  void Shutdown() SFQ_EXCLUDES(drain_mu_);
 
   const IngestOptions options_;
   BatchQueue queue_;
@@ -502,6 +402,13 @@ class ParallelIngestor {
   std::atomic<bool> abort_drain_{false};
 
   const std::shared_ptr<Recycler> recycler_;
+  Mutex fold_mu_;
+  CondVar fold_cv_;
+  uint64_t folds_started_ SFQ_GUARDED_BY(fold_mu_) = 0;
+  uint64_t folds_arrived_ SFQ_GUARDED_BY(fold_mu_) = 0;
+  uint64_t folds_done_ SFQ_GUARDED_BY(fold_mu_) = 0;  ///< barriers released
+  std::map<uint64_t, FoldOutcome> fold_results_ SFQ_GUARDED_BY(fold_mu_);
+
   Mutex merge_mu_;
   std::shared_ptr<const SketchT> latest_ SFQ_GUARDED_BY(merge_mu_);
   Status first_error_ SFQ_GUARDED_BY(merge_mu_);
@@ -513,12 +420,399 @@ class ParallelIngestor {
   CondVar drain_cv_;
   size_t active_workers_ SFQ_GUARDED_BY(drain_mu_) = 0;
 
-  // Not lock-protected by design: slot w is written only by worker w, and
-  // the final read happens after the workers are joined.
+  // Not lock-protected by design: slot w is written only by worker w, or
+  // by the last worker at a fold barrier while worker w is parked there,
+  // and the final read happens after the workers are joined.
   // NOLINTNEXTLINE(sfq-unguarded-member): single-writer-per-slot, joined before read
-  std::vector<SketchT> locals_;
+  std::vector<Local> locals_;
   std::vector<std::thread> workers_;
 };
+
+template <typename SketchT>
+ParallelIngestor<SketchT>::~ParallelIngestor() {
+  Shutdown();
+}
+
+template <typename SketchT>
+ParallelIngestor<SketchT>::ParallelIngestor(const IngestOptions& options,
+                                            std::unique_ptr<SketchT> latest,
+                                            std::vector<SketchT> locals)
+    : options_(options),
+      queue_(options.queue_batches),
+      recycler_(std::make_shared<Recycler>()),
+      latest_(Recyclable(std::move(latest))) {
+  locals_.reserve(locals.size());
+  for (SketchT& local : locals) locals_.push_back(Local{std::move(local)});
+  snapshot_.Publish(latest_);
+  workers_.reserve(options_.threads);
+  {
+    MutexLock lock(drain_mu_);
+    active_workers_ = options_.threads;
+  }
+  for (size_t w = 0; w < options_.threads; ++w) {
+    workers_.emplace_back([this, w] { RunWorker(w); });
+  }
+}
+
+template <typename SketchT>
+auto ParallelIngestor<SketchT>::Make(Factory factory, IngestOptions options,
+                                     std::optional<SketchT> initial)
+    -> Result<std::unique_ptr<ParallelIngestor>> {
+  if (options.threads == 0) {
+    return Status::InvalidArgument("ParallelIngestor: threads must be >= 1");
+  }
+  if (options.batch_items == 0) {
+    return Status::InvalidArgument(
+        "ParallelIngestor: batch_items must be >= 1");
+  }
+  if (!factory) {
+    return Status::InvalidArgument("ParallelIngestor: factory is empty");
+  }
+  options.sample_keep_one_in = std::max<size_t>(2, options.sample_keep_one_in);
+  if (!initial) {
+    STREAMFREQ_ASSIGN_OR_RETURN(SketchT empty, factory());
+    initial = std::move(empty);
+  }
+  auto latest = std::make_unique<SketchT>(std::move(*initial));
+  std::vector<SketchT> locals;
+  locals.reserve(options.threads);
+  for (size_t i = 0; i < options.threads; ++i) {
+    STREAMFREQ_ASSIGN_OR_RETURN(SketchT local, factory());
+    locals.push_back(std::move(local));
+  }
+  return std::unique_ptr<ParallelIngestor>(new ParallelIngestor(
+      options, std::move(latest), std::move(locals)));
+}
+
+template <typename SketchT>
+auto ParallelIngestor<SketchT>::Admit(std::span<const ItemId> items)
+    -> Result<Admission> {
+  Admission admission;
+  if (items.empty()) return admission;
+  if (items.size() > MaxAdmitItems()) {
+    return Status::InvalidArgument(
+        "ParallelIngestor::Admit: more items than the queue holds");
+  }
+  std::optional<std::chrono::milliseconds> timeout;
+  if (options_.push_timeout_ms > 0) {
+    timeout = std::chrono::milliseconds(options_.push_timeout_ms);
+  }
+  const size_t slots = SlotsFor(items.size());
+  const QueuePushResult result = queue_.Reserve(slots, timeout);
+  if (result == QueuePushResult::kClosed) return AlreadyFinished();
+  if (result == QueuePushResult::kOk) {
+    Admitted(&admission, slots,
+             std::vector<ItemId>(items.begin(), items.end()));
+    return admission;
+  }
+
+  deadline_misses_.fetch_add(1, std::memory_order_relaxed);
+  switch (options_.overflow_policy) {
+    case OverflowPolicy::kBlock:
+      return Status::IoError(
+          "ParallelIngestor::Ingest: push deadline exceeded "
+          "(queue full; consumer stalled?)");
+    case OverflowPolicy::kShed:
+      shed_batches_.fetch_add(slots, std::memory_order_relaxed);
+      shed_items_.fetch_add(items.size(), std::memory_order_relaxed);
+      RecordSpill(items);
+      return admission;
+    case OverflowPolicy::kSample: {
+      // Deterministic 1-in-k decimation within each batch: keep batch
+      // indices 0, k, 2k, ...
+      sampled_batches_.fetch_add(slots, std::memory_order_relaxed);
+      std::vector<ItemId> kept;
+      std::vector<ItemId> dropped;
+      kept.reserve(items.size() / options_.sample_keep_one_in + 1);
+      for (size_t i = 0; i < items.size(); ++i) {
+        if (i % options_.batch_items % options_.sample_keep_one_in == 0) {
+          kept.push_back(items[i]);
+        } else {
+          dropped.push_back(items[i]);
+        }
+      }
+      sampled_items_dropped_.fetch_add(dropped.size(),
+                                       std::memory_order_relaxed);
+      RecordSpill(dropped);
+      // The decimated batch goes in with classic backpressure: it is
+      // 1/k of the load, and dropping it too would be double shedding.
+      const size_t kept_slots = SlotsFor(kept.size());
+      if (queue_.Reserve(kept_slots, std::nullopt) !=
+          QueuePushResult::kOk) {
+        return AlreadyFinished();
+      }
+      Admitted(&admission, kept_slots, std::move(kept));
+      return admission;
+    }
+  }
+  return Status::Internal("ParallelIngestor: unreachable overflow policy");
+}
+
+template <typename SketchT>
+void ParallelIngestor<SketchT>::Enqueue(Admission admission) {
+  if (admission.slots_ == 1) {
+    admission.slots_ = 0;
+    queue_.Commit(std::move(admission.items_));
+    return;
+  }
+  std::span<const ItemId> rest = admission.items_;
+  while (admission.slots_ > 0) {
+    const size_t take = std::min(rest.size(), options_.batch_items);
+    --admission.slots_;
+    queue_.Commit(std::vector<ItemId>(rest.begin(), rest.begin() + take));
+    rest = rest.subspan(take);
+  }
+}
+
+template <typename SketchT>
+Status ParallelIngestor<SketchT>::Ingest(std::span<const ItemId> items) {
+  while (!items.empty()) {
+    const size_t take = std::min(items.size(), options_.batch_items);
+    STREAMFREQ_ASSIGN_OR_RETURN(Admission admission,
+                                Admit(items.first(take)));
+    Enqueue(std::move(admission));
+    items = items.subspan(take);
+  }
+  return Status::OK();
+}
+
+template <typename SketchT>
+auto ParallelIngestor<SketchT>::StartFold() -> FoldTicket {
+  MutexLock lock(fold_mu_);
+  if (!queue_.PushTokens(options_.threads)) return FoldTicket{0, true};
+  return FoldTicket{folds_started_++, false};
+}
+
+template <typename SketchT>
+Result<std::shared_ptr<const SketchT>> ParallelIngestor<SketchT>::AwaitFold(
+    FoldTicket ticket) {
+  if (ticket.finished) {
+    {
+      MutexLock lock(drain_mu_);
+      while (active_workers_ > 0) drain_cv_.Wait(drain_mu_);
+    }
+    return Unpack(FoldResult());
+  }
+  FoldOutcome outcome;
+  {
+    MutexLock lock(fold_mu_);
+    auto it = fold_results_.find(ticket.generation);
+    while (it == fold_results_.end()) {
+      fold_cv_.Wait(fold_mu_);
+      it = fold_results_.find(ticket.generation);
+    }
+    outcome = std::move(it->second);
+    fold_results_.erase(it);
+  }
+  return Unpack(std::move(outcome));
+}
+
+template <typename SketchT>
+Result<SketchT> ParallelIngestor<SketchT>::Finish() {
+  Shutdown();
+  MutexLock lock(merge_mu_);
+  if (!first_error_.ok()) return first_error_;
+  return *latest_;
+}
+
+template <typename SketchT>
+IngestStats ParallelIngestor<SketchT>::Stats() const {
+  IngestStats stats;
+  stats.items_ingested = items_ingested_.load(std::memory_order_relaxed);
+  stats.deadline_misses = deadline_misses_.load(std::memory_order_relaxed);
+  stats.shed_batches = shed_batches_.load(std::memory_order_relaxed);
+  stats.shed_items = shed_items_.load(std::memory_order_relaxed);
+  stats.sampled_batches = sampled_batches_.load(std::memory_order_relaxed);
+  stats.sampled_items_dropped =
+      sampled_items_dropped_.load(std::memory_order_relaxed);
+  stats.worker_respawns = worker_respawns_.load(std::memory_order_relaxed);
+  stats.abandoned_batches =
+      abandoned_batches_.load(std::memory_order_relaxed);
+  stats.abandoned_items = abandoned_items_.load(std::memory_order_relaxed);
+  stats.publish_failures = publish_failures_.load(std::memory_order_relaxed);
+  return stats;
+}
+
+template <typename SketchT>
+void ParallelIngestor<SketchT>::RecordSpill(std::span<const ItemId> items) {
+  if (!options_.record_shed || items.empty()) return;
+  MutexLock lock(spill_mu_);
+  spill_.insert(spill_.end(), items.begin(), items.end());
+}
+
+template <typename SketchT>
+void ParallelIngestor<SketchT>::RunWorker(size_t w) {
+  while (!WorkerLoop(w)) {
+    worker_respawns_.fetch_add(1, std::memory_order_relaxed);
+  }
+  MutexLock lock(drain_mu_);
+  --active_workers_;
+  drain_cv_.NotifyAll();
+}
+
+template <typename SketchT>
+bool ParallelIngestor<SketchT>::WorkerLoop(size_t w) {
+  Local* local = &locals_[w];  // single-writer: only this thread
+  while (auto batch = queue_.Pop()) {
+    if (batch->empty()) {
+      ArriveAtFold();  // a fold token
+      continue;
+    }
+    if (abort_drain_.load(std::memory_order_relaxed)) {
+      // Drain deadline passed: discard the backlog instead of hanging.
+      abandoned_batches_.fetch_add(1, std::memory_order_relaxed);
+      abandoned_items_.fetch_add(batch->size(), std::memory_order_relaxed);
+      RecordSpill(*batch);
+      continue;
+    }
+    if (const FailDecision fp = SFQ_FAILPOINT("ingestor.worker_batch"); fp) {
+      if (fp.action == FailAction::kStall) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(fp.param));
+      } else if (fp.action == FailAction::kCrash) {
+        // Die before touching the sketch; the batch goes back first so
+        // the respawned worker (or a peer) re-processes it exactly once.
+        queue_.Requeue(std::move(*batch));
+        return false;
+      } else if (fp.action == FailAction::kError) {
+        RecordError(Status::Internal(
+            "injected failure: ingestor.worker_batch"));
+      }
+    }
+    local->sketch.BatchAdd(std::span<const ItemId>(*batch));
+    items_ingested_.fetch_add(batch->size(), std::memory_order_relaxed);
+    if (++local->unfolded_batches == options_.publish_every_batches) {
+      // The fold runs on this worker's thread, so nothing writes the
+      // local while it is read.
+      FoldAndPublish(std::span<Local* const>(&local, 1));
+    }
+  }
+  FoldAndPublish(std::span<Local* const>(&local, 1));
+  return true;
+}
+
+template <typename SketchT>
+void ParallelIngestor<SketchT>::ArriveAtFold() {
+  uint64_t generation;
+  {
+    MutexLock lock(fold_mu_);
+    generation = folds_arrived_ / options_.threads;
+    if (++folds_arrived_ < (generation + 1) * options_.threads) {
+      while (folds_done_ <= generation) fold_cv_.Wait(fold_mu_);
+      return;
+    }
+  }
+  std::vector<Local*> unfolded;
+  for (Local& local : locals_) {
+    if (local.unfolded_batches > 0) unfolded.push_back(&local);
+  }
+  if (!unfolded.empty()) FoldAndPublish(unfolded);
+  // Everything before the tokens is folded and nothing after them has
+  // been taken: the merged sketch is exactly the cut.
+  FoldOutcome outcome = FoldResult();
+  {
+    MutexLock lock(fold_mu_);
+    fold_results_.emplace(generation, std::move(outcome));
+    folds_done_ = generation + 1;
+  }
+  fold_cv_.NotifyAll();
+}
+
+template <typename SketchT>
+auto ParallelIngestor<SketchT>::FoldResult() -> FoldOutcome {
+  if (abandoned_items_.load(std::memory_order_relaxed) > 0) {
+    return {Status::IoError(
+                "ParallelIngestor: drain deadline abandoned admitted batches"),
+            nullptr};
+  }
+  MutexLock lock(merge_mu_);
+  if (!first_error_.ok()) return {first_error_, nullptr};
+  return {Status::OK(), latest_};
+}
+
+template <typename SketchT>
+std::shared_ptr<const SketchT> ParallelIngestor<SketchT>::Recyclable(
+    std::unique_ptr<SketchT> sketch) {
+  return std::shared_ptr<SketchT>(
+      sketch.release(), [recycler = recycler_](SketchT* done) {
+        std::unique_ptr<SketchT> older;
+        MutexLock lock(recycler->mu);
+        older = std::exchange(recycler->spare,
+                              std::unique_ptr<SketchT>(done));
+      });
+}
+
+template <typename SketchT>
+void ParallelIngestor<SketchT>::FoldAndPublish(std::span<Local* const> locals) {
+  MutexLock lock(merge_mu_);
+  std::unique_ptr<SketchT> next;
+  {
+    MutexLock recycler_lock(recycler_->mu);
+    next = std::move(recycler_->spare);
+  }
+  if (next) {
+    *next = *latest_;
+  } else {
+    next = std::make_unique<SketchT>(*latest_);
+  }
+  for (Local* local : locals) {
+    const Status s = next->Merge(local->sketch);
+    if (!s.ok()) {
+      if (first_error_.ok()) first_error_ = s;
+      return;
+    }
+  }
+  for (Local* local : locals) {
+    local->sketch.Clear();
+    local->unfolded_batches = 0;
+  }
+  latest_ = Recyclable(std::move(next));
+  // A publish fault degrades freshness, never correctness: the merged
+  // mass is kept in latest_, readers just keep the previous snapshot.
+  if (const FailDecision fp = SFQ_FAILPOINT("ingestor.publish");
+      fp.action == FailAction::kError) {
+    publish_failures_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  snapshot_.Publish(latest_);
+}
+
+template <typename SketchT>
+void ParallelIngestor<SketchT>::RecordError(const Status& s) {
+  MutexLock lock(merge_mu_);
+  if (first_error_.ok()) first_error_ = s;
+}
+
+template <typename SketchT>
+void ParallelIngestor<SketchT>::Shutdown() {
+  queue_.Close();
+  if (options_.drain_timeout_ms > 0) {
+    const auto deadline =
+        std::chrono::steady_clock::now() +
+        std::chrono::milliseconds(options_.drain_timeout_ms);
+    MutexLock lock(drain_mu_);
+    while (active_workers_ > 0) {
+      const auto now = std::chrono::steady_clock::now();
+      if (now >= deadline) {
+        // Tell workers to discard what remains; they exit promptly since
+        // Pop never blocks after Close.
+        abort_drain_.store(true, std::memory_order_relaxed);
+        break;
+      }
+      (void)drain_cv_.WaitFor(
+          drain_mu_, std::chrono::duration_cast<std::chrono::milliseconds>(
+                         deadline - now) +
+                         std::chrono::milliseconds(1));
+    }
+  }
+  for (std::thread& t : workers_) {
+    if (t.joinable()) t.join();
+  }
+}
+
+// The served tenants, the durable store, the CLI and the benchmarks all run
+// a CountSketch ingestor: it is compiled once, in parallel_ingestor.cc,
+// rather than in every file that uses it.
+extern template class ParallelIngestor<CountSketch>;
 
 /// Wraps shared construction parameters into a Factory: every sketch the
 /// ingestor builds shares params (and therefore seed and hash functions),

@@ -19,9 +19,10 @@ namespace {
 constexpr uint64_t kMaxTenantThreads = 16;
 constexpr uint64_t kMaxTracked = 4096;
 // Counters across every array one tenant holds: a sketch per worker, the
-// latest snapshot, the fold's recycled spare, and for a durable tenant its
-// journaled sketch. 2^25 int64 counters are 256 MiB, all allocated (and
-// pre-faulted) at create, before any item arrives.
+// latest snapshot and the fold's recycled spare. A durable tenant holds no
+// more: its snapshots come from the same ingestor. 2^25 int64 counters are
+// 256 MiB, all allocated (and pre-faulted) at create, before any item
+// arrives.
 constexpr uint64_t kMaxTenantCounters = uint64_t{1} << 25;
 constexpr uint64_t kMaxBatchItems = uint64_t{1} << 20;
 
@@ -49,19 +50,6 @@ CountSketchParams ResolveParams(const TenantSpec& spec) {
   return params;
 }
 
-IngestOptions ToIngestOptions(const TenantSpec& spec) {
-  IngestOptions options;
-  options.threads = static_cast<size_t>(spec.threads);
-  options.batch_items = static_cast<size_t>(spec.batch_items);
-  options.queue_batches = static_cast<size_t>(spec.queue_batches);
-  options.publish_every_batches =
-      static_cast<size_t>(spec.publish_every_batches);
-  options.push_timeout_ms = spec.push_timeout_ms;
-  options.overflow_policy = spec.policy;
-  options.sample_keep_one_in = static_cast<size_t>(spec.sample_keep_one_in);
-  return options;
-}
-
 // ValidTenantName admits "." and ".." (dots are legal name bytes); as
 // directory names those escape the data_dir, so durable mode refuses them.
 bool SafeDurableTenantName(const std::string& name) {
@@ -70,19 +58,31 @@ bool SafeDurableTenantName(const std::string& name) {
 
 }  // namespace
 
-/// One tenant namespace. The ingestor pointer is set once at construction
-/// and never reassigned (the ingestor itself is internally synchronized);
+/// One tenant namespace. The ingestor is set once at construction and
+/// never reassigned (the ingestor itself is internally synchronized);
 /// everything mutable sits behind the tenant mutex.
 struct SketchService::Tenant {
+  /// An in-memory tenant: it owns its ingestor.
   Tenant(TenantSpec spec_in, CountSketchParams params_in,
          std::unique_ptr<ParallelIngestor<CountSketch>> ingestor_in,
+         std::unique_ptr<SpaceSaving> candidates_in)
+      : spec(std::move(spec_in)),
+        params(params_in),
+        owned_ingestor(std::move(ingestor_in)),
+        ingestor(owned_ingestor.get()) {
+    MutexLock lock(mu);
+    candidates = std::move(candidates_in);
+  }
+
+  /// A durable tenant: its store owns the ingestor.
+  Tenant(TenantSpec spec_in, CountSketchParams params_in,
+         std::unique_ptr<TenantStore> store_in,
          std::unique_ptr<SpaceSaving> candidates_in,
-         std::unique_ptr<TenantStore> store_in = nullptr,
          TenantRecovery recovery_in = {}, uint64_t base_ingested_in = 0)
       : spec(std::move(spec_in)),
         params(params_in),
-        ingestor(std::move(ingestor_in)),
         store(std::move(store_in)),
+        ingestor(&store->ingestor()),
         recovery(recovery_in),
         base_ingested(base_ingested_in) {
     MutexLock lock(mu);
@@ -91,15 +91,16 @@ struct SketchService::Tenant {
 
   const TenantSpec spec;
   const CountSketchParams params;  ///< resolved geometry (defaults applied)
-  const std::unique_ptr<ParallelIngestor<CountSketch>> ingestor;
-  /// Durability engine (journal + snapshots); null when the service has no
-  /// data_dir. Internally synchronized.
+  /// Durability engine (journal, snapshots and the tenant's ingestor); null
+  /// when the service has no data_dir. Internally synchronized.
   const std::unique_ptr<TenantStore> store;
-  const TenantRecovery recovery;  ///< what startup recovery found
+  const std::unique_ptr<ParallelIngestor<CountSketch>> owned_ingestor;
+  ParallelIngestor<CountSketch>* const ingestor;
+  const TenantRecovery recovery{};  ///< what startup recovery found
   /// Items already folded into the ingestor's recovered seed sketch; the
   /// ingestor's own items_ingested counts only post-recovery work, so the
   /// conservation law reads base_ingested + items_ingested.
-  const uint64_t base_ingested;
+  const uint64_t base_ingested = 0;
 
   mutable Mutex mu;
   /// All-time heavy-hitter candidates; top-k scores them on the snapshot.
@@ -233,15 +234,17 @@ Response SketchService::CreateTenant(const Request& request) {
   }
 
   const CountSketchParams params = ResolveParams(spec);
-  const uint64_t arrays = spec.threads + 2 + (durable() ? 1 : 0);
+  const uint64_t arrays = spec.threads + 2;
   if (params.width > kMaxTenantCounters / arrays / params.depth) {
     return Response::FromStatus(Status::InvalidArgument(
-        "create: (threads + " + std::to_string(arrays - spec.threads) +
-        ") x depth x width must be at most " +
+        "create: (threads + 2) x depth x width must be at most " +
         std::to_string(kMaxTenantCounters) + " counters"));
   }
+  auto candidates = SpaceSaving::Make(static_cast<size_t>(spec.tracked));
+  if (!candidates.ok()) return Response::FromStatus(candidates.status());
+  auto tracked = std::make_unique<SpaceSaving>(std::move(*candidates));
 
-  std::unique_ptr<TenantStore> store;
+  std::shared_ptr<Tenant> tenant;
   if (durable()) {
     if (!SafeDurableTenantName(request.tenant)) {
       return Response::FromStatus(Status::InvalidArgument(
@@ -261,18 +264,16 @@ Response SketchService::CreateTenant(const Request& request) {
         options_.data_dir + "/" + request.tenant, spec, params,
         options_.fsync, options_.snapshot_every_items);
     if (!created.ok()) return Response::FromStatus(created.status());
-    store = std::move(*created);
+    tenant = std::make_shared<Tenant>(spec, params, std::move(*created),
+                                      std::move(tracked));
+  } else {
+    auto ingestor = ParallelIngestor<CountSketch>::Make(
+        [params]() { return CountSketch::Make(params); },
+        IngestOptionsFor(spec));
+    if (!ingestor.ok()) return Response::FromStatus(ingestor.status());
+    tenant = std::make_shared<Tenant>(spec, params, std::move(*ingestor),
+                                      std::move(tracked));
   }
-
-  auto ingestor = ParallelIngestor<CountSketch>::Make(
-      [params]() { return CountSketch::Make(params); }, ToIngestOptions(spec));
-  if (!ingestor.ok()) return Response::FromStatus(ingestor.status());
-  auto candidates = SpaceSaving::Make(static_cast<size_t>(spec.tracked));
-  if (!candidates.ok()) return Response::FromStatus(candidates.status());
-
-  auto tenant = std::make_shared<Tenant>(
-      spec, params, std::move(*ingestor),
-      std::make_unique<SpaceSaving>(std::move(*candidates)), std::move(store));
 
   MutexLock lock(mu_);
   const auto [it, inserted] = tenants_.emplace(request.tenant, tenant);
@@ -324,39 +325,22 @@ Response SketchService::Ingest(Tenant& tenant, const Request& request) {
           Status::InvalidArgument("ingest: tenant is sealed"));
     }
   }
-  // WAL-first: the batch is journaled (and folded into the durable
-  // accumulator) before the live ingestor sees it, so everything the
-  // client can observe as acknowledged is recoverable. A journal failure
-  // rejects the request before any live state changes, keeping the
-  // conservation law exact on both sides of a crash.
-  if (tenant.store != nullptr) {
-    const Status journaled =
-        tenant.store->Append(std::span<const ItemId>(request.items));
-    if (!journaled.ok()) {
-      MutexLock lock(tenant.mu);
-      tenant.rejected_items += request.items.size();
-      ++tenant.rejected_requests;
-      return Response::FromStatus(journaled);
-    }
-  }
-  const Status status =
-      tenant.ingestor->Ingest(std::span<const ItemId>(request.items));
+  // A durable tenant admits, journals and enqueues in one step (see
+  // server/snapshotter.h): what the workers fold is exactly what the
+  // journal holds, under every overflow policy, so everything the client
+  // can observe as acknowledged is recoverable and recovery equals live.
+  const std::span<const ItemId> items(request.items);
+  const Status status = tenant.store != nullptr
+                            ? tenant.store->Append(items)
+                            : tenant.ingestor->Ingest(items);
   {
     MutexLock lock(tenant.mu);
     if (!status.ok()) {
       tenant.rejected_items += request.items.size();
       ++tenant.rejected_requests;
-      if (tenant.store != nullptr) {
-        // Journaled but not applied live: recovery would replay a batch
-        // the ledger counted as rejected. Poison the store so the
-        // divergence is bounded at this request (shed/sample tenants —
-        // the ones under the conservation contract — never take this
-        // branch: their ingest path cannot fail mid-request).
-        tenant.store->Poison();
-      }
       return Response::FromStatus(status);
     }
-    tenant.candidates->BatchAdd(std::span<const ItemId>(request.items));
+    tenant.candidates->BatchAdd(items);
   }
   if (tenant.store != nullptr && tenant.store->SnapshotDue()) {
     MaybeSnapshot(tenant);
@@ -547,25 +531,21 @@ Status SketchService::RecoverTenant(const std::string& name,
       TenantStore::Opened opened,
       TenantStore::Open(dir, options_.fsync, options_.snapshot_every_items));
   const TenantSpec spec = opened.state.spec;
-  const CountSketchParams params = opened.sketch.params();
-  // The recovered sketch is the ingestor's epoch-0 snapshot: linearity
-  // makes (recovered state + replayed live stream) bit-identical to one
-  // uninterrupted ingest of the same items.
-  auto ingestor = ParallelIngestor<CountSketch>::Make(
-      [params]() { return CountSketch::Make(params); }, ToIngestOptions(spec),
-      std::move(opened.sketch));
-  if (!ingestor.ok()) return ingestor.status();
-
+  // The recovered sketch is the store's ingestor's epoch-0 snapshot.
+  const CountSketchParams params =
+      opened.store->ingestor().Snapshot()->params();
   auto tenant = std::make_shared<Tenant>(
-      spec, params, std::move(*ingestor),
+      spec, params, std::move(opened.store),
       std::make_unique<SpaceSaving>(std::move(opened.candidates)),
-      std::move(opened.store), opened.recovery, opened.state.durable_items);
+      opened.recovery, opened.state.durable_items);
   {
     MutexLock lock(tenant->mu);
     // Derived ledger: everything durable counts as offered-and-ingested,
     // persisted rejections count as offered-and-rejected. Requests in
-    // flight at the crash (offered, never journaled) are forgotten on BOTH
-    // sides of the equation, so conservation holds by construction.
+    // flight at the crash (offered, never journaled) and items the
+    // overflow policy dropped before it (never journaled either) are
+    // forgotten on BOTH sides of the equation, so conservation holds by
+    // construction.
     tenant->offered_items =
         opened.state.rejected_items + opened.state.durable_items;
     tenant->rejected_items = opened.state.rejected_items;

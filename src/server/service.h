@@ -20,8 +20,13 @@
 // once the tenant is sealed — the server-side half of the chaos harness's
 // mass reconciliation. For kBlock tenants with a push timeout, a failed
 // ingest may have been partially applied at batch granularity (the
-// ingestor's request model); the offered/rejected counters keep that
-// window visible instead of papering over it.
+// ingestor's request model; a durable tenant's granularity is one journal
+// record of up to batch_items x queue_batches items); the offered/rejected
+// counters keep that window visible instead of papering over it.
+//
+// A durable tenant's ingestor belongs to its TenantStore
+// (server/snapshotter.h), which admits, journals and enqueues each request
+// and publishes snapshots from that ingestor's fold.
 //
 // Thread model: the registry map is guarded by mu_; each tenant has its
 // own mutex for candidate/bookkeeping state, while sketch ingest and

@@ -3,7 +3,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <iterator>
+#include <array>
+#include <filesystem>
 #include <vector>
 
 #include "util/bytes.h"
@@ -34,25 +35,18 @@ Result<WalFsync> WalFsyncFromName(std::string_view name) {
 
 Result<WalWriter> WalWriter::Open(std::string path, WalFsync fsync) {
   WalWriter writer(std::move(path), fsync);
-  STREAMFREQ_RETURN_NOT_OK(writer.OpenStreams(/*truncate=*/false));
+  STREAMFREQ_RETURN_NOT_OK(writer.OpenStreams());
   return writer;
 }
 
-Status WalWriter::OpenStreams(bool truncate) {
-  if (out_.is_open()) out_.close();
-  out_.clear();
-  sync_fd_.Reset();
-  const std::ios::openmode mode =
-      std::ios::binary | (truncate ? std::ios::trunc : std::ios::app);
-  out_.open(path_, mode);
+Status WalWriter::OpenStreams() {
+  out_.open(path_, std::ios::binary | std::ios::app);
   if (!out_) return Status::IoError("wal: cannot open for append: " + path_);
   const int fd = ::open(path_.c_str(), O_WRONLY | O_CLOEXEC);
   if (fd < 0) {
     return Status::IoError("wal: cannot open sync descriptor: " + path_);
   }
   sync_fd_ = OwnedFd(fd);
-  fsyncs_ = 0;
-  unsynced_appends_ = 0;
   return Status::OK();
 }
 
@@ -111,28 +105,39 @@ Status WalWriter::Fsync() {
   return Status::OK();
 }
 
-Status WalWriter::Truncate() { return OpenStreams(/*truncate=*/true); }
+namespace {
 
-Result<WalReplayStats> ReplayWal(const std::string& path, uint64_t base_seqno,
-                                 const WalReplayFn& apply) {
-  WalReplayStats stats;
-  stats.last_seqno = base_seqno;
-
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return stats;  // no journal = nothing past the snapshot
-
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  size_t off = 0;
-  std::vector<ItemId> scratch;
-  while (off < data.size()) {
+/// Replays one segment into `stats`. Sets `*damaged` when a record failed
+/// its frame checks; that record and the rest of the file are discarded.
+Status ReplaySegment(const std::string& path, uint64_t base_seqno,
+                     const WalReplayFn& apply, std::vector<uint64_t>* buffer,
+                     WalReplayStats* stats, bool* damaged) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return Status::OK();  // a missing segment holds nothing
+  const uint64_t size = static_cast<uint64_t>(in.tellg());
+  in.seekg(0);
+  uint64_t off = 0;
+  std::array<char, frame::kHeaderSize> head;
+  while (off < size) {
     // Any truncation, magic mismatch, implausible length, or checksum
     // failure ends the intact prefix: everything from here on is the torn
     // tail.
-    const Result<std::string_view> record = frame::DecodePrefix(
-        std::string_view(data).substr(off), kWalMagic, kWalMaxPayloadBytes);
-    if (!record.ok()) break;
-    const std::string_view payload = *record;
+    if (size - off < frame::kHeaderSize) break;
+    in.read(head.data(), frame::kHeaderSize);
+    if (static_cast<size_t>(in.gcount()) != frame::kHeaderSize) break;
+    const Result<frame::Header> header = frame::ParseHeader(
+        std::string_view(head.data(), head.size()), kWalMagic,
+        kWalMaxPayloadBytes);
+    if (!header.ok()) break;
+    const uint64_t len = header->payload_len;
+    if (len > size - off - frame::kHeaderSize) break;
+    // u64 words, so the items behind the 16-byte record head are aligned.
+    buffer->resize(static_cast<size_t>((len + 7) / 8));
+    char* bytes = reinterpret_cast<char*>(buffer->data());
+    in.read(bytes, static_cast<std::streamsize>(len));
+    if (static_cast<uint64_t>(in.gcount()) != len) break;
+    const std::string_view payload(bytes, static_cast<size_t>(len));
+    if (!frame::VerifyPayload(*header, payload).ok()) break;
 
     // A CRC-valid record with a malformed payload is not a torn write —
     // the checksum vouches these bytes were written whole. Fail loudly.
@@ -144,33 +149,58 @@ Result<WalReplayStats> ReplayWal(const std::string& path, uint64_t base_seqno,
       return Status::Corruption("wal: record item count mismatch: " + path);
     }
 
-    const size_t record_size = frame::kHeaderSize + payload.size();
     if (seqno <= base_seqno) {
       // The snapshot already covers this batch (crash between snapshot
-      // publish and journal truncation): skip, exactly-once.
-      ++stats.duplicates_skipped;
+      // publish and segment unlink): skip, exactly-once.
+      ++stats->duplicates_skipped;
     } else {
-      if (seqno != stats.last_seqno + 1) {
+      if (seqno != stats->last_seqno + 1) {
         return Status::Corruption("wal: sequence gap at record " +
                                   std::to_string(seqno) + ": " + path);
       }
-      scratch.resize(static_cast<size_t>(count));
-      for (ItemId& id : scratch) {
-        STREAMFREQ_RETURN_NOT_OK(r.GetU64(&id));
-      }
-      STREAMFREQ_RETURN_NOT_OK(
-          apply(seqno, std::span<const ItemId>(scratch)));
-      ++stats.records_applied;
-      stats.last_seqno = seqno;
+      STREAMFREQ_RETURN_NOT_OK(apply(
+          seqno, std::span<const ItemId>(buffer->data() + 2,
+                                         static_cast<size_t>(count))));
+      ++stats->records_applied;
+      stats->last_seqno = seqno;
     }
-    stats.valid_bytes += record_size;
+    const uint64_t record_size = frame::kHeaderSize + len;
+    stats->valid_bytes += record_size;
     off += record_size;
   }
-  if (off < data.size()) {
-    stats.torn_tail = true;
-    stats.discarded_bytes = data.size() - off;
+  if (off < size) {
+    *damaged = true;
+    stats->discarded_bytes += size - off;
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<WalReplayStats> ReplayWalSegments(std::span<const std::string> paths,
+                                         uint64_t base_seqno,
+                                         const WalReplayFn& apply) {
+  WalReplayStats stats;
+  stats.last_seqno = base_seqno;
+  std::vector<uint64_t> buffer;
+  for (const std::string& path : paths) {
+    if (stats.torn_tail) {
+      // Replay never crosses damage: later segments are discarded whole.
+      std::error_code ec;
+      const uintmax_t size = std::filesystem::file_size(path, ec);
+      if (!ec) stats.discarded_bytes += size;
+      continue;
+    }
+    STREAMFREQ_RETURN_NOT_OK(ReplaySegment(path, base_seqno, apply, &buffer,
+                                           &stats, &stats.torn_tail));
   }
   return stats;
+}
+
+Result<WalReplayStats> ReplayWal(const std::string& path, uint64_t base_seqno,
+                                 const WalReplayFn& apply) {
+  return ReplayWalSegments(std::span<const std::string>(&path, 1), base_seqno,
+                           apply);
 }
 
 }  // namespace streamfreq

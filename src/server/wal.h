@@ -10,6 +10,17 @@
 // highest sequence number it covers, so replay can skip already-applied
 // records (duplicate dedup) and recovery is exactly-once.
 //
+// Segments: a tenant's journal is a run of segment files, each named by
+// the first sequence number it may hold (`journal.<first seqno>.sfw`; see
+// TenantStore). A snapshot publish starts a new segment and, once the
+// snapshot is on disk, unlinks the segments it covers. Replay walks the
+// segments oldest first as one record stream; a journal written before
+// segments existed (`journal.sfw`) replays as the oldest segment.
+//
+// Replay reads record by record: the 20-byte frame header, then the
+// payload into one reused buffer. Replaying a journal allocates about one
+// record, however long the journal is.
+//
 // Torn-tail tolerance: a crash mid-append leaves a prefix of the final
 // record on disk. Replay verifies each record's frame before applying it
 // and stops at the first truncated or corrupt one — the torn tail is the
@@ -93,13 +104,9 @@ class WalWriter {
   /// `wal.fsync` failpoints, including process death mid-append.
   Status Append(uint64_t seqno, std::span<const ItemId> items);
 
-  /// Discards every record (called after a snapshot publish made them
-  /// redundant) and reopens for appending.
-  Status Truncate();
-
   const std::string& path() const { return path_; }
 
-  /// fsync(2) calls issued since Open/Truncate. Under kBatch this is
+  /// fsync(2) calls issued since Open. Under kBatch this is
   /// floor(appends / kWalBatchFsyncEvery) — the cadence the recovery test
   /// asserts.
   uint64_t fsyncs() const { return fsyncs_; }
@@ -112,7 +119,7 @@ class WalWriter {
   WalWriter(std::string path, WalFsync fsync) noexcept
       : path_(std::move(path)), fsync_(fsync) {}
 
-  Status OpenStreams(bool truncate);
+  Status OpenStreams();
   Status Fsync();
 
   std::string path_;
@@ -127,12 +134,19 @@ class WalWriter {
 using WalReplayFn =
     std::function<Status(uint64_t seqno, std::span<const ItemId> items)>;
 
-/// Replays the journal at `path`, invoking `apply` for every intact record
-/// with seqno > `base_seqno` (records at or below the base are duplicates
-/// the snapshot already covers). A missing file is an empty journal. A
-/// sequence gap or regression beyond the base means the file cannot be the
-/// suffix of the snapshot's history and fails with Corruption; a damaged or
-/// truncated tail stops replay and is reported via the stats.
+/// Replays the journal segments at `paths`, oldest first, as one record
+/// stream, invoking `apply` for every intact record with seqno >
+/// `base_seqno` (records at or below the base are duplicates the snapshot
+/// already covers). A missing file is an empty segment. A sequence gap or
+/// regression beyond the base means the records cannot be the suffix of
+/// the snapshot's history and fails with Corruption; a damaged or
+/// truncated record stops replay, and it and every byte after it (later
+/// segments included) are reported as discarded via the stats.
+Result<WalReplayStats> ReplayWalSegments(std::span<const std::string> paths,
+                                         uint64_t base_seqno,
+                                         const WalReplayFn& apply);
+
+/// ReplayWalSegments over the one file at `path`.
 Result<WalReplayStats> ReplayWal(const std::string& path, uint64_t base_seqno,
                                  const WalReplayFn& apply);
 

@@ -24,7 +24,9 @@ const std::vector<std::string>* BuildKnownSites() {
       "server.publish",          // withhold a snapshot refresh (error)
       "wal.append",              // journal record write (error, torn, crash)
       "wal.fsync",               // journal durability barrier (error, crash)
-      "snapshot.publish",        // tenant snapshot commit (error, crash)
+      "snapshot.publish",        // tenant snapshot commit (error, stall, crash)
+      "snapshot.cut",            // journal cut, before the fold (error, crash)
+      "snapshot.unlink",         // after the rename, before unlink (error, crash)
       "dist.ingest",             // leaf admission (error, torn, crash)
       "dist.ship",               // uplink frame (error, torn, bitflip)
       "dist.deliver",            // parent apply (error = drop, old ack)

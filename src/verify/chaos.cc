@@ -1183,13 +1183,17 @@ std::string ServerRestartScheduleForIteration(uint64_t seed, uint64_t index) {
   // the driver is on top). Each site leaves a different on-disk shape:
   //   wal.append       death before the record hits the journal
   //   wal.fsync        record written but not yet forced (page cache)
+  //   snapshot.cut     journal cut to a new segment, no snapshot yet
   //   snapshot.publish death before the snapshot's commit rename
   //   sketch_io.write  death mid-blob-write (temp file only)
   //   sketch_io.rename temp fully written, rename never happened
+  //   snapshot.unlink  snapshot renamed, covered segments not yet unlinked
   static constexpr const char* kDeathSites[] = {
-      "wal.append", "wal.fsync", "snapshot.publish", "sketch_io.write",
-      "sketch_io.rename"};
-  const std::string death = kDeathSites[s.Below(5)];
+      "wal.append",      "wal.fsync",        "snapshot.cut",
+      "snapshot.publish", "sketch_io.write", "sketch_io.rename",
+      "snapshot.unlink"};
+  const std::string death =
+      kDeathSites[s.Below(std::size(kDeathSites))];
   s.Add(death + "=crash@0.08*1");
   // Benign companions: severed acks (the applied-but-unacked ambiguity)
   // and, when the death site leaves wal.append free, one torn journal

@@ -70,15 +70,18 @@ TEST(BatchQueueTest, CloseFailsBlockedProducersFast) {
   EXPECT_FALSE(queue.Push(MakeBatch(3)));
 }
 
-TEST(BatchQueueTest, TryPushNeverBlocks) {
+TEST(BatchQueueTest, ZeroTimeoutPushNeverBlocks) {
   BatchQueue queue(1);
   std::vector<ItemId> a = MakeBatch(1);
   std::vector<ItemId> b = MakeBatch(2);
-  EXPECT_EQ(queue.TryPush(&a), QueuePushResult::kOk);
-  EXPECT_EQ(queue.TryPush(&b), QueuePushResult::kTimedOut);
-  EXPECT_EQ(b.size(), 3u) << "rejected TryPush must retain the batch";
+  EXPECT_EQ(queue.PushWithTimeout(&a, milliseconds(0)),
+            QueuePushResult::kOk);
+  EXPECT_EQ(queue.PushWithTimeout(&b, milliseconds(0)),
+            QueuePushResult::kTimedOut);
+  EXPECT_EQ(b.size(), 3u) << "a rejected push must retain the batch";
   queue.Close();
-  EXPECT_EQ(queue.TryPush(&b), QueuePushResult::kClosed);
+  EXPECT_EQ(queue.PushWithTimeout(&b, milliseconds(0)),
+            QueuePushResult::kClosed);
 }
 
 TEST(BatchQueueTest, RequeueGoesToFrontAndIgnoresCapacity) {
@@ -109,6 +112,52 @@ TEST(BatchQueueTest, PopDrainsAfterClose) {
   EXPECT_TRUE(queue.Pop().has_value());
   EXPECT_TRUE(queue.Pop().has_value());
   EXPECT_FALSE(queue.Pop().has_value());
+}
+
+TEST(BatchQueueTest, ReservationsCountAgainstCapacity) {
+  BatchQueue queue(3);
+  ASSERT_EQ(queue.Reserve(2, std::nullopt), QueuePushResult::kOk);
+  std::vector<ItemId> batch = MakeBatch(1);
+  // One place left: a two-place reservation does not fit, a push does.
+  EXPECT_EQ(queue.Reserve(2, milliseconds(0)), QueuePushResult::kTimedOut);
+  EXPECT_EQ(queue.PushWithTimeout(&batch, milliseconds(0)),
+            QueuePushResult::kOk);
+  queue.Commit(MakeBatch(2));
+  queue.Release(1);
+  EXPECT_EQ(queue.Depth(), 2u);
+  EXPECT_EQ(queue.Reserve(1, milliseconds(0)), QueuePushResult::kOk);
+  queue.Release(1);
+}
+
+// A reservation taken before Close is still filled and drained: consumers
+// wait for it instead of reporting end-of-stream.
+TEST(BatchQueueTest, CloseWaitsForOutstandingReservations) {
+  BatchQueue queue(2);
+  ASSERT_EQ(queue.Reserve(2, std::nullopt), QueuePushResult::kOk);
+  queue.Close();
+  EXPECT_EQ(queue.Reserve(1, milliseconds(0)), QueuePushResult::kClosed);
+  std::thread producer([&] {
+    std::this_thread::sleep_for(milliseconds(20));
+    queue.Commit(MakeBatch(5));
+    queue.Release(1);
+  });
+  const auto batch = queue.Pop();
+  ASSERT_TRUE(batch.has_value());
+  EXPECT_EQ(batch->front(), 5u);
+  EXPECT_FALSE(queue.Pop().has_value());
+  producer.join();
+}
+
+TEST(BatchQueueTest, TokensPassTheBoundInOrderUntilClose) {
+  BatchQueue queue(1);
+  ASSERT_TRUE(queue.Push(MakeBatch(1)));
+  ASSERT_TRUE(queue.PushTokens(3));  // over capacity by design
+  EXPECT_EQ(queue.Depth(), 4u);
+  EXPECT_EQ(queue.Pop()->front(), 1u);
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(queue.Pop()->empty());
+  queue.Close();
+  EXPECT_FALSE(queue.PushTokens(2));
+  EXPECT_EQ(queue.Depth(), 0u);
 }
 
 TEST(BatchQueueTest, PushFailpointErrorLooksLikeClosed) {

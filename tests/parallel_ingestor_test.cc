@@ -24,6 +24,7 @@
 #include "stream/exact_counter.h"
 #include "stream/zipf.h"
 #include "util/failpoint.h"
+#include "util/mutex.h"
 
 namespace streamfreq {
 namespace {
@@ -527,6 +528,203 @@ TEST(ParallelIngestorTest, DrainTimeoutAbandonsBacklogInsteadOfHanging) {
   EXPECT_GT(stats.abandoned_batches, 0u);
   EXPECT_EQ(stats.items_ingested + stats.DroppedItems(), stream.size());
   EXPECT_EQ((*ingestor)->SpilledItems().size(), stats.DroppedItems());
+}
+
+// ---------------------------------------------------------------------------
+// Fold barrier: the pin covers exactly the batches enqueued before the
+// tokens.
+// ---------------------------------------------------------------------------
+
+std::string Bytes(const CountSketch& sketch) {
+  std::string out;
+  sketch.SerializeTo(&out);
+  return out;
+}
+
+std::string SequentialBytes(std::span<const ItemId> items) {
+  auto sequential = CountSketch::Make(SketchParams());
+  EXPECT_TRUE(sequential.ok());
+  sequential->BatchAdd(items);
+  return Bytes(*sequential);
+}
+
+Result<std::shared_ptr<const CountSketch>> FoldBarrier(
+    ParallelIngestor<CountSketch>& ingestor) {
+  return ingestor.AwaitFold(ingestor.StartFold());
+}
+
+std::unique_ptr<ParallelIngestor<CountSketch>> MakeBarrierIngestor(
+    size_t threads, size_t publish_every_batches = 0) {
+  IngestOptions opts;
+  opts.threads = threads;
+  opts.batch_items = 512;
+  opts.queue_batches = 8;
+  opts.publish_every_batches = publish_every_batches;
+  auto ingestor = ParallelIngestor<CountSketch>::Make(
+      MakeSharedParamsFactory<CountSketch>(SketchParams()), opts);
+  EXPECT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+  return std::move(*ingestor);
+}
+
+TEST(ParallelIngestorFoldBarrierTest, PinEqualsSequentialPrefix) {
+  const Stream stream = MakeZipfStream(40000, 41);
+  const std::span<const ItemId> all(stream);
+  for (const size_t threads : {1, 2, 4}) {
+    for (const size_t every : {0, 3}) {
+      auto ingestor = MakeBarrierIngestor(threads, every);
+      const size_t cut = 17000;
+      ASSERT_TRUE(ingestor->Ingest(all.first(cut)).ok());
+      auto first = FoldBarrier(*ingestor);
+      ASSERT_TRUE(first.ok()) << first.status().ToString();
+      EXPECT_EQ(Bytes(**first), SequentialBytes(all.first(cut)))
+          << threads << " threads, fold every " << every;
+      // An idle barrier folds nothing new and pins the same state.
+      auto idle = FoldBarrier(*ingestor);
+      ASSERT_TRUE(idle.ok());
+      EXPECT_EQ(Bytes(**idle), Bytes(**first));
+      ASSERT_TRUE(ingestor->Ingest(all.subspan(cut)).ok());
+      auto second = FoldBarrier(*ingestor);
+      ASSERT_TRUE(second.ok());
+      EXPECT_EQ(Bytes(**second), SequentialBytes(all));
+      ASSERT_TRUE(ingestor->Finish().ok());
+    }
+  }
+}
+
+// Producers race the barrier the way a durable tenant does: Admit with no
+// lock held, then record and Enqueue under one lock that StartFold also
+// takes. The pin must equal exactly what was recorded before the tokens.
+TEST(ParallelIngestorFoldBarrierTest, ConcurrentProducersCutExactly) {
+  const Stream stream = MakeZipfStream(kStreamItems / 2, 43);
+  auto ingestor = MakeBarrierIngestor(4, /*publish_every_batches=*/2);
+  Mutex mu;
+  std::vector<ItemId> enqueued;  // guarded by mu
+  std::atomic<bool> done{false};
+  std::vector<std::thread> producers;
+  constexpr size_t kProducers = 3;
+  for (size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (size_t off = p * 300; off < stream.size();
+           off += kProducers * 300) {
+        const auto chunk = std::span<const ItemId>(stream).subspan(
+            off, std::min<size_t>(300, stream.size() - off));
+        auto admission = ingestor->Admit(chunk);
+        ASSERT_TRUE(admission.ok());
+        MutexLock lock(mu);
+        enqueued.insert(enqueued.end(), chunk.begin(), chunk.end());
+        ingestor->Enqueue(std::move(*admission));
+      }
+    });
+  }
+  std::thread cutter([&] {
+    while (!done.load()) {
+      ParallelIngestor<CountSketch>::FoldTicket ticket;
+      std::vector<ItemId> before;
+      {
+        MutexLock lock(mu);
+        ticket = ingestor->StartFold();
+        before = enqueued;
+      }
+      auto pin = ingestor->AwaitFold(ticket);
+      ASSERT_TRUE(pin.ok());
+      EXPECT_EQ(Bytes(**pin), SequentialBytes(before));
+    }
+  });
+  for (std::thread& t : producers) t.join();
+  done.store(true);
+  cutter.join();
+  auto last = FoldBarrier(*ingestor);
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(Bytes(**last), SequentialBytes(stream));
+}
+
+// A crashed worker requeues its batch at the front, ahead of the tokens,
+// and a withheld ingestor.publish leaves readers on an older snapshot:
+// neither may change what the barrier pins.
+TEST(ParallelIngestorFoldBarrierTest, CrashesAndWithheldPublishStayCovered) {
+  const Stream stream = MakeZipfStream(30000, 45);
+  ScopedFailpoints fp(
+      "ingestor.worker_batch=crash@0.2*6;ingestor.publish=error", 23);
+  ASSERT_TRUE(fp.status().ok());
+  auto ingestor = MakeBarrierIngestor(2, /*publish_every_batches=*/1);
+  ASSERT_TRUE(ingestor->Ingest(std::span<const ItemId>(stream)).ok());
+  auto pin = FoldBarrier(*ingestor);
+  ASSERT_TRUE(pin.ok()) << pin.status().ToString();
+  EXPECT_EQ(Bytes(**pin), SequentialBytes(stream));
+  EXPECT_GT(ingestor->Stats().worker_respawns, 0u);
+  EXPECT_GT(ingestor->Stats().publish_failures, 0u);
+  EXPECT_EQ(ingestor->SnapshotEpoch(), 1u) << "every publication withheld";
+}
+
+TEST(ParallelIngestorFoldBarrierTest, AfterFinishPinsTheFinalSketch) {
+  const Stream stream = MakeZipfStream(20000, 47);
+  auto ingestor = MakeBarrierIngestor(2);
+  ASSERT_TRUE(ingestor->Ingest(std::span<const ItemId>(stream)).ok());
+  ASSERT_TRUE(ingestor->Finish().ok());
+  const auto ticket = ingestor->StartFold();
+  EXPECT_TRUE(ticket.finished);
+  auto pin = ingestor->AwaitFold(ticket);
+  ASSERT_TRUE(pin.ok());
+  EXPECT_EQ(Bytes(**pin), SequentialBytes(stream));
+}
+
+TEST(ParallelIngestorFoldBarrierTest, FoldErrorFailsTheBarrier) {
+  const Stream stream = MakeZipfStream(4000, 49);
+  ScopedFailpoints fp("ingestor.worker_batch=error*1", 29);
+  ASSERT_TRUE(fp.status().ok());
+  auto ingestor = MakeBarrierIngestor(2);
+  ASSERT_TRUE(ingestor->Ingest(std::span<const ItemId>(stream)).ok());
+  EXPECT_FALSE(FoldBarrier(*ingestor).ok());
+}
+
+// Admission under overflow: a shed admission carries nothing and holds no
+// place; a sampled one carries the kept items; an unused one gives its
+// places back when destroyed.
+TEST(ParallelIngestorTest, AdmissionAppliesThePolicyAndReleasesPlaces) {
+  std::vector<ItemId> batch(64);
+  for (size_t i = 0; i < batch.size(); ++i) batch[i] = i;
+  for (const OverflowPolicy policy :
+       {OverflowPolicy::kShed, OverflowPolicy::kSample}) {
+    IngestOptions opts;
+    opts.threads = 1;
+    opts.batch_items = 64;
+    opts.queue_batches = 1;
+    opts.push_timeout_ms = 1;
+    opts.overflow_policy = policy;
+    opts.sample_keep_one_in = 4;
+    auto ingestor = ParallelIngestor<CountSketch>::Make(
+        MakeSharedParamsFactory<CountSketch>(SketchParams()), opts);
+    ASSERT_TRUE(ingestor.ok());
+    {
+      // Hold the only place: the next admission misses its deadline.
+      auto held = (*ingestor)->Admit(batch);
+      ASSERT_TRUE(held.ok());
+      EXPECT_EQ(held->items().size(), batch.size());
+      if (policy == OverflowPolicy::kShed) {
+        auto shed = (*ingestor)->Admit(batch);
+        ASSERT_TRUE(shed.ok());
+        EXPECT_TRUE(shed->items().empty());
+      }
+    }  // `held` gives its place back unused
+    if (policy == OverflowPolicy::kSample) {
+      auto held = (*ingestor)->Admit(batch);
+      ASSERT_TRUE(held.ok());
+      std::thread release([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        auto unused = std::move(*held);
+      });
+      auto sampled = (*ingestor)->Admit(batch);
+      release.join();
+      ASSERT_TRUE(sampled.ok());
+      EXPECT_EQ(sampled->items().size(), batch.size() / 4);
+      (*ingestor)->Enqueue(std::move(*sampled));
+    }
+    auto merged = (*ingestor)->Finish();
+    ASSERT_TRUE(merged.ok());
+    const IngestStats stats = (*ingestor)->Stats();
+    EXPECT_EQ(stats.items_ingested,
+              policy == OverflowPolicy::kShed ? 0u : batch.size() / 4);
+  }
 }
 
 }  // namespace

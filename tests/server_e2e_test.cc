@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "server/service.h"
 #include "stream/zipf.h"
 #include "verify/checkers.h"
 #include "verify/oracle.h"
@@ -379,6 +381,33 @@ TEST_F(ServerE2eTest, CounterCapCoversEveryArrayOfATenant) {
   spec.threads = 1;
   spec.width = 4096;
   EXPECT_TRUE(client.CreateTenant("narrow", spec).ok());
+}
+
+// The cap counts threads + 2 arrays (worker sketches, the latest merged
+// snapshot, the fold's spare) for every tenant: a durable tenant's
+// snapshots come from the same ingestor, so it holds no extra array. One
+// counter past the cap is refused, in memory and durable alike.
+TEST(CounterCapTest, ThreadsPlusTwoArraysForEveryTenant) {
+  const std::string data_dir = ::testing::TempDir() + "/sfq_cap_" +
+                               std::to_string(::getpid());
+  std::filesystem::remove_all(data_dir);
+  for (const bool durable : {false, true}) {
+    ServiceOptions options;
+    if (durable) options.data_dir = data_dir;
+    SketchService service(options);
+    Request request;
+    request.op = Opcode::kCreateTenant;
+    request.tenant = durable ? "durable" : "memory";
+    request.spec.threads = 14;  // 16 arrays
+    request.spec.depth = 1;
+    request.spec.width = (uint64_t{1} << 25) / 16 + 1;
+    const Response response = service.Handle(request);
+    EXPECT_FALSE(response.ok());
+    EXPECT_NE(response.message.find("(threads + 2) x depth x width"),
+              std::string::npos)
+        << response.message;
+  }
+  std::filesystem::remove_all(data_dir);
 }
 
 // Lifecycle errors come back as clean statuses on a connection that stays

@@ -5,8 +5,13 @@
 // conservation ledger and bit-identical sketches.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <new>
+#include <thread>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -19,6 +24,38 @@
 #include "util/bytes.h"
 #include "util/failpoint.h"
 #include "util/frame.h"
+
+// Every operator new in this binary is counted, so a test can bound what a
+// journal replay allocates (ReplayAllocatesAboutOneRecord). The array and
+// sized forms of the standard library route through these; the nothrow
+// form (std::stable_sort's buffer) is replaced too, since a sanitizer
+// runtime would otherwise pair its own nothrow new with this delete.
+namespace {
+std::atomic<size_t> g_new_bytes{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(size_t size) {
+  g_new_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void* operator new(size_t size,
+                                     const std::nothrow_t&) noexcept {
+  g_new_bytes.fetch_add(size, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+// All out of line, so GCC does not see free() meet a new-expression's
+// pointer after inlining (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace streamfreq {
 namespace {
@@ -210,19 +247,111 @@ TEST(WalTest, CrcValidMalformedPayloadIsCorruption) {
   EXPECT_TRUE(Replay(path, 0, &got).status().IsCorruption());
 }
 
-TEST(WalTest, TruncateDiscardsEverything) {
-  const std::string dir = TempDir("wal_truncate");
-  const std::string path = dir + "/journal.sfw";
-  auto wal = WalWriter::Open(path, WalFsync::kAlways);
-  ASSERT_TRUE(wal.ok());
-  ASSERT_TRUE(wal->Append(1, std::vector<ItemId>{1, 2, 3}).ok());
-  ASSERT_TRUE(wal->Truncate().ok());
-  ASSERT_TRUE(wal->Append(2, std::vector<ItemId>{9}).ok());
+// A tenant's journal is a run of segments; a pre-segment journal.sfw is
+// the oldest. Replay reads them as one record stream: dedup against the
+// base, continuity across the segment boundary.
+TEST(WalTest, SegmentsReplayAsOneStream) {
+  const std::string dir = TempDir("wal_segments");
+  const std::string legacy = WriteJournal(dir, {{1}, {2, 2}});
+  const std::string second = dir + "/journal.3.sfw";
+  {
+    auto wal = WalWriter::Open(second, WalFsync::kNever);
+    ASSERT_TRUE(wal.ok());
+    ASSERT_TRUE(wal->Append(3, std::vector<ItemId>{3}).ok());
+    ASSERT_TRUE(wal->Append(4, std::vector<ItemId>{4, 4}).ok());
+  }
   Replayed got;
-  auto stats = Replay(path, 1, &got);
+  const std::vector<std::string> segments = {legacy, second};
+  auto stats = ReplayWalSegments(
+      segments, 1, [&](uint64_t seqno, std::span<const ItemId> items) {
+        got.seqnos.push_back(seqno);
+        got.items.insert(got.items.end(), items.begin(), items.end());
+        return Status::OK();
+      });
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->records_applied, 1u);
-  EXPECT_EQ(got.items, (std::vector<ItemId>{9}));
+  EXPECT_EQ(stats->duplicates_skipped, 1u);
+  EXPECT_EQ(got.seqnos, (std::vector<uint64_t>{2, 3, 4}));
+  EXPECT_EQ(got.items, (std::vector<ItemId>{2, 2, 3, 4, 4}));
+  EXPECT_FALSE(stats->torn_tail);
+
+  // Out of order, the second segment's records cannot follow the base.
+  const std::vector<std::string> reversed = {second, legacy};
+  EXPECT_TRUE(ReplayWalSegments(reversed, 0,
+                                [](uint64_t, std::span<const ItemId>) {
+                                  return Status::OK();
+                                })
+                  .status()
+                  .IsCorruption());
+}
+
+// Damage in an earlier segment ends replay there: the later segments are
+// discarded whole, never replayed past the gap.
+TEST(WalTest, DamageStopsReplayAcrossSegments) {
+  const std::string dir = TempDir("wal_segment_damage");
+  const std::string first = WriteJournal(dir, {{1}, {2}});
+  const std::string data = ReadFileBytes(first);
+  WriteFileBytes(first, data.substr(0, data.size() - 3));
+  const std::string second = dir + "/journal.3.sfw";
+  {
+    auto wal = WalWriter::Open(second, WalFsync::kNever);
+    ASSERT_TRUE(wal.ok());
+    ASSERT_TRUE(wal->Append(3, std::vector<ItemId>{3}).ok());
+  }
+  const std::vector<std::string> segments = {first, second};
+  uint64_t applied = 0;
+  auto stats = ReplayWalSegments(segments, 0,
+                                 [&](uint64_t, std::span<const ItemId>) {
+                                   ++applied;
+                                   return Status::OK();
+                                 });
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(applied, 1u);
+  EXPECT_TRUE(stats->torn_tail);
+  EXPECT_EQ(stats->discarded_bytes,
+            data.size() - 3 - stats->valid_bytes +
+                std::filesystem::file_size(second));
+}
+
+// Replay reads record by record into one reused buffer: an 8 MB journal
+// allocates about one record, not the file.
+TEST(WalTest, ReplayAllocatesAboutOneRecord) {
+  const std::string dir = TempDir("wal_alloc");
+  const std::string path = dir + "/journal.sfw";
+  constexpr size_t kItemsPerRecord = 512;
+  constexpr uint64_t kRecords = 2048;  // 2048 x 4 KiB payloads = 8 MiB
+  {
+    auto wal = WalWriter::Open(path, WalFsync::kNever);
+    ASSERT_TRUE(wal.ok());
+    std::vector<ItemId> items(kItemsPerRecord);
+    for (uint64_t seqno = 1; seqno <= kRecords; ++seqno) {
+      for (size_t i = 0; i < items.size(); ++i) items[i] = seqno * 7 + i;
+      ASSERT_TRUE(wal->Append(seqno, items).ok());
+    }
+  }
+  ASSERT_GT(std::filesystem::file_size(path), size_t{8} << 20);
+  uint64_t records = 0;
+  uint64_t sum = 0;
+  const WalReplayFn apply = [&](uint64_t, std::span<const ItemId> items) {
+    ++records;
+    for (const ItemId id : items) sum += id;
+    return Status::OK();
+  };
+  const size_t before = g_new_bytes.load();
+  auto stats = ReplayWal(path, 0, apply);
+  const size_t allocated = g_new_bytes.load() - before;
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(records, kRecords);
+  EXPECT_FALSE(stats->torn_tail);
+  uint64_t want = 0;
+  for (uint64_t seqno = 1; seqno <= kRecords; ++seqno) {
+    for (size_t i = 0; i < kItemsPerRecord; ++i) want += seqno * 7 + i;
+  }
+  EXPECT_EQ(sum, want);
+  // One record's payload is 16 + 4096 bytes; the file stream's own buffer
+  // and bookkeeping come on top. Reading the file whole would be 8 MiB+.
+  const size_t record_bytes = 16 + kItemsPerRecord * sizeof(ItemId);
+  EXPECT_GE(allocated, record_bytes) << "the counting operator new is live";
+  EXPECT_LT(allocated, 4 * record_bytes + (size_t{16} << 10));
 }
 
 // ---------------------------------------------------------------------------
@@ -342,7 +471,7 @@ TEST(TenantStoreTest, CreateAppendReopenReplays) {
   ASSERT_TRUE(reference.ok());
   for (const ItemId q : {1, 2, 3, 2, 3, 4, 4}) reference->Add(q, 1);
   std::string got_bytes, want_bytes;
-  opened->sketch.SerializeTo(&got_bytes);
+  opened->store->ingestor().Snapshot()->SerializeTo(&got_bytes);
   reference->SerializeTo(&want_bytes);
   EXPECT_EQ(got_bytes, want_bytes);
 
@@ -354,7 +483,7 @@ TEST(TenantStoreTest, CreateAppendReopenReplays) {
   EXPECT_EQ(again->recovery.replayed_records, 0u);
   EXPECT_EQ(again->recovery.base_items, 7u);
   got_bytes.clear();
-  again->sketch.SerializeTo(&got_bytes);
+  again->store->ingestor().Snapshot()->SerializeTo(&got_bytes);
   EXPECT_EQ(got_bytes, want_bytes);
 }
 
@@ -384,7 +513,7 @@ TEST(TenantStoreTest, CreateWithBatchFsyncReplays) {
     reference->Add(seqno % 5, 1);
   }
   std::string got_bytes, want_bytes;
-  opened->sketch.SerializeTo(&got_bytes);
+  opened->store->ingestor().Snapshot()->SerializeTo(&got_bytes);
   reference->SerializeTo(&want_bytes);
   EXPECT_EQ(got_bytes, want_bytes);
 }
@@ -396,7 +525,7 @@ TEST(TenantStoreTest, SnapshotWithNoJournalRecovers) {
                                      WalFsync::kAlways, 1 << 20);
     ASSERT_TRUE(store.ok());
   }
-  ASSERT_TRUE(std::filesystem::remove(TenantStore::JournalPath(dir)));
+  ASSERT_TRUE(std::filesystem::remove(TenantStore::JournalPath(dir, 1)));
   auto opened = TenantStore::Open(dir, WalFsync::kAlways, 1 << 20);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   EXPECT_EQ(opened->recovery.replayed_records, 0u);
@@ -431,7 +560,7 @@ TEST(TenantStoreTest, TornJournalTailRecoversPrefixThenHeals) {
     ASSERT_TRUE((*store)->Append(std::vector<ItemId>{1, 2}).ok());
     ASSERT_TRUE((*store)->Append(std::vector<ItemId>{3}).ok());
   }
-  const std::string journal = TenantStore::JournalPath(dir);
+  const std::string journal = TenantStore::JournalPath(dir, 1);
   const std::string full = ReadFileBytes(journal);
   WriteFileBytes(journal, full.substr(0, full.size() - 3));  // tear record 2
 
@@ -463,6 +592,162 @@ TEST(TenantStoreTest, BitFlippedSnapshotIsRefused) {
   data[data.size() / 2] ^= 0x20;
   WriteFileBytes(snap, data);
   EXPECT_FALSE(TenantStore::Open(dir, WalFsync::kAlways, 1 << 20).ok());
+}
+
+std::string SketchBytes(const CountSketch& sketch) {
+  std::string out;
+  sketch.SerializeTo(&out);
+  return out;
+}
+
+std::string RecoveredBytes(const TenantStore::Opened& opened) {
+  return SketchBytes(*opened.store->ingestor().Snapshot());
+}
+
+LedgerSample EmptyLedger() {
+  LedgerSample ledger;
+  ledger.candidate_capacity = TestSpec().tracked;
+  return ledger;
+}
+
+// While a publish is stalled in its snapshot write, appends to the same
+// store go on: the publish holds the store lock only to cut the journal.
+TEST(TenantStoreTest, AppendDoesNotWaitForAStalledPublish) {
+  const std::string dir = TempDir("store_stall") + "/t";
+  {
+    auto store = TenantStore::Create(dir, TestSpec(), TestParams(),
+                                     WalFsync::kNever, 1 << 20);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->Append(std::vector<ItemId>{1, 2}).ok());
+    ASSERT_TRUE((*store)->Append(std::vector<ItemId>{2}).ok());
+    ScopedFailpoints fp("snapshot.publish=stall:500*1", 5);
+    ASSERT_TRUE(fp.status().ok());
+    std::atomic<bool> published{false};
+    std::thread publisher([&] {
+      EXPECT_TRUE((*store)->WriteSnapshot(EmptyLedger()).ok());
+      published.store(true);
+    });
+    // The cut starts segment 3; the publish then folds and stalls.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!std::filesystem::exists(TenantStore::JournalPath(dir, 3)) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_TRUE((*store)->Append(std::vector<ItemId>{3}).ok());
+    EXPECT_FALSE(published.load()) << "the append waited for the publish";
+    publisher.join();
+    EXPECT_EQ((*store)->snapshots_written(), 1u);
+    EXPECT_FALSE(std::filesystem::exists(TenantStore::JournalPath(dir, 1)))
+        << "the covered segment is unlinked after the rename";
+  }
+  // The snapshot covers exactly records <= 2; record 3 is journal tail.
+  auto opened = TenantStore::Open(dir, WalFsync::kNever, 1 << 20);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened->recovery.snapshot_seqno, 2u);
+  EXPECT_EQ(opened->recovery.replayed_records, 1u);
+  EXPECT_EQ(opened->recovery.base_items, 4u);
+  auto reference = CountSketch::Make(TestParams());
+  ASSERT_TRUE(reference.ok());
+  for (const ItemId q : {1, 2, 2, 3}) reference->Add(q, 1);
+  EXPECT_EQ(RecoveredBytes(*opened), SketchBytes(*reference));
+}
+
+// Admission comes before the journal, so a shed or sampled batch is
+// journaled exactly as the workers fold it: the sketch recovered after a
+// kill equals the live sketch at the kill.
+TEST(TenantStoreTest, ShedAndSampleTenantsRecoverTheLiveSketch) {
+  for (const OverflowPolicy policy :
+       {OverflowPolicy::kShed, OverflowPolicy::kSample}) {
+    const std::string dir =
+        TempDir(std::string("store_policy_") + PolicyName(policy)) + "/t";
+    TenantSpec spec = TestSpec();
+    spec.threads = 1;
+    spec.batch_items = 64;
+    spec.queue_batches = 1;
+    spec.push_timeout_ms = 1;
+    spec.policy = policy;
+    spec.sample_keep_one_in = 4;
+    std::string live;
+    IngestStats stats;
+    {
+      // Every batch keeps the one worker busy for 3 ms, so admissions
+      // keep missing their 1 ms deadline.
+      ScopedFailpoints fp("ingestor.worker_batch=stall:3", 7);
+      ASSERT_TRUE(fp.status().ok());
+      auto store = TenantStore::Create(dir, spec, TestParams(),
+                                       WalFsync::kNever, 0);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      std::vector<ItemId> request(64);
+      for (int r = 0; r < 150; ++r) {
+        for (size_t i = 0; i < request.size(); ++i) {
+          request[i] = (r * 64 + i) % 97;
+        }
+        ASSERT_TRUE((*store)->Append(request).ok());
+      }
+      TenantStore::Ingestor& ingestor = (*store)->ingestor();
+      auto pin = ingestor.AwaitFold(ingestor.StartFold());
+      ASSERT_TRUE(pin.ok()) << pin.status().ToString();
+      live = SketchBytes(**pin);
+      stats = ingestor.Stats();
+      EXPECT_GT(stats.DroppedItems(), 0u) << PolicyName(policy);
+      EXPECT_EQ((*store)->durable_items(), stats.items_ingested);
+    }  // the kill: nothing more reaches the data dir
+    auto opened = TenantStore::Open(dir, WalFsync::kNever, 0);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_EQ(opened->recovery.base_items, stats.items_ingested);
+    EXPECT_EQ(RecoveredBytes(*opened), live) << PolicyName(policy);
+  }
+}
+
+// A publish whose fold failed, or whose cut was faulted, writes nothing
+// and keeps every segment; one whose unlink was faulted leaves covered
+// segments that replay skips as duplicates. Recovery is exact throughout.
+TEST(TenantStoreTest, PublishFaultsKeepRecoveryExact) {
+  const std::string dir = TempDir("store_publish_faults") + "/t";
+  {
+    auto store = TenantStore::Create(dir, TestSpec(), TestParams(),
+                                     WalFsync::kNever, 1 << 20);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    {
+      ScopedFailpoints fp("ingestor.worker_batch=error*1", 9);
+      ASSERT_TRUE(fp.status().ok());
+      ASSERT_TRUE((*store)->Append(std::vector<ItemId>{1, 2}).ok());
+      EXPECT_FALSE((*store)->WriteSnapshot(EmptyLedger()).ok());
+    }
+    EXPECT_EQ((*store)->snapshots_written(), 0u);
+    EXPECT_TRUE(std::filesystem::exists(TenantStore::JournalPath(dir, 1)));
+  }
+  {
+    auto opened = TenantStore::Open(dir, WalFsync::kNever, 1 << 20);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_EQ(opened->recovery.snapshot_seqno, 0u);
+    EXPECT_EQ(opened->recovery.replayed_records, 1u);
+    TenantStore& store = *opened->store;
+    ASSERT_TRUE(store.Append(std::vector<ItemId>{3}).ok());
+    {
+      ScopedFailpoints fp("snapshot.cut=error*1", 11);
+      ASSERT_TRUE(fp.status().ok());
+      EXPECT_FALSE(store.WriteSnapshot(EmptyLedger()).ok());
+    }
+    ASSERT_TRUE(store.Append(std::vector<ItemId>{4}).ok());
+    {
+      ScopedFailpoints fp("snapshot.unlink=error*1", 13);
+      ASSERT_TRUE(fp.status().ok());
+      EXPECT_TRUE(store.WriteSnapshot(EmptyLedger()).ok());
+    }
+    EXPECT_TRUE(std::filesystem::exists(TenantStore::JournalPath(dir, 2)));
+  }
+  auto opened = TenantStore::Open(dir, WalFsync::kNever, 1 << 20);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened->recovery.snapshot_seqno, 3u);
+  EXPECT_EQ(opened->recovery.duplicates_skipped, 2u);
+  EXPECT_EQ(opened->recovery.replayed_records, 0u);
+  EXPECT_EQ(opened->recovery.base_items, 4u);
+  auto reference = CountSketch::Make(TestParams());
+  ASSERT_TRUE(reference.ok());
+  for (const ItemId q : {1, 2, 3, 4}) reference->Add(q, 1);
+  EXPECT_EQ(RecoveredBytes(*opened), SketchBytes(*reference));
 }
 
 // ---------------------------------------------------------------------------
@@ -615,12 +900,11 @@ TEST(ServiceRecoveryTest, DuplicateJournalRecordsAreDedupedOnReplay) {
     LedgerSample ledger;
     ledger.candidate_capacity = TestSpec().tracked;
     ASSERT_TRUE((*store)->WriteSnapshot(ledger).ok());
-    // WriteSnapshot truncated the journal; re-append records 1..3 as the
-    // pre-truncation file would have held them.
+    // WriteSnapshot unlinked the segment it covers; re-append records 1..3
+    // as a pre-segment journal.sfw, the oldest segment, would hold them.
   }
   {
-    auto wal = WalWriter::Open(TenantStore::JournalPath(dir),
-                               WalFsync::kAlways);
+    auto wal = WalWriter::Open(dir + "/journal.sfw", WalFsync::kAlways);
     ASSERT_TRUE(wal.ok());
     ASSERT_TRUE(wal->Append(1, std::vector<ItemId>{1}).ok());
     ASSERT_TRUE(wal->Append(2, std::vector<ItemId>{2}).ok());
@@ -636,7 +920,7 @@ TEST(ServiceRecoveryTest, DuplicateJournalRecordsAreDedupedOnReplay) {
   ASSERT_TRUE(reference.ok());
   for (const ItemId q : {1, 2, 3}) reference->Add(q, 1);
   std::string got_bytes, want_bytes;
-  opened->sketch.SerializeTo(&got_bytes);
+  opened->store->ingestor().Snapshot()->SerializeTo(&got_bytes);
   reference->SerializeTo(&want_bytes);
   EXPECT_EQ(got_bytes, want_bytes);
 }
