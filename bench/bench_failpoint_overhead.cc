@@ -11,6 +11,7 @@
 // producer/consumer hand-off in src/concurrent/batch_queue.cc.
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <vector>
 
 #include "concurrent/batch_queue.h"
@@ -42,7 +43,8 @@ void BM_BatchQueueRoundTrip(benchmark::State& state) {
   BatchQueue queue(/*max_batches=*/64);
   const std::vector<ItemId> batch(256, ItemId{7});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(queue.Push(std::vector<ItemId>(batch)));
+    benchmark::DoNotOptimize(queue.Reserve(1, std::nullopt));
+    queue.Commit(std::vector<ItemId>(batch));
     auto out = queue.Pop();
     benchmark::DoNotOptimize(out);
   }

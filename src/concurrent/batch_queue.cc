@@ -10,8 +10,8 @@ namespace streamfreq {
 
 namespace {
 
-// All producer entry points share one injection site: `error` makes the
-// queue look closed to this producer, `stall` delays the hand-off.
+// The producer-side site, run by every Reserve: `error` makes the queue
+// look closed to this producer, `stall` delays the hand-off.
 bool ApplyPushFailpoint() {
   const FailDecision fp = SFQ_FAILPOINT("batch_queue.push");
   if (fp.action == FailAction::kStall) {
@@ -34,19 +34,6 @@ void ApplyPopFailpoint() {
 
 BatchQueue::BatchQueue(size_t max_batches)
     : max_batches_(std::max<size_t>(1, max_batches)) {}
-
-bool BatchQueue::Push(std::vector<ItemId> batch) {
-  if (Reserve(1, std::nullopt) != QueuePushResult::kOk) return false;
-  Commit(std::move(batch));
-  return true;
-}
-
-QueuePushResult BatchQueue::PushWithTimeout(std::vector<ItemId>* batch,
-                                            std::chrono::milliseconds timeout) {
-  const QueuePushResult result = Reserve(1, timeout);
-  if (result == QueuePushResult::kOk) Commit(std::move(*batch));
-  return result;
-}
 
 QueuePushResult BatchQueue::Reserve(
     size_t slots, std::optional<std::chrono::milliseconds> timeout) {

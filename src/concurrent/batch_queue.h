@@ -8,19 +8,15 @@
 // empty. Close() starts shutdown: producers fail fast, consumers drain the
 // remaining batches and then observe end-of-stream.
 //
-// Overload handling: plain Push blocks indefinitely, which is the right
-// default for bounded in-process pipelines but wedges the producer if a
-// consumer stalls. PushWithTimeout gives producers a deadline so
-// ParallelIngestor can implement shed/sample overflow policies (see
-// docs/ROBUSTNESS.md); it keeps ownership of the batch on failure so the
-// caller decides whether to drop, downsample, or retry it.
-//
-// Reservations split a push in two: Reserve takes places (this is where a
-// producer waits), Commit fills one without ever blocking. A durable
-// tenant journals a batch between the two, under its store lock, so the
-// journal order is the queue order and no queue wait happens under that
-// lock. A reservation survives Close: consumers keep draining until every
-// reserved place is committed or released.
+// A producer hands a batch over in two steps: Reserve takes places (this is
+// the only place a producer waits), Commit fills one without ever
+// blocking. Reserve waits forever or up to a deadline; the deadline is how
+// ParallelIngestor implements its shed/sample overflow policies (see
+// docs/ROBUSTNESS.md), and the batch stays the caller's until Commit. A
+// durable tenant journals a batch between the two, under its store lock,
+// so the journal order is the queue order and no queue wait happens under
+// that lock. A reservation survives Close: consumers keep draining until
+// every reserved place is committed or released.
 //
 // Fold tokens are empty batches (a data batch is never empty) that
 // ParallelIngestor's fold barrier pushes past the capacity bound.
@@ -38,11 +34,11 @@
 
 namespace streamfreq {
 
-/// Outcome of a non-blocking or deadline-bounded enqueue.
+/// Outcome of a reservation.
 enum class QueuePushResult : uint8_t {
-  kOk,        ///< batch enqueued
-  kTimedOut,  ///< queue stayed full past the deadline; caller keeps batch
-  kClosed,    ///< queue is shut down; caller keeps batch
+  kOk,        ///< places reserved
+  kTimedOut,  ///< queue stayed full past the deadline
+  kClosed,    ///< queue is shut down
 };
 
 /// A bounded queue of ItemId batches.
@@ -55,22 +51,12 @@ class BatchQueue {
   BatchQueue(const BatchQueue&) = delete;
   BatchQueue& operator=(const BatchQueue&) = delete;
 
-  /// Enqueues a batch, blocking while the queue is full. Returns false iff
-  /// the queue was closed (the batch is dropped).
-  [[nodiscard]] bool Push(std::vector<ItemId> batch);
-
-  /// Enqueues `*batch`, waiting up to `timeout` for room. Returns
-  /// kTimedOut (batch retained) if the queue is still full at the
-  /// deadline — the fix for the stalled-consumer livelock: a producer is
-  /// never parked past its deadline even if no consumer ever wakes it. A
-  /// zero timeout never blocks.
-  [[nodiscard]] QueuePushResult PushWithTimeout(
-      std::vector<ItemId>* batch, std::chrono::milliseconds timeout);
-
   /// Reserves `slots` places at once (clamped to the capacity), waiting
   /// while queued plus reserved batches leave too little room: forever
-  /// when `timeout` is nullopt, else until it passes. Every kOk must be
-  /// paid back by `slots` Commit/Release calls.
+  /// when `timeout` is nullopt, else until it passes (kTimedOut; a zero
+  /// timeout never blocks). A producer is never parked past its deadline,
+  /// even if no consumer ever wakes it. kClosed once the queue is closed.
+  /// Every kOk must be paid back by `slots` Commit/Release calls.
   [[nodiscard]] QueuePushResult Reserve(
       size_t slots, std::optional<std::chrono::milliseconds> timeout);
 
@@ -96,8 +82,8 @@ class BatchQueue {
   /// nullopt once the queue is closed, drained, and holds no reservation.
   [[nodiscard]] std::optional<std::vector<ItemId>> Pop();
 
-  /// Begins shutdown: wakes every waiter; subsequent Push calls fail and
-  /// Pop drains what remains.
+  /// Begins shutdown: wakes every waiter; subsequent Reserve calls fail
+  /// and Pop drains what remains.
   void Close();
 
   /// Batches currently queued (diagnostic; racy by nature).

@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <map>
 #include <optional>
-#include <set>
 #include <utility>
 
 #include "core/max_change.h"
@@ -26,137 +25,57 @@ std::string SocketPath(const std::string& dir, uint64_t node) {
   return dir + "/node-" + std::to_string(node) + ".sock";
 }
 
-// Shared node-side aggregation state: the same fields MergeTreeSim keeps
-// per node, minus the failpoints (the sim owns fault injection; this is
-// the straight-line deployment of the identical wire protocol).
-struct NodeState {
-  explicit NodeState(CountSketch zero) : acc(std::move(zero)) {}
-
-  CountSketch acc;
-  DistLedger own;
-  std::map<uint64_t, DistLedger> child_ledgers;
-  std::map<uint64_t, uint64_t> covered;
-  std::map<uint64_t, std::vector<ItemId>> child_candidates;
-  std::map<uint64_t, DeltaReceiver> receivers;
-  uint64_t deltas_applied = 0;
-  uint64_t delta_dedups = 0;
-
-  DistLedger Total() const {
-    DistLedger t = own;
-    for (const auto& [child, ledger] : child_ledgers) t += ledger;
-    return t;
-  }
-
-  std::vector<CoverageEntry> CoveredSnapshot() const {
-    std::vector<CoverageEntry> out;
-    out.reserve(covered.size());
-    for (const auto& [leaf, count] : covered) {
-      out.push_back(CoverageEntry{leaf, count});
-    }
-    return out;
-  }
-
-  std::vector<ItemId> CandidateUnion() const {
-    std::set<ItemId> ids;
-    for (const auto& [child, cands] : child_candidates) {
-      ids.insert(cands.begin(), cands.end());
-    }
-    return std::vector<ItemId>(ids.begin(), ids.end());
-  }
-
-  /// Applies one decoded delta from `child` (or dedups it) and returns the
-  /// cumulative ack seqno. The delta's counters are merged straight from
-  /// its wire bytes.
-  Result<uint64_t> Apply(uint64_t child, const DeltaView& delta) {
-    DeltaReceiver& recv = receivers[child];
-    bool duplicate = false;
-    STREAMFREQ_RETURN_NOT_OK(recv.Classify(delta.seqno, &duplicate));
-    if (duplicate) {
-      recv.CountDuplicate();
-      ++delta_dedups;
-      return recv.last_applied();
-    }
-    STREAMFREQ_RETURN_NOT_OK(acc.MergeSerialized(delta.sketch_blob));
-    child_ledgers[child] += delta.ledger;
-    for (const CoverageEntry& c : delta.covered) {
-      uint64_t& cur = covered[c.leaf_id];
-      if (c.count < cur) {
-        return Status::Corruption("coverage watermark moved backwards");
-      }
-      cur = c.count;
-    }
-    child_candidates[child] = delta.candidates;
-    recv.Applied(delta.seqno);
-    ++deltas_applied;
-    return recv.last_applied();
-  }
-};
-
-/// Blocking ship of one delta (if there is one) over `up_fd`, waiting for
-/// and folding the cumulative ack.
-Status ShipAndAck(DeltaChannel* channel, int up_fd, const CountSketch& acc,
-                  const DistLedger& ledger,
-                  const std::vector<CoverageEntry>& covered,
-                  const std::vector<ItemId>& candidates, bool final_flag) {
-  STREAMFREQ_ASSIGN_OR_RETURN(
-      std::optional<std::string_view> payload,
-      channel->Ship(acc, ledger, covered, candidates, final_flag));
+/// Blocking ship of the node's delta (if there is one) over `up_fd`,
+/// waiting for and folding the cumulative ack.
+Status ShipAndAck(MergeNode* node, int up_fd, bool final_flag) {
+  STREAMFREQ_ASSIGN_OR_RETURN(std::optional<std::string_view> payload,
+                              node->Ship(final_flag));
   if (!payload.has_value()) return Status::OK();
   STREAMFREQ_RETURN_NOT_OK(SendFrame(up_fd, *payload));
   STREAMFREQ_ASSIGN_OR_RETURN(std::string ack_frame, RecvFrame(up_fd));
   STREAMFREQ_ASSIGN_OR_RETURN(uint64_t ack, DecodeAck(ack_frame));
-  return channel->Acked(ack);
+  return node->up().Acked(ack);
 }
 
 /// Leaf worker: ingest the seeded substream in delta_every chunks, shipping
 /// after each, final flag on the last.
 Status RunWorker(const AggregateOptions& options, const TreeTopology& topo,
-                 uint64_t node, uint64_t leaf_index) {
+                 uint64_t id, uint64_t leaf_index) {
   STREAMFREQ_ASSIGN_OR_RETURN(std::vector<ItemId> items,
                               WorkerStreamItems(options, leaf_index));
-  STREAMFREQ_ASSIGN_OR_RETURN(CountSketch acc,
+  STREAMFREQ_ASSIGN_OR_RETURN(CountSketch zero,
                               CountSketch::Make(options.params));
   STREAMFREQ_ASSIGN_OR_RETURN(SpaceSaving tracker,
                               SpaceSaving::Make(options.tracked));
-  DeltaChannel channel(node);
+  MergeNode node(id, std::move(zero), std::move(tracker));
   STREAMFREQ_ASSIGN_OR_RETURN(
-      OwnedFd up, ConnectUnix(SocketPath(options.socket_dir,
-                                         topo.parent[node])));
-  DistLedger ledger;
+      OwnedFd up,
+      ConnectUnix(SocketPath(options.socket_dir, topo.parent[id])));
   const uint64_t step = std::max<uint64_t>(1, options.delta_every);
   for (uint64_t off = 0; off < items.size() || off == 0;) {
-    const uint64_t n =
-        std::min<uint64_t>(step, items.size() - off);
-    const std::span<const ItemId> chunk(items.data() + off, n);
-    acc.BatchAdd(chunk);
-    tracker.BatchAdd(chunk);
-    ledger.offered += n;
-    ledger.ingested += n;
+    const uint64_t n = std::min<uint64_t>(step, items.size() - off);
+    node.own().offered += n;
+    node.Admit(std::span<const ItemId>(items.data() + off, n));
     off += n;
-    std::vector<CoverageEntry> cov = {CoverageEntry{node, off}};
-    std::vector<ItemId> cands;
-    for (const ItemCount& c : tracker.Candidates(options.tracked)) {
-      cands.push_back(c.item);
-    }
-    std::sort(cands.begin(), cands.end());
-    STREAMFREQ_RETURN_NOT_OK(ShipAndAck(&channel, up.get(), acc, ledger, cov,
-                                        cands, /*final=*/off >= items.size()));
+    STREAMFREQ_RETURN_NOT_OK(
+        ShipAndAck(&node, up.get(), /*final_flag=*/off >= items.size()));
     if (off >= items.size()) break;
   }
   return Status::OK();
 }
 
-/// Interior relay (and, with up_fd < 0, the root): accept every child,
-/// apply/ack their deltas, forward upward after each apply, tear down when
-/// every child hung up after its final delta.
+/// Interior relay, or the root: accept every child, bind each connection
+/// to the child its first delta names, apply and ack every delta, forward
+/// upward after each apply (not at the root), and tear down once every
+/// child has hung up after its final delta.
 Status RunRelay(const AggregateOptions& options, const TreeTopology& topo,
-                uint64_t node, OwnedFd listener, NodeState* state) {
-  const std::vector<uint64_t>& children = topo.children[node];
-  DeltaChannel channel(node);
+                OwnedFd listener, MergeNode* node) {
+  const uint64_t id = node->id();
+  const std::vector<uint64_t>& children = topo.children[id];
   OwnedFd up;
-  if (node != 0) {
+  if (id != 0) {
     STREAMFREQ_ASSIGN_OR_RETURN(
-        up, ConnectUnix(SocketPath(options.socket_dir, topo.parent[node])));
+        up, ConnectUnix(SocketPath(options.socket_dir, topo.parent[id])));
   }
   std::vector<OwnedFd> conns;
   conns.reserve(children.size());
@@ -164,6 +83,8 @@ Status RunRelay(const AggregateOptions& options, const TreeTopology& topo,
     STREAMFREQ_ASSIGN_OR_RETURN(OwnedFd conn, AcceptConn(listener));
     conns.push_back(std::move(conn));
   }
+  // The child each connection speaks for, once its first delta arrived.
+  std::vector<std::optional<uint64_t>> sender(conns.size());
   size_t open = conns.size();
   std::vector<bool> closed(conns.size(), false);
   while (open > 0) {
@@ -184,30 +105,44 @@ Status RunRelay(const AggregateOptions& options, const TreeTopology& topo,
       const size_t i = index[f];
       Result<std::string> frame = RecvFrame(conns[i].get());
       if (!frame.ok()) {
-        if (frame.status().IsNotFound()) {
-          closed[i] = true;  // clean EOF after the child's final ack
-          --open;
-          continue;
+        if (!frame.status().IsNotFound()) return frame.status();
+        // EOF is a clean close only once the child's final delta applied.
+        if (!sender[i].has_value() || !node->child_final(*sender[i])) {
+          return Status::Corruption("a child of node " + std::to_string(id) +
+                                    " hung up before its final delta");
         }
-        return frame.status();
+        closed[i] = true;
+        --open;
+        continue;
       }
       STREAMFREQ_ASSIGN_OR_RETURN(DeltaView delta, DecodeDelta(*frame));
-      STREAMFREQ_ASSIGN_OR_RETURN(uint64_t ack,
-                                  state->Apply(delta.node_id, delta));
-      STREAMFREQ_RETURN_NOT_OK(SendFrame(conns[i].get(), EncodeAck(ack)));
-      if (node != 0) {
+      if (!sender[i].has_value()) {
+        const uint64_t from = delta.node_id;
+        if (std::find(children.begin(), children.end(), from) ==
+            children.end()) {
+          return Status::Corruption("delta from node " + std::to_string(from) +
+                                    ", not a child of node " +
+                                    std::to_string(id));
+        }
+        if (std::find(sender.begin(), sender.end(), from) != sender.end()) {
+          return Status::Corruption("two connections speak for child " +
+                                    std::to_string(from));
+        }
+        sender[i] = from;
+      }
+      // Apply refuses a later delta that names another sender.
+      STREAMFREQ_RETURN_NOT_OK(
+          node->Apply(*sender[i], std::move(delta)).status());
+      STREAMFREQ_RETURN_NOT_OK(
+          SendFrame(conns[i].get(), EncodeAck(node->acked(*sender[i]))));
+      if (id != 0) {
         STREAMFREQ_RETURN_NOT_OK(
-            ShipAndAck(&channel, up.get(), state->acc, state->Total(),
-                       state->CoveredSnapshot(), state->CandidateUnion(),
-                       /*final=*/false));
+            ShipAndAck(node, up.get(), /*final_flag=*/false));
       }
     }
   }
-  if (node != 0) {
-    STREAMFREQ_RETURN_NOT_OK(
-        ShipAndAck(&channel, up.get(), state->acc, state->Total(),
-                   state->CoveredSnapshot(), state->CandidateUnion(),
-                   /*final=*/true));
+  if (id != 0) {
+    STREAMFREQ_RETURN_NOT_OK(ShipAndAck(node, up.get(), /*final_flag=*/true));
   }
   return Status::OK();
 }
@@ -229,11 +164,6 @@ Result<AggregateReport> RunAggregate(const AggregateOptions& options) {
   }
   STREAMFREQ_ASSIGN_OR_RETURN(
       TreeTopology topo, BuildBalancedTree(options.workers, options.fanout));
-  // Leaf index (stream assignment) per leaf node id.
-  std::map<uint64_t, uint64_t> leaf_index;
-  for (uint64_t i = 0; i < topo.leaves.size(); ++i) {
-    leaf_index[topo.leaves[i]] = i;
-  }
   // Every listener exists before the first fork: a child can never race
   // its parent's bind.
   std::map<uint64_t, OwnedFd> listeners;
@@ -252,14 +182,16 @@ Result<AggregateReport> RunAggregate(const AggregateOptions& options) {
       Status s;
       if (topo.is_leaf(u)) {
         listeners.clear();
-        s = RunWorker(options, topo, u, leaf_index[u]);
+        // The stream index of a leaf is its place in topo.leaves.
+        const auto leaf = std::find(topo.leaves.begin(), topo.leaves.end(), u);
+        s = RunWorker(options, topo, u, leaf - topo.leaves.begin());
       } else {
         OwnedFd mine = std::move(listeners[u]);
         listeners.clear();
         auto zero = CountSketch::Make(options.params);
         if (!zero.ok()) std::_Exit(3);
-        NodeState state(std::move(*zero));
-        s = RunRelay(options, topo, u, std::move(mine), &state);
+        MergeNode node(u, std::move(*zero));
+        s = RunRelay(options, topo, std::move(mine), &node);
       }
       std::_Exit(s.ok() ? 0 : 3);
     }
@@ -267,9 +199,8 @@ Result<AggregateReport> RunAggregate(const AggregateOptions& options) {
   }
   STREAMFREQ_ASSIGN_OR_RETURN(CountSketch zero,
                               CountSketch::Make(options.params));
-  NodeState root(std::move(zero));
-  Status root_status = RunRelay(options, topo, 0, std::move(listeners[0]),
-                                &root);
+  MergeNode root(0, std::move(zero));
+  Status root_status = RunRelay(options, topo, std::move(listeners[0]), &root);
   listeners.clear();
   bool child_failed = false;
   for (pid_t pid : pids) {
@@ -293,11 +224,11 @@ Result<AggregateReport> RunAggregate(const AggregateOptions& options) {
   report.depth = topo.max_depth();
   report.leaves = topo.leaves.size();
   report.ledger = root.Total();
-  report.covered = root.CoveredSnapshot();
-  report.deltas_applied = root.deltas_applied;
-  report.delta_dedups = root.delta_dedups;
-  root.acc.SerializeTo(&report.root_sketch);
-  report.topk = RankByEstimate(root.CandidateUnion(), root.acc, options.topk,
+  report.covered = root.Covered();
+  report.deltas_applied = root.deltas_applied();
+  report.delta_dedups = root.delta_dedups();
+  root.acc().SerializeTo(&report.root_sketch);
+  report.topk = RankByEstimate(root.CandidateUnion(), root.acc(), options.topk,
                                /*absolute=*/false);
   if (!report.ledger.ConservationHolds()) {
     return Status::Internal("root ledger violates conservation");

@@ -3,18 +3,20 @@
 //
 // The CLI process hosts the ROOT. Every other node — ingest workers at the
 // leaves, merge relays in the interior — is a forked child talking framed
-// deltas (dist/delta.h) over unix-domain sockets (server/net.h), exactly
-// the wire bytes MergeTreeSim pushes through its in-process links. All
-// listeners are created before the first fork, so no child can connect
-// before its parent is ready.
+// deltas (dist/delta.h) over unix-domain sockets (server/net.h). Each node
+// is a MergeNode (dist/delta.h), the same node type MergeTreeSim runs, so
+// the apply rule and the wire bytes are the sim's; this file only adds
+// fork, sockets and poll. All listeners are created before the first
+// fork, so no child can connect before its parent is ready.
 //
-// Each worker streams a seeded Zipf substream into its local Count-Sketch
-// + SpaceSaving tracker and ships a delta every `delta_every` items,
-// waiting for the cumulative ack before building the next one. Interior
-// relays apply child deltas (WAL-seqno dedup), re-ack, and opportunistically
-// forward their own accumulated delta upward. The final-flag handshake
-// tears the tree down leaf-to-root; the root then answers global ApproxTop
-// and point estimates and reports the composed conservation ledger.
+// Each worker admits a seeded Zipf substream into its node and ships a
+// delta every `delta_every` items, waiting for the cumulative ack before
+// building the next one. A relay binds each connection to the child its
+// first delta names, applies and re-acks that child's deltas, and forwards
+// its own delta upward after each apply. The final-flag handshake tears
+// the tree down leaf-to-root (a child that hangs up before its final delta
+// is an error); the root then answers global ApproxTop and reports the
+// composed conservation ledger.
 #pragma once
 
 #include <cstdint>

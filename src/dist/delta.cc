@@ -1,5 +1,7 @@
 #include "dist/delta.h"
 
+#include <set>
+#include <string>
 #include <utility>
 
 #include "util/bytes.h"
@@ -196,21 +198,89 @@ Status DeltaChannel::Acked(uint64_t last_applied_seqno) {
   return Status::OK();
 }
 
-Status DeltaReceiver::Classify(uint64_t seqno, bool* duplicate) const {
-  if (seqno == 0) {
+MergeNode::MergeNode(uint64_t id, CountSketch zero,
+                     std::optional<SpaceSaving> tracker)
+    : id_(id), acc_(std::move(zero)), tracker_(std::move(tracker)) {
+  if (id != 0) up_.emplace(id);
+}
+
+void MergeNode::Admit(std::span<const ItemId> items) {
+  own_.ingested += items.size();
+  acc_.BatchAdd(items);
+  tracker_->BatchAdd(items);
+  covered_[id_] = own_.ingested;
+}
+
+Result<bool> MergeNode::Apply(uint64_t child, DeltaView delta) {
+  if (delta.node_id != child) {
+    return Status::Corruption("delta sender id does not match link");
+  }
+  if (delta.seqno == 0) {
     return Status::Corruption("delta seqno 0 (seqnos are 1-based)");
   }
-  if (seqno <= last_applied_) {
-    *duplicate = true;  // WAL discipline: seqno <= base is a re-delivery
-    return Status::OK();
+  const uint64_t last = acked(child);
+  if (delta.seqno <= last) {
+    ++delta_dedups_;  // WAL discipline: seqno <= base is a re-delivery
+    return false;
   }
-  if (seqno != last_applied_ + 1) {
+  if (delta.seqno != last + 1) {
     return Status::Corruption("delta seqno gap: expected " +
-                              std::to_string(last_applied_ + 1) + ", got " +
-                              std::to_string(seqno));
+                              std::to_string(last + 1) + ", got " +
+                              std::to_string(delta.seqno));
   }
-  *duplicate = false;
-  return Status::OK();
+  for (const CoverageEntry& e : delta.covered) {
+    const auto it = covered_.find(e.leaf_id);
+    if (it != covered_.end() && e.count < it->second) {
+      return Status::Corruption("coverage watermark moved backwards");
+    }
+  }
+  STREAMFREQ_RETURN_NOT_OK(acc_.MergeSerialized(delta.sketch_blob));
+  Child& c = children_[child];
+  c.applied += delta.ledger;
+  for (const CoverageEntry& e : delta.covered) covered_[e.leaf_id] = e.count;
+  c.candidates = std::move(delta.candidates);
+  c.final_flag = c.final_flag || delta.final_flag;
+  c.last_applied = delta.seqno;
+  ++deltas_applied_;
+  return true;
+}
+
+uint64_t MergeNode::acked(uint64_t child) const {
+  const auto it = children_.find(child);
+  return it == children_.end() ? 0 : it->second.last_applied;
+}
+
+bool MergeNode::child_final(uint64_t child) const {
+  const auto it = children_.find(child);
+  return it != children_.end() && it->second.final_flag;
+}
+
+DistLedger MergeNode::Total() const {
+  DistLedger total = own_;
+  for (const auto& [child, c] : children_) total += c.applied;
+  return total;
+}
+
+std::vector<CoverageEntry> MergeNode::Covered() const {
+  std::vector<CoverageEntry> out;
+  out.reserve(covered_.size());
+  for (const auto& [leaf, count] : covered_) {
+    out.push_back(CoverageEntry{leaf, count});
+  }
+  return out;
+}
+
+std::vector<ItemId> MergeNode::CandidateUnion() const {
+  std::set<ItemId> ids;
+  if (tracker_.has_value()) {
+    for (const ItemCount& c : tracker_->Candidates(tracker_->capacity())) {
+      ids.insert(c.item);
+    }
+  }
+  for (const auto& [child, c] : children_) {
+    ids.insert(c.candidates.begin(), c.candidates.end());
+  }
+  return std::vector<ItemId>(ids.begin(), ids.end());
 }
 
 }  // namespace streamfreq

@@ -23,7 +23,8 @@
 // encoder produces (tests/dist_delta_test.cc walks every truncation
 // boundary, mirroring the server protocol corruption matrix).
 //
-// Dedup discipline (identical to WAL replay, src/server/wal.cc):
+// Dedup discipline of MergeNode::Apply (identical to WAL replay,
+// src/server/wal.cc):
 //   seqno <= last applied  → duplicate: skip, re-ack `last`
 //   seqno == last + 1      → apply, ack
 //   seqno >  last + 1      → gap: Corruption (a delta was lost in order —
@@ -38,12 +39,15 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/count_sketch.h"
+#include "core/space_saving.h"
 #include "stream/types.h"
 #include "util/result.h"
 #include "util/status.h"
@@ -184,9 +188,7 @@ class DeltaChannel {
   }
 
   bool has_pending() const { return pending_.has_value(); }
-  uint64_t next_seqno() const { return shipped_seqno_ + 1; }
   uint64_t acked_seqno() const { return acked_seqno_; }
-  const DistLedger& base_ledger() const { return base_ledger_; }
 
  private:
   struct Pending {
@@ -206,22 +208,79 @@ class DeltaChannel {
   std::optional<Pending> pending_;
 };
 
-/// Receiver half: per-child WAL-style dedup state.
-class DeltaReceiver {
+/// One merge-tree node: its sketch, the ledgers and coverage watermarks
+/// that sketch accounts for, each child's dedup state and last candidate
+/// list, a leaf's SpaceSaving tracker, and (every node but the root) the
+/// uplink channel. MergeTreeSim and `sfq aggregate` both run their nodes
+/// through this type, so the apply rule exists once.
+class MergeNode {
  public:
-  /// Classifies `seqno` against the last applied one. On OK, `*duplicate`
-  /// says whether to skip (true) or apply (false); gaps are Corruption.
-  /// Call Applied() after a successful apply.
-  Status Classify(uint64_t seqno, bool* duplicate) const;
+  /// What a parent keeps per child.
+  struct Child {
+    uint64_t last_applied = 0;  ///< cumulative ack: last seqno applied
+    bool final_flag = false;    ///< the child's final delta was applied
+    DistLedger applied;         ///< sum of applied ledger increments
+    std::vector<ItemId> candidates;  ///< last applied list (absolute)
+  };
 
-  void Applied(uint64_t seqno) { last_applied_ = seqno; }
-  uint64_t last_applied() const { return last_applied_; }
-  uint64_t duplicates() const { return duplicates_; }
-  void CountDuplicate() { ++duplicates_; }
+  /// Node `id` of its topology (0 is the root, which has no uplink),
+  /// starting at the zero sketch `zero`. A leaf passes its tracker.
+  MergeNode(uint64_t id, CountSketch zero,
+            std::optional<SpaceSaving> tracker = std::nullopt);
+
+  /// Leaf admission: adds `items` to the sketch and the tracker, to
+  /// own().ingested, and to the leaf's own coverage watermark. The offered,
+  /// rejected and dropped counts are the caller's to add to own().
+  void Admit(std::span<const ItemId> items);
+
+  /// Applies `delta`, received over the link from `child`, under the dedup
+  /// discipline above: true if applied, false for a skipped re-delivery.
+  /// Applying merges the sketch blob, adds the ledger increment, raises
+  /// coverage, replaces the child's candidates and records its final flag.
+  /// Corruption, with the node left unchanged: a sender id other than
+  /// `child`, seqno 0, a gap, a watermark below the one held, or a blob
+  /// MergeSerialized refuses.
+  Result<bool> Apply(uint64_t child, DeltaView delta);
+
+  /// The cumulative ack for `child` (0 before its first delta).
+  uint64_t acked(uint64_t child) const;
+  bool child_final(uint64_t child) const;
+
+  /// Ledger composed at this node: own() plus every child's applied sum.
+  DistLedger Total() const;
+  /// The coverage watermarks, by leaf id.
+  std::vector<CoverageEntry> Covered() const;
+  /// What this node ships as candidates: its tracker's, then every
+  /// child's last list, sorted and deduped.
+  std::vector<ItemId> CandidateUnion() const;
+
+  /// Non-root only: DeltaChannel::Ship of this node's current state.
+  Result<std::optional<std::string_view>> Ship(bool final_flag) {
+    return up_->Ship(acc_, Total(), Covered(), CandidateUnion(), final_flag);
+  }
+  /// Non-root only: the uplink, for acks and its pending state.
+  DeltaChannel& up() { return *up_; }
+  const DeltaChannel& up() const { return *up_; }
+
+  uint64_t id() const { return id_; }
+  const CountSketch& acc() const { return acc_; }
+  DistLedger& own() { return own_; }
+  const DistLedger& own() const { return own_; }
+  const std::map<uint64_t, uint64_t>& covered() const { return covered_; }
+  const std::map<uint64_t, Child>& children() const { return children_; }
+  uint64_t deltas_applied() const { return deltas_applied_; }
+  uint64_t delta_dedups() const { return delta_dedups_; }
 
  private:
-  uint64_t last_applied_ = 0;
-  uint64_t duplicates_ = 0;
+  uint64_t id_;
+  CountSketch acc_;  ///< leaf: admitted items; interior: applied deltas
+  DistLedger own_;   ///< leaf admission ledger (interior: zero)
+  std::map<uint64_t, uint64_t> covered_;  ///< leaf id -> watermark
+  std::map<uint64_t, Child> children_;
+  std::optional<SpaceSaving> tracker_;
+  std::optional<DeltaChannel> up_;
+  uint64_t deltas_applied_ = 0;
+  uint64_t delta_dedups_ = 0;
 };
 
 }  // namespace streamfreq

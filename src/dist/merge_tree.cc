@@ -1,26 +1,17 @@
 #include "dist/merge_tree.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "core/max_change.h"
+#include "core/space_saving.h"
 #include "server/protocol.h"
 #include "util/failpoint.h"
 
 namespace streamfreq {
 
-MergeTreeSim::MergeTreeSim(TreeTopology topo, CountSketch zero, size_t tracked)
-    : topo_(std::move(topo)),
-      tracked_(tracked),
-      bottom_up_(topo_.BottomUpOrder()) {
-  nodes_.reserve(topo_.size());
-  for (uint64_t u = 0; u < topo_.size(); ++u) {
-    nodes_.emplace_back(zero);
-    if (u != 0) nodes_[u].up.emplace(u);
-    if (topo_.is_leaf(u)) nodes_[u].ref.emplace(zero);
-  }
-}
+MergeTreeSim::MergeTreeSim(TreeTopology topo)
+    : topo_(std::move(topo)), bottom_up_(topo_.BottomUpOrder()) {}
 
 Result<MergeTreeSim> MergeTreeSim::Make(TreeTopology topology,
                                         const CountSketchParams& params,
@@ -29,11 +20,17 @@ Result<MergeTreeSim> MergeTreeSim::Make(TreeTopology topology,
     return Status::InvalidArgument("tracked candidate capacity must be >= 1");
   }
   STREAMFREQ_ASSIGN_OR_RETURN(CountSketch zero, CountSketch::Make(params));
-  MergeTreeSim sim(std::move(topology), std::move(zero), tracked);
-  for (uint64_t leaf : sim.topo_.leaves) {
+  MergeTreeSim sim(std::move(topology));
+  sim.nodes_.reserve(sim.topo_.size());
+  for (uint64_t u = 0; u < sim.topo_.size(); ++u) {
+    if (!sim.topo_.is_leaf(u)) {
+      sim.nodes_.emplace_back(MergeNode(u, zero));
+      continue;
+    }
     STREAMFREQ_ASSIGN_OR_RETURN(SpaceSaving tracker,
                                 SpaceSaving::Make(tracked));
-    sim.nodes_[leaf].tracker.emplace(std::move(tracker));
+    sim.nodes_.emplace_back(MergeNode(u, zero, std::move(tracker)))
+        .ref.emplace(zero);
   }
   return sim;
 }
@@ -57,10 +54,11 @@ Status MergeTreeSim::Offer(uint64_t node, std::span<const ItemId> batch) {
     ++stats_.nodes_lost;
     return Status::NotFound("leaf died at admission");
   }
-  n.own.offered += batch.size();
+  DistLedger& own = n.merge.own();
+  own.offered += batch.size();
   if (fp.action == FailAction::kError) {
     // Whole-batch rejection: refused mass, accounted but never sketched.
-    n.own.rejected += batch.size();
+    own.rejected += batch.size();
     ++stats_.batches_rejected;
     return Status::OK();
   }
@@ -69,7 +67,7 @@ Status MergeTreeSim::Offer(uint64_t node, std::span<const ItemId> batch) {
     // ledger says exactly how much (param = items kept, 0 = half).
     keep = fp.param != 0 ? std::min<size_t>(fp.param, batch.size())
                          : batch.size() / 2;
-    n.own.dropped += batch.size() - keep;
+    own.dropped += batch.size() - keep;
     ++stats_.batches_torn;
   }
   const std::span<const ItemId> admitted = batch.first(keep);
@@ -79,11 +77,8 @@ Status MergeTreeSim::Offer(uint64_t node, std::span<const ItemId> batch) {
     n.checkpoints.try_emplace(*n.live, *n.ref);
     n.live.reset();
   }
-  n.own.ingested += admitted.size();
-  n.acc.BatchAdd(admitted);
+  n.merge.Admit(admitted);
   n.ref->BatchAddScalar(admitted);
-  n.tracker->BatchAdd(admitted);
-  n.covered[node] = n.own.ingested;
   return Status::OK();
 }
 
@@ -93,44 +88,12 @@ void MergeTreeSim::Seal() {
   }
 }
 
-DistLedger MergeTreeSim::TotalLedger(uint64_t node) const {
-  DistLedger total = nodes_[node].own;
-  for (const auto& [child, ledger] : nodes_[node].child_ledgers) {
-    total += ledger;
-  }
-  return total;
-}
-
-std::vector<CoverageEntry> MergeTreeSim::CoveredSnapshot(uint64_t node) const {
-  std::vector<CoverageEntry> out;
-  out.reserve(nodes_[node].covered.size());
-  for (const auto& [leaf, count] : nodes_[node].covered) {
-    out.push_back(CoverageEntry{leaf, count});
-  }
-  return out;
-}
-
-std::vector<ItemId> MergeTreeSim::CandidateUnion(uint64_t node) const {
-  std::set<ItemId> ids;
-  const Node& n = nodes_[node];
-  if (n.tracker.has_value()) {
-    for (const ItemCount& c : n.tracker->Candidates(tracked_)) {
-      ids.insert(c.item);
-    }
-  }
-  for (const auto& [child, cands] : n.child_candidates) {
-    ids.insert(cands.begin(), cands.end());
-  }
-  return std::vector<ItemId>(ids.begin(), ids.end());
-}
-
 bool MergeTreeSim::FinalReady(uint64_t node) const {
   const Node& n = nodes_[node];
   if (topo_.is_leaf(node)) return n.final_local;
   for (uint64_t child : topo_.children[node]) {
-    if (!nodes_[child].alive) continue;  // a dead child will never report
-    auto it = n.child_final.find(child);
-    if (it == n.child_final.end() || !it->second) return false;
+    // A dead child will never report.
+    if (nodes_[child].alive && !n.merge.child_final(child)) return false;
   }
   return true;
 }
@@ -148,39 +111,20 @@ Result<std::optional<uint64_t>> MergeTreeSim::Deliver(uint64_t parent,
     return payload.status();
   }
   STREAMFREQ_ASSIGN_OR_RETURN(DeltaView delta, DecodeDelta(*payload));
-  if (delta.node_id != child) {
-    return Status::Internal("delta sender id does not match link");
-  }
-  Node& p = nodes_[parent];
-  DeltaReceiver& recv = p.receivers[child];
+  MergeNode& p = nodes_[parent].merge;
   if (const FailDecision fp = SFQ_FAILPOINT("dist.deliver"); fp) {
     // Parent drops a valid delta before applying but still answers with
     // its OLD cumulative ack — the sender must resend.
     ++stats_.dropped_deliveries;
-    return std::optional<uint64_t>(recv.last_applied());
+    return std::optional<uint64_t>(p.acked(child));
   }
-  bool duplicate = false;
-  STREAMFREQ_RETURN_NOT_OK(recv.Classify(delta.seqno, &duplicate));
-  if (duplicate) {
-    recv.CountDuplicate();
+  STREAMFREQ_ASSIGN_OR_RETURN(*applied, p.Apply(child, std::move(delta)));
+  if (*applied) {
+    ++stats_.deltas_applied;
+  } else {
     ++stats_.delta_dedups;
-    return std::optional<uint64_t>(recv.last_applied());
   }
-  STREAMFREQ_RETURN_NOT_OK(p.acc.MergeSerialized(delta.sketch_blob));
-  p.child_ledgers[child] += delta.ledger;
-  for (const CoverageEntry& c : delta.covered) {
-    uint64_t& cur = p.covered[c.leaf_id];
-    if (c.count < cur) {
-      return Status::Internal("coverage watermark moved backwards");
-    }
-    cur = c.count;
-  }
-  p.child_candidates[child] = std::move(delta.candidates);
-  if (delta.final_flag) p.child_final[child] = true;
-  recv.Applied(delta.seqno);
-  ++stats_.deltas_applied;
-  *applied = true;
-  return std::optional<uint64_t>(recv.last_applied());
+  return std::optional<uint64_t>(p.acked(child));
 }
 
 Result<bool> MergeTreeSim::ShipRound() {
@@ -197,22 +141,20 @@ Result<bool> MergeTreeSim::ShipRound() {
       ++stats_.nodes_lost;
       continue;
     }
-    const bool fresh = !n.up->has_pending();
-    std::vector<CoverageEntry> covered = CoveredSnapshot(u);
-    STREAMFREQ_ASSIGN_OR_RETURN(
-        std::optional<std::string_view> payload,
-        n.up->Ship(n.acc, TotalLedger(u), covered, CandidateUnion(u),
-                   FinalReady(u)));
+    const bool fresh = !n.merge.up().has_pending();
+    STREAMFREQ_ASSIGN_OR_RETURN(std::optional<std::string_view> payload,
+                                n.merge.Ship(FinalReady(u)));
     if (!payload.has_value()) continue;
     if (fresh) {
       // A new delta: remember what it covers. At a leaf, `ref` itself is
       // the checkpoint at the watermark it carries until Offer moves it.
       if (n.ref.has_value()) {
-        if (auto it = n.covered.find(u); it != n.covered.end()) {
+        const auto& covered = n.merge.covered();
+        if (auto it = covered.find(u); it != covered.end()) {
           n.live = it->second;
         }
       }
-      n.in_flight = std::move(covered);
+      n.in_flight = n.merge.Covered();
     }
     ++stats_.deltas_shipped;
     const uint64_t parent = topo_.parent[u];
@@ -250,7 +192,7 @@ Result<bool> MergeTreeSim::ShipRound() {
       ++stats_.lost_acks;  // sender never sees it; resend next round
       continue;
     }
-    STREAMFREQ_RETURN_NOT_OK(n.up->Acked(*ack));
+    STREAMFREQ_RETURN_NOT_OK(n.merge.up().Acked(*ack));
   }
   for (uint64_t leaf : topo_.leaves) PruneCheckpoints(leaf);
   return progress;
@@ -264,12 +206,13 @@ void MergeTreeSim::PruneCheckpoints(uint64_t leaf) {
   for (uint64_t u = leaf;; u = topo_.parent[u]) {
     const Node& n = nodes_[u];
     if (u != leaf) {
-      if (auto it = n.covered.find(leaf); it != n.covered.end()) {
+      const auto& covered = n.merge.covered();
+      if (auto it = covered.find(leaf); it != covered.end()) {
         pinned.push_back(it->second);
       }
     }
     if (u == 0) break;
-    if (n.up->has_pending()) {
+    if (n.merge.up().has_pending()) {
       auto it = std::lower_bound(
           n.in_flight.begin(), n.in_flight.end(), leaf,
           [](const CoverageEntry& c, uint64_t id) { return c.leaf_id < id; });
@@ -290,7 +233,9 @@ bool MergeTreeSim::Quiescent() const {
   for (uint64_t u = 1; u < nodes_.size(); ++u) {
     const Node& n = nodes_[u];
     if (!n.alive || !nodes_[topo_.parent[u]].alive) continue;
-    if (!n.up->NothingToShip(TotalLedger(u), FinalReady(u))) return false;
+    if (!n.merge.up().NothingToShip(n.merge.Total(), FinalReady(u))) {
+      return false;
+    }
   }
   return true;
 }
@@ -301,10 +246,6 @@ Status MergeTreeSim::Drain(uint64_t max_rounds) {
     STREAMFREQ_RETURN_NOT_OK(ShipRound().status());
   }
   return Status::OK();  // bounded effort; loss is visible in coverage
-}
-
-std::vector<CoverageEntry> MergeTreeSim::RootCovered() const {
-  return CoveredSnapshot(0);
 }
 
 namespace {
@@ -334,19 +275,22 @@ bool CountersEqualSum(const CountSketch& acc,
 }  // namespace
 
 std::vector<ItemCount> MergeTreeSim::ApproxTop(size_t k) const {
-  return RankByEstimate(CandidateUnion(0), nodes_[0].acc, k,
+  const MergeNode& root = nodes_[0].merge;
+  return RankByEstimate(root.CandidateUnion(), root.acc(), k,
                         /*absolute=*/false);
 }
 
 Result<std::vector<ItemCount>> MergeTreeSim::MaxChange(size_t k) const {
-  return EpochMaxChange(nodes_[0].acc, epoch_ ? &*epoch_ : nullptr,
-                        CandidateUnion(0), k);
+  const MergeNode& root = nodes_[0].merge;
+  return EpochMaxChange(root.acc(), epoch_ ? &*epoch_ : nullptr,
+                        root.CandidateUnion(), k);
 }
 
 Status MergeTreeSim::CheckInvariants() const {
   for (uint64_t u = 0; u < nodes_.size(); ++u) {
     const Node& n = nodes_[u];
-    if (!n.own.ConservationHolds()) {
+    const MergeNode& m = n.merge;
+    if (!m.own().ConservationHolds()) {
       return Status::Internal("node " + std::to_string(u) +
                               ": own ledger violates conservation");
     }
@@ -357,7 +301,8 @@ Status MergeTreeSim::CheckInvariants() const {
     }
     // At-most-once accounting: what u has applied from each child never
     // exceeds what that child has produced so far.
-    for (const auto& [child, applied] : n.child_ledgers) {
+    for (const auto& [child, c] : m.children()) {
+      const DistLedger& applied = c.applied;
       if (!applied.ConservationHolds()) {
         return Status::Internal("node " + std::to_string(u) + " child " +
                                 std::to_string(child) +
@@ -375,7 +320,7 @@ Status MergeTreeSim::CheckInvariants() const {
     }
     // Covered mass equals the composed ingested count at every node.
     uint64_t covered_sum = 0;
-    for (const auto& [leaf, count] : n.covered) covered_sum += count;
+    for (const auto& [leaf, count] : m.covered()) covered_sum += count;
     if (covered_sum != total.ingested) {
       return Status::Internal(
           "node " + std::to_string(u) + ": covered mass " +
@@ -390,15 +335,15 @@ Status MergeTreeSim::CheckInvariants() const {
     if (n.ref.has_value()) {
       // `ref` stands in for the checkpoint at the live watermark only while
       // it has not moved past it.
-      if (n.live.has_value() && *n.live != n.own.ingested) {
+      if (n.live.has_value() && *n.live != m.own().ingested) {
         return Status::Internal("leaf " + std::to_string(u) +
                                 ": live watermark " +
                                 std::to_string(*n.live) + " behind ingested " +
-                                std::to_string(n.own.ingested));
+                                std::to_string(m.own().ingested));
       }
       terms.push_back(&*n.ref);
     } else {
-      for (const auto& [leaf, count] : n.covered) {
+      for (const auto& [leaf, count] : m.covered()) {
         if (leaf >= nodes_.size() || !topo_.is_leaf(leaf)) {
           return Status::Internal("node " + std::to_string(u) +
                                   " covers non-leaf " + std::to_string(leaf));
@@ -418,7 +363,7 @@ Status MergeTreeSim::CheckInvariants() const {
         terms.push_back(&it->second);
       }
     }
-    if (!CountersEqualSum(n.acc, terms)) {
+    if (!CountersEqualSum(m.acc(), terms)) {
       return Status::Internal("node " + std::to_string(u) +
                               ": sketch differs from covered-prefix "
                               "reference (delta linearity broken)");

@@ -36,8 +36,9 @@
 // pending delta on its path, at most 2·depth — so the oracle costs
 // O(sketch × depth) per leaf instead of a copy of every item.
 //
-// The process-backed deployment of the same protocol is src/dist/
-// aggregate.{h,cc}; the wire bytes are identical (delta.h).
+// Every node is a MergeNode (delta.h), the node type the process-backed
+// deployment (src/dist/aggregate.{h,cc}) runs too; the sim adds the fault
+// injection and the reference oracle around it.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +50,6 @@
 #include <vector>
 
 #include "core/count_sketch.h"
-#include "core/space_saving.h"
 #include "dist/delta.h"
 #include "dist/tree.h"
 #include "stream/exact_counter.h"
@@ -103,28 +103,30 @@ class MergeTreeSim {
 
   // --- root queries -------------------------------------------------------
 
-  const CountSketch& root_sketch() const { return nodes_[0].acc; }
+  const CountSketch& root_sketch() const { return nodes_[0].merge.acc(); }
 
   /// Composed ledger at the root: its children's applied increments (the
   /// root ingests nothing itself).
   DistLedger root_ledger() const { return TotalLedger(0); }
 
   /// Per-leaf covered watermarks the root currently accounts for.
-  std::vector<CoverageEntry> RootCovered() const;
+  std::vector<CoverageEntry> RootCovered() const {
+    return nodes_[0].merge.Covered();
+  }
 
   /// Global top-k: the candidate union shipped up the tree, scored on the
   /// root sketch, ties broken toward smaller ids.
   std::vector<ItemCount> ApproxTop(size_t k) const;
 
   int64_t EstimatePoint(ItemId item) const {
-    return nodes_[0].acc.Estimate(item);
+    return nodes_[0].merge.acc().Estimate(item);
   }
 
   /// Two-pass max-change over the subtractive structure: MarkEpoch copies
   /// the root sketch; MaxChange scores the candidate union on
   /// (current − epoch) and returns the k largest |delta|.
   /// Before any mark, MaxChange ranks against the zero sketch.
-  void MarkEpoch() { epoch_ = nodes_[0].acc; }
+  void MarkEpoch() { epoch_ = nodes_[0].merge.acc(); }
   Result<std::vector<ItemCount>> MaxChange(size_t k) const;
 
   // --- inspection ---------------------------------------------------------
@@ -142,7 +144,9 @@ class MergeTreeSim {
   }
 
   /// Composed ledger at `node` (own + children's applied increments).
-  DistLedger TotalLedger(uint64_t node) const;
+  DistLedger TotalLedger(uint64_t node) const {
+    return nodes_[node].merge.Total();
+  }
 
   /// Checks the exact laws everywhere: per-node conservation (own, each
   /// applied child sum, and the composed total), at-most-once accounting
@@ -155,21 +159,13 @@ class MergeTreeSim {
   Status CheckInvariants() const;
 
  private:
+  /// A MergeNode plus what the sim adds around it: liveness, the seal, and
+  /// at a leaf the reference oracle.
   struct Node {
-    explicit Node(CountSketch zero) : acc(std::move(zero)) {}
-
+    MergeNode merge;
     bool alive = true;
     bool final_local = false;  ///< Seal() reached this node
-    CountSketch acc;           ///< leaf: ingested; interior: applied merges
-    DistLedger own;            ///< leaf admission ledger (interior: zero)
-    /// Per-child sum of applied ledger increments. TotalLedger = own +
-    /// Σ values — the composition law asserted by CheckInvariants.
-    std::map<uint64_t, DistLedger> child_ledgers;
-    std::map<uint64_t, uint64_t> covered;   ///< leaf_id -> watermark
-    std::map<uint64_t, std::vector<ItemId>> child_candidates;
-    std::map<uint64_t, bool> child_final;
-    std::optional<SpaceSaving> tracker;     ///< leaves only
-    /// Leaves only: `acc`'s items, added through the scalar kernel.
+    /// Leaves only: `merge.acc()`'s items, added through the scalar kernel.
     std::optional<CountSketch> ref;
     /// Leaves only: copies of `ref`, keyed by the watermark of the delta
     /// built at that point; PruneCheckpoints drops unreferenced ones.
@@ -178,19 +174,13 @@ class MergeTreeSim {
     /// moved past it — the checkpoint there is `ref` itself. Offer copies
     /// it into `checkpoints` before admitting items.
     std::optional<uint64_t> live;
-    std::optional<DeltaChannel> up;         ///< non-root only
     /// Coverage the pending delta carries; meaningful while
-    /// up->has_pending().
+    /// merge.has_pending().
     std::vector<CoverageEntry> in_flight;
-    std::map<uint64_t, DeltaReceiver> receivers;  ///< per child
   };
 
-  MergeTreeSim(TreeTopology topo, CountSketch zero, size_t tracked);
+  explicit MergeTreeSim(TreeTopology topo);
 
-  /// The candidate union `node` would ship upward (own tracker top-k plus
-  /// every child's last snapshot), sorted and deduped.
-  std::vector<ItemId> CandidateUnion(uint64_t node) const;
-  std::vector<CoverageEntry> CoveredSnapshot(uint64_t node) const;
   bool FinalReady(uint64_t node) const;
 
   /// Drops the checkpoints of `leaf` (the live one included) that no
@@ -206,7 +196,6 @@ class MergeTreeSim {
                                           bool* applied);
 
   TreeTopology topo_;
-  size_t tracked_;
   std::vector<Node> nodes_;
   std::optional<CountSketch> epoch_;  ///< set by MarkEpoch
   std::vector<uint64_t> bottom_up_;

@@ -197,10 +197,4 @@ Result<WalReplayStats> ReplayWalSegments(std::span<const std::string> paths,
   return stats;
 }
 
-Result<WalReplayStats> ReplayWal(const std::string& path, uint64_t base_seqno,
-                                 const WalReplayFn& apply) {
-  return ReplayWalSegments(std::span<const std::string>(&path, 1), base_seqno,
-                           apply);
-}
-
 }  // namespace streamfreq

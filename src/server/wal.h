@@ -146,8 +146,4 @@ Result<WalReplayStats> ReplayWalSegments(std::span<const std::string> paths,
                                          uint64_t base_seqno,
                                          const WalReplayFn& apply);
 
-/// ReplayWalSegments over the one file at `path`.
-Result<WalReplayStats> ReplayWal(const std::string& path, uint64_t base_seqno,
-                                 const WalReplayFn& apply);
-
 }  // namespace streamfreq

@@ -18,75 +18,80 @@ using std::chrono::steady_clock;
 
 std::vector<ItemId> MakeBatch(ItemId tag) { return {tag, tag, tag}; }
 
+// A producer's blocking hand-off of one batch: reserve a place, fill it.
+// False iff the queue refused the reservation as closed.
+bool Push(BatchQueue& queue, ItemId tag) {
+  if (queue.Reserve(1, std::nullopt) != QueuePushResult::kOk) return false;
+  queue.Commit(MakeBatch(tag));
+  return true;
+}
+
 TEST(BatchQueueTest, PushPopRoundTrip) {
   BatchQueue queue(4);
-  ASSERT_TRUE(queue.Push(MakeBatch(1)));
-  ASSERT_TRUE(queue.Push(MakeBatch(2)));
+  ASSERT_TRUE(Push(queue, 1));
+  ASSERT_TRUE(Push(queue, 2));
   EXPECT_EQ(queue.Depth(), 2u);
   const auto first = queue.Pop();
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->front(), 1u);
 }
 
-// The satellite regression: with the consumer stalled and the queue full, a
-// deadline push returns kTimedOut within (roughly) its deadline instead of
-// parking forever, and the caller still owns the batch.
-TEST(BatchQueueTest, StalledConsumerPushReturnsWithinDeadline) {
+// With the consumer stalled and the queue full, a deadline reservation
+// returns kTimedOut within (roughly) its deadline instead of parking
+// forever, and reserves nothing.
+TEST(BatchQueueTest, StalledConsumerReserveReturnsWithinDeadline) {
   BatchQueue queue(1);
-  ASSERT_TRUE(queue.Push(MakeBatch(1)));  // fill; nobody will ever pop
+  ASSERT_TRUE(Push(queue, 1));  // fill; nobody will ever pop
 
-  std::vector<ItemId> batch = MakeBatch(2);
   const auto start = steady_clock::now();
-  const QueuePushResult result = queue.PushWithTimeout(&batch, milliseconds(50));
+  const QueuePushResult result = queue.Reserve(1, milliseconds(50));
   const auto elapsed = steady_clock::now() - start;
 
   EXPECT_EQ(result, QueuePushResult::kTimedOut);
-  EXPECT_EQ(batch.size(), 3u) << "timed-out push must retain the batch";
   EXPECT_GE(elapsed, milliseconds(45));
-  EXPECT_LT(elapsed, milliseconds(5000)) << "push must not block indefinitely";
+  EXPECT_LT(elapsed, milliseconds(5000))
+      << "reserve must not block indefinitely";
+  EXPECT_EQ(queue.Depth(), 1u);
+  ASSERT_TRUE(queue.Pop().has_value());
+  EXPECT_EQ(queue.Reserve(1, milliseconds(0)), QueuePushResult::kOk)
+      << "a timed-out reservation must hold no place";
+  queue.Release(1);
 }
 
 TEST(BatchQueueTest, CloseFailsBlockedProducersFast) {
   BatchQueue queue(1);
-  ASSERT_TRUE(queue.Push(MakeBatch(1)));
+  ASSERT_TRUE(Push(queue, 1));
 
   std::thread closer([&queue] {
     std::this_thread::sleep_for(milliseconds(20));
     queue.Close();
   });
-  // A long-deadline push parked on a full queue must be woken by Close and
-  // fail well before its deadline.
-  std::vector<ItemId> batch = MakeBatch(2);
+  // A long-deadline reservation parked on a full queue must be woken by
+  // Close and fail well before its deadline.
   const auto start = steady_clock::now();
-  const QueuePushResult result =
-      queue.PushWithTimeout(&batch, milliseconds(10000));
+  const QueuePushResult result = queue.Reserve(1, milliseconds(10000));
   const auto elapsed = steady_clock::now() - start;
   closer.join();
 
   EXPECT_EQ(result, QueuePushResult::kClosed);
-  EXPECT_EQ(batch.size(), 3u);
   EXPECT_LT(elapsed, milliseconds(5000));
-  // And the plain blocking Push also fails fast once closed.
-  EXPECT_FALSE(queue.Push(MakeBatch(3)));
+  // And a reservation with no deadline also fails fast once closed.
+  EXPECT_FALSE(Push(queue, 3));
 }
 
-TEST(BatchQueueTest, ZeroTimeoutPushNeverBlocks) {
+TEST(BatchQueueTest, ZeroTimeoutReserveNeverBlocks) {
   BatchQueue queue(1);
-  std::vector<ItemId> a = MakeBatch(1);
-  std::vector<ItemId> b = MakeBatch(2);
-  EXPECT_EQ(queue.PushWithTimeout(&a, milliseconds(0)),
-            QueuePushResult::kOk);
-  EXPECT_EQ(queue.PushWithTimeout(&b, milliseconds(0)),
-            QueuePushResult::kTimedOut);
-  EXPECT_EQ(b.size(), 3u) << "a rejected push must retain the batch";
+  ASSERT_EQ(queue.Reserve(1, milliseconds(0)), QueuePushResult::kOk);
+  queue.Commit(MakeBatch(1));
+  EXPECT_EQ(queue.Reserve(1, milliseconds(0)), QueuePushResult::kTimedOut);
   queue.Close();
-  EXPECT_EQ(queue.PushWithTimeout(&b, milliseconds(0)),
-            QueuePushResult::kClosed);
+  EXPECT_EQ(queue.Reserve(1, milliseconds(0)), QueuePushResult::kClosed);
+  EXPECT_EQ(queue.Depth(), 1u);
 }
 
 TEST(BatchQueueTest, RequeueGoesToFrontAndIgnoresCapacity) {
   BatchQueue queue(1);
-  ASSERT_TRUE(queue.Push(MakeBatch(1)));
+  ASSERT_TRUE(Push(queue, 1));
   queue.Requeue(MakeBatch(7));  // over capacity by design
   EXPECT_EQ(queue.Depth(), 2u);
   const auto first = queue.Pop();
@@ -106,8 +111,8 @@ TEST(BatchQueueTest, RequeueAfterCloseIsStillDrained) {
 
 TEST(BatchQueueTest, PopDrainsAfterClose) {
   BatchQueue queue(4);
-  ASSERT_TRUE(queue.Push(MakeBatch(1)));
-  ASSERT_TRUE(queue.Push(MakeBatch(2)));
+  ASSERT_TRUE(Push(queue, 1));
+  ASSERT_TRUE(Push(queue, 2));
   queue.Close();
   EXPECT_TRUE(queue.Pop().has_value());
   EXPECT_TRUE(queue.Pop().has_value());
@@ -117,11 +122,10 @@ TEST(BatchQueueTest, PopDrainsAfterClose) {
 TEST(BatchQueueTest, ReservationsCountAgainstCapacity) {
   BatchQueue queue(3);
   ASSERT_EQ(queue.Reserve(2, std::nullopt), QueuePushResult::kOk);
-  std::vector<ItemId> batch = MakeBatch(1);
-  // One place left: a two-place reservation does not fit, a push does.
+  // One place left: a two-place reservation does not fit, one place does.
   EXPECT_EQ(queue.Reserve(2, milliseconds(0)), QueuePushResult::kTimedOut);
-  EXPECT_EQ(queue.PushWithTimeout(&batch, milliseconds(0)),
-            QueuePushResult::kOk);
+  ASSERT_EQ(queue.Reserve(1, milliseconds(0)), QueuePushResult::kOk);
+  queue.Commit(MakeBatch(1));
   queue.Commit(MakeBatch(2));
   queue.Release(1);
   EXPECT_EQ(queue.Depth(), 2u);
@@ -150,7 +154,7 @@ TEST(BatchQueueTest, CloseWaitsForOutstandingReservations) {
 
 TEST(BatchQueueTest, TokensPassTheBoundInOrderUntilClose) {
   BatchQueue queue(1);
-  ASSERT_TRUE(queue.Push(MakeBatch(1)));
+  ASSERT_TRUE(Push(queue, 1));
   ASSERT_TRUE(queue.PushTokens(3));  // over capacity by design
   EXPECT_EQ(queue.Depth(), 4u);
   EXPECT_EQ(queue.Pop()->front(), 1u);
@@ -164,8 +168,8 @@ TEST(BatchQueueTest, PushFailpointErrorLooksLikeClosed) {
   ScopedFailpoints fp("batch_queue.push=error*1", 3);
   ASSERT_TRUE(fp.status().ok());
   BatchQueue queue(4);
-  EXPECT_FALSE(queue.Push(MakeBatch(1)));  // injected failure
-  EXPECT_TRUE(queue.Push(MakeBatch(2)));   // budget spent; next succeeds
+  EXPECT_FALSE(Push(queue, 1));  // injected failure
+  EXPECT_TRUE(Push(queue, 2));   // budget spent; next succeeds
   EXPECT_EQ(queue.Depth(), 1u);
 }
 
@@ -179,7 +183,7 @@ TEST(BatchQueueTest, MpmcStressDeliversEveryBatch) {
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([&queue, p] {
       for (int i = 0; i < kBatchesEach; ++i) {
-        ASSERT_TRUE(queue.Push(MakeBatch(static_cast<ItemId>(p * 1000 + i))));
+        ASSERT_TRUE(Push(queue, static_cast<ItemId>(p * 1000 + i)));
       }
     });
   }

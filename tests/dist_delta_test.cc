@@ -1,7 +1,7 @@
 // Delta-shipping protocol tests (satellite of the distributed merge tree,
 // docs/DISTRIBUTED.md): the codec's corruption matrix at every truncation
 // boundary, the channel's resend-verbatim/cumulative-ack discipline and
-// in-place encoding, the receiver's WAL-style dedup, an end-to-end
+// in-place encoding, the merge-tree node's apply rule, an end-to-end
 // severed-link schedule proving at-most-once accounting through
 // MergeTreeSim, and the bound on and copy-on-write lifecycle of the
 // reference checkpoints MergeTreeSim keeps for its bit-identity check.
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/count_sketch.h"
+#include "core/space_saving.h"
 #include "dist/delta.h"
 #include "dist/merge_tree.h"
 #include "dist/tree.h"
@@ -306,30 +307,139 @@ TEST(DeltaChannelTest, InPlaceEncodingEqualsEncodeDelta) {
   EXPECT_EQ(bytes, EncodeDelta(payload));
 }
 
-TEST(DeltaReceiverTest, WalDisciplineDedupsAndRejectsGaps) {
-  DeltaReceiver receiver;
-  bool duplicate = true;
-  ASSERT_TRUE(receiver.Classify(1, &duplicate).ok());
-  EXPECT_FALSE(duplicate);
-  receiver.Applied(1);
+// A delta from `from` as a parent receives it: `covered` is that sender's
+// own watermark, the ledger increment admits `ingested` items, and the
+// sketch blob views `blob`.
+DeltaView NodeDelta(uint64_t from, uint64_t seqno, uint64_t ingested,
+                    uint64_t covered, const std::string& blob) {
+  DeltaView delta;
+  delta.node_id = from;
+  delta.seqno = seqno;
+  delta.ledger = DistLedger{ingested, 0, ingested, 0};
+  delta.covered = {{from, covered}};
+  delta.candidates = {from * 100 + seqno};
+  delta.sketch_blob = blob;
+  return delta;
+}
 
-  // Re-delivery of an applied seqno: skip, exactly once.
-  ASSERT_TRUE(receiver.Classify(1, &duplicate).ok());
-  EXPECT_TRUE(duplicate);
-  receiver.CountDuplicate();
+std::string Bytes(const CountSketch& sketch) {
+  std::string out;
+  sketch.SerializeTo(&out);
+  return out;
+}
 
-  ASSERT_TRUE(receiver.Classify(2, &duplicate).ok());
-  EXPECT_FALSE(duplicate);
-  receiver.Applied(2);
+// One blob adding `weight` to item 11.
+std::string ItemBlob(Count weight) {
+  auto sketch = CountSketch::Make(SmallParams());
+  EXPECT_TRUE(sketch.ok());
+  sketch->Add(11, weight);
+  return Bytes(*sketch);
+}
+
+TEST(MergeNodeTest, WalDisciplineAppliesEachDeltaOnceAndRejectsGaps) {
+  auto zero = CountSketch::Make(SmallParams());
+  ASSERT_TRUE(zero.ok());
+  MergeNode node(1, *zero);
+  const std::string blob = ItemBlob(5);
+
+  auto applied = node.Apply(3, NodeDelta(3, 1, 10, 10, blob));
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_TRUE(*applied);
+  EXPECT_EQ(node.acked(3), 1u);
+
+  // Re-delivery of an applied seqno: skipped, acked again, counted once.
+  applied = node.Apply(3, NodeDelta(3, 1, 10, 10, blob));
+  ASSERT_TRUE(applied.ok());
+  EXPECT_FALSE(*applied);
+
+  DeltaView last = NodeDelta(3, 2, 4, 14, blob);
+  last.final_flag = true;
+  applied = node.Apply(3, last);
+  ASSERT_TRUE(applied.ok());
+  EXPECT_TRUE(*applied);
+  EXPECT_TRUE(node.child_final(3));
 
   // An out-of-order stale frame (reordered re-delivery) is a duplicate too.
-  ASSERT_TRUE(receiver.Classify(1, &duplicate).ok());
-  EXPECT_TRUE(duplicate);
+  applied = node.Apply(3, NodeDelta(3, 1, 10, 10, blob));
+  ASSERT_TRUE(applied.ok());
+  EXPECT_FALSE(*applied);
 
   // A gap cannot happen under resend-verbatim; treat it as corruption.
-  EXPECT_TRUE(receiver.Classify(4, &duplicate).IsCorruption());
-  EXPECT_EQ(receiver.last_applied(), 2u);
-  EXPECT_EQ(receiver.duplicates(), 1u);
+  EXPECT_TRUE(node.Apply(3, NodeDelta(3, 4, 1, 15, blob))
+                  .status()
+                  .IsCorruption());
+
+  // A second child composes with the first.
+  ASSERT_TRUE(node.Apply(6, NodeDelta(6, 1, 7, 7, blob)).ok());
+
+  EXPECT_EQ(node.acked(3), 2u);
+  EXPECT_EQ(node.deltas_applied(), 3u);
+  EXPECT_EQ(node.delta_dedups(), 2u);
+  EXPECT_TRUE(node.Total() == (DistLedger{21, 0, 21, 0}));
+  EXPECT_EQ(node.Covered(),
+            (std::vector<CoverageEntry>{{3, 14}, {6, 7}}));
+  EXPECT_EQ(node.CandidateUnion(), (std::vector<ItemId>{302, 601}));
+  EXPECT_FALSE(node.child_final(6));
+  CountSketch want = *zero;
+  want.Add(11, 15);  // three applied blobs of 5
+  EXPECT_EQ(Bytes(node.acc()), Bytes(want));
+}
+
+// Every refusal is Corruption and leaves the node as it was.
+TEST(MergeNodeTest, RefusesAForeignSenderSeqnoZeroAndABackwardsWatermark) {
+  auto zero = CountSketch::Make(SmallParams());
+  ASSERT_TRUE(zero.ok());
+  MergeNode node(0, *zero);
+  const std::string blob = ItemBlob(5);
+  ASSERT_TRUE(node.Apply(3, NodeDelta(3, 1, 10, 10, blob)).ok());
+  const std::string before = Bytes(node.acc());
+
+  // A delta naming node 4 arrives over the link from node 3.
+  EXPECT_TRUE(node.Apply(3, NodeDelta(4, 2, 1, 11, blob))
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(node.Apply(3, NodeDelta(3, 0, 1, 11, blob))
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(node.Apply(3, NodeDelta(3, 2, 1, 9, blob))
+                  .status()
+                  .IsCorruption());
+
+  EXPECT_EQ(node.acked(3), 1u);
+  EXPECT_EQ(node.acked(4), 0u);
+  EXPECT_TRUE(node.Total() == (DistLedger{10, 0, 10, 0}));
+  EXPECT_EQ(node.Covered(), (std::vector<CoverageEntry>{{3, 10}}));
+  EXPECT_EQ(Bytes(node.acc()), before);
+  EXPECT_EQ(node.deltas_applied(), 1u);
+}
+
+// A leaf's first delta is its whole state: admitted items, admission
+// ledger, own watermark and tracker candidates, in EncodeDelta's bytes.
+TEST(MergeNodeTest, LeafShipsWhatItAdmitted) {
+  auto zero = CountSketch::Make(SmallParams());
+  auto tracker = SpaceSaving::Make(8);
+  ASSERT_TRUE(zero.ok());
+  ASSERT_TRUE(tracker.ok());
+  MergeNode leaf(5, *zero, std::move(*tracker));
+  const std::vector<ItemId> items = {9, 7, 9, 3, 9, 7, 1, 8, 8, 8};
+  leaf.own().offered += 12;
+  leaf.own().rejected += 2;
+  leaf.Admit(items);
+
+  auto shipped = leaf.Ship(/*final_flag=*/false);
+  ASSERT_TRUE(shipped.ok());
+  ASSERT_TRUE(shipped->has_value());
+  DeltaPayload want;
+  want.node_id = 5;
+  want.seqno = 1;
+  want.ledger = DistLedger{12, 2, 10, 0};
+  want.covered = {{5, 10}};
+  want.candidates = {1, 3, 7, 8, 9};  // every tracked item, by id
+  CountSketch sketch = *zero;
+  sketch.BatchAdd(items);
+  want.sketch_blob = Bytes(sketch);
+  EXPECT_EQ(**shipped, EncodeDelta(want));
+  EXPECT_TRUE(leaf.Total() == want.ledger);
 }
 
 // End-to-end: a planted severed-link + lost-ack schedule. Severs delay

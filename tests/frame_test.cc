@@ -1,5 +1,5 @@
 // The util/frame.h codec and the three formats built on it: RPC frames
-// (DecodeFrame), journal records (ReplayWal) and blob files
+// (DecodeFrame), journal records (ReplayWalSegments) and blob files
 // (ReadBlobFileVerified). One corruption matrix runs over all three and
 // expects each format's own verdict: Corruption for a frame or a blob
 // file, a torn-tail stop for the journal. Golden bytes pin the encodings
@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -197,9 +198,9 @@ class FrameFormatTest : public ::testing::TestWithParam<Format> {
       }
       case Format::kWalRecord: {
         WriteFileBytes(path_, bytes);
-        auto stats = ReplayWal(path_, 0, [](uint64_t, std::span<const ItemId>) {
-          return Status::OK();
-        });
+        auto stats = ReplayWalSegments(
+            std::span<const std::string>(&path_, 1), 0,
+            [](uint64_t, std::span<const ItemId>) { return Status::OK(); });
         if (!stats.ok()) return Verdict::kUnexpected;
         if (stats->records_applied == 0 && !stats->torn_tail) {
           return bytes.empty() ? Verdict::kEmpty : Verdict::kUnexpected;

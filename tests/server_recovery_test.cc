@@ -13,6 +13,7 @@
 #include <new>
 #include <thread>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -98,13 +99,13 @@ struct Replayed {
 
 Result<WalReplayStats> Replay(const std::string& path, uint64_t base,
                               Replayed* out) {
-  return ReplayWal(path, base,
-                   [out](uint64_t seqno, std::span<const ItemId> items) {
-                     out->seqnos.push_back(seqno);
-                     out->items.insert(out->items.end(), items.begin(),
-                                       items.end());
-                     return Status::OK();
-                   });
+  return ReplayWalSegments(
+      std::span<const std::string>(&path, 1), base,
+      [out](uint64_t seqno, std::span<const ItemId> items) {
+        out->seqnos.push_back(seqno);
+        out->items.insert(out->items.end(), items.begin(), items.end());
+        return Status::OK();
+      });
 }
 
 TEST(WalTest, RoundTrip) {
@@ -337,7 +338,8 @@ TEST(WalTest, ReplayAllocatesAboutOneRecord) {
     return Status::OK();
   };
   const size_t before = g_new_bytes.load();
-  auto stats = ReplayWal(path, 0, apply);
+  auto stats =
+      ReplayWalSegments(std::span<const std::string>(&path, 1), 0, apply);
   const size_t allocated = g_new_bytes.load() - before;
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(records, kRecords);

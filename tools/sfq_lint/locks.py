@@ -17,10 +17,13 @@ in opposite orders can each hold one and wait forever for the other.
 
 The blocking-under-lock half walks the same lexical scopes in
 `src/server/` and `src/concurrent/` and flags blocking syscalls
-(read/write/accept/connect/poll/...), `PushWithTimeout`, and condition-
-variable waits while a MutexLock is held — except a CondVar wait on
-exactly the mutexes currently held's *own* mutex, which is the one
-sanctioned blocking-under-lock pattern (the wait releases that mutex).
+(read/write/accept/connect/poll/...), the blocking queue calls (`Reserve`
+on a BatchQueue, `Admit` on a ParallelIngestor: both wait for queue
+room), and condition-variable waits while a MutexLock is held — except a
+CondVar wait on exactly the mutexes currently held's *own* mutex, which
+is the one sanctioned blocking-under-lock pattern (the wait releases that
+mutex). The queue calls keep the rule that no queue wait happens under a
+durable tenant's store lock.
 
 Both are lexical analyses: they see scopes, not data flow, which is
 exactly the right fidelity for a lint — the annotated wrappers in
@@ -50,7 +53,8 @@ BLOCKING_RE = re.compile(
     r"(?<![\w.>])(?:::\s*)?(read|write|pread|pwrite|readv|writev|recv|"
     r"recvfrom|recvmsg|send|sendto|sendmsg|accept|accept4|connect|poll|"
     r"select)\s*\(")
-PUSH_TIMEOUT_RE = re.compile(r"\bPushWithTimeout\s*\(")
+# The queue calls that wait for room. Commit/Enqueue never block.
+QUEUE_WAIT_RE = re.compile(r"\b(Reserve|Admit)\s*\(")
 
 BLOCKING_DIRS = ("src/server/", "src/concurrent/")
 
@@ -141,8 +145,8 @@ class LockScanner:
                     events.append((m.start(), "wait", m.group(1)))
                 for m in BLOCKING_RE.finditer(line):
                     events.append((m.start(), "block", m.group(1)))
-                for m in PUSH_TIMEOUT_RE.finditer(line):
-                    events.append((m.start(), "block", "PushWithTimeout"))
+                for m in QUEUE_WAIT_RE.finditer(line):
+                    events.append((m.start(), "block", m.group(1)))
             events.sort(key=lambda e: e[0])
 
             for pos, kind, payload in events:
