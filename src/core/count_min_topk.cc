@@ -1,7 +1,5 @@
 #include "core/count_min_topk.h"
 
-#include <algorithm>
-
 namespace streamfreq {
 
 Result<CountMinTopK> CountMinTopK::Make(const CountMinParams& sketch_params,
@@ -14,63 +12,25 @@ Result<CountMinTopK> CountMinTopK::Make(const CountMinParams& sketch_params,
 }
 
 CountMinTopK::CountMinTopK(CountMin sketch, size_t tracked)
-    : sketch_(std::move(sketch)), capacity_(tracked) {
-  tracked_.reserve(tracked + 1);
-}
+    : sketch_(std::move(sketch)), tracked_(tracked) {}
 
 std::string CountMinTopK::Name() const {
   return std::string("CountMinTopK(") +
          (sketch_.conservative() ? "CU," : "") +
          "d=" + std::to_string(sketch_.depth()) +
          ",w=" + std::to_string(sketch_.width()) +
-         ",l=" + std::to_string(capacity_) + ")";
+         ",l=" + std::to_string(tracked_.capacity()) + ")";
 }
 
 void CountMinTopK::Add(ItemId item, Count weight) {
   sketch_.Add(item, weight);
-  auto it = tracked_.find(item);
-  if (it != tracked_.end()) {
-    by_count_.erase({it->second, item});
-    it->second += weight;
-    by_count_.insert({it->second, item});
-    return;
-  }
-  const Count estimate = sketch_.Estimate(item);
-  if (tracked_.size() < capacity_) {
-    tracked_.emplace(item, estimate);
-    by_count_.insert({estimate, item});
-    return;
-  }
-  const auto min_it = by_count_.begin();
-  if (estimate > min_it->first) {
-    tracked_.erase(min_it->second);
-    by_count_.erase(min_it);
-    tracked_.emplace(item, estimate);
-    by_count_.insert({estimate, item});
-  }
+  if (tracked_.AddIfTracked(item, weight)) return;
+  tracked_.TryAdmit(item, sketch_.Estimate(item));
 }
 
 Count CountMinTopK::Estimate(ItemId item) const {
-  auto it = tracked_.find(item);
-  if (it != tracked_.end()) return it->second;
+  if (const auto tracked = tracked_.CountOf(item)) return *tracked;
   return sketch_.Estimate(item);
-}
-
-std::vector<ItemCount> CountMinTopK::Candidates(size_t k) const {
-  std::vector<ItemCount> out;
-  out.reserve(std::min(k, by_count_.size()));
-  for (auto it = by_count_.rbegin(); it != by_count_.rend() && out.size() < k;
-       ++it) {
-    out.push_back({it->second, it->first});
-  }
-  return out;
-}
-
-size_t CountMinTopK::SpaceBytes() const {
-  const size_t per_entry =
-      (sizeof(ItemId) + sizeof(Count) + sizeof(void*)) +
-      (sizeof(std::pair<Count, ItemId>) + 3 * sizeof(void*));
-  return sketch_.SpaceBytes() + tracked_.size() * per_entry;
 }
 
 }  // namespace streamfreq

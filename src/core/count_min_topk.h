@@ -3,13 +3,12 @@
 #pragma once
 
 #include <cstddef>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/count_min.h"
 #include "core/frequent.h"
+#include "core/tracked_set.h"
 #include "util/result.h"
 
 namespace streamfreq {
@@ -30,18 +29,20 @@ class CountMinTopK final : public StreamSummary {
   /// Tracked count for tracked items, sketch upper bound otherwise.
   Count Estimate(ItemId item) const override;
 
-  std::vector<ItemCount> Candidates(size_t k) const override;
+  std::vector<ItemCount> Candidates(size_t k) const override {
+    return tracked_.Top(k);
+  }
 
   const CountMin& sketch() const { return sketch_; }
-  size_t SpaceBytes() const override;
+  size_t SpaceBytes() const override {
+    return sketch_.SpaceBytes() + tracked_.SpaceBytes();
+  }
 
  private:
   CountMinTopK(CountMin sketch, size_t tracked);
 
   CountMin sketch_;
-  size_t capacity_;
-  std::unordered_map<ItemId, Count> tracked_;
-  std::set<std::pair<Count, ItemId>> by_count_;
+  TrackedSet tracked_;
 };
 
 }  // namespace streamfreq

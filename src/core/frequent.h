@@ -6,7 +6,9 @@
 // competitors. This interface is the harness contract they all satisfy.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -15,6 +17,21 @@
 #include "stream/types.h"
 
 namespace streamfreq {
+
+/// Sorts `entries` (anything with `item` and `count`) by count descending,
+/// then id ascending, and keeps the first k: the order in which every
+/// summary reports its candidates.
+template <typename Entry>
+std::vector<Entry> RankByCount(
+    std::vector<Entry> entries,
+    size_t k = std::numeric_limits<size_t>::max()) {
+  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
+    if (a.count != b.count) return a.count > b.count;
+    return a.item < b.item;
+  });
+  if (entries.size() > k) entries.resize(k);
+  return entries;
+}
 
 /// A one-pass summary of a stream that can estimate item counts and emit a
 /// ranked candidate list of likely-frequent items.
@@ -52,8 +69,8 @@ class StreamSummary {
   /// implementation documents its guarantee.
   virtual Count Estimate(ItemId item) const = 0;
 
-  /// The algorithm's best candidates for the most frequent items, sorted by
-  /// descending estimated count, at most `k` entries. May return fewer when
+  /// The algorithm's best candidates for the most frequent items in
+  /// RankByCount order, at most `k` entries. May return fewer when
   /// the summary tracks fewer items.
   virtual std::vector<ItemCount> Candidates(size_t k) const = 0;
 

@@ -17,42 +17,29 @@ Result<MaxChangeDetector> MaxChangeDetector::Make(
 }
 
 MaxChangeDetector::MaxChangeDetector(CountSketch sketch, size_t tracked)
-    : sketch_(std::move(sketch)), capacity_(tracked) {
-  members_.reserve(tracked + 1);
+    : sketch_(std::move(sketch)), members_(tracked) {
+  counts_.reserve(tracked);
 }
 
 void MaxChangeDetector::SecondPass(int stream, ItemId item) {
   SFQ_DCHECK(first_pass_done_);
   SFQ_DCHECK(stream == 1 || stream == 2);
-  auto it = members_.find(item);
-  if (it == members_.end()) {
+  auto it = counts_.find(item);
+  if (it == counts_.end()) {
     const Count est = sketch_.Estimate(item);
-    const Count nhat_abs = est < 0 ? -est : est;
-    if (members_.size() < capacity_) {
-      it = members_.emplace(item, Member{nhat_abs}).first;
-      by_nhat_.insert({nhat_abs, item});
-    } else {
-      const auto min_it = by_nhat_.begin();
-      if (nhat_abs <= min_it->first) return;  // below threshold: not tracked
-      members_.erase(min_it->second);
-      by_nhat_.erase(min_it);
-      it = members_.emplace(item, Member{nhat_abs}).first;
-      by_nhat_.insert({nhat_abs, item});
-    }
+    const TrackedSet::Admission admission =
+        members_.TryAdmit(item, est < 0 ? -est : est);
+    if (!admission.admitted) return;  // below threshold: not tracked
+    if (admission.evicted) counts_.erase(admission.victim);
+    it = counts_.emplace(item, StreamCounts{}).first;
   }
-  if (stream == 1) {
-    ++it->second.count_s1;
-  } else {
-    ++it->second.count_s2;
-  }
+  ++(stream == 1 ? it->second.s1 : it->second.s2);
 }
 
 std::vector<ChangeResult> MaxChangeDetector::TopChanges(size_t k) const {
   std::vector<ChangeResult> out;
-  out.reserve(members_.size());
-  for (const auto& [id, m] : members_) {
-    out.push_back({id, m.count_s1, m.count_s2});
-  }
+  out.reserve(counts_.size());
+  for (const auto& [id, c] : counts_) out.push_back({id, c.s1, c.s2});
   std::sort(out.begin(), out.end(), [](const ChangeResult& a, const ChangeResult& b) {
     if (a.AbsDelta() != b.AbsDelta()) return a.AbsDelta() > b.AbsDelta();
     return a.item < b.item;
@@ -74,10 +61,10 @@ Result<std::vector<ChangeResult>> MaxChangeDetector::Run(
 }
 
 size_t MaxChangeDetector::SpaceBytes() const {
-  const size_t per_member =
-      (sizeof(ItemId) + sizeof(Member) + sizeof(void*)) +
-      (sizeof(std::pair<Count, ItemId>) + 3 * sizeof(void*));
-  return sketch_.SpaceBytes() + members_.size() * per_member;
+  const size_t per_counts =
+      sizeof(ItemId) + sizeof(StreamCounts) + sizeof(void*);  // map entry
+  return sketch_.SpaceBytes() + members_.SpaceBytes() +
+         counts_.size() * per_counts;
 }
 
 namespace {

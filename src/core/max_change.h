@@ -23,13 +23,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <set>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "core/count_sketch.h"
+#include "core/tracked_set.h"
 #include "stream/exact_counter.h"
 #include "stream/types.h"
 #include "util/result.h"
@@ -85,17 +85,15 @@ class MaxChangeDetector {
  private:
   MaxChangeDetector(CountSketch sketch, size_t tracked);
 
-  struct Member {
-    Count nhat_abs;  // |sketch estimate|, fixed during pass 2
-    Count count_s1 = 0;
-    Count count_s2 = 0;
+  struct StreamCounts {
+    Count s1 = 0;
+    Count s2 = 0;
   };
 
   CountSketch sketch_;
-  size_t capacity_;
   bool first_pass_done_ = false;
-  std::unordered_map<ItemId, Member> members_;
-  std::set<std::pair<Count, ItemId>> by_nhat_;  // (|nhat|, item)
+  TrackedSet members_;  // A, each member at its fixed |nhat|
+  std::unordered_map<ItemId, StreamCounts> counts_;  // members of A only
 };
 
 /// Scores each candidate on `score` and returns the k with the largest

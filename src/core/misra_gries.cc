@@ -107,12 +107,7 @@ std::vector<ItemCount> MisraGries::Candidates(size_t k) const {
   std::vector<ItemCount> out;
   out.reserve(counters_.size());
   for (const auto& [id, c] : counters_) out.push_back({id, c});
-  std::sort(out.begin(), out.end(), [](const ItemCount& a, const ItemCount& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return a.item < b.item;
-  });
-  if (out.size() > k) out.resize(k);
-  return out;
+  return RankByCount(std::move(out), k);
 }
 
 void MisraGries::Clear() {

@@ -9,8 +9,7 @@ namespace streamfreq {
 
 namespace {
 
-/// Sorts (item, count) pairs by descending count then ascending id and
-/// truncates to k.
+/// Scales each sampled count and returns the top k in RankByCount order.
 std::vector<ItemCount> RankedTopK(const std::unordered_map<ItemId, Count>& table,
                                   size_t k, double scale) {
   std::vector<ItemCount> out;
@@ -19,12 +18,7 @@ std::vector<ItemCount> RankedTopK(const std::unordered_map<ItemId, Count>& table
     out.push_back({id, static_cast<Count>(std::llround(
                            static_cast<double>(c) * scale))});
   }
-  std::sort(out.begin(), out.end(), [](const ItemCount& a, const ItemCount& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return a.item < b.item;
-  });
-  if (out.size() > k) out.resize(k);
-  return out;
+  return RankByCount(std::move(out), k);
 }
 
 /// Draws Binomial(n, p) — exact via per-trial coins for small n, normal
@@ -221,12 +215,7 @@ std::vector<ItemCount> CountingSampling::Candidates(size_t k) const {
   out.reserve(sample_.size());
   const Count correction = static_cast<Count>(std::llround(tau_ - 1.0));
   for (const auto& [id, c] : sample_) out.push_back({id, c + correction});
-  std::sort(out.begin(), out.end(), [](const ItemCount& a, const ItemCount& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return a.item < b.item;
-  });
-  if (out.size() > k) out.resize(k);
-  return out;
+  return RankByCount(std::move(out), k);
 }
 
 size_t CountingSampling::SpaceBytes() const {

@@ -122,11 +122,7 @@ Status SpaceSaving::Merge(const SpaceSaving& other) {
   std::vector<Slot> slots;
   slots.reserve(merged.size());
   for (const auto& [item, slot] : merged) slots.push_back(slot);
-  std::sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return a.item < b.item;
-  });
-  if (slots.size() > capacity_) slots.resize(capacity_);
+  slots = RankByCount(std::move(slots), capacity_);
 
   heap_.clear();
   position_.clear();
@@ -142,12 +138,7 @@ std::vector<ItemCount> SpaceSaving::Candidates(size_t k) const {
   std::vector<ItemCount> out;
   out.reserve(heap_.size());
   for (const Slot& s : heap_) out.push_back({s.item, s.count});
-  std::sort(out.begin(), out.end(), [](const ItemCount& a, const ItemCount& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return a.item < b.item;
-  });
-  if (out.size() > k) out.resize(k);
-  return out;
+  return RankByCount(std::move(out), k);
 }
 
 std::vector<ItemCount> SpaceSaving::GuaranteedAtLeast(Count threshold) const {
@@ -155,11 +146,7 @@ std::vector<ItemCount> SpaceSaving::GuaranteedAtLeast(Count threshold) const {
   for (const Slot& s : heap_) {
     if (s.count - s.error >= threshold) out.push_back({s.item, s.count});
   }
-  std::sort(out.begin(), out.end(), [](const ItemCount& a, const ItemCount& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return a.item < b.item;
-  });
-  return out;
+  return RankByCount(std::move(out));
 }
 
 std::vector<SpaceSavingEntry> SpaceSaving::Entries() const {

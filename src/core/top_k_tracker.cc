@@ -1,7 +1,5 @@
 #include "core/top_k_tracker.h"
 
-#include <algorithm>
-
 namespace streamfreq {
 
 Result<CountSketchTopK> CountSketchTopK::Make(
@@ -14,70 +12,26 @@ Result<CountSketchTopK> CountSketchTopK::Make(
 }
 
 CountSketchTopK::CountSketchTopK(CountSketch sketch, size_t tracked)
-    : sketch_(std::move(sketch)), capacity_(tracked) {
-  tracked_.reserve(tracked + 1);
-}
+    : sketch_(std::move(sketch)), tracked_(tracked) {}
 
 std::string CountSketchTopK::Name() const {
   return "CountSketchTopK(t=" + std::to_string(sketch_.depth()) +
          ",b=" + std::to_string(sketch_.width()) +
-         ",l=" + std::to_string(capacity_) + ")";
+         ",l=" + std::to_string(tracked_.capacity()) + ")";
 }
 
 TrackerEvent CountSketchTopK::AddTracked(ItemId item, Count weight) {
   sketch_.Add(item, weight);
-  TrackerEvent event;
-
-  auto it = tracked_.find(item);
-  if (it != tracked_.end()) {
-    // Tracked item: count it exactly from here on (paper step 2, first arm).
-    by_count_.erase({it->second, item});
-    it->second += weight;
-    by_count_.insert({it->second, item});
-    return event;
-  }
-
-  const Count estimate = sketch_.Estimate(item);
-  if (tracked_.size() < capacity_) {
-    tracked_.emplace(item, estimate);
-    by_count_.insert({estimate, item});
-    event.inserted = true;
-    return event;
-  }
-  const auto min_it = by_count_.begin();
-  if (estimate > min_it->first) {
-    event.evicted = min_it->second;
-    tracked_.erase(min_it->second);
-    by_count_.erase(min_it);
-    tracked_.emplace(item, estimate);
-    by_count_.insert({estimate, item});
-    event.inserted = true;
-  }
-  return event;
+  // Tracked item: count it exactly from here on (paper step 2, first arm).
+  if (tracked_.AddIfTracked(item, weight)) return {};
+  const TrackedSet::Admission admission =
+      tracked_.TryAdmit(item, sketch_.Estimate(item));
+  return {admission.admitted, admission.evicted ? admission.victim : 0};
 }
 
 Count CountSketchTopK::Estimate(ItemId item) const {
-  auto it = tracked_.find(item);
-  if (it != tracked_.end()) return it->second;
+  if (const auto tracked = tracked_.CountOf(item)) return *tracked;
   return sketch_.Estimate(item);
-}
-
-std::vector<ItemCount> CountSketchTopK::Candidates(size_t k) const {
-  std::vector<ItemCount> out;
-  out.reserve(std::min(k, by_count_.size()));
-  for (auto it = by_count_.rbegin(); it != by_count_.rend() && out.size() < k;
-       ++it) {
-    out.push_back({it->second, it->first});
-  }
-  return out;
-}
-
-size_t CountSketchTopK::SpaceBytes() const {
-  // Sketch + tracked table + ordered index (paper: O(t*b + l)).
-  const size_t per_entry =
-      (sizeof(ItemId) + sizeof(Count) + sizeof(void*)) +  // hash map entry
-      (sizeof(std::pair<Count, ItemId>) + 3 * sizeof(void*));  // tree node
-  return sketch_.SpaceBytes() + tracked_.size() * per_entry;
 }
 
 }  // namespace streamfreq

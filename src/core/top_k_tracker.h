@@ -14,14 +14,12 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/count_sketch.h"
 #include "core/frequent.h"
+#include "core/tracked_set.h"
 #include "util/result.h"
 
 namespace streamfreq {
@@ -31,7 +29,8 @@ namespace streamfreq {
 struct TrackerEvent {
   /// True when `item` entered the tracked set on this arrival.
   bool inserted = false;
-  /// When an insertion evicted another item, the evicted id (else 0).
+  /// When an insertion evicted another item, the evicted id (else 0, so
+  /// the eviction of item 0 reads as none).
   ItemId evicted = 0;
 };
 
@@ -55,24 +54,25 @@ class CountSketchTopK final : public StreamSummary {
   /// tracked count (sketch estimate at insertion + exact increments since).
   Count Estimate(ItemId item) const override;
 
-  /// The tracked items by descending tracked count (at most min(k, l)).
-  std::vector<ItemCount> Candidates(size_t k) const override;
+  /// The tracked items in RankByCount order (at most min(k, l)).
+  std::vector<ItemCount> Candidates(size_t k) const override {
+    return tracked_.Top(k);
+  }
 
   /// True iff `item` is currently tracked.
-  bool IsTracked(ItemId item) const { return tracked_.contains(item); }
+  bool IsTracked(ItemId item) const { return tracked_.Contains(item); }
 
   const CountSketch& sketch() const { return sketch_; }
-  size_t tracked_capacity() const { return capacity_; }
-  size_t SpaceBytes() const override;
+  size_t tracked_capacity() const { return tracked_.capacity(); }
+  size_t SpaceBytes() const override {
+    return sketch_.SpaceBytes() + tracked_.SpaceBytes();  // O(t*b + l)
+  }
 
  private:
   CountSketchTopK(CountSketch sketch, size_t tracked);
 
   CountSketch sketch_;
-  size_t capacity_;
-  // Tracked counts plus an ordered index for O(log l) min lookup/eviction.
-  std::unordered_map<ItemId, Count> tracked_;
-  std::set<std::pair<Count, ItemId>> by_count_;
+  TrackedSet tracked_;
 };
 
 }  // namespace streamfreq

@@ -11,8 +11,7 @@ namespace {
 
 // Flag bits in the wire `flags` word. Append-only.
 constexpr uint64_t kFlagFinal = 1ULL << 0;
-constexpr uint64_t kFlagEpochMark = 1ULL << 1;
-constexpr uint64_t kKnownFlags = kFlagFinal | kFlagEpochMark;
+constexpr uint64_t kKnownFlags = kFlagFinal;
 
 // Sanity bounds so a corrupt count cannot drive a giant resize. Both are
 // far above anything the tree ships (coverage has one entry per leaf,
@@ -36,7 +35,6 @@ void PutDeltaHeader(const DeltaHeader& delta, size_t blob_size,
   w.PutU64(delta.seqno);
   uint64_t flags = 0;
   if (delta.final_flag) flags |= kFlagFinal;
-  if (delta.epoch_mark) flags |= kFlagEpochMark;
   w.PutU64(flags);
   w.PutU64(delta.ledger.offered);
   w.PutU64(delta.ledger.rejected);
@@ -83,7 +81,6 @@ Result<DeltaView> DecodeDelta(std::string_view payload) {
     return Status::Corruption("delta carries unknown flag bits");
   }
   delta.final_flag = (flags & kFlagFinal) != 0;
-  delta.epoch_mark = (flags & kFlagEpochMark) != 0;
   STREAMFREQ_RETURN_NOT_OK(r.GetU64(&delta.ledger.offered));
   STREAMFREQ_RETURN_NOT_OK(r.GetU64(&delta.ledger.rejected));
   STREAMFREQ_RETURN_NOT_OK(r.GetU64(&delta.ledger.ingested));

@@ -112,7 +112,6 @@ struct DeltaHeader {
   uint64_t node_id = 0;
   uint64_t seqno = 0;
   bool final_flag = false;  ///< sender is done; no further deltas follow
-  bool epoch_mark = false;  ///< root should MarkEpoch after applying
   DistLedger ledger;        ///< increment since the sender's acked base
   std::vector<CoverageEntry> covered;
   std::vector<ItemId> candidates;

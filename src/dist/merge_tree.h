@@ -118,10 +118,6 @@ class MergeTreeSim {
   /// root sketch, ties broken toward smaller ids.
   std::vector<ItemCount> ApproxTop(size_t k) const;
 
-  int64_t EstimatePoint(ItemId item) const {
-    return nodes_[0].merge.acc().Estimate(item);
-  }
-
   /// Two-pass max-change over the subtractive structure: MarkEpoch copies
   /// the root sketch; MaxChange scores the candidate union on
   /// (current − epoch) and returns the k largest |delta|.

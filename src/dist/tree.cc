@@ -22,6 +22,11 @@ std::vector<uint64_t> TreeTopology::BottomUpOrder() const {
   return order;
 }
 
+namespace {
+
+// Builds the derived fields (children/leaves/depth) from `parent` and
+// validates the shape: node 0 is root, every other node's parent has a
+// lower id (no cycles), at least one leaf.
 Result<TreeTopology> TopologyFromParents(std::vector<uint64_t> parent) {
   if (parent.empty()) {
     return Status::InvalidArgument("topology needs at least one node");
@@ -51,6 +56,8 @@ Result<TreeTopology> TopologyFromParents(std::vector<uint64_t> parent) {
   }
   return topo;
 }
+
+}  // namespace
 
 Result<TreeTopology> BuildBalancedTree(uint64_t workers, uint64_t fanout) {
   if (workers == 0) {

@@ -41,9 +41,4 @@ Result<TreeTopology> BuildBalancedTree(uint64_t workers, uint64_t fanout);
 Result<TreeTopology> BuildRandomTree(uint64_t workers, uint64_t max_fanout,
                                      uint64_t max_depth, Xoshiro256* rng);
 
-/// Builds the derived fields (children/leaves/depth) from `parent` and
-/// validates the shape: node 0 is root, every other node's parent has a
-/// lower id (no cycles), at least one leaf.
-Result<TreeTopology> TopologyFromParents(std::vector<uint64_t> parent);
-
 }  // namespace streamfreq

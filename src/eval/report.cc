@@ -89,6 +89,10 @@ JsonField JsonField::Integer(std::string key, int64_t value) {
   return JsonField{std::move(key), std::to_string(value)};
 }
 
+JsonField JsonField::Unsigned(std::string key, uint64_t value) {
+  return JsonField{std::move(key), std::to_string(value)};
+}
+
 JsonField JsonField::Text(std::string key, const std::string& value) {
   return JsonField{std::move(key), EscapeJsonString(value)};
 }

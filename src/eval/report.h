@@ -33,6 +33,7 @@ struct JsonField {
 
   static JsonField Number(std::string key, double value);
   static JsonField Integer(std::string key, int64_t value);
+  static JsonField Unsigned(std::string key, uint64_t value);  // e.g. ItemId
   static JsonField Text(std::string key, const std::string& value);
 };
 

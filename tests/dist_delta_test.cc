@@ -38,7 +38,6 @@ DeltaPayload SamplePayload() {
   delta.node_id = 4;
   delta.seqno = 7;
   delta.final_flag = true;
-  delta.epoch_mark = false;
   delta.ledger = DistLedger{100, 10, 80, 10};
   delta.covered = {{2, 50}, {3, 30}};
   delta.candidates = {11, 22, 33};
@@ -57,7 +56,6 @@ TEST(DeltaCodecTest, RoundTripsEveryField) {
   EXPECT_EQ(decoded->node_id, delta.node_id);
   EXPECT_EQ(decoded->seqno, delta.seqno);
   EXPECT_EQ(decoded->final_flag, delta.final_flag);
-  EXPECT_EQ(decoded->epoch_mark, delta.epoch_mark);
   EXPECT_TRUE(decoded->ledger == delta.ledger);
   EXPECT_EQ(decoded->covered, delta.covered);
   EXPECT_EQ(decoded->candidates, delta.candidates);
@@ -98,9 +96,12 @@ TEST(DeltaCodecTest, RejectsBadMagicFlagsSeqnoAndLedger) {
   EXPECT_TRUE(DecodeDelta(EncodeDelta(zero_seq)).status().IsCorruption());
 
   // Unknown flag bits mean a newer (or forged) sender; reject, don't guess.
-  std::string flagged = EncodeDelta(SamplePayload());
-  flagged[24] |= 0x04;  // flags field: u64 at offset 24, bit2 undefined
-  EXPECT_TRUE(DecodeDelta(flagged).status().IsCorruption());
+  // Only bit0 (final) is defined.
+  for (const char bit : {0x02, 0x04}) {
+    std::string flagged = EncodeDelta(SamplePayload());
+    flagged[24] |= bit;  // flags field: u64 at offset 24
+    EXPECT_TRUE(DecodeDelta(flagged).status().IsCorruption()) << int{bit};
+  }
 
   DeltaPayload bad_ledger = SamplePayload();
   bad_ledger.ledger = DistLedger{100, 0, 80, 0};  // 100 != 80 + 0

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <limits>
+#include <map>
 #include <unordered_set>
 #include <vector>
 
@@ -157,6 +160,83 @@ TEST(MaxChangeTest, DifferenceSketchEstimatesDeltas) {
   for (ItemId q : s2) det->ObserveS2(q);
   det->FinishFirstPass();
   EXPECT_EQ(det->difference_sketch().Estimate(10), -180);
+}
+
+TEST(MaxChangeTest, SecondPassMatchesNaiveReferenceOnEveryArrival) {
+  // Two samples of one Zipf law differ by noise alone, so many items hold
+  // small, often equal |nhat| and the candidate set A keeps turning over.
+  // Item 0 opens S1: it enters A first and leaves it at the first eviction.
+  auto gen = ZipfGenerator::Make(300, 1.0, 41);
+  ASSERT_TRUE(gen.ok());
+  Stream s1 = {0};
+  const Stream rest = gen->Take(3000);
+  s1.insert(s1.end(), rest.begin(), rest.end());
+  const Stream s2 = gen->Take(3000);
+
+  constexpr size_t kTracked = 8;
+  auto det = MaxChangeDetector::Make(DefaultSketch(), kTracked);
+  ASSERT_TRUE(det.ok());
+  for (ItemId q : s1) det->ObserveS1(q);
+  for (ItemId q : s2) det->ObserveS2(q);
+  det->FinishFirstPass();
+
+  // The naive A: admit at |nhat| while there is room, or when |nhat| is
+  // greater than the smallest (|nhat|, id) member, which leaves.
+  struct Member {
+    Count nhat_abs;
+    Count count_s1 = 0;
+    Count count_s2 = 0;
+  };
+  std::map<ItemId, Member> shadow;
+  bool zero_evicted = false;
+  const auto arrive = [&](int stream, ItemId q) {
+    auto it = shadow.find(q);
+    if (it == shadow.end()) {
+      const Count nhat_abs = std::llabs(det->difference_sketch().Estimate(q));
+      if (shadow.size() == kTracked) {
+        auto min_it = shadow.begin();
+        for (auto m = shadow.begin(); m != shadow.end(); ++m) {
+          if (m->second.nhat_abs < min_it->second.nhat_abs) min_it = m;
+        }
+        if (nhat_abs <= min_it->second.nhat_abs) return;
+        zero_evicted |= min_it->first == 0;
+        shadow.erase(min_it);
+      }
+      it = shadow.emplace(q, Member{nhat_abs}).first;
+    }
+    ++(stream == 1 ? it->second.count_s1 : it->second.count_s2);
+  };
+  const auto naive_top = [&shadow] {
+    std::vector<ChangeResult> out;
+    for (const auto& [id, m] : shadow) {
+      out.push_back({id, m.count_s1, m.count_s2});
+    }
+    std::sort(out.begin(), out.end(),
+              [](const ChangeResult& a, const ChangeResult& b) {
+                if (a.AbsDelta() != b.AbsDelta()) {
+                  return a.AbsDelta() > b.AbsDelta();
+                }
+                return a.item < b.item;
+              });
+    return out;
+  };
+
+  for (int stream : {1, 2}) {
+    for (ItemId q : stream == 1 ? s1 : s2) {
+      det->SecondPass(stream, q);
+      arrive(stream, q);
+      const std::vector<ChangeResult> want = naive_top();
+      const std::vector<ChangeResult> got = det->TopChanges(kTracked);
+      ASSERT_EQ(got.size(), want.size()) << "stream " << stream << " at " << q;
+      for (size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[i].item, want[i].item)
+            << "stream " << stream << " at " << q;
+        ASSERT_EQ(got[i].count_s1, want[i].count_s1);
+        ASSERT_EQ(got[i].count_s2, want[i].count_s2);
+      }
+    }
+  }
+  EXPECT_TRUE(zero_evicted) << "item 0 should have left A";
 }
 
 TEST(MaxChangeTest, AbsDeltaHelper) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
 #include <unordered_set>
 
 #include "stream/adversarial.h"
@@ -68,32 +70,78 @@ TEST(CountSketchTopKTest, TrackedCountsAreAccurate) {
   }
 }
 
+// Replays `stream` through a tracker of `tracked` items and checks every
+// arrival against a naive shadow of the tracked set: a tracked item gains
+// its weight; an untracked one is admitted at its sketch estimate while
+// there is room, or when that estimate is greater than the smallest
+// (count, id) pair, which it evicts. Returns how many evictions picked
+// their victim among several pairs with the same smallest count.
+size_t CheckTrackerAgainstShadow(const Stream& stream, size_t tracked) {
+  auto algo = CountSketchTopK::Make(DefaultSketch(), tracked);
+  EXPECT_TRUE(algo.ok());
+  std::map<ItemId, Count> shadow;  // tracked item -> tracked count
+  size_t tie_evictions = 0;
+  for (const ItemId q : stream) {
+    const bool was_tracked = shadow.contains(q);
+    EXPECT_EQ(algo->IsTracked(q), was_tracked);
+    const TrackerEvent e = algo->AddTracked(q);
+    if (was_tracked) {
+      ++shadow[q];
+      EXPECT_FALSE(e.inserted);
+      EXPECT_EQ(e.evicted, 0u);
+    } else {
+      const Count estimate = algo->sketch().Estimate(q);
+      bool admit = shadow.size() < tracked;
+      ItemId victim = 0;
+      if (!admit) {
+        auto min_it = shadow.begin();
+        size_t at_min = 0;
+        for (auto it = shadow.begin(); it != shadow.end(); ++it) {
+          if (it->second < min_it->second) {
+            min_it = it;
+            at_min = 0;
+          }
+          if (it->second == min_it->second) ++at_min;
+        }
+        admit = estimate > min_it->second;
+        if (admit) {
+          victim = min_it->first;
+          if (at_min > 1) ++tie_evictions;
+          shadow.erase(min_it);
+        }
+      }
+      if (admit) shadow.emplace(q, estimate);
+      EXPECT_EQ(e.inserted, admit);
+      EXPECT_EQ(e.evicted, victim);
+    }
+    for (const auto& [id, count] : shadow) {
+      EXPECT_TRUE(algo->IsTracked(id));
+      EXPECT_EQ(algo->Estimate(id), count);
+    }
+    if (::testing::Test::HasFailure()) {
+      ADD_FAILURE() << "first divergence at item " << q;
+      break;
+    }
+  }
+  return tie_evictions;
+}
+
 TEST(CountSketchTopKTest, TrackerEventsMaintainInvariant) {
   auto gen = ZipfGenerator::Make(1000, 1.0, 37);
   ASSERT_TRUE(gen.ok());
-  constexpr size_t kTracked = 10;
-  auto algo = CountSketchTopK::Make(DefaultSketch(), kTracked);
-  ASSERT_TRUE(algo.ok());
+  CheckTrackerAgainstShadow(gen->Take(20000), 10);
 
-  std::unordered_set<ItemId> shadow;  // mirror of the tracked set
-  for (int i = 0; i < 20000; ++i) {
-    const ItemId q = gen->Next();
-    const bool was_tracked = algo->IsTracked(q);
-    const TrackerEvent e = algo->AddTracked(q);
-    if (was_tracked) {
-      ASSERT_FALSE(e.inserted);
-      ASSERT_EQ(e.evicted, 0u);
+  // Planted ties: block r holds 16 ids that arrive r + 1 times each in a
+  // burst. Each block's ids pass a count that a whole slate of tracked
+  // items shares, so the smallest id among equals is what gets evicted.
+  Stream tied;
+  for (ItemId r = 1; r <= 8; ++r) {
+    for (ItemId q = 16 * r + 1; q <= 16 * r + 16; ++q) {
+      for (ItemId i = 0; i <= r; ++i) tied.push_back(q);
     }
-    if (e.inserted) {
-      if (e.evicted != 0) {
-        ASSERT_TRUE(shadow.count(e.evicted)) << "evicted item was not tracked";
-        shadow.erase(e.evicted);
-      }
-      shadow.insert(q);
-    }
-    ASSERT_LE(shadow.size(), kTracked);
-    ASSERT_EQ(algo->IsTracked(q), shadow.count(q) > 0);
   }
+  EXPECT_GT(CheckTrackerAgainstShadow(tied, 10), 0u)
+      << "no eviction was decided by a tie";
 }
 
 TEST(CountSketchTopKTest, EstimateUsesTrackedCountWhenAvailable) {
@@ -117,6 +165,41 @@ TEST(CountSketchTopKTest, CandidatesTruncatedAndSorted) {
   EXPECT_EQ(top3[1].item, 4u);
   EXPECT_EQ(top3[2].item, 3u);
   EXPECT_GE(top3[0].count, top3[1].count);
+}
+
+TEST(CountSketchTopKTest, CandidatesBreakTiesTowardSmallerIds) {
+  auto algo = CountSketchTopK::Make(DefaultSketch(), 10);
+  ASSERT_TRUE(algo.ok());
+  for (ItemId q : {9, 3, 7, 5}) algo->Add(q, 4);
+  algo->Add(8, 6);
+  const auto top = algo->Candidates(4);
+  ASSERT_EQ(top.size(), 4u);
+  EXPECT_EQ(top[0], (ItemCount{8, 6}));
+  EXPECT_EQ(top[1], (ItemCount{3, 4}));
+  EXPECT_EQ(top[2], (ItemCount{5, 4}));
+  EXPECT_EQ(top[3], (ItemCount{7, 4}));
+}
+
+TEST(TrackedSetTest, EvictsTheSmallestPairOnlyForAGreaterCount) {
+  TrackedSet set(2);
+  EXPECT_TRUE(set.TryAdmit(0, 5).admitted);
+  EXPECT_TRUE(set.TryAdmit(4, 5).admitted);
+  // Full: an equal count is refused, a greater one evicts the smallest
+  // (count, id) pair. That is item 0, which the flag reports.
+  const TrackedSet::Admission refused = set.TryAdmit(6, 5);
+  EXPECT_FALSE(refused.admitted);
+  EXPECT_FALSE(refused.evicted);
+  const TrackedSet::Admission taken = set.TryAdmit(6, 6);
+  EXPECT_TRUE(taken.admitted);
+  EXPECT_TRUE(taken.evicted);
+  EXPECT_EQ(taken.victim, 0u);
+  EXPECT_FALSE(set.Contains(0));
+  EXPECT_TRUE(set.AddIfTracked(4, 3));
+  EXPECT_FALSE(set.AddIfTracked(0, 3));
+  EXPECT_EQ(set.CountOf(4), 8);
+  EXPECT_EQ(set.CountOf(0), std::nullopt);
+  EXPECT_EQ(set.Top(5), (std::vector<ItemCount>{{4, 8}, {6, 6}}));
+  EXPECT_EQ(set.Top(1), (std::vector<ItemCount>{{4, 8}}));
 }
 
 TEST(CountSketchTopKTest, SolvesApproxTopOnBoundaryInstance) {

@@ -818,6 +818,13 @@ int CmdAggregate(const Flags& flags) {
       "deltas_applied", static_cast<int64_t>(report->deltas_applied)));
   fields.push_back(JsonField::Integer(
       "delta_dedups", static_cast<int64_t>(report->delta_dedups)));
+  // The root top-k the table prints, one flat key pair per rank.
+  for (size_t i = 0; i < report->topk.size(); ++i) {
+    const std::string rank = "topk." + std::to_string(i + 1);
+    const ItemCount& entry = report->topk[i];
+    fields.push_back(JsonField::Unsigned(rank + ".item", entry.item));
+    fields.push_back(JsonField::Integer(rank + ".count", entry.count));
+  }
   const std::string json_path = flags.GetString("json", "");
   if (!json_path.empty()) {
     const Status s = WriteJsonReport(json_path, "aggregate", fields);
