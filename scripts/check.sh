@@ -131,8 +131,13 @@ ctest --test-dir build-tsan -L concurrent --output-on-failure
 # neither on an SSE4.2 machine. The CRC oracle, the frame codec with its
 # three formats, the piecewise CRC of files written from counter memory
 # (sketch_io_test) and the scalar/vector equivalence must hold there too.
-SIMD_OFF_TESTS=(crc32_test frame_test server_protocol_test
-  server_recovery_test simd_equivalence_test sketch_io_test)
+# The merge tree ships each node's own counters and clears them, and its
+# oracle holds every leaf's BatchAdd sketch to a scalar-kernel reference
+# (dist_delta_test, dist_aggregate_test): with SIMD off that runs through
+# the portable kernels.
+SIMD_OFF_TESTS=(crc32_test dist_aggregate_test dist_delta_test frame_test
+  server_protocol_test server_recovery_test simd_equivalence_test
+  sketch_io_test)
 gen_for build-simd-off
 cmake -B build-simd-off "${GEN[@]}" \
   -DCMAKE_BUILD_TYPE=Release \

@@ -49,11 +49,4 @@ std::vector<ItemCount> TrackedSet::Top(size_t k) const {
   return RankByCount(std::move(out), k);
 }
 
-size_t TrackedSet::SpaceBytes() const {
-  const size_t per_pair =
-      (sizeof(ItemId) + sizeof(Count) + sizeof(void*)) +      // hash map entry
-      (sizeof(std::pair<Count, ItemId>) + 3 * sizeof(void*));  // tree node
-  return counts_.size() * per_pair;
-}
-
 }  // namespace streamfreq

@@ -26,6 +26,13 @@ class TrackedSet {
     ItemId victim = 0;      ///< meaningful only when `evicted`
   };
 
+  /// What SpaceBytes() charges per tracked pair: one hash-map entry (key,
+  /// count, next pointer) plus one ordered-index node (the pair and three
+  /// tree links). Budget arithmetic elsewhere uses the same figure.
+  static constexpr size_t kBytesPerPair =
+      (sizeof(ItemId) + sizeof(Count) + sizeof(void*)) +
+      (sizeof(std::pair<Count, ItemId>) + 3 * sizeof(void*));
+
   /// An empty set of at most `capacity` (> 0) pairs.
   explicit TrackedSet(size_t capacity);
 
@@ -46,8 +53,8 @@ class TrackedSet {
   /// The tracked pairs in RankByCount order, at most k.
   std::vector<ItemCount> Top(size_t k) const;
 
-  /// Per pair: one hash-map entry plus one ordered-index node.
-  size_t SpaceBytes() const;
+  /// kBytesPerPair for every tracked pair.
+  size_t SpaceBytes() const { return counts_.size() * kBytesPerPair; }
 
  private:
   size_t capacity_;

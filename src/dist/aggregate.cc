@@ -26,10 +26,9 @@ std::string SocketPath(const std::string& dir, uint64_t node) {
 }
 
 /// Blocking ship of the node's delta (if there is one) over `up_fd`,
-/// waiting for and folding the cumulative ack.
+/// waiting for and processing the cumulative ack.
 Status ShipAndAck(MergeNode* node, int up_fd, bool final_flag) {
-  STREAMFREQ_ASSIGN_OR_RETURN(std::optional<std::string_view> payload,
-                              node->Ship(final_flag));
+  const std::optional<std::string_view> payload = node->Ship(final_flag);
   if (!payload.has_value()) return Status::OK();
   STREAMFREQ_RETURN_NOT_OK(SendFrame(up_fd, *payload));
   STREAMFREQ_ASSIGN_OR_RETURN(std::string ack_frame, RecvFrame(up_fd));

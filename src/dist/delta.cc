@@ -141,37 +141,32 @@ Result<uint64_t> DecodeAck(std::string_view payload) {
   return last;
 }
 
-Result<std::optional<std::string_view>> DeltaChannel::Ship(
-    const CountSketch& current, const DistLedger& ledger,
+std::optional<std::string_view> DeltaChannel::Ship(
+    CountSketch* unshipped, const DistLedger& ledger,
     const std::vector<CoverageEntry>& covered,
     const std::vector<ItemId>& candidates, bool final_flag) {
   if (pending_.has_value()) {
     // At most one delta in flight: resend the exact bytes until acked.
-    return std::optional<std::string_view>(pending_->encoded);
+    return pending_->encoded;
   }
-  if (NothingToShip(ledger, final_flag)) {
-    return std::optional<std::string_view>();  // nothing new to ship
-  }
-  CountSketch delta_sketch = current;
-  if (base_.has_value()) {
-    STREAMFREQ_RETURN_NOT_OK(delta_sketch.Subtract(*base_));
-  }
+  if (NothingToShip(ledger, final_flag)) return std::nullopt;
 
   DeltaHeader header;
   header.node_id = node_id_;
   header.seqno = shipped_seqno_ + 1;
   header.final_flag = final_flag;
-  header.ledger = ledger.Minus(base_ledger_);
+  header.ledger = ledger.Minus(shipped_ledger_);
   header.covered = covered;
   header.candidates = candidates;
   std::string encoded;
-  PutDeltaHeader(header, delta_sketch.SerializedSize(), &encoded);
-  delta_sketch.SerializeTo(&encoded);
+  PutDeltaHeader(header, unshipped->SerializedSize(), &encoded);
+  unshipped->SerializeTo(&encoded);
+  unshipped->Clear();  // the pending encoding carries that mass now
 
   shipped_seqno_ = header.seqno;
-  pending_ = Pending{header.seqno, std::move(encoded),
-                     std::move(delta_sketch), ledger, final_flag};
-  return std::optional<std::string_view>(pending_->encoded);
+  shipped_ledger_ = ledger;
+  pending_ = Pending{header.seqno, std::move(encoded), final_flag};
+  return pending_->encoded;
 }
 
 Status DeltaChannel::Acked(uint64_t last_applied_seqno) {
@@ -183,12 +178,6 @@ Status DeltaChannel::Acked(uint64_t last_applied_seqno) {
   }
   acked_seqno_ = last_applied_seqno;
   if (pending_.has_value() && pending_->seqno <= last_applied_seqno) {
-    if (base_.has_value()) {
-      STREAMFREQ_RETURN_NOT_OK(base_->Merge(pending_->delta));
-    } else {
-      base_ = std::move(pending_->delta);
-    }
-    base_ledger_ = pending_->ledger_after;
     if (pending_->final_flag) final_acked_ = true;
     pending_.reset();
   }

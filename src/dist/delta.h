@@ -1,10 +1,14 @@
 // Sketch-delta shipping for the distributed merge tree.
 //
-// The paper's merge/subtract group structure is what makes delta shipping
-// exact: a worker's delta is `current sketch − last-acked base` (via
-// CountSketch::Subtract), so the sum of every delta a parent APPLIES equals
-// the sketch of exactly the covered prefix of each leaf stream — bit for
-// bit, no matter how many links sever or how often frames are re-delivered.
+// The paper's sketches form a group under Merge/Subtract, which is what
+// makes delta shipping exact. Every node but the root keeps in its sketch
+// only the mass it has taken in since its last fresh delta: a fresh Ship
+// serializes that sketch as the delta and clears it in place. At most one
+// delta is in flight, so that unshipped mass is exactly `everything taken
+// in − everything the parent has acked`, and the sum of every delta a
+// parent APPLIES equals the sketch of exactly the covered prefix of each
+// leaf stream — bit for bit, no matter how many links sever or how often
+// frames are re-delivered.
 //
 // Wire form (inside the standard SFQRPC01 CRC frame, see
 // src/server/protocol.h):
@@ -12,7 +16,7 @@
 //   u64 magic      kDeltaMagic ("SFQDLT01")
 //   u64 node_id    sender
 //   u64 seqno      1-based, +1 per shipped delta (WAL discipline, PR-9)
-//   u64 flags      bit0 = final, bit1 = epoch mark
+//   u64 flags      bit0 = final; any other bit set is Corruption
 //   4×u64 ledger   offered / rejected / ingested / dropped INCREMENT
 //   u64 n_covered  + n pairs (leaf_id, covered prefix count), absolute
 //   u64 n_cands    + n candidate ItemIds, absolute (replace, not merge)
@@ -34,8 +38,8 @@
 // Acks are cumulative: a parent ALWAYS answers with the last seqno it has
 // applied for that child, so a worker needs no timeout bookkeeping — it
 // resends its single pending delta verbatim until the ack covers it, then
-// folds the pending delta into its acked base. At-most-once apply plus
-// at-least-once delivery = exactly-once accounting.
+// drops it. At-most-once apply plus at-least-once delivery = exactly-once
+// accounting.
 #pragma once
 
 #include <cstdint>
@@ -112,7 +116,7 @@ struct DeltaHeader {
   uint64_t node_id = 0;
   uint64_t seqno = 0;
   bool final_flag = false;  ///< sender is done; no further deltas follow
-  DistLedger ledger;        ///< increment since the sender's acked base
+  DistLedger ledger;        ///< increment since the sender's last delta
   std::vector<CoverageEntry> covered;
   std::vector<ItemId> candidates;
 };
@@ -149,40 +153,41 @@ Result<DeltaView> DecodeDelta(std::string_view payload);
 std::string EncodeAck(uint64_t last_applied);
 Result<uint64_t> DecodeAck(std::string_view payload);
 
-/// Sender half of the delta channel. Owns the last-ACKED base sketch and at
-/// most one pending (shipped, unacked) delta; the pending encoding is
-/// stored and resent VERBATIM so re-delivery after a severed link is
-/// bit-identical, which is what makes receiver-side dedup exact.
-///
-/// The base starts empty (nothing acked yet, the zero sketch): the first
-/// delta is `current` itself, and the first ack moves it into the base.
+/// Sender half of the delta channel: the shipped seqnos, the ledger totals
+/// last shipped, and at most one pending (shipped, unacked) delta. The
+/// pending encoding is stored and resent VERBATIM so re-delivery after a
+/// severed link is bit-identical, which is what makes receiver-side dedup
+/// exact. The channel keeps no sketch: the caller's holds the unshipped
+/// mass, and a fresh Ship moves it into the encoding.
 class DeltaChannel {
  public:
   explicit DeltaChannel(uint64_t node_id) : node_id_(node_id) {}
 
-  /// Builds (or returns the still-pending) delta against `current`. Returns
-  /// std::nullopt when there is nothing new to ship and no pending delta.
-  /// `current` must stay a superset of the acked base (monotone ledger,
-  /// coverage, and sketch — the caller only ever Adds/Merges into it). A
-  /// `final_flag` delta is shipped once and latched on ack; repeat calls
-  /// with no new mass then go quiet.
+  /// Returns the still-pending delta, or builds a fresh one from
+  /// `unshipped`, the mass taken in since the last fresh delta: its
+  /// counters are serialized straight into the pending encoding and then
+  /// cleared in place. Returns std::nullopt when there is nothing new to
+  /// ship and no pending delta. `ledger`, `covered` and `candidates` are
+  /// the sender's totals (monotone ledger and coverage); the delta carries
+  /// the ledger increment since the last fresh delta. A `final_flag` delta
+  /// is shipped once and latched on ack; repeat calls with no new mass then
+  /// go quiet.
   ///
-  /// The delta sketch is serialized straight into the pending encoding, and
-  /// the result is a view of that encoding: valid until the next Ship or
-  /// Acked call on this channel.
-  Result<std::optional<std::string_view>> Ship(
-      const CountSketch& current, const DistLedger& ledger,
+  /// The result is a view of the pending encoding: valid until the next
+  /// Ship or Acked call on this channel.
+  std::optional<std::string_view> Ship(
+      CountSketch* unshipped, const DistLedger& ledger,
       const std::vector<CoverageEntry>& covered,
       const std::vector<ItemId>& candidates, bool final_flag);
 
   /// Processes a cumulative ack carrying the receiver's last applied seqno.
-  /// Folds the pending delta into the acked base when covered.
+  /// Drops the pending delta when covered.
   Status Acked(uint64_t last_applied_seqno);
 
-  /// True when a Ship(current, ledger, ..., final_flag) call would return
+  /// True when a Ship(unshipped, ledger, ..., final_flag) call would return
   /// std::nullopt — nothing pending and nothing new.
   bool NothingToShip(const DistLedger& ledger, bool final_flag) const {
-    return !pending_.has_value() && ledger == base_ledger_ &&
+    return !pending_.has_value() && ledger == shipped_ledger_ &&
            (!final_flag || final_acked_);
   }
 
@@ -192,26 +197,24 @@ class DeltaChannel {
  private:
   struct Pending {
     uint64_t seqno = 0;
-    std::string encoded;      ///< resent verbatim
-    CountSketch delta;        ///< folded into base_ on ack
-    DistLedger ledger_after;  ///< sender totals the delta advances to
+    std::string encoded;  ///< resent verbatim
     bool final_flag = false;
   };
 
   uint64_t node_id_;
-  std::optional<CountSketch> base_;  ///< acked sketch; empty = zero
-  DistLedger base_ledger_;    ///< ledger totals the receiver has acked
+  DistLedger shipped_ledger_;  ///< ledger totals the last fresh delta took
   uint64_t shipped_seqno_ = 0;
   uint64_t acked_seqno_ = 0;
   bool final_acked_ = false;
   std::optional<Pending> pending_;
 };
 
-/// One merge-tree node: its sketch, the ledgers and coverage watermarks
-/// that sketch accounts for, each child's dedup state and last candidate
-/// list, a leaf's SpaceSaving tracker, and (every node but the root) the
-/// uplink channel. MergeTreeSim and `sfq aggregate` both run their nodes
-/// through this type, so the apply rule exists once.
+/// One merge-tree node: its sketch (at the root everything applied,
+/// elsewhere only the unshipped mass), the ledgers and coverage watermarks
+/// of everything it has taken in, each child's dedup state and last
+/// candidate list, a leaf's SpaceSaving tracker, and (every node but the
+/// root) the uplink channel. MergeTreeSim and `sfq aggregate` both run
+/// their nodes through this type, so the apply rule exists once.
 class MergeNode {
  public:
   /// What a parent keeps per child.
@@ -253,9 +256,10 @@ class MergeNode {
   /// child's last list, sorted and deduped.
   std::vector<ItemId> CandidateUnion() const;
 
-  /// Non-root only: DeltaChannel::Ship of this node's current state.
-  Result<std::optional<std::string_view>> Ship(bool final_flag) {
-    return up_->Ship(acc_, Total(), Covered(), CandidateUnion(), final_flag);
+  /// Non-root only: DeltaChannel::Ship of this node's state. A fresh
+  /// delta takes the sketch's unshipped mass and leaves it cleared.
+  std::optional<std::string_view> Ship(bool final_flag) {
+    return up_->Ship(&acc_, Total(), Covered(), CandidateUnion(), final_flag);
   }
   /// Non-root only: the uplink, for acks and its pending state.
   DeltaChannel& up() { return *up_; }
@@ -272,7 +276,9 @@ class MergeNode {
 
  private:
   uint64_t id_;
-  CountSketch acc_;  ///< leaf: admitted items; interior: applied deltas
+  /// The root: every applied delta. Any other node: its unshipped mass,
+  /// the items admitted or deltas applied since its last fresh Ship.
+  CountSketch acc_;
   DistLedger own_;   ///< leaf admission ledger (interior: zero)
   std::map<uint64_t, uint64_t> covered_;  ///< leaf id -> watermark
   std::map<uint64_t, Child> children_;

@@ -142,12 +142,13 @@ Result<bool> MergeTreeSim::ShipRound() {
       continue;
     }
     const bool fresh = !n.merge.up().has_pending();
-    STREAMFREQ_ASSIGN_OR_RETURN(std::optional<std::string_view> payload,
-                                n.merge.Ship(FinalReady(u)));
+    const std::optional<std::string_view> payload =
+        n.merge.Ship(FinalReady(u));
     if (!payload.has_value()) continue;
     if (fresh) {
-      // A new delta: remember what it covers. At a leaf, `ref` itself is
-      // the checkpoint at the watermark it carries until Offer moves it.
+      // A new delta took the node's sketch: remember what it covers. At a
+      // leaf, `ref` itself is the checkpoint at the watermark it carries
+      // until Offer moves it.
       if (n.ref.has_value()) {
         const auto& covered = n.merge.covered();
         if (auto it = covered.find(u); it != covered.end()) {
@@ -212,13 +213,13 @@ void MergeTreeSim::PruneCheckpoints(uint64_t leaf) {
       }
     }
     if (u == 0) break;
-    if (n.merge.up().has_pending()) {
-      auto it = std::lower_bound(
-          n.in_flight.begin(), n.in_flight.end(), leaf,
-          [](const CoverageEntry& c, uint64_t id) { return c.leaf_id < id; });
-      if (it != n.in_flight.end() && it->leaf_id == leaf) {
-        pinned.push_back(it->count);
-      }
+    // u's sketch is its covered mass minus the mass at the watermarks its
+    // last fresh delta carried, whether that delta is pending or acked.
+    auto it = std::lower_bound(
+        n.in_flight.begin(), n.in_flight.end(), leaf,
+        [](const CoverageEntry& c, uint64_t id) { return c.leaf_id < id; });
+    if (it != n.in_flight.end() && it->leaf_id == leaf) {
+      pinned.push_back(it->count);
     }
   }
   const auto unpinned = [&pinned](uint64_t watermark) {
@@ -251,18 +252,25 @@ Status MergeTreeSim::Drain(uint64_t max_rounds) {
 namespace {
 
 // True iff every counter of `acc` equals the sum of that counter over
-// `terms`. A plain loop over CounterAt, deliberately not CountSketch::Merge,
-// which is code under test. Sums are unsigned so they wrap as counters do.
+// `plus` minus its sum over `minus`. A plain loop over CounterAt,
+// deliberately not CountSketch::Merge or Subtract, which are code under
+// test. Sums are unsigned so they wrap as counters do.
 bool CountersEqualSum(const CountSketch& acc,
-                      const std::vector<const CountSketch*>& terms) {
-  for (const CountSketch* term : terms) {
-    if (!acc.CompatibleWith(*term)) return false;
+                      const std::vector<const CountSketch*>& plus,
+                      const std::vector<const CountSketch*>& minus) {
+  for (const auto* terms : {&plus, &minus}) {
+    for (const CountSketch* term : *terms) {
+      if (!acc.CompatibleWith(*term)) return false;
+    }
   }
   for (size_t row = 0; row < acc.depth(); ++row) {
     for (size_t bucket = 0; bucket < acc.width(); ++bucket) {
       uint64_t sum = 0;
-      for (const CountSketch* term : terms) {
+      for (const CountSketch* term : plus) {
         sum += static_cast<uint64_t>(term->CounterAt(row, bucket));
+      }
+      for (const CountSketch* term : minus) {
+        sum -= static_cast<uint64_t>(term->CounterAt(row, bucket));
       }
       if (sum != static_cast<uint64_t>(acc.CounterAt(row, bucket))) {
         return false;
@@ -284,6 +292,24 @@ Result<std::vector<ItemCount>> MergeTreeSim::MaxChange(size_t k) const {
   const MergeNode& root = nodes_[0].merge;
   return EpochMaxChange(root.acc(), epoch_ ? &*epoch_ : nullptr,
                         root.CandidateUnion(), k);
+}
+
+Result<const CountSketch*> MergeTreeSim::Checkpoint(
+    uint64_t node, uint64_t leaf, uint64_t watermark) const {
+  if (leaf >= nodes_.size() || !topo_.is_leaf(leaf)) {
+    return Status::Internal("node " + std::to_string(node) +
+                            " covers non-leaf " + std::to_string(leaf));
+  }
+  const Node& l = nodes_[leaf];
+  if (l.live == watermark) return &*l.ref;
+  const auto it = l.checkpoints.find(watermark);
+  if (it == l.checkpoints.end()) {
+    return Status::Internal("node " + std::to_string(node) + ": leaf " +
+                            std::to_string(leaf) + " has no reference " +
+                            "checkpoint at watermark " +
+                            std::to_string(watermark));
+  }
+  return &it->second;
 }
 
 Status MergeTreeSim::CheckInvariants() const {
@@ -327,11 +353,13 @@ Status MergeTreeSim::CheckInvariants() const {
           std::to_string(covered_sum) + " != composed ingested " +
           std::to_string(total.ingested));
     }
-    // Sketch bit-identity: the accumulated sketch equals the sketch of
-    // exactly the covered prefix of every leaf stream (delta linearity) —
-    // a leaf's scalar-path reference, or elsewhere the sum of the covered
-    // leaves' checkpoints at the covered watermarks.
-    std::vector<const CountSketch*> terms;
+    // Sketch bit-identity (delta linearity): the root's sketch is the sum
+    // of the checkpoints at its covered watermarks. Any other node's sketch
+    // holds only its unshipped mass: that sum minus the checkpoints at the
+    // watermarks its last fresh delta carried, which its parent accounts
+    // for. A leaf's covered term is its scalar-path `ref`.
+    std::vector<const CountSketch*> plus;
+    std::vector<const CountSketch*> minus;
     if (n.ref.has_value()) {
       // `ref` stands in for the checkpoint at the live watermark only while
       // it has not moved past it.
@@ -341,29 +369,20 @@ Status MergeTreeSim::CheckInvariants() const {
                                 std::to_string(*n.live) + " behind ingested " +
                                 std::to_string(m.own().ingested));
       }
-      terms.push_back(&*n.ref);
+      plus.push_back(&*n.ref);
     } else {
       for (const auto& [leaf, count] : m.covered()) {
-        if (leaf >= nodes_.size() || !topo_.is_leaf(leaf)) {
-          return Status::Internal("node " + std::to_string(u) +
-                                  " covers non-leaf " + std::to_string(leaf));
-        }
-        const Node& l = nodes_[leaf];
-        if (l.live == count) {
-          terms.push_back(&*l.ref);
-          continue;
-        }
-        const auto it = l.checkpoints.find(count);
-        if (it == l.checkpoints.end()) {
-          return Status::Internal(
-              "node " + std::to_string(u) + " covers leaf " +
-              std::to_string(leaf) + " at watermark " +
-              std::to_string(count) + " with no reference checkpoint");
-        }
-        terms.push_back(&it->second);
+        STREAMFREQ_ASSIGN_OR_RETURN(const CountSketch* term,
+                                    Checkpoint(u, leaf, count));
+        plus.push_back(term);
       }
     }
-    if (!CountersEqualSum(m.acc(), terms)) {
+    for (const CoverageEntry& c : n.in_flight) {
+      STREAMFREQ_ASSIGN_OR_RETURN(const CountSketch* term,
+                                  Checkpoint(u, c.leaf_id, c.count));
+      minus.push_back(term);
+    }
+    if (!CountersEqualSum(m.acc(), plus, minus)) {
       return Status::Internal("node " + std::to_string(u) +
                               ": sketch differs from covered-prefix "
                               "reference (delta linearity broken)");

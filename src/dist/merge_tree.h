@@ -27,13 +27,18 @@
 // feeds its admitted items into a second sketch, `ref`, through the scalar
 // kernel (CountSketch::BatchAddScalar; `acc` takes the SIMD BatchAdd), and
 // each time it builds a new delta it checkpoints `ref` under the watermark
-// that delta carries. Count-Sketch is linear, so every node's sketch must
+// that delta carries. Count-Sketch is linear, so the root's sketch must
 // equal the counter-wise sum of the checkpoints at the watermarks it
-// covers. Checkpoints are copy-on-write: the newest one is `ref` itself
-// (the "live" watermark) until Offer is about to admit items past it, and
-// only then is it copied. A leaf retains only the checkpoints still
-// referenced — the watermarks its ancestors hold plus those carried by a
-// pending delta on its path, at most 2·depth — so the oracle costs
+// covers. Every other node keeps only its unshipped mass (delta.h), so its
+// sketch must equal Σ over its covered leaves of ckpt(covered[leaf]) −
+// ckpt(shipped[leaf]), where `shipped` (Node::in_flight) is the coverage
+// its last fresh delta carried; at a leaf that is `ref − ckpt(shipped)`.
+// The shipped mass is checked at the parent, so nothing goes unchecked.
+// Checkpoints are copy-on-write: the newest one is `ref` itself (the
+// "live" watermark) until Offer is about to admit items past it, and only
+// then is it copied. A leaf retains only the checkpoints still referenced
+// — the watermarks its ancestors cover plus the last shipped watermark of
+// every non-root node on its path, at most 2·depth — so the oracle costs
 // O(sketch × depth) per leaf instead of a copy of every item.
 //
 // Every node is a MergeNode (delta.h), the node type the process-backed
@@ -148,10 +153,12 @@ class MergeTreeSim {
   /// applied child sum, and the composed total), at-most-once accounting
   /// (a parent's applied sum for a child never exceeds what that child has
   /// produced), ingested == Σ covered at every node, and sketch
-  /// bit-identity at EVERY node against its covered-prefix reference: a
-  /// leaf's `ref`, or the sum of the checkpoints at the node's covered
-  /// watermarks (`ref` for a leaf's live one). Any violation, including a
-  /// covered watermark with no checkpoint, is Internal with a diagnostic.
+  /// bit-identity at EVERY node: the root against the sum of the
+  /// checkpoints at its covered watermarks, any other node against that
+  /// sum (a leaf's `ref`) minus the checkpoints at its last shipped
+  /// watermarks (`ref` stands for a leaf's live one). Any violation,
+  /// including a watermark with no checkpoint, is Internal with a
+  /// diagnostic.
   Status CheckInvariants() const;
 
  private:
@@ -161,7 +168,8 @@ class MergeTreeSim {
     MergeNode merge;
     bool alive = true;
     bool final_local = false;  ///< Seal() reached this node
-    /// Leaves only: `merge.acc()`'s items, added through the scalar kernel.
+    /// Leaves only: every admitted item, added through the scalar kernel
+    /// (`merge.acc()` keeps only the unshipped ones).
     std::optional<CountSketch> ref;
     /// Leaves only: copies of `ref`, keyed by the watermark of the delta
     /// built at that point; PruneCheckpoints drops unreferenced ones.
@@ -170,8 +178,8 @@ class MergeTreeSim {
     /// moved past it — the checkpoint there is `ref` itself. Offer copies
     /// it into `checkpoints` before admitting items.
     std::optional<uint64_t> live;
-    /// Coverage the pending delta carries; meaningful while
-    /// merge.has_pending().
+    /// Coverage the last fresh delta carried, kept after its ack: the
+    /// mass at these watermarks has left `merge.acc()` for the parent.
     std::vector<CoverageEntry> in_flight;
   };
 
@@ -180,10 +188,16 @@ class MergeTreeSim {
   bool FinalReady(uint64_t node) const;
 
   /// Drops the checkpoints of `leaf` (the live one included) that no
-  /// ancestor's covered map and no pending delta on its path refers to — no
-  /// node can reach any other watermark of this leaf without a new delta,
-  /// which checkpoints anew.
+  /// ancestor's covered map and no last shipped coverage on its path refers
+  /// to — no node can reach any other watermark of this leaf without a new
+  /// delta, which checkpoints anew.
   void PruneCheckpoints(uint64_t leaf);
+
+  /// The reference checkpoint of `leaf` at `watermark` (`ref` at the live
+  /// one), which `node` needs for its bit-identity check; Internal when
+  /// `leaf` is not a leaf or no checkpoint is kept there.
+  Result<const CountSketch*> Checkpoint(uint64_t node, uint64_t leaf,
+                                        uint64_t watermark) const;
 
   /// Delivers `frame` from `child` to `parent`; returns the cumulative ack
   /// seqno, or nullopt when the link severed (torn/bitflip caught by CRC).

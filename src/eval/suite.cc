@@ -5,28 +5,42 @@
 
 #include "core/count_min_topk.h"
 #include "core/count_sketch.h"
+#include "core/counter_matrix.h"
 #include "core/lossy_counting.h"
 #include "core/misra_gries.h"
 #include "core/sampling.h"
 #include "core/space_saving.h"
 #include "core/stream_summary.h"
 #include "core/top_k_tracker.h"
+#include "core/tracked_set.h"
 
 namespace streamfreq {
 
 namespace {
 
-// Rough per-entry byte costs used to translate the budget into capacities;
-// they mirror the SpaceBytes() accounting of the respective classes.
+// Rough per-entry byte cost used to translate the budget into capacities;
+// it mirrors the SpaceBytes() accounting of the map-based summaries.
 constexpr size_t kMapEntryBytes = 24;
-constexpr size_t kTrackedEntryBytes = 72;
 constexpr size_t kSketchRowCount = 4;  // depth used by the sketch entrants
 
-size_t SketchWidthForBudget(size_t budget, size_t tracked) {
-  const size_t tracked_bytes = tracked * kTrackedEntryBytes;
-  const size_t counter_bytes =
-      budget > tracked_bytes ? budget - tracked_bytes : sizeof(int64_t);
-  return std::max<size_t>(8, counter_bytes / (kSketchRowCount * sizeof(int64_t)));
+// The sketch entrant `make(width)` at the widest width whose sketch, with
+// `tracked` full candidate pairs beside it, fits `budget` by the entrant's
+// own SpaceBytes(). Widths step in whole cache lines of counters, the unit
+// a CounterMatrix row is padded to; one line per row is the floor.
+template <typename Algo, typename MakeFn>
+Result<Algo> WidestWithinBudget(size_t budget, size_t tracked, MakeFn make) {
+  const size_t pair_bytes = tracked * TrackedSet::kBytesPerPair;
+  const size_t line_bytes =
+      kSketchRowCount * CounterMatrix::kLineCounters * sizeof(int64_t);
+  size_t lines = std::max<size_t>(
+      1, (budget > pair_bytes ? budget - pair_bytes : 0) / line_bytes);
+  for (;; --lines) {
+    STREAMFREQ_ASSIGN_OR_RETURN(Algo algo,
+                                make(lines * CounterMatrix::kLineCounters));
+    if (lines == 1 || algo.sketch().SpaceBytes() + pair_bytes <= budget) {
+      return algo;
+    }
+  }
 }
 
 size_t EntriesForBudget(size_t budget, size_t per_entry) {
@@ -50,23 +64,32 @@ Result<std::unique_ptr<StreamSummary>> MakeAlgorithm(AlgorithmKind kind,
 
   switch (kind) {
     case AlgorithmKind::kCountSketchTopK: {
-      CountSketchParams p;
-      p.depth = kSketchRowCount;
-      p.width = SketchWidthForBudget(spec.space_budget_bytes, tracked);
-      p.seed = spec.seed;
-      STREAMFREQ_ASSIGN_OR_RETURN(CountSketchTopK algo,
-                                  CountSketchTopK::Make(p, tracked));
+      STREAMFREQ_ASSIGN_OR_RETURN(
+          CountSketchTopK algo,
+          WidestWithinBudget<CountSketchTopK>(
+              spec.space_budget_bytes, tracked, [&](size_t width) {
+                CountSketchParams p;
+                p.depth = kSketchRowCount;
+                p.width = width;
+                p.seed = spec.seed;
+                return CountSketchTopK::Make(p, tracked);
+              }));
       return Box(std::move(algo));
     }
     case AlgorithmKind::kCountMinTopK:
     case AlgorithmKind::kCountMinConservativeTopK: {
-      CountMinParams p;
-      p.depth = kSketchRowCount;
-      p.width = SketchWidthForBudget(spec.space_budget_bytes, tracked);
-      p.seed = spec.seed;
-      p.conservative = kind == AlgorithmKind::kCountMinConservativeTopK;
-      STREAMFREQ_ASSIGN_OR_RETURN(CountMinTopK algo,
-                                  CountMinTopK::Make(p, tracked));
+      STREAMFREQ_ASSIGN_OR_RETURN(
+          CountMinTopK algo,
+          WidestWithinBudget<CountMinTopK>(
+              spec.space_budget_bytes, tracked, [&](size_t width) {
+                CountMinParams p;
+                p.depth = kSketchRowCount;
+                p.width = width;
+                p.seed = spec.seed;
+                p.conservative =
+                    kind == AlgorithmKind::kCountMinConservativeTopK;
+                return CountMinTopK::Make(p, tracked);
+              }));
       return Box(std::move(algo));
     }
     case AlgorithmKind::kMisraGries: {

@@ -3,6 +3,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
@@ -15,6 +16,8 @@ namespace streamfreq {
 namespace {
 
 constexpr size_t kAlign = 64;
+
+std::atomic<size_t> g_allocated_bytes{0};
 
 size_t RoundUp(size_t n, size_t to) { return (n + to - 1) / to * to; }
 
@@ -46,6 +49,7 @@ Result<PageBuffer> PageBuffer::Allocate(size_t bytes, bool zero) {
     void* p = std::aligned_alloc(kAlign, RoundUp(bytes, kAlign));
     if (p == nullptr) return AllocationError("aligned_alloc", bytes, ENOMEM);
     if (zero) std::memset(p, 0, bytes);
+    g_allocated_bytes.fetch_add(bytes, std::memory_order_relaxed);
     buf.data_ = p;
     buf.size_ = bytes;
     return buf;
@@ -79,10 +83,15 @@ Result<PageBuffer> PageBuffer::Allocate(size_t bytes, bool zero) {
   // (already zeroed) on first touch.
   (void)madvise(start, len, MADV_POPULATE_WRITE);
 #endif
+  g_allocated_bytes.fetch_add(bytes, std::memory_order_relaxed);
   buf.data_ = start;
   buf.size_ = bytes;
   buf.map_bytes_ = len;
   return buf;
+}
+
+size_t PageBuffer::AllocatedBytes() noexcept {
+  return g_allocated_bytes.load(std::memory_order_relaxed);
 }
 
 Result<PageBuffer> PageBuffer::Zeroed(size_t bytes) {

@@ -55,6 +55,11 @@ class PageBuffer {
   /// A buffer of the same size holding a copy of `other`'s bytes.
   static Result<PageBuffer> CopyOf(const PageBuffer& other);
 
+  /// Bytes of every buffer this process has allocated so far, heap and
+  /// mapped alike. operator new never sees them, so a test that bounds
+  /// what a call allocates adds the difference of this across the call.
+  static size_t AllocatedBytes() noexcept;
+
   ~PageBuffer() { Release(); }
 
   PageBuffer(PageBuffer&& other) noexcept

@@ -1,17 +1,22 @@
 // Delta-shipping protocol tests (satellite of the distributed merge tree,
 // docs/DISTRIBUTED.md): the codec's corruption matrix at every truncation
-// boundary, the channel's resend-verbatim/cumulative-ack discipline and
-// in-place encoding, the merge-tree node's apply rule, an end-to-end
+// boundary, the channel's resend-verbatim/cumulative-ack discipline held
+// to the acked-base arithmetic it replaced, the merge-tree node's apply
+// rule and the allocation bound of its fresh ship, an end-to-end
 // severed-link schedule proving at-most-once accounting through
 // MergeTreeSim, and the bound on and copy-on-write lifecycle of the
 // reference checkpoints MergeTreeSim keeps for its bit-identity check.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <new>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/count_sketch.h"
@@ -21,9 +26,44 @@
 #include "dist/tree.h"
 #include "stream/zipf.h"
 #include "util/failpoint.h"
+#include "util/pages.h"
+
+// Every operator new in this binary is counted, so a test can bound what a
+// call allocates (FreshShipAllocatesAboutThePayload), together with the
+// counter arrays PageBuffer allocates itself. The array and sized forms of
+// the standard library route through these. The nothrow form is replaced
+// too: std::stable_sort's buffer comes from it and goes back through the
+// plain operator delete, and AddressSanitizer, which supplies any form not
+// replaced here, would see its allocation freed with free().
+namespace {
+std::atomic<size_t> g_new_bytes{0};
+}  // namespace
+
+void* operator new(size_t size, const std::nothrow_t&) noexcept {
+  g_new_bytes.fetch_add(size, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* operator new(size_t size) {
+  if (void* p = operator new(size, std::nothrow)) return p;
+  throw std::bad_alloc();
+}
+
+// Out of line, so GCC does not see free() meet a new-expression's pointer
+// after inlining (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
 
 namespace streamfreq {
 namespace {
+
+// Bytes allocated so far: operator new plus PageBuffer's counter arrays.
+size_t AllocatedBytes() {
+  return g_new_bytes.load(std::memory_order_relaxed) +
+         PageBuffer::AllocatedBytes();
+}
 
 CountSketchParams SmallParams() {
   CountSketchParams params;
@@ -122,190 +162,217 @@ TEST(DeltaCodecTest, AckRoundTripAndTruncation) {
   EXPECT_TRUE(DecodeAck(encoded + "x").status().IsCorruption());
 }
 
-TEST(DeltaChannelTest, ResendsPendingVerbatimUntilAcked) {
+// The arithmetic the channel replaced, spelled out: the sender keeps every
+// item it has taken in (`current`) and an explicit acked base, a fresh
+// delta is EncodeDelta of `current − base` with the ledger increment since
+// the base, and an ack folds that delta into the base. The channel must
+// ship those bytes while the node's own sketch (`unshipped`) holds only the
+// mass taken in since its last fresh delta.
+class AckedBaseReference {
+ public:
+  AckedBaseReference(uint64_t node_id, const CountSketch& zero)
+      : node_id_(node_id), current_(zero), unshipped_(zero), base_(zero) {}
+
+  /// Takes in `weight` of `item`: into everything and into the unshipped
+  /// mass alike.
+  void Add(ItemId item, Count weight) {
+    current_.Add(item, weight);
+    unshipped_.Add(item, weight);
+  }
+  void BatchAdd(std::span<const ItemId> items) {
+    current_.BatchAdd(items);
+    unshipped_.BatchAdd(items);
+  }
+
+  /// Ships through `channel` what the node holds now.
+  std::optional<std::string_view> Ship(
+      DeltaChannel* channel, const DistLedger& ledger,
+      const std::vector<CoverageEntry>& covered,
+      const std::vector<ItemId>& candidates, bool final_flag) {
+    return channel->Ship(&unshipped_, ledger, covered, candidates, final_flag);
+  }
+
+  /// The bytes a fresh delta `seqno` must be now: `current − base`, and the
+  /// ledger increment over the acked ledger. Remembers the delta for Ack.
+  std::string Expected(uint64_t seqno, const DistLedger& ledger,
+                       const std::vector<CoverageEntry>& covered,
+                       const std::vector<ItemId>& candidates,
+                       bool final_flag) {
+    delta_ = current_;
+    EXPECT_TRUE(delta_->Subtract(base_).ok());
+    DeltaPayload payload;
+    payload.node_id = node_id_;
+    payload.seqno = seqno;
+    payload.final_flag = final_flag;
+    payload.ledger = ledger.Minus(base_ledger_);
+    payload.covered = covered;
+    payload.candidates = candidates;
+    delta_->SerializeTo(&payload.sketch_blob);
+    ledger_after_ = ledger;
+    return EncodeDelta(payload);
+  }
+
+  /// The ack of the last Expected delta: base += delta.
+  void Ack() {
+    ASSERT_TRUE(delta_.has_value());
+    ASSERT_TRUE(base_.Merge(*delta_).ok());
+    base_ledger_ = ledger_after_;
+    delta_.reset();
+  }
+
+  const CountSketch& unshipped() const { return unshipped_; }
+
+ private:
+  uint64_t node_id_;
+  CountSketch current_;
+  CountSketch unshipped_;
+  CountSketch base_;
+  DistLedger base_ledger_;
+  std::optional<CountSketch> delta_;
+  DistLedger ledger_after_;
+};
+
+std::string Bytes(const CountSketch& sketch) {
+  std::string out;
+  sketch.SerializeTo(&out);
+  return out;
+}
+
+// Ship, resend while mass arrives, a stale ack, the ack, and the next
+// ship: every delta is byte for byte the acked-base reference, and the next
+// delta carries exactly the mass taken in after the fresh ship.
+TEST(DeltaChannelTest, ShipsCurrentMinusTheAckedBase) {
   auto zero = CountSketch::Make(SmallParams());
   ASSERT_TRUE(zero.ok());
   DeltaChannel channel(3);
+  AckedBaseReference node(3, *zero);
 
-  CountSketch current = *zero;
   DistLedger ledger;
   EXPECT_TRUE(channel.NothingToShip(ledger, false));
-  auto quiet = channel.Ship(current, ledger, {}, {}, false);
-  ASSERT_TRUE(quiet.ok());
-  EXPECT_FALSE(quiet->has_value());
+  EXPECT_FALSE(node.Ship(&channel, ledger, {}, {}, false).has_value());
 
-  current.Add(5, 2);
-  ledger = DistLedger{2, 0, 2, 0};
-  auto first = channel.Ship(current, ledger, {{3, 2}}, {5}, false);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(first->has_value());
-  EXPECT_TRUE(channel.has_pending());
-  // Ship returns a view of the pending encoding; keep a copy of the bytes
-  // so the resend below is compared against what actually went out.
-  const std::string first_bytes(**first);
-
-  // The sender keeps advancing, but until the ack arrives the SAME bytes
-  // go out — bit-identical re-delivery is what makes dedup exact.
-  current.Add(6, 1);
+  node.Add(5, 2);
+  node.Add(9, -1);
   ledger = DistLedger{3, 0, 3, 0};
-  auto resend = channel.Ship(current, ledger, {{3, 3}}, {5, 6}, false);
-  ASSERT_TRUE(resend.ok());
-  ASSERT_TRUE(resend->has_value());
-  EXPECT_EQ(**resend, first_bytes);
-  EXPECT_EQ(resend->value().data(), first->value().data());  // not rebuilt
+  auto first = node.Ship(&channel, ledger, {{3, 3}}, {5, 9}, false);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_TRUE(channel.has_pending());
+  EXPECT_EQ(*first, node.Expected(1, ledger, {{3, 3}}, {5, 9}, false));
+  // The shipped mass left the node's sketch.
+  EXPECT_EQ(Bytes(node.unshipped()), Bytes(*zero));
+  // Ship returns a view of the pending encoding; keep a copy of the bytes
+  // so the resends below are compared against what actually went out.
+  const std::string first_bytes(*first);
 
-  // Cumulative ack folds the pending delta into the base; the next ship
-  // carries only what came after it.
+  // The sender keeps taking in mass, but until the ack arrives the SAME
+  // bytes go out — bit-identical re-delivery is what makes dedup exact —
+  // and the new mass stays in the node's sketch.
+  node.Add(6, 1);
+  node.Add(5, 4);
+  ledger = DistLedger{8, 0, 8, 0};
+  auto resend = node.Ship(&channel, ledger, {{3, 8}}, {5, 6, 9}, false);
+  ASSERT_TRUE(resend.has_value());
+  EXPECT_EQ(*resend, first_bytes);
+  EXPECT_EQ(resend->data(), first->data());  // not rebuilt
+  CountSketch after_ship = *zero;
+  after_ship.Add(6, 1);
+  after_ship.Add(5, 4);
+  EXPECT_EQ(Bytes(node.unshipped()), Bytes(after_ship));
+
+  // A stale cumulative ack (the receiver re-acking the old seqno after a
+  // dropped delivery) is a no-op, not an error: still the same bytes.
+  ASSERT_TRUE(channel.Acked(0).ok());
+  EXPECT_TRUE(channel.has_pending());
+  node.Add(7, -3);
+  ledger = DistLedger{11, 1, 9, 1};
+  auto stale = node.Ship(&channel, ledger, {{3, 9}}, {5, 6, 7, 9}, false);
+  ASSERT_TRUE(stale.has_value());
+  EXPECT_EQ(*stale, first_bytes);
+
+  // The ack drops the pending delta; the next one is `current − base`
+  // against the base the ack moved, which is the post-ship mass alone.
   ASSERT_TRUE(channel.Acked(1).ok());
+  node.Ack();
   EXPECT_FALSE(channel.has_pending());
   EXPECT_EQ(channel.acked_seqno(), 1u);
-  auto second = channel.Ship(current, ledger, {{3, 3}}, {5, 6}, false);
-  ASSERT_TRUE(second.ok());
-  ASSERT_TRUE(second->has_value());
-  auto decoded = DecodeDelta(**second);
+  after_ship.Add(7, -3);
+  auto second = node.Ship(&channel, ledger, {{3, 9}}, {5, 6, 7, 9}, false);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(*second, node.Expected(2, ledger, {{3, 9}}, {5, 6, 7, 9}, false));
+  auto decoded = DecodeDelta(*second);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->seqno, 2u);
-  EXPECT_EQ(decoded->ledger.ingested, 1u);  // the post-ack increment only
-
-  // A stale cumulative ack (receiver re-acking the old seqno after a
-  // dropped delivery) is a no-op, not an error.
-  ASSERT_TRUE(channel.Acked(1).ok());
-  EXPECT_TRUE(channel.has_pending());
+  EXPECT_TRUE(decoded->ledger == (DistLedger{8, 1, 6, 1}));
+  EXPECT_EQ(decoded->sketch_blob, Bytes(after_ship));
+  EXPECT_EQ(Bytes(node.unshipped()), Bytes(*zero));
 
   // Acks from the future or going backwards mean a corrupt peer.
   EXPECT_TRUE(channel.Acked(9).IsCorruption());
   ASSERT_TRUE(channel.Acked(2).ok());
+  node.Ack();
   EXPECT_TRUE(channel.Acked(1).IsCorruption());
+
+  // Acked and nothing new: quiet, with the ledger unchanged.
+  EXPECT_TRUE(channel.NothingToShip(ledger, false));
+  EXPECT_FALSE(
+      node.Ship(&channel, ledger, {{3, 9}}, {5, 6, 7, 9}, false).has_value());
 }
 
 TEST(DeltaChannelTest, FinalFlagLatchesOnAck) {
   auto zero = CountSketch::Make(SmallParams());
   ASSERT_TRUE(zero.ok());
   DeltaChannel channel(2);
-  CountSketch current = *zero;
-  current.Add(1);
+  AckedBaseReference node(2, *zero);
+  node.Add(1, 1);
   const DistLedger ledger{1, 0, 1, 0};
-  auto fin = channel.Ship(current, ledger, {{2, 1}}, {1}, true);
-  ASSERT_TRUE(fin.ok());
-  ASSERT_TRUE(fin->has_value());
-  auto decoded = DecodeDelta(**fin);
+  auto fin = node.Ship(&channel, ledger, {{2, 1}}, {1}, true);
+  ASSERT_TRUE(fin.has_value());
+  EXPECT_EQ(*fin, node.Expected(1, ledger, {{2, 1}}, {1}, true));
+  auto decoded = DecodeDelta(*fin);
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(decoded->final_flag);
   EXPECT_FALSE(channel.NothingToShip(ledger, true));
   ASSERT_TRUE(channel.Acked(1).ok());
   // Latched: nothing new + final acked = quiet forever.
   EXPECT_TRUE(channel.NothingToShip(ledger, true));
-  auto quiet = channel.Ship(current, ledger, {{2, 1}}, {1}, true);
-  ASSERT_TRUE(quiet.ok());
-  EXPECT_FALSE(quiet->has_value());
+  EXPECT_FALSE(node.Ship(&channel, ledger, {{2, 1}}, {1}, true).has_value());
 }
 
-// A channel starts from an empty base. Its first two deltas, across an ack,
-// must be byte for byte what a channel based on an explicit zero sketch
-// ships; that channel's arithmetic (delta = current − base, base += delta
-// on ack) is spelled out here.
-TEST(DeltaChannelTest, EmptyBaseShipsTheBytesOfAZeroBase) {
-  auto zero = CountSketch::Make(SmallParams());
-  ASSERT_TRUE(zero.ok());
-  DeltaChannel channel(3);
-  CountSketch zero_base = *zero;
-  auto encoded = [](uint64_t seqno, const CountSketch& delta,
-                    const DistLedger& inc,
-                    const std::vector<CoverageEntry>& covered,
-                    const std::vector<ItemId>& candidates) {
-    DeltaPayload payload;
-    payload.node_id = 3;
-    payload.seqno = seqno;
-    payload.ledger = inc;
-    payload.covered = covered;
-    payload.candidates = candidates;
-    delta.SerializeTo(&payload.sketch_blob);
-    return EncodeDelta(payload);
-  };
-
-  CountSketch current = *zero;
-  current.Add(5, 2);
-  current.Add(9, -1);
-  auto first = channel.Ship(current, DistLedger{2, 0, 2, 0}, {{3, 2}},
-                            {5, 9}, false);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(first->has_value());
-  CountSketch delta1 = current;
-  ASSERT_TRUE(delta1.Subtract(zero_base).ok());
-  EXPECT_EQ(**first,
-            encoded(1, delta1, DistLedger{2, 0, 2, 0}, {{3, 2}}, {5, 9}));
-  const std::string first_bytes(**first);
-
-  // The first delta resends verbatim until acked, whatever `current` does.
-  current.Add(7, 4);
-  auto resend = channel.Ship(current, DistLedger{6, 0, 6, 0}, {{3, 6}},
-                             {5, 7, 9}, false);
-  ASSERT_TRUE(resend.ok());
-  ASSERT_TRUE(resend->has_value());
-  EXPECT_EQ(**resend, first_bytes);
-  current.Add(7, -4);
-
-  ASSERT_TRUE(channel.Acked(1).ok());
-  ASSERT_TRUE(zero_base.Merge(delta1).ok());
-
-  current.Add(6, 3);
-  current.Add(5, 1);
-  auto second = channel.Ship(current, DistLedger{6, 0, 6, 0}, {{3, 6}},
-                             {5, 6, 9}, false);
-  ASSERT_TRUE(second.ok());
-  ASSERT_TRUE(second->has_value());
-  CountSketch delta2 = current;
-  ASSERT_TRUE(delta2.Subtract(zero_base).ok());
-  EXPECT_EQ(**second,
-            encoded(2, delta2, DistLedger{4, 0, 4, 0}, {{3, 6}}, {5, 6, 9}));
-}
-
-// Ship serializes the delta sketch straight into the pending encoding. Its
-// bytes must be exactly EncodeDelta of the payload they decode to, with a
-// full coverage map, a candidate slate, and a negative-counter delta.
-TEST(DeltaChannelTest, InPlaceEncodingEqualsEncodeDelta) {
+// A delta whose counters go negative, with a full coverage map and a
+// candidate slate: the in-place encoding is still the reference's bytes,
+// and it decodes to the fields it was given.
+TEST(DeltaChannelTest, NegativeCountersShipTheReferenceBytes) {
   auto zero = CountSketch::Make(SmallParams());
   ASSERT_TRUE(zero.ok());
   DeltaChannel channel(5);
-  CountSketch current = *zero;
+  AckedBaseReference node(5, *zero);
   auto gen = ZipfGenerator::Make(300, 1.0, 77);
   ASSERT_TRUE(gen.ok());
-  current.BatchAdd(gen->Take(500));
-  ASSERT_TRUE(channel
-                  .Ship(current, DistLedger{500, 0, 500, 0}, {{5, 500}}, {1},
-                        false)
-                  .ok());
+  node.BatchAdd(gen->Take(500));
+  const DistLedger first_ledger{500, 0, 500, 0};
+  auto first = node.Ship(&channel, first_ledger, {{5, 500}}, {1}, false);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(*first, node.Expected(1, first_ledger, {{5, 500}}, {1}, false));
   ASSERT_TRUE(channel.Acked(1).ok());
-  const CountSketch base = current;  // what the ack folded into the base
-  current.BatchAdd(gen->Take(300));
-  current.Add(12345, -40);
+  node.Ack();
+
+  node.BatchAdd(gen->Take(300));
+  node.Add(12345, -40);
   const std::vector<CoverageEntry> covered = {{5, 800}, {6, 10}, {9, 3}};
   const std::vector<ItemId> candidates = {2, 4, 8, 16, 32};
-  auto shipped = channel.Ship(current, DistLedger{820, 20, 800, 0}, covered,
-                              candidates, /*final_flag=*/true);
-  ASSERT_TRUE(shipped.ok());
-  ASSERT_TRUE(shipped->has_value());
-  const std::string_view bytes = **shipped;
+  const DistLedger ledger{820, 20, 800, 0};
+  auto shipped =
+      node.Ship(&channel, ledger, covered, candidates, /*final_flag=*/true);
+  ASSERT_TRUE(shipped.has_value());
+  EXPECT_EQ(*shipped, node.Expected(2, ledger, covered, candidates, true));
 
-  auto decoded = DecodeDelta(bytes);
+  auto decoded = DecodeDelta(*shipped);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->seqno, 2u);
   EXPECT_TRUE(decoded->final_flag);
   EXPECT_TRUE(decoded->ledger == (DistLedger{320, 20, 300, 0}));
   EXPECT_EQ(decoded->covered, covered);
   EXPECT_EQ(decoded->candidates, candidates);
-
-  DeltaPayload payload;
-  payload.node_id = 5;
-  payload.seqno = 2;
-  payload.final_flag = true;
-  payload.ledger = DistLedger{320, 20, 300, 0};
-  payload.covered = covered;
-  payload.candidates = candidates;
-  CountSketch delta = current;
-  ASSERT_TRUE(delta.Subtract(base).ok());
-  delta.SerializeTo(&payload.sketch_blob);
-  EXPECT_EQ(bytes, EncodeDelta(payload));
 }
 
 // A delta from `from` as a parent receives it: `covered` is that sender's
@@ -321,12 +388,6 @@ DeltaView NodeDelta(uint64_t from, uint64_t seqno, uint64_t ingested,
   delta.candidates = {from * 100 + seqno};
   delta.sketch_blob = blob;
   return delta;
-}
-
-std::string Bytes(const CountSketch& sketch) {
-  std::string out;
-  sketch.SerializeTo(&out);
-  return out;
 }
 
 // One blob adding `weight` to item 11.
@@ -416,6 +477,8 @@ TEST(MergeNodeTest, RefusesAForeignSenderSeqnoZeroAndABackwardsWatermark) {
 
 // A leaf's first delta is its whole state: admitted items, admission
 // ledger, own watermark and tracker candidates, in EncodeDelta's bytes.
+// The shipped mass then leaves the leaf's sketch, and the next delta
+// carries only what it admitted after.
 TEST(MergeNodeTest, LeafShipsWhatItAdmitted) {
   auto zero = CountSketch::Make(SmallParams());
   auto tracker = SpaceSaving::Make(8);
@@ -428,8 +491,7 @@ TEST(MergeNodeTest, LeafShipsWhatItAdmitted) {
   leaf.Admit(items);
 
   auto shipped = leaf.Ship(/*final_flag=*/false);
-  ASSERT_TRUE(shipped.ok());
-  ASSERT_TRUE(shipped->has_value());
+  ASSERT_TRUE(shipped.has_value());
   DeltaPayload want;
   want.node_id = 5;
   want.seqno = 1;
@@ -439,8 +501,57 @@ TEST(MergeNodeTest, LeafShipsWhatItAdmitted) {
   CountSketch sketch = *zero;
   sketch.BatchAdd(items);
   want.sketch_blob = Bytes(sketch);
-  EXPECT_EQ(**shipped, EncodeDelta(want));
+  EXPECT_EQ(*shipped, EncodeDelta(want));
   EXPECT_TRUE(leaf.Total() == want.ledger);
+  EXPECT_EQ(Bytes(leaf.acc()), Bytes(*zero));
+
+  ASSERT_TRUE(leaf.up().Acked(1).ok());
+  const std::vector<ItemId> more = {3, 3, 4};
+  leaf.own().offered += 3;
+  leaf.Admit(more);
+  auto next_shipped = leaf.Ship(/*final_flag=*/true);
+  ASSERT_TRUE(next_shipped.has_value());
+  auto decoded = DecodeDelta(*next_shipped);
+  ASSERT_TRUE(decoded.ok());
+  CountSketch next = *zero;
+  next.BatchAdd(more);
+  EXPECT_EQ(decoded->sketch_blob, Bytes(next));
+  EXPECT_TRUE(decoded->ledger == (DistLedger{3, 0, 3, 0}));
+}
+
+// A fresh Ship serializes the node's counters into the pending encoding
+// and clears them in place: it allocates about the payload once. Copying
+// the sketch to subtract an acked base from it would allocate it twice.
+TEST(MergeNodeTest, FreshShipAllocatesAboutThePayload) {
+  CountSketchParams params;
+  params.depth = 5;
+  params.width = 2048;
+  params.seed = 3;
+  auto zero = CountSketch::Make(params);
+  auto tracker = SpaceSaving::Make(16);
+  ASSERT_TRUE(zero.ok());
+  ASSERT_TRUE(tracker.ok());
+  MergeNode leaf(1, *zero, std::move(*tracker));
+  auto gen = ZipfGenerator::Make(1000, 1.1, 5);
+  ASSERT_TRUE(gen.ok());
+  for (int round = 0; round < 3; ++round) {
+    const Stream batch = gen->Take(4096);
+    leaf.own().offered += batch.size();
+    leaf.Admit(batch);
+    const size_t before = AllocatedBytes();
+    const std::optional<std::string_view> shipped = leaf.Ship(false);
+    const size_t allocated = AllocatedBytes() - before;
+    ASSERT_TRUE(shipped.has_value());
+    EXPECT_LE(allocated, shipped->size() + shipped->size() / 10)
+        << "round " << round;
+    EXPECT_EQ(Bytes(leaf.acc()), Bytes(*zero)) << "round " << round;
+    ASSERT_TRUE(leaf.up().Acked(leaf.up().acked_seqno() + 1).ok());
+  }
+  // The count is live: a copy of the sketch's counters shows in it.
+  const size_t before = AllocatedBytes();
+  const CountSketch copy = leaf.acc();
+  EXPECT_GE(AllocatedBytes() - before,
+            params.depth * params.width * sizeof(Count));
 }
 
 // End-to-end: a planted severed-link + lost-ack schedule. Severs delay

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <unordered_set>
 
+#include "core/count_min.h"
+#include "core/count_min_topk.h"
+#include "core/count_sketch.h"
+#include "core/counter_matrix.h"
+#include "core/top_k_tracker.h"
+#include "core/tracked_set.h"
 #include "eval/workload.h"
 
 namespace streamfreq {
@@ -72,6 +79,58 @@ TEST(SuiteTest, AllAlgorithmsFindTheHeadOnHeavySkew) {
       if (ic.item == head) found = true;
     }
     EXPECT_TRUE(found) << algo->Name() << " missed the rank-1 item";
+  }
+}
+
+// The sketch entrants spend the budget on their sketch plus 2k tracked
+// pairs at TrackedSet::kBytesPerPair (64 bytes) each: with every pair
+// filled they stay within it, and one more cache line of counters per row
+// would not fit.
+TEST(SuiteTest, SketchEntrantsFillTheBudgetAndStayWithinIt) {
+  ASSERT_EQ(TrackedSet::kBytesPerPair, 64u);
+  auto workload = MakeZipfWorkload(20000, 1.0, 50000, 11);
+  ASSERT_TRUE(workload.ok());
+  for (const size_t budget : {size_t{8} << 10, size_t{32} << 10,
+                              size_t{100000}, size_t{512} << 10}) {
+    SuiteSpec spec = SmallSpec();
+    spec.space_budget_bytes = budget;
+    const size_t pair_bytes = 2 * spec.k * TrackedSet::kBytesPerPair;
+    for (const AlgorithmKind kind :
+         {AlgorithmKind::kCountSketchTopK, AlgorithmKind::kCountMinTopK,
+          AlgorithmKind::kCountMinConservativeTopK}) {
+      auto algo = MakeAlgorithm(kind, spec);
+      ASSERT_TRUE(algo.ok()) << algo.status().ToString();
+      (*algo)->AddAll(workload->stream);
+      ASSERT_EQ((*algo)->Candidates(SIZE_MAX).size(), 2 * spec.k)
+          << (*algo)->Name() << ": the tracked set is not full";
+      EXPECT_LE((*algo)->SpaceBytes(), budget) << (*algo)->Name();
+
+      // One more line per row, at the entrant's own accounting, overflows.
+      size_t width = 0;
+      size_t wider_bytes = 0;
+      if (const auto* cs = dynamic_cast<const CountSketchTopK*>(algo->get())) {
+        CountSketchParams p = cs->sketch().params();
+        width = p.width;
+        p.width += CounterMatrix::kLineCounters;
+        auto wider = CountSketch::Make(p);
+        ASSERT_TRUE(wider.ok());
+        wider_bytes = wider->SpaceBytes();
+      } else {
+        const auto* cm = dynamic_cast<const CountMinTopK*>(algo->get());
+        ASSERT_NE(cm, nullptr) << (*algo)->Name();
+        width = cm->sketch().width();
+        CountMinParams p;
+        p.depth = cm->sketch().depth();
+        p.width = width + CounterMatrix::kLineCounters;
+        auto wider = CountMin::Make(p);
+        ASSERT_TRUE(wider.ok());
+        wider_bytes = wider->SpaceBytes();
+      }
+      EXPECT_EQ(width % CounterMatrix::kLineCounters, 0u) << (*algo)->Name();
+      EXPECT_GT(wider_bytes + pair_bytes, budget)
+          << (*algo)->Name() << " at budget " << budget << ": width " << width
+          << " is not the widest that fits";
+    }
   }
 }
 
