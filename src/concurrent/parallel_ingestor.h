@@ -11,17 +11,20 @@
 //                                          --> worker 1: local sketch
 //                                          ...
 //              periodic + final folds (merge mutex):
-//                  latest' = copy of latest + delta --> latest
+//                  latest' = worker's local + latest --> latest
 //                             publication --> SnapshotCell (epoch, pinned
 //                                             readers)
+//                  worker's new local = superseded latest, cleared
 //
 // The latest merged sketch is itself the published snapshot (immutable,
-// shared with readers), so a fold copies it rather than keeping a mutable
-// accumulator beside it. The copy is written into a recycled sketch: a
-// superseded snapshot that no reader pins any more is kept as the spare
-// for the next fold, so steady folding asks for no new counter arrays.
-// An ingestor holds threads + 1 counter arrays, one spare once it has
-// folded, and whatever superseded snapshots readers still pin.
+// shared with readers). A fold adds it into the folding worker's own
+// private sketch and publishes that sketch as the new latest: counters add
+// mod 2^64, so local + latest is the next merged sketch bit for bit, and
+// nothing is copied. The worker's next private sketch is the superseded
+// snapshot, cleared, handed back by its shared_ptr deleter once no reader
+// pins it; only while a reader still pins it does a fold allocate a new
+// zeroed array. An ingestor holds threads + 1 counter arrays, plus one per
+// superseded snapshot a reader pins.
 //
 // Linear sketches (CountSketch, CountMin) produce a merged result that is
 // bit-identical to single-threaded ingestion of the same multiset — the
@@ -128,9 +131,8 @@ struct IngestStats {
 /// Tuning knobs for ParallelIngestor.
 struct IngestOptions {
   /// Worker threads (>= 1). Each owns a full private sketch; with the
-  /// latest merged sketch and the fold's recycled spare, memory is
-  /// (threads + 2) x SpaceBytes() plus any superseded snapshots readers
-  /// still pin.
+  /// latest merged sketch, memory is (threads + 1) x SpaceBytes() plus one
+  /// per superseded snapshot a reader still pins.
   size_t threads = 4;
   /// Items per queued batch: the granularity of sharding and of the
   /// BatchAdd fast path. Larger batches amortize queue locking further but
@@ -296,19 +298,21 @@ class ParallelIngestor {
   size_t threads() const { return options_.threads; }
 
  private:
-  /// Holds the spare sketch for the next fold: the last superseded
-  /// snapshot that no reader pins any more. Shared with the deleter of
-  /// every published snapshot, so a pin that outlives the ingestor still
-  /// has somewhere to go.
+  /// Holds the last superseded snapshot that no reader pins any more: the
+  /// next fold clears it and hands it to its worker as that worker's new
+  /// private sketch. Shared with the deleter of every published snapshot,
+  /// so a pin that outlives the ingestor still has somewhere to go.
   struct Recycler {
     Mutex mu;
     std::unique_ptr<SketchT> spare SFQ_GUARDED_BY(mu);
   };
 
   /// One worker's private sketch and how many batches it holds that no
-  /// fold has taken yet (kept across a simulated crash).
+  /// fold has taken yet (kept across a simulated crash). A fold publishes
+  /// the folding worker's sketch and gives it another one; the worker's
+  /// end-of-stream fold leaves it none.
   struct Local {
-    SketchT sketch;
+    std::unique_ptr<SketchT> sketch;
     size_t unfolded_batches = 0;
   };
 
@@ -346,14 +350,13 @@ class ParallelIngestor {
   /// injection) and must be respawned.
   bool WorkerLoop(size_t w);
 
-  /// A worker's arrival at the oldest open fold barrier. Tokens of one
+  /// Worker `own`'s arrival at the oldest open fold barrier. Tokens of one
   /// barrier sit together in the queue and each arrival waits here until
   /// the barrier is done, so every worker takes exactly one of them. The
-  /// last to arrive folds every worker's local in one fold (one copy of
-  /// the latest sketch, one new array at most) while the others stay
-  /// parked and write nothing; it folds outside fold_mu_, so StartFold
-  /// never waits for a fold.
-  void ArriveAtFold() SFQ_EXCLUDES(fold_mu_);
+  /// last to arrive folds every worker's local into its own in one fold
+  /// while the others stay parked and write nothing; it folds outside
+  /// fold_mu_, so StartFold never waits for a fold.
+  void ArriveAtFold(Local* own) SFQ_EXCLUDES(fold_mu_);
 
   /// What a fold barrier pinned, or why it does not cover what was
   /// admitted.
@@ -374,13 +377,16 @@ class ParallelIngestor {
   /// spare, which frees any older spare.
   std::shared_ptr<const SketchT> Recyclable(std::unique_ptr<SketchT> sketch);
 
-  /// Replaces the latest merged sketch by a copy of it plus every local in
-  /// `locals`, publishes that, and clears the locals for their next
-  /// batches. The copy goes into the recycled spare when there is one, so
-  /// it reuses that storage. Serialized by merge_mu_; the publication
-  /// itself never blocks readers. The caller guarantees nothing writes the
-  /// locals meanwhile.
-  void FoldAndPublish(std::span<Local* const> locals) SFQ_EXCLUDES(merge_mu_);
+  /// Adds the latest merged sketch and every other local in `locals` into
+  /// the first local's sketch, publishes that sketch as the new latest,
+  /// and clears the other locals for their next batches. With `refill` the
+  /// first local gets the superseded snapshot, cleared, as its next sketch
+  /// (the recycler's spare, or a new zeroed array while a reader pins
+  /// every superseded snapshot); without it the first local is left with
+  /// none. Serialized by merge_mu_; the publication itself never blocks
+  /// readers. The caller guarantees nothing writes the locals meanwhile.
+  void FoldAndPublish(std::span<Local* const> locals, bool refill)
+      SFQ_EXCLUDES(merge_mu_);
 
   void RecordError(const Status& s) SFQ_EXCLUDES(merge_mu_);
 
@@ -442,7 +448,9 @@ ParallelIngestor<SketchT>::ParallelIngestor(const IngestOptions& options,
       recycler_(std::make_shared<Recycler>()),
       latest_(Recyclable(std::move(latest))) {
   locals_.reserve(locals.size());
-  for (SketchT& local : locals) locals_.push_back(Local{std::move(local)});
+  for (SketchT& local : locals) {
+    locals_.push_back(Local{std::make_unique<SketchT>(std::move(local))});
+  }
   snapshot_.Publish(latest_);
   workers_.reserve(options_.threads);
   {
@@ -655,7 +663,7 @@ bool ParallelIngestor<SketchT>::WorkerLoop(size_t w) {
   Local* local = &locals_[w];  // single-writer: only this thread
   while (auto batch = queue_.Pop()) {
     if (batch->empty()) {
-      ArriveAtFold();  // a fold token
+      ArriveAtFold(local);  // a fold token
       continue;
     }
     if (abort_drain_.load(std::memory_order_relaxed)) {
@@ -678,20 +686,22 @@ bool ParallelIngestor<SketchT>::WorkerLoop(size_t w) {
             "injected failure: ingestor.worker_batch"));
       }
     }
-    local->sketch.BatchAdd(std::span<const ItemId>(*batch));
+    local->sketch->BatchAdd(std::span<const ItemId>(*batch));
     items_ingested_.fetch_add(batch->size(), std::memory_order_relaxed);
     if (++local->unfolded_batches == options_.publish_every_batches) {
       // The fold runs on this worker's thread, so nothing writes the
       // local while it is read.
-      FoldAndPublish(std::span<Local* const>(&local, 1));
+      FoldAndPublish(std::span<Local* const>(&local, 1), /*refill=*/true);
     }
   }
-  FoldAndPublish(std::span<Local* const>(&local, 1));
+  // The queue is closed and drained, and every fold barrier is done (each
+  // took one token from this worker), so nothing reads this local again.
+  FoldAndPublish(std::span<Local* const>(&local, 1), /*refill=*/false);
   return true;
 }
 
 template <typename SketchT>
-void ParallelIngestor<SketchT>::ArriveAtFold() {
+void ParallelIngestor<SketchT>::ArriveAtFold(Local* own) {
   uint64_t generation;
   {
     MutexLock lock(fold_mu_);
@@ -701,11 +711,16 @@ void ParallelIngestor<SketchT>::ArriveAtFold() {
       return;
     }
   }
-  std::vector<Local*> unfolded;
+  // This worker's local takes the fold: it goes first.
+  std::vector<Local*> unfolded{own};
   for (Local& local : locals_) {
-    if (local.unfolded_batches > 0) unfolded.push_back(&local);
+    if (&local != own && local.unfolded_batches > 0) {
+      unfolded.push_back(&local);
+    }
   }
-  if (!unfolded.empty()) FoldAndPublish(unfolded);
+  if (own->unfolded_batches > 0 || unfolded.size() > 1) {
+    FoldAndPublish(unfolded, /*refill=*/true);
+  }
   // Everything before the tokens is folded and nothing after them has
   // been taken: the merged sketch is exactly the cut.
   FoldOutcome outcome = FoldResult();
@@ -742,38 +757,50 @@ std::shared_ptr<const SketchT> ParallelIngestor<SketchT>::Recyclable(
 }
 
 template <typename SketchT>
-void ParallelIngestor<SketchT>::FoldAndPublish(std::span<Local* const> locals) {
+void ParallelIngestor<SketchT>::FoldAndPublish(std::span<Local* const> locals,
+                                              bool refill) {
   MutexLock lock(merge_mu_);
-  std::unique_ptr<SketchT> next;
-  {
-    MutexLock recycler_lock(recycler_->mu);
-    next = std::move(recycler_->spare);
+  Local* own = locals.front();
+  // A linear sketch's counters add mod 2^64, so the latest sketch added
+  // into this local is the next merged sketch, bit for bit. The locals
+  // share the factory's parameters, so once latest_ merges (a recovered
+  // `initial` is checked here) so do they, and a failed fold has changed
+  // nothing.
+  Status s = own->sketch->Merge(*latest_);
+  for (Local* other : locals.subspan(1)) {
+    if (!s.ok()) break;
+    s = own->sketch->Merge(*other->sketch);
   }
-  if (next) {
-    *next = *latest_;
-  } else {
-    next = std::make_unique<SketchT>(*latest_);
-  }
-  for (Local* local : locals) {
-    const Status s = next->Merge(local->sketch);
-    if (!s.ok()) {
-      if (first_error_.ok()) first_error_ = s;
-      return;
-    }
+  if (!s.ok()) {
+    if (first_error_.ok()) first_error_ = s;
+    return;
   }
   for (Local* local : locals) {
-    local->sketch.Clear();
+    if (local != own) local->sketch->Clear();
     local->unfolded_batches = 0;
   }
-  latest_ = Recyclable(std::move(next));
+  std::shared_ptr<const SketchT> superseded =
+      std::exchange(latest_, Recyclable(std::move(own->sketch)));
   // A publish fault degrades freshness, never correctness: the merged
   // mass is kept in latest_, readers just keep the previous snapshot.
   if (const FailDecision fp = SFQ_FAILPOINT("ingestor.publish");
       fp.action == FailAction::kError) {
     publish_failures_.fetch_add(1, std::memory_order_relaxed);
-    return;
+  } else {
+    snapshot_.Publish(latest_);
   }
-  snapshot_.Publish(latest_);
+  if (!refill) return;
+  // Unless a reader pins it, the superseded snapshot goes to the recycler
+  // here and comes straight back as this worker's next sketch.
+  superseded.reset();
+  {
+    MutexLock recycler_lock(recycler_->mu);
+    own->sketch = std::move(recycler_->spare);
+  }
+  if (own->sketch == nullptr) {
+    own->sketch = std::make_unique<SketchT>(*latest_);
+  }
+  own->sketch->Clear();
 }
 
 template <typename SketchT>

@@ -67,7 +67,7 @@ class CounterMatrix {
         buf_(CopyOrDie(other.buf_)) {}
 
   /// Copies into this matrix's own storage when it is the same size, so
-  /// refreshing a recycled sketch asks for no memory.
+  /// refreshing a sketch in place asks for no memory.
   CounterMatrix& operator=(const CounterMatrix& other) {
     if (this == &other) return *this;
     if (buf_.size() != other.buf_.size()) return *this = CounterMatrix(other);

@@ -143,12 +143,10 @@ Result<uint64_t> DecodeAck(std::string_view payload) {
 
 std::optional<std::string_view> DeltaChannel::Ship(
     CountSketch* unshipped, const DistLedger& ledger,
-    const std::vector<CoverageEntry>& covered,
-    const std::vector<ItemId>& candidates, bool final_flag) {
-  if (pending_.has_value()) {
-    // At most one delta in flight: resend the exact bytes until acked.
-    return pending_->encoded;
-  }
+    std::vector<CoverageEntry> covered, std::vector<ItemId> candidates,
+    bool final_flag) {
+  // At most one delta in flight: resend the exact bytes until acked.
+  if (pending_.has_value()) return pending();
   if (NothingToShip(ledger, final_flag)) return std::nullopt;
 
   DeltaHeader header;
@@ -156,8 +154,8 @@ std::optional<std::string_view> DeltaChannel::Ship(
   header.seqno = shipped_seqno_ + 1;
   header.final_flag = final_flag;
   header.ledger = ledger.Minus(shipped_ledger_);
-  header.covered = covered;
-  header.candidates = candidates;
+  header.covered = std::move(covered);
+  header.candidates = std::move(candidates);
   std::string encoded;
   PutDeltaHeader(header, unshipped->SerializedSize(), &encoded);
   unshipped->SerializeTo(&encoded);
@@ -239,6 +237,13 @@ uint64_t MergeNode::acked(uint64_t child) const {
 bool MergeNode::child_final(uint64_t child) const {
   const auto it = children_.find(child);
   return it != children_.end() && it->second.final_flag;
+}
+
+std::optional<std::string_view> MergeNode::Ship(bool final_flag) {
+  if (up_->has_pending()) return up_->pending();
+  const DistLedger total = Total();
+  if (up_->NothingToShip(total, final_flag)) return std::nullopt;
+  return up_->Ship(&acc_, total, Covered(), CandidateUnion(), final_flag);
 }
 
 DistLedger MergeNode::Total() const {

@@ -175,10 +175,18 @@ class DeltaChannel {
   ///
   /// The result is a view of the pending encoding: valid until the next
   /// Ship or Acked call on this channel.
-  std::optional<std::string_view> Ship(
-      CountSketch* unshipped, const DistLedger& ledger,
-      const std::vector<CoverageEntry>& covered,
-      const std::vector<ItemId>& candidates, bool final_flag);
+  std::optional<std::string_view> Ship(CountSketch* unshipped,
+                                       const DistLedger& ledger,
+                                       std::vector<CoverageEntry> covered,
+                                       std::vector<ItemId> candidates,
+                                       bool final_flag);
+
+  /// The pending delta's encoding, resent verbatim, or std::nullopt when
+  /// none is in flight. Valid until the next Ship or Acked call.
+  std::optional<std::string_view> pending() const {
+    if (!pending_.has_value()) return std::nullopt;
+    return pending_->encoded;
+  }
 
   /// Processes a cumulative ack carrying the receiver's last applied seqno.
   /// Drops the pending delta when covered.
@@ -257,10 +265,10 @@ class MergeNode {
   std::vector<ItemId> CandidateUnion() const;
 
   /// Non-root only: DeltaChannel::Ship of this node's state. A fresh
-  /// delta takes the sketch's unshipped mass and leaves it cleared.
-  std::optional<std::string_view> Ship(bool final_flag) {
-    return up_->Ship(&acc_, Total(), Covered(), CandidateUnion(), final_flag);
-  }
+  /// delta takes the sketch's unshipped mass and leaves it cleared. A
+  /// resend, or a call with nothing to ship, builds no coverage or
+  /// candidate list.
+  std::optional<std::string_view> Ship(bool final_flag);
   /// Non-root only: the uplink, for acks and its pending state.
   DeltaChannel& up() { return *up_; }
   const DeltaChannel& up() const { return *up_; }

@@ -18,11 +18,12 @@ namespace {
 // to ask one tenant for unbounded threads, candidate slots or counters.
 constexpr uint64_t kMaxTenantThreads = 16;
 constexpr uint64_t kMaxTracked = 4096;
-// Counters across every array one tenant holds: a sketch per worker, the
-// latest snapshot and the fold's recycled spare. A durable tenant holds no
-// more: its snapshots come from the same ingestor. 2^25 int64 counters are
-// 256 MiB, all allocated (and pre-faulted) at create, before any item
-// arrives.
+// Counters across the arrays one tenant holds: a sketch per worker and the
+// latest snapshot (threads + 1, all allocated and pre-faulted at create,
+// before any item arrives), plus one superseded snapshot that a mark, a
+// query in flight or a snapshot write still pins. create's threads + 2
+// counts that pin. A durable tenant holds no more: its snapshots come from
+// the same ingestor. 2^25 int64 counters are 256 MiB.
 constexpr uint64_t kMaxTenantCounters = uint64_t{1} << 25;
 constexpr uint64_t kMaxBatchItems = uint64_t{1} << 20;
 
@@ -109,8 +110,11 @@ struct SketchService::Tenant {
   /// kMaxChange subtracts it — the paper's two-pass algorithm across live
   /// epochs). Snapshots are immutable, so the pin is the mark; no copy.
   std::shared_ptr<const CountSketch> marked SFQ_GUARDED_BY(mu);
-  /// Serving cache backing the server.publish degraded path. It pins the
-  /// snapshot it caches, which keeps at most one superseded sketch alive.
+  /// Serving cache backing the server.publish degraded path: the snapshot
+  /// every query the fault hits is served, pinned by the first of them
+  /// since the last query it spared (or by Seal and recovery: the final
+  /// snapshot). A spared query drops it, so between queries a tenant the
+  /// fault leaves alone pins nothing and its folds recycle every array.
   std::shared_ptr<const CountSketch> served SFQ_GUARDED_BY(mu);
   uint64_t served_epoch SFQ_GUARDED_BY(mu) = 0;
   /// Admission bookkeeping (see the header's conservation contract).
@@ -149,19 +153,23 @@ struct SketchService::Tenant {
     return ids;
   }
 
-  /// The snapshot a query answers from, and its epoch: refreshes the
-  /// serving cache unless the server.publish failpoint holds it back
-  /// (stale is fine, wrong never is — the cache pins what it serves).
+  /// The snapshot a query answers from, and its epoch: the latest one,
+  /// unless the server.publish failpoint withholds the refresh. Then the
+  /// query is served the cached pin (taking one if none is held) and
+  /// counted in stale_serves, so the served epoch stays frozen for as long
+  /// as the fault keeps firing. Stale is fine, wrong never is: the cache
+  /// pins what it serves.
   std::shared_ptr<const CountSketch> Serving(uint64_t* epoch)
       SFQ_REQUIRES(mu) {
     if (const FailDecision fp = SFQ_FAILPOINT("server.publish");
-        fp.action == FailAction::kError && served != nullptr) {
+        fp.action == FailAction::kError) {
       ++stale_serves;
-    } else {
-      served = ingestor->Snapshot(&served_epoch);
+      if (served == nullptr) served = ingestor->Snapshot(&served_epoch);
+      *epoch = served_epoch;
+      return served;
     }
-    *epoch = served_epoch;
-    return served;
+    served.reset();
+    return ingestor->Snapshot(epoch);
   }
 };
 

@@ -19,7 +19,7 @@
 // and over: each one costs an mmap, a populate and an munmap, several
 // times what reused heap memory costs. Code that does that keeps its
 // storage instead (CounterMatrix's same-size copy-assignment, the
-// ParallelIngestor's recycled spare). Arrays below kMapThreshold keep
+// ParallelIngestor's recycled snapshots). Arrays below kMapThreshold keep
 // aligned_alloc + memset, which reuses heap memory; measured in
 // docs/PERFORMANCE.md ("Counter storage").
 //

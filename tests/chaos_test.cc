@@ -191,6 +191,15 @@ TEST(ChaosTest, ServerCampaignReconcilesUnderFaults) {
   EXPECT_GT(report->faulted_iterations, 0u);
   EXPECT_GT(report->server_requests, 0u);
   EXPECT_GT(report->verified, 0u);
+  // The degraded serving path really ran: some schedule armed
+  // server.publish, and queries it hit were served a withheld snapshot.
+  bool publish_armed = false;
+  for (uint64_t i = 0; i < kServerIterations; ++i) {
+    publish_armed |= ServerChaosScheduleForIteration(options.seed, i).find(
+                         "server.publish") != std::string::npos;
+  }
+  EXPECT_TRUE(publish_armed);
+  EXPECT_GT(report->stale_serves, 0u);
 }
 
 // The merge-tree scenario: random shapes under the dist.* schedule, every

@@ -554,6 +554,43 @@ TEST(MergeNodeTest, FreshShipAllocatesAboutThePayload) {
             params.depth * params.width * sizeof(Count));
 }
 
+// A resend is the stored encoding, and a call with nothing to ship answers
+// std::nullopt: neither builds the coverage or the candidate union, so
+// neither allocates anything, even with a full 256-candidate tracker.
+TEST(MergeNodeTest, ResendAllocatesNothing) {
+  CountSketchParams params;
+  params.depth = 5;
+  params.width = 2048;
+  params.seed = 3;
+  auto zero = CountSketch::Make(params);
+  auto tracker = SpaceSaving::Make(256);
+  ASSERT_TRUE(zero.ok());
+  ASSERT_TRUE(tracker.ok());
+  MergeNode leaf(1, *zero, std::move(*tracker));
+  auto gen = ZipfGenerator::Make(1000, 1.1, 7);
+  ASSERT_TRUE(gen.ok());
+  const Stream batch = gen->Take(4096);
+  leaf.own().offered += batch.size();
+  leaf.Admit(batch);
+  const std::optional<std::string_view> fresh = leaf.Ship(false);
+  ASSERT_TRUE(fresh.has_value());
+  const std::string sent(*fresh);
+  ASSERT_EQ(DecodeDelta(sent)->candidates.size(), 256u);
+
+  size_t before = AllocatedBytes();
+  for (int resend = 0; resend < 3; ++resend) {
+    const std::optional<std::string_view> again = leaf.Ship(false);
+    ASSERT_TRUE(again.has_value());
+    EXPECT_TRUE(*again == sent) << "resend " << resend;
+  }
+  EXPECT_EQ(AllocatedBytes() - before, 0u) << "a resend allocated";
+
+  ASSERT_TRUE(leaf.up().Acked(1).ok());
+  before = AllocatedBytes();
+  EXPECT_FALSE(leaf.Ship(false).has_value());
+  EXPECT_EQ(AllocatedBytes() - before, 0u) << "an idle Ship allocated";
+}
+
 // End-to-end: a planted severed-link + lost-ack schedule. Severs delay
 // mass, they never lose it — so after enough rounds the tree must converge
 // to full coverage with every re-delivered delta deduped, and the root must

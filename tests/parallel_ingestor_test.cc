@@ -25,6 +25,7 @@
 #include "stream/zipf.h"
 #include "util/failpoint.h"
 #include "util/mutex.h"
+#include "util/pages.h"
 
 namespace streamfreq {
 namespace {
@@ -675,6 +676,110 @@ TEST(ParallelIngestorFoldBarrierTest, FoldErrorFailsTheBarrier) {
   auto ingestor = MakeBarrierIngestor(2);
   ASSERT_TRUE(ingestor->Ingest(std::span<const ItemId>(stream)).ok());
   EXPECT_FALSE(FoldBarrier(*ingestor).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Counter arrays: a fold publishes the folding worker's own sketch and hands
+// it the superseded snapshot, cleared, so an ingestor holds threads + 1
+// arrays plus one per pinned superseded snapshot.
+// ---------------------------------------------------------------------------
+
+// Bytes of one counter array of SketchParams(), as PageBuffer counts them.
+size_t OneArrayBytes() {
+  const size_t before = PageBuffer::AllocatedBytes();
+  auto sketch = CountSketch::Make(SketchParams());
+  EXPECT_TRUE(sketch.ok());
+  return PageBuffer::AllocatedBytes() - before;
+}
+
+// With no reader pinning anything, every fold recycles the snapshot it
+// supersedes: hundreds of folds ask for no counter array after Make.
+TEST(ParallelIngestorArraysTest, UnpinnedFoldsAllocateNoArray) {
+  const Stream stream = MakeZipfStream(kStreamItems, 51);
+  auto ingestor = MakeBarrierIngestor(2, /*publish_every_batches=*/1);
+  const size_t before = PageBuffer::AllocatedBytes();
+  ASSERT_TRUE(ingestor->Ingest(std::span<const ItemId>(stream)).ok());
+  auto pin = FoldBarrier(*ingestor);
+  ASSERT_TRUE(pin.ok()) << pin.status().ToString();
+  EXPECT_EQ(PageBuffer::AllocatedBytes() - before, 0u)
+      << "of " << ingestor->SnapshotEpoch() - 1 << " folds";
+  EXPECT_GT(ingestor->SnapshotEpoch(), 100u);
+  EXPECT_EQ(Bytes(**pin), SequentialBytes(stream));
+}
+
+// A superseded snapshot a reader still pins cannot be recycled: the fold
+// that supersedes it allocates exactly one array, the pin reads as it was
+// published, and once it is released the next fold reuses its array.
+TEST(ParallelIngestorArraysTest, PinnedSnapshotCostsOneArray) {
+  const size_t one_array = OneArrayBytes();
+  ASSERT_GT(one_array, 0u);
+  const Stream stream = MakeZipfStream(30000, 53);
+  const std::span<const ItemId> all(stream);
+  auto ingestor = MakeBarrierIngestor(2);
+  ASSERT_TRUE(ingestor->Ingest(all.first(10000)).ok());
+  auto first = FoldBarrier(*ingestor);
+  ASSERT_TRUE(first.ok());
+  const std::shared_ptr<const CountSketch> pinned = *first;
+  first->reset();
+  const std::string pinned_bytes = Bytes(*pinned);
+  EXPECT_EQ(pinned_bytes, SequentialBytes(all.first(10000)));
+
+  size_t before = PageBuffer::AllocatedBytes();
+  ASSERT_TRUE(ingestor->Ingest(all.subspan(10000, 10000)).ok());
+  ASSERT_TRUE(FoldBarrier(*ingestor).ok());
+  EXPECT_EQ(PageBuffer::AllocatedBytes() - before, one_array);
+  EXPECT_EQ(Bytes(*pinned), pinned_bytes) << "a pinned snapshot changed";
+
+  before = PageBuffer::AllocatedBytes();
+  ASSERT_TRUE(ingestor->Ingest(all.subspan(20000)).ok());
+  auto last = FoldBarrier(*ingestor);
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(PageBuffer::AllocatedBytes() - before, 0u)
+      << "an unpinned superseded snapshot was not recycled";
+  EXPECT_EQ(Bytes(*pinned), pinned_bytes);
+  EXPECT_EQ(Bytes(**last), SequentialBytes(all));
+}
+
+// Periodic folds, fold barriers and readers pinning snapshots across them
+// mix recycled and fresh arrays; every barrier still pins the sequential
+// prefix, and the final sketch equals sequential BatchAdd, at 1, 2 and 4
+// threads.
+TEST(ParallelIngestorArraysTest, RecycledArraysKeepResultsSequential) {
+  const Stream stream = MakeZipfStream(60000, 55);
+  const std::span<const ItemId> all(stream);
+  for (const size_t threads : {1, 2, 4}) {
+    for (const size_t every : {1, 3}) {
+      auto ingestor = MakeBarrierIngestor(threads, every);
+      std::vector<std::shared_ptr<const CountSketch>> pins;
+      std::vector<std::string> pinned_bytes;
+      size_t done = 0;
+      for (const size_t chunk : {7000, 13000, 2500, 17500, 20000}) {
+        ASSERT_TRUE(ingestor->Ingest(all.subspan(done, chunk)).ok());
+        done += chunk;
+        // Pin whatever readers see now, mid-fold or not.
+        pins.push_back(ingestor->Snapshot());
+        pinned_bytes.push_back(Bytes(*pins.back()));
+        auto pin = FoldBarrier(*ingestor);
+        ASSERT_TRUE(pin.ok()) << pin.status().ToString();
+        EXPECT_EQ(Bytes(**pin), SequentialBytes(all.first(done)))
+            << threads << " threads, fold every " << every << ", " << done
+            << " items";
+        if (pins.size() % 2 == 0) {
+          pins.erase(pins.begin());
+          pinned_bytes.erase(pinned_bytes.begin());
+        }
+      }
+      ASSERT_EQ(done, stream.size());
+      auto merged = ingestor->Finish();
+      ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+      EXPECT_EQ(Bytes(*merged), SequentialBytes(all));
+      EXPECT_EQ(Bytes(*ingestor->Snapshot()), SequentialBytes(all));
+      for (size_t i = 0; i < pins.size(); ++i) {
+        EXPECT_EQ(Bytes(*pins[i]), pinned_bytes[i])
+            << "a pinned snapshot changed";
+      }
+    }
+  }
 }
 
 // Admission under overflow: a shed admission carries nothing and holds no

@@ -8,7 +8,9 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
@@ -21,6 +23,8 @@
 #include "server/server.h"
 #include "server/service.h"
 #include "stream/zipf.h"
+#include "util/failpoint.h"
+#include "util/pages.h"
 #include "verify/checkers.h"
 #include "verify/oracle.h"
 
@@ -384,8 +388,9 @@ TEST_F(ServerE2eTest, CounterCapCoversEveryArrayOfATenant) {
 }
 
 // The cap counts threads + 2 arrays (worker sketches, the latest merged
-// snapshot, the fold's spare) for every tenant: a durable tenant's
-// snapshots come from the same ingestor, so it holds no extra array. One
+// snapshot, one pinned superseded snapshot) for every tenant: a durable
+// tenant's snapshots come from the same ingestor, so it holds no extra
+// array. One
 // counter past the cap is refused, in memory and durable alike.
 TEST(CounterCapTest, ThreadsPlusTwoArraysForEveryTenant) {
   const std::string data_dir = ::testing::TempDir() + "/sfq_cap_" +
@@ -408,6 +413,112 @@ TEST(CounterCapTest, ThreadsPlusTwoArraysForEveryTenant) {
         << response.message;
   }
   std::filesystem::remove_all(data_dir);
+}
+
+// One in-memory tenant of an in-process SketchService. Every batch folds
+// once (publish_every_batches = 1), so after n ingested batches the
+// tenant's epoch settles at 1 + n, and a test can query between folds.
+class ServedTenant {
+ public:
+  static constexpr const char* kName = "served";
+  static constexpr uint64_t kBatchItems = 512;
+
+  explicit ServedTenant(SketchService* service) : service_(service) {
+    Request create;
+    create.op = Opcode::kCreateTenant;
+    create.tenant = kName;
+    create.spec.depth = 5;
+    create.spec.width = 4096;
+    create.spec.threads = 2;
+    create.spec.batch_items = kBatchItems;
+    create.spec.publish_every_batches = 1;
+    const Response created = service_->Handle(create);
+    EXPECT_TRUE(created.ok()) << created.message;
+  }
+
+  // Ingests `batches` full batches and waits until every one has folded.
+  void IngestAndSettle(uint64_t batches) {
+    Request ingest;
+    ingest.op = Opcode::kIngest;
+    ingest.tenant = kName;
+    ingest.items = MakeZipfStream(batches * kBatchItems, 100 + batches_);
+    const Response ingested = service_->Handle(ingest);
+    ASSERT_TRUE(ingested.ok()) << ingested.message;
+    batches_ += batches;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (Field("epoch") < static_cast<int64_t>(1 + batches_)) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "folds never settled";
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+  // A top-k query; returns the epoch that answered it.
+  uint64_t Query() {
+    Request topk;
+    topk.op = Opcode::kTopK;
+    topk.tenant = kName;
+    topk.k = 5;
+    const Response response = service_->Handle(topk);
+    EXPECT_TRUE(response.ok()) << response.message;
+    return response.epoch;
+  }
+
+  int64_t Field(const std::string& field) const {
+    return StatszField(service_->TenantsJson(), kName, field);
+  }
+
+ private:
+  SketchService* service_;
+  uint64_t batches_ = 0;
+};
+
+// While server.publish withholds refreshes, every query is served the
+// snapshot pinned by the first of them and counted as stale; the served
+// epoch stays frozen however many folds land, and never goes backwards.
+// Once the fault is disarmed the next query serves the latest epoch.
+TEST(ServingCacheTest, WithheldRefreshesFreezeTheServedEpoch) {
+  SketchService service;
+  ServedTenant tenant(&service);
+  tenant.IngestAndSettle(4);
+  std::vector<uint64_t> epochs = {tenant.Query()};
+  EXPECT_EQ(epochs.back(), 5u);
+  EXPECT_EQ(tenant.Field("stale_serves"), 0);
+  {
+    ScopedFailpoints fp("server.publish=error", 7);
+    ASSERT_TRUE(fp.status().ok());
+    epochs.push_back(tenant.Query());
+    const uint64_t frozen = epochs.back();
+    EXPECT_EQ(frozen, 5u);
+    for (int round = 0; round < 3; ++round) {
+      tenant.IngestAndSettle(4);
+      epochs.push_back(tenant.Query());
+      EXPECT_EQ(epochs.back(), frozen) << "round " << round;
+    }
+    EXPECT_EQ(tenant.Field("stale_serves"), 4);
+    EXPECT_EQ(tenant.Field("epoch"), 17);
+  }
+  epochs.push_back(tenant.Query());
+  EXPECT_EQ(static_cast<int64_t>(epochs.back()), tenant.Field("epoch"));
+  EXPECT_EQ(epochs.back(), 17u);
+  EXPECT_EQ(tenant.Field("stale_serves"), 4);
+  EXPECT_TRUE(std::is_sorted(epochs.begin(), epochs.end()));
+}
+
+// A tenant the fault leaves alone pins nothing between queries, so the
+// folds between two queries recycle every superseded snapshot: steady
+// ingest and query traffic allocates no counter array after create.
+TEST(ServingCacheTest, UnfaultedQueriesBetweenFoldsAllocateNoArray) {
+  SketchService service;
+  ServedTenant tenant(&service);
+  const size_t before = PageBuffer::AllocatedBytes();
+  for (int round = 0; round < 40; ++round) {
+    tenant.IngestAndSettle(4);
+    EXPECT_EQ(tenant.Query(), 1 + 4 * static_cast<uint64_t>(round + 1));
+  }
+  EXPECT_EQ(PageBuffer::AllocatedBytes() - before, 0u);
+  EXPECT_EQ(tenant.Field("stale_serves"), 0);
 }
 
 // Lifecycle errors come back as clean statuses on a connection that stays
