@@ -260,7 +260,7 @@ void BM_ParallelIngest(benchmark::State& state, size_t threads, size_t batch) {
   p.seed = 3;
   for (auto _ : state) {
     auto ingestor = ParallelIngestor<CountSketch>::Make(
-        MakeSharedParamsFactory<CountSketch>(p),
+        [p] { return CountSketch::Make(p); },
         IngestOptions{.threads = threads, .batch_items = batch});
     SFQ_CHECK_OK(ingestor.status());
     SFQ_CHECK_OK((*ingestor)->Ingest(std::span<const ItemId>(w.stream)));

@@ -111,9 +111,10 @@ if [[ "$CHANGED" -eq 1 ]]; then
 elif command -v clang++ >/dev/null 2>&1; then
   echo "== clang -Werror=thread-safety (annotated concurrent subsystem) =="
   # Dedicated analysis tree: the SFQ_* capability annotations only bite
-  # under clang. Building the concurrent-labelled tests instantiates the
-  # ParallelIngestor/SnapshotCell templates so their annotations are
-  # checked too, not just batch_queue.cc.
+  # under clang. parallel_ingestor.cc is the translation unit that carries
+  # the ingestor's, and building the concurrent-labelled tests instantiates
+  # the SnapshotCell template, so those are checked too, not just
+  # batch_queue.cc.
   cmake -B build-tsa \
     -DCMAKE_CXX_COMPILER=clang++ \
     -DCMAKE_BUILD_TYPE=Release \

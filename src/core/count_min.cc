@@ -113,8 +113,6 @@ Status CountMin::Merge(const CountMin& other) {
   return Status::OK();
 }
 
-void CountMin::Clear() noexcept { counters_.Clear(); }
-
 size_t CountMin::SpaceBytes() const {
   return counters_.AllocatedBytes() + depth_ * 2 * sizeof(uint64_t);
 }

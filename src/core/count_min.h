@@ -66,9 +66,6 @@ class CountMin {
   /// Counter-wise addition of a compatible sketch.
   Status Merge(const CountMin& other);
 
-  /// Resets all counters to zero (hash functions are kept).
-  void Clear() noexcept;
-
   bool CompatibleWith(const CountMin& other) const;
 
   size_t depth() const { return depth_; }

@@ -66,17 +66,8 @@ class CounterMatrix {
         stride_(other.stride_),
         buf_(CopyOrDie(other.buf_)) {}
 
-  /// Copies into this matrix's own storage when it is the same size, so
-  /// refreshing a sketch in place asks for no memory.
   CounterMatrix& operator=(const CounterMatrix& other) {
-    if (this == &other) return *this;
-    if (buf_.size() != other.buf_.size()) return *this = CounterMatrix(other);
-    depth_ = other.depth_;
-    width_ = other.width_;
-    stride_ = other.stride_;
-    if (buf_.size() > 0) {
-      std::memcpy(buf_.data(), other.buf_.data(), buf_.size());
-    }
+    if (this != &other) *this = CounterMatrix(other);
     return *this;
   }
 

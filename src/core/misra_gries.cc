@@ -110,11 +110,6 @@ std::vector<ItemCount> MisraGries::Candidates(size_t k) const {
   return RankByCount(std::move(out), k);
 }
 
-void MisraGries::Clear() {
-  counters_.clear();
-  decremented_ = 0;
-}
-
 size_t MisraGries::SpaceBytes() const {
   // (item, counter) per monitored slot plus table bucket overhead.
   return counters_.size() * (sizeof(ItemId) + sizeof(Count) + sizeof(void*));

@@ -62,10 +62,6 @@ class MisraGries final : public StreamSummary {
   /// capacities.
   Status Merge(const MisraGries& other);
 
-  /// Forgets every counter and the decrement total: the summary of an
-  /// empty stream.
-  void Clear();
-
   size_t capacity() const { return capacity_; }
   size_t SpaceBytes() const override;
 

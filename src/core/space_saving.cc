@@ -183,11 +183,6 @@ Result<SpaceSaving> SpaceSaving::FromEntries(
   return summary;
 }
 
-void SpaceSaving::Clear() {
-  heap_.clear();
-  position_.clear();
-}
-
 size_t SpaceSaving::SpaceBytes() const {
   return heap_.size() * sizeof(Slot) +
          position_.size() * (sizeof(ItemId) + sizeof(size_t) + sizeof(void*));

@@ -83,9 +83,6 @@ class SpaceSaving final : public StreamSummary {
   /// a lower bound. Requires equal capacities.
   Status Merge(const SpaceSaving& other);
 
-  /// Forgets every monitored item: the summary of an empty stream.
-  void Clear();
-
   /// Every monitored triple in unspecified order (heap order). Pair with
   /// FromEntries for exact state round-trips (persistence, snapshots).
   std::vector<SpaceSavingEntry> Entries() const;

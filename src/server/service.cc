@@ -617,8 +617,6 @@ std::string SketchService::TenantsJson() const {
     out += ",";
     AppendJsonKey(&out, "sampled_items_dropped", stats.sampled_items_dropped);
     out += ",";
-    AppendJsonKey(&out, "abandoned_items", stats.abandoned_items);
-    out += ",";
     AppendJsonKey(&out, "deadline_misses", stats.deadline_misses);
     out += ",";
     AppendJsonKey(&out, "worker_respawns", stats.worker_respawns);

@@ -142,7 +142,7 @@ struct ChaosReport {
   uint64_t fault_fires = 0;       ///< failpoint activations across the run
   uint64_t faulted_iterations = 0;  ///< iterations where >= 1 fault fired
   uint64_t worker_respawns = 0;
-  uint64_t dropped_items = 0;     ///< shed + sampled-away + abandoned mass
+  uint64_t dropped_items = 0;     ///< shed + sampled-away mass
   uint64_t io_round_trips = 0;    ///< sketch_io round trips attempted
   uint64_t io_faults = 0;         ///< round trips that failed cleanly
   uint64_t server_requests = 0;   ///< requests processed (server campaign)

@@ -4,8 +4,10 @@
 #include <cmath>
 #include <concepts>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "concurrent/parallel_ingestor.h"
@@ -195,16 +197,21 @@ Result<SketchT> IngestMutated(const std::function<Result<SketchT>()>& make,
       }
     }
     case Mutation::kParallel: {
-      if constexpr (kHasMerge) {
+      // The ingestor runs CountSketch only: the one sketch any program
+      // deploys through it.
+      if constexpr (std::is_same_v<SketchT, CountSketch>) {
         IngestOptions options;
         options.threads = 3;
         options.batch_items = 512;
         options.queue_batches = 16;
-        options.publish_every_batches = 0;  // one final fold: minimal slack
-        return ParallelIngest<SketchT>(std::span<const ItemId>(stream), make,
-                                       options);
+        STREAMFREQ_ASSIGN_OR_RETURN(
+            std::unique_ptr<ParallelIngestor<CountSketch>> ingestor,
+            ParallelIngestor<CountSketch>::Make(make, options));
+        STREAMFREQ_RETURN_NOT_OK(
+            ingestor->Ingest(std::span<const ItemId>(stream)));
+        return ingestor->Finish();
       } else {
-        return Status::Unimplemented("IngestMutated: type has no Merge");
+        return Status::Unimplemented("IngestMutated: no parallel ingestor");
       }
     }
   }
@@ -407,14 +414,13 @@ class CountMinChecker final : public GuaranteeChecker {
   }
 
   bool Supports(Mutation m) const override {
-    // CountMin has Merge but no serialization; the conservative-update
-    // variant additionally refuses Merge (its counters are not linear).
-    if (m == Mutation::kSerializeMidStream) return false;
-    if (conservative_ &&
-        (m == Mutation::kSplitMerge || m == Mutation::kParallel)) {
+    // CountMin has Merge but no serialization, and the parallel ingestor
+    // runs CountSketch only; the conservative-update variant additionally
+    // refuses Merge (its counters are not linear).
+    if (m == Mutation::kSerializeMidStream || m == Mutation::kParallel) {
       return false;
     }
-    return true;
+    return !conservative_ || m != Mutation::kSplitMerge;
   }
 
   Result<BuildOutcome> Build(const Stream& stream, const VerifySetup& setup,
@@ -434,8 +440,7 @@ class CountMinChecker final : public GuaranteeChecker {
     BuildOutcome out;
     out.context.sketch_depth = params.depth;
     out.context.sketch_width = params.width;
-    out.context.merged = mutation == Mutation::kSplitMerge ||
-                         mutation == Mutation::kParallel;
+    out.context.merged = mutation == Mutation::kSplitMerge;
     out.context.reordered = mutation == Mutation::kPermuted;
     // The plain sketch is linear: every supported mutation must reproduce
     // the sequential state exactly. Conservative update is order-dependent,
@@ -512,9 +517,10 @@ class MisraGriesChecker final : public GuaranteeChecker {
   const char* Name() const override { return "misra-gries"; }
 
   bool Supports(Mutation m) const override {
-    // Counter summaries have no scalar/SIMD split (no BatchAddScalar).
+    // Counter summaries have no scalar/SIMD split (no BatchAddScalar), and
+    // the parallel ingestor runs CountSketch only.
     return m != Mutation::kSerializeMidStream &&
-           m != Mutation::kBatchedScalar;
+           m != Mutation::kBatchedScalar && m != Mutation::kParallel;
   }
 
   Result<BuildOutcome> Build(const Stream& stream, const VerifySetup& setup,
@@ -529,8 +535,7 @@ class MisraGriesChecker final : public GuaranteeChecker {
                                   setup.seed ^ 0x316B1ULL));
     BuildOutcome out;
     out.context.counter_capacity = capacity;
-    out.context.merged = mutation == Mutation::kSplitMerge ||
-                         mutation == Mutation::kParallel;
+    out.context.merged = mutation == Mutation::kSplitMerge;
     out.context.reordered = mutation == Mutation::kPermuted ||
                             mutation == Mutation::kBatched ||
                             out.context.merged;
@@ -610,9 +615,10 @@ class SpaceSavingChecker final : public GuaranteeChecker {
   const char* Name() const override { return "space-saving"; }
 
   bool Supports(Mutation m) const override {
-    // Counter summaries have no scalar/SIMD split (no BatchAddScalar).
+    // Counter summaries have no scalar/SIMD split (no BatchAddScalar), and
+    // the parallel ingestor runs CountSketch only.
     return m != Mutation::kSerializeMidStream &&
-           m != Mutation::kBatchedScalar;
+           m != Mutation::kBatchedScalar && m != Mutation::kParallel;
   }
 
   Result<BuildOutcome> Build(const Stream& stream, const VerifySetup& setup,
@@ -627,8 +633,7 @@ class SpaceSavingChecker final : public GuaranteeChecker {
                                    setup.seed ^ 0x57AC3ULL));
     BuildOutcome out;
     out.context.counter_capacity = capacity;
-    out.context.merged = mutation == Mutation::kSplitMerge ||
-                         mutation == Mutation::kParallel;
+    out.context.merged = mutation == Mutation::kSplitMerge;
     out.context.reordered = mutation == Mutation::kPermuted ||
                             mutation == Mutation::kBatched ||
                             out.context.merged;

@@ -25,8 +25,9 @@
 //                 linear sketches, guarantee-preserving for MG/SS
 //   serialize-mid serialize + deserialize at the half-way point, then keep
 //                 ingesting — must be invisible
-//   parallel      ParallelIngest across 3 worker threads — exact for
-//                 linear sketches by additivity (the paper's observation)
+//   parallel      the ParallelIngestor across 3 worker threads — exact by
+//                 additivity (the paper's observation); count-sketch only,
+//                 the one sketch the ingestor runs
 #pragma once
 
 #include <cstddef>

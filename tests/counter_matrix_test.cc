@@ -172,26 +172,6 @@ TEST(CounterMatrixTest, ClearZeroesAfterWrites) {
   EXPECT_TRUE(AllZero(m));
 }
 
-TEST(CounterMatrixTest, CopyAssignReusesStorageOfTheSameSize) {
-  CounterMatrix a = MustMake(Dims{5, 4096});
-  CounterMatrix b = MustMake(Dims{5, 4096});
-  Fill(&b, 3);
-  const int64_t* storage = a.Row(0);
-  a = b;
-  EXPECT_EQ(a.Row(0), storage);
-  EXPECT_TRUE(a == b);
-  a.At(0, 0) += 1;
-  EXPECT_FALSE(a == b);
-
-  // Another geometry gets storage of its own size.
-  const CounterMatrix c = MustMake(Dims{3, 37});
-  a = c;
-  EXPECT_EQ(a.depth(), 3u);
-  EXPECT_EQ(a.width(), 37u);
-  EXPECT_EQ(a.AllocatedBytes(), c.AllocatedBytes());
-  EXPECT_TRUE(AllZero(a));
-}
-
 TEST(PageBufferTest, ZeroedAlignedAndHugeAlignedFromTwoMiB) {
   for (const size_t bytes :
        {size_t{64}, PageBuffer::kMapThreshold - 64, PageBuffer::kMapThreshold,

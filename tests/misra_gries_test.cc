@@ -24,18 +24,6 @@ TEST(MisraGriesTest, ExactWhenDistinctFitsCapacity) {
   EXPECT_EQ(mg->MaxError(), 0);
 }
 
-TEST(MisraGriesTest, ClearForgetsEverything) {
-  auto mg = MisraGries::Make(2);
-  ASSERT_TRUE(mg.ok());
-  for (ItemId q = 1; q <= 6; ++q) mg->Add(q, static_cast<Count>(q));
-  ASSERT_GT(mg->MaxError(), 0);
-  mg->Clear();
-  EXPECT_EQ(mg->MaxError(), 0);
-  EXPECT_TRUE(mg->Candidates(10).empty());
-  mg->Add(3, 4);
-  EXPECT_EQ(mg->Estimate(3), 4);
-}
-
 TEST(MisraGriesTest, EstimatesNeverOverestimate) {
   auto gen = ZipfGenerator::Make(2000, 1.0, 3);
   ASSERT_TRUE(gen.ok());

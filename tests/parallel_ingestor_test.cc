@@ -1,14 +1,13 @@
 // ParallelIngestor contracts: merged parallel ingestion is bit-identical to
-// sequential ingestion for linear sketches at every thread count, and
-// guarantee-preserving for counter summaries; snapshots are readable while
+// sequential ingestion at every thread count; snapshots are readable while
 // workers are writing (the test ThreadSanitizer exercises).
 #include "concurrent/parallel_ingestor.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
-#include <set>
 #include <span>
 #include <thread>
 #include <vector>
@@ -17,10 +16,7 @@
 #include <memory>
 
 #include "concurrent/snapshot.h"
-#include "core/count_min.h"
 #include "core/count_sketch.h"
-#include "core/misra_gries.h"
-#include "core/space_saving.h"
 #include "stream/exact_counter.h"
 #include "stream/zipf.h"
 #include "util/failpoint.h"
@@ -36,6 +32,10 @@ CountSketchParams SketchParams() {
   p.width = 1024;
   p.seed = 77;
   return p;
+}
+
+ParallelIngestor<CountSketch>::Factory SketchFactory() {
+  return [] { return CountSketch::Make(SketchParams()); };
 }
 
 Stream MakeZipfStream(size_t n, uint64_t seed) {
@@ -55,14 +55,12 @@ constexpr size_t kStreamItems = 200000;
 TEST(ParallelIngestorTest, RejectsBadOptions) {
   IngestOptions opts;
   opts.threads = 0;
-  EXPECT_TRUE(ParallelIngestor<CountSketch>::Make(
-                  MakeSharedParamsFactory<CountSketch>(SketchParams()), opts)
+  EXPECT_TRUE(ParallelIngestor<CountSketch>::Make(SketchFactory(), opts)
                   .status()
                   .IsInvalidArgument());
   opts.threads = 2;
   opts.batch_items = 0;
-  EXPECT_TRUE(ParallelIngestor<CountSketch>::Make(
-                  MakeSharedParamsFactory<CountSketch>(SketchParams()), opts)
+  EXPECT_TRUE(ParallelIngestor<CountSketch>::Make(SketchFactory(), opts)
                   .status()
                   .IsInvalidArgument());
   EXPECT_TRUE(ParallelIngestor<CountSketch>::Make({}, IngestOptions{})
@@ -81,9 +79,10 @@ TEST(ParallelIngestorTest, CountSketchDeterministicAcrossThreadCounts) {
     opts.threads = threads;
     opts.batch_items = 4096;
     opts.publish_every_batches = 4;  // periodic folds must not change the sum
-    auto merged = ParallelIngest<CountSketch>(
-        std::span<const ItemId>(stream),
-        MakeSharedParamsFactory<CountSketch>(SketchParams()), opts);
+    auto ingestor = ParallelIngestor<CountSketch>::Make(SketchFactory(), opts);
+    ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+    ASSERT_TRUE((*ingestor)->Ingest(std::span<const ItemId>(stream)).ok());
+    auto merged = (*ingestor)->Finish();
     ASSERT_TRUE(merged.ok()) << merged.status().ToString();
 
     // Same seed => same hash functions => bit-identical counters, so every
@@ -94,81 +93,6 @@ TEST(ParallelIngestorTest, CountSketchDeterministicAcrossThreadCounts) {
             << "threads=" << threads << " row=" << row << " col=" << col;
       }
     }
-  }
-}
-
-TEST(ParallelIngestorTest, CountMinParallelMatchesSequential) {
-  const Stream stream = MakeZipfStream(kStreamItems, 22);
-  CountMinParams p;
-  p.depth = 4;
-  p.width = 1024;
-  p.seed = 5;
-  auto sequential = CountMin::Make(p);
-  ASSERT_TRUE(sequential.ok());
-  sequential->BatchAdd(std::span<const ItemId>(stream));
-
-  IngestOptions opts;
-  opts.threads = 4;
-  opts.batch_items = 2048;
-  opts.publish_every_batches = 8;
-  auto merged = ParallelIngest<CountMin>(
-      std::span<const ItemId>(stream),
-      MakeSharedParamsFactory<CountMin>(p), opts);
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-
-  ExactCounter oracle;
-  oracle.AddAll(stream);
-  for (const ItemCount& ic : oracle.TopK(200)) {
-    EXPECT_EQ(merged->Estimate(ic.item), sequential->Estimate(ic.item));
-  }
-}
-
-TEST(ParallelIngestorTest, SpaceSavingParallelKeepsGuarantees) {
-  const Stream stream = MakeZipfStream(kStreamItems, 23);
-  constexpr size_t kCapacity = 512;
-  IngestOptions opts;
-  opts.threads = 4;
-  opts.batch_items = 4096;  // publish_every_batches stays 0: final fold only
-  auto merged = ParallelIngest<SpaceSaving>(
-      std::span<const ItemId>(stream),
-      MakeSharedParamsFactory<SpaceSaving>(kCapacity), opts);
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-
-  ExactCounter oracle;
-  oracle.AddAll(stream);
-  // Merged counts stay upper bounds on union counts (the Merge contract),
-  // and the heavy head of a Zipf(1) stream must be monitored.
-  std::set<ItemId> monitored;
-  for (const ItemCount& ic : merged->Candidates(kCapacity)) {
-    monitored.insert(ic.item);
-  }
-  for (const ItemCount& ic : oracle.TopK(20)) {
-    EXPECT_GE(merged->Estimate(ic.item), ic.count) << "item " << ic.item;
-    EXPECT_TRUE(monitored.count(ic.item)) << "item " << ic.item;
-  }
-}
-
-TEST(ParallelIngestorTest, MisraGriesParallelKeepsGuarantees) {
-  const Stream stream = MakeZipfStream(kStreamItems, 24);
-  constexpr size_t kCapacity = 512;
-  IngestOptions opts;
-  opts.threads = 4;
-  opts.batch_items = 4096;
-  auto merged = ParallelIngest<MisraGries>(
-      std::span<const ItemId>(stream),
-      MakeSharedParamsFactory<MisraGries>(kCapacity), opts);
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-
-  ExactCounter oracle;
-  oracle.AddAll(stream);
-  const Count n = static_cast<Count>(stream.size());
-  // The merged summary keeps the (n1 + ... + nP) / (c+1) error guarantee
-  // over the union stream.
-  const Count slack = n / static_cast<Count>(kCapacity + 1);
-  for (const ItemCount& ic : oracle.TopK(20)) {
-    EXPECT_LE(merged->Estimate(ic.item), ic.count);
-    EXPECT_GE(merged->Estimate(ic.item), ic.count - slack)
-        << "item " << ic.item;
   }
 }
 
@@ -183,8 +107,7 @@ TEST(ParallelIngestorTest, SnapshotsReadableDuringIngestion) {
   opts.threads = 4;
   opts.batch_items = 1024;
   opts.publish_every_batches = 2;
-  auto ingestor = ParallelIngestor<CountSketch>::Make(
-      MakeSharedParamsFactory<CountSketch>(SketchParams()), opts);
+  auto ingestor = ParallelIngestor<CountSketch>::Make(SketchFactory(), opts);
   ASSERT_TRUE(ingestor.ok());
 
   // Never null, even before any data arrives.
@@ -265,8 +188,7 @@ TEST(ParallelIngestorTest, SupersededSnapshotsAreFreed) {
   opts.threads = 2;
   opts.batch_items = 512;
   opts.publish_every_batches = 1;
-  auto ingestor = ParallelIngestor<CountSketch>::Make(
-      MakeSharedParamsFactory<CountSketch>(SketchParams()), opts);
+  auto ingestor = ParallelIngestor<CountSketch>::Make(SketchFactory(), opts);
   ASSERT_TRUE(ingestor.ok());
   const std::shared_ptr<const CountSketch> first = (*ingestor)->Snapshot();
 
@@ -307,8 +229,8 @@ TEST(ParallelIngestorTest, SupersededSnapshotsAreFreed) {
 }
 
 TEST(ParallelIngestorTest, IngestAfterFinishFails) {
-  auto ingestor = ParallelIngestor<CountSketch>::Make(
-      MakeSharedParamsFactory<CountSketch>(SketchParams()), IngestOptions{});
+  auto ingestor =
+      ParallelIngestor<CountSketch>::Make(SketchFactory(), IngestOptions{});
   ASSERT_TRUE(ingestor.ok());
   const Stream stream = MakeZipfStream(1000, 26);
   ASSERT_TRUE((*ingestor)->Ingest(std::span<const ItemId>(stream)).ok());
@@ -330,8 +252,7 @@ TEST(ParallelIngestorTest, MultipleProducers) {
   IngestOptions opts;
   opts.threads = 2;
   opts.batch_items = 1024;
-  auto ingestor = ParallelIngestor<CountSketch>::Make(
-      MakeSharedParamsFactory<CountSketch>(SketchParams()), opts);
+  auto ingestor = ParallelIngestor<CountSketch>::Make(SketchFactory(), opts);
   ASSERT_TRUE(ingestor.ok());
 
   // Four producer threads submit disjoint quarters concurrently.
@@ -394,8 +315,7 @@ TEST(ParallelIngestorTest, KillOneWorkerRecoversWithRequeue) {
   IngestOptions opts;
   opts.threads = 2;
   opts.batch_items = 2048;
-  auto ingestor = ParallelIngestor<CountSketch>::Make(
-      MakeSharedParamsFactory<CountSketch>(SketchParams()), opts);
+  auto ingestor = ParallelIngestor<CountSketch>::Make(SketchFactory(), opts);
   ASSERT_TRUE(ingestor.ok());
   ASSERT_TRUE((*ingestor)->Ingest(std::span<const ItemId>(stream)).ok());
   auto merged = (*ingestor)->Finish();
@@ -427,8 +347,7 @@ TEST(ParallelIngestorTest, ShedPolicyCountsAndRecordsDroppedMass) {
   opts.push_timeout_ms = 1;
   opts.overflow_policy = OverflowPolicy::kShed;
   opts.record_shed = true;
-  auto ingestor = ParallelIngestor<CountSketch>::Make(
-      MakeSharedParamsFactory<CountSketch>(SketchParams()), opts);
+  auto ingestor = ParallelIngestor<CountSketch>::Make(SketchFactory(), opts);
   ASSERT_TRUE(ingestor.ok());
   ASSERT_TRUE((*ingestor)->Ingest(std::span<const ItemId>(stream)).ok());
   auto merged = (*ingestor)->Finish();
@@ -468,8 +387,7 @@ TEST(ParallelIngestorTest, SamplePolicyDecimatesInsteadOfDropping) {
   opts.overflow_policy = OverflowPolicy::kSample;
   opts.sample_keep_one_in = 4;
   opts.record_shed = true;
-  auto ingestor = ParallelIngestor<CountSketch>::Make(
-      MakeSharedParamsFactory<CountSketch>(SketchParams()), opts);
+  auto ingestor = ParallelIngestor<CountSketch>::Make(SketchFactory(), opts);
   ASSERT_TRUE(ingestor.ok());
   ASSERT_TRUE((*ingestor)->Ingest(std::span<const ItemId>(stream)).ok());
   auto merged = (*ingestor)->Finish();
@@ -493,42 +411,11 @@ TEST(ParallelIngestorTest, BlockPolicyDeadlineMissFailsLoudly) {
   opts.batch_items = 256;
   opts.queue_batches = 1;
   opts.push_timeout_ms = 5;  // policy stays kBlock: misses are errors
-  auto ingestor = ParallelIngestor<CountSketch>::Make(
-      MakeSharedParamsFactory<CountSketch>(SketchParams()), opts);
+  auto ingestor = ParallelIngestor<CountSketch>::Make(SketchFactory(), opts);
   ASSERT_TRUE(ingestor.ok());
   const Status s = (*ingestor)->Ingest(std::span<const ItemId>(stream));
   EXPECT_TRUE(s.IsIoError()) << s.ToString();
   EXPECT_GT((*ingestor)->Stats().deadline_misses, 0u);
-}
-
-TEST(ParallelIngestorTest, DrainTimeoutAbandonsBacklogInsteadOfHanging) {
-  const Stream stream = MakeZipfStream(20 * 128, 35);
-  // Worker needs 30 ms per batch => ~600 ms to drain 20 queued batches; the
-  // 60 ms drain deadline abandons most of them.
-  ScopedFailpoints fp("ingestor.worker_batch=stall:30", 37);
-  ASSERT_TRUE(fp.status().ok());
-
-  IngestOptions opts;
-  opts.threads = 1;
-  opts.batch_items = 128;
-  opts.queue_batches = 64;
-  opts.drain_timeout_ms = 60;
-  opts.record_shed = true;
-  auto ingestor = ParallelIngestor<CountSketch>::Make(
-      MakeSharedParamsFactory<CountSketch>(SketchParams()), opts);
-  ASSERT_TRUE(ingestor.ok());
-  ASSERT_TRUE((*ingestor)->Ingest(std::span<const ItemId>(stream)).ok());
-
-  const auto start = std::chrono::steady_clock::now();
-  auto merged = (*ingestor)->Finish();
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  EXPECT_LT(elapsed, std::chrono::milliseconds(5000));
-
-  const IngestStats stats = (*ingestor)->Stats();
-  EXPECT_GT(stats.abandoned_batches, 0u);
-  EXPECT_EQ(stats.items_ingested + stats.DroppedItems(), stream.size());
-  EXPECT_EQ((*ingestor)->SpilledItems().size(), stats.DroppedItems());
 }
 
 // ---------------------------------------------------------------------------
@@ -561,8 +448,7 @@ std::unique_ptr<ParallelIngestor<CountSketch>> MakeBarrierIngestor(
   opts.batch_items = 512;
   opts.queue_batches = 8;
   opts.publish_every_batches = publish_every_batches;
-  auto ingestor = ParallelIngestor<CountSketch>::Make(
-      MakeSharedParamsFactory<CountSketch>(SketchParams()), opts);
+  auto ingestor = ParallelIngestor<CountSketch>::Make(SketchFactory(), opts);
   EXPECT_TRUE(ingestor.ok()) << ingestor.status().ToString();
   return std::move(*ingestor);
 }
@@ -797,8 +683,7 @@ TEST(ParallelIngestorTest, AdmissionAppliesThePolicyAndReleasesPlaces) {
     opts.push_timeout_ms = 1;
     opts.overflow_policy = policy;
     opts.sample_keep_one_in = 4;
-    auto ingestor = ParallelIngestor<CountSketch>::Make(
-        MakeSharedParamsFactory<CountSketch>(SketchParams()), opts);
+    auto ingestor = ParallelIngestor<CountSketch>::Make(SketchFactory(), opts);
     ASSERT_TRUE(ingestor.ok());
     {
       // Hold the only place: the next admission misses its deadline.

@@ -24,19 +24,6 @@ TEST(SpaceSavingTest, ExactWhenDistinctFits) {
   }
 }
 
-TEST(SpaceSavingTest, ClearForgetsEverything) {
-  auto ss = SpaceSaving::Make(4);
-  ASSERT_TRUE(ss.ok());
-  for (ItemId q = 1; q <= 9; ++q) ss->Add(q, static_cast<Count>(q));
-  ss->Clear();
-  EXPECT_EQ(ss->MonitoredCount(), 0u);
-  EXPECT_EQ(ss->MinCount(), 0);
-  EXPECT_EQ(ss->Estimate(9), 0);
-  ss->Add(2, 5);
-  EXPECT_EQ(ss->Estimate(2), 5);
-  EXPECT_EQ(ss->ErrorOf(2), 0);
-}
-
 TEST(SpaceSavingTest, NeverUnderestimatesMonitored) {
   auto gen = ZipfGenerator::Make(2000, 1.0, 3);
   ASSERT_TRUE(gen.ok());

@@ -340,7 +340,7 @@ int CmdSketch(const Flags& flags) {
     opts.push_timeout_ms = static_cast<uint64_t>(*push_timeout);
     opts.overflow_policy = *overflow;
     auto ingestor = ParallelIngestor<CountSketch>::Make(
-        MakeSharedParamsFactory<CountSketch>(*params), opts);
+        [p = *params] { return CountSketch::Make(p); }, opts);
     if (!ingestor.ok()) return Fail(ingestor.status());
     const Status ingest_status =
         (*ingestor)->Ingest(std::span<const ItemId>(*stream));
@@ -368,7 +368,6 @@ int CmdSketch(const Flags& flags) {
     std::cout << "DEGRADED ingest: dropped=" << stats.DroppedItems()
               << " (shed=" << stats.shed_items
               << ", sampled_away=" << stats.sampled_items_dropped
-              << ", abandoned=" << stats.abandoned_items
               << "), deadline_misses=" << stats.deadline_misses
               << ", worker_respawns=" << stats.worker_respawns << "\n";
   }
@@ -390,8 +389,6 @@ int CmdSketch(const Flags& flags) {
   fields.push_back(JsonField::Integer(
       "sampled_items_dropped",
       static_cast<int64_t>(stats.sampled_items_dropped)));
-  fields.push_back(JsonField::Integer(
-      "abandoned_items", static_cast<int64_t>(stats.abandoned_items)));
   fields.push_back(JsonField::Integer(
       "deadline_misses", static_cast<int64_t>(stats.deadline_misses)));
   fields.push_back(JsonField::Integer(
