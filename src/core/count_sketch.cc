@@ -140,31 +140,6 @@ void CountSketch::BatchAddScalar(std::span<const ItemId> items,
   BatchAddDispatch(items, weight, batch_hash::Backend::kScalar);
 }
 
-std::vector<Count> CountSketch::RowEstimates(ItemId item) const {
-  std::vector<Count> est(depth_);
-  for (size_t i = 0; i < depth_; ++i) {
-    const BucketSign bs = Locate(i, item);
-    est[i] = counters_.At(i, bs.bucket) * bs.sign;
-  }
-  return est;
-}
-
-CountSketch::EstimateInterval CountSketch::EstimateWithSpread(
-    ItemId item) const {
-  std::vector<Count> est = RowEstimates(item);
-  std::sort(est.begin(), est.end());
-  const size_t n = est.size();
-  EstimateInterval out;
-  out.lower = est[n / 4];
-  out.upper = est[(3 * n) / 4 == n ? n - 1 : (3 * n) / 4];
-  if (n % 2 == 1) {
-    out.estimate = est[n / 2];
-  } else {
-    out.estimate = (est[n / 2 - 1] + est[n / 2]) / 2;
-  }
-  return out;
-}
-
 template <typename CounterFn>
 Count CountSketch::CombineRows(ItemId item, CounterFn counter) const noexcept {
   // Row estimates live on the stack for the common shallow depths; deep

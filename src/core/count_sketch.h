@@ -98,21 +98,6 @@ class CountSketch {
   /// `base` must be CompatibleWith this sketch.
   Count EstimateDifference(ItemId item, const CountSketch& base) const noexcept;
 
-  /// The per-row estimates C[i][h_i(q)]*s_i(q), in row order. Exposed for
-  /// tests and the variance experiments (E2/E3).
-  std::vector<Count> RowEstimates(ItemId item) const;
-
-  /// A point estimate with an empirical uncertainty band: the median of
-  /// the row estimates bracketed by their lower/upper quartiles. The
-  /// quartile spread is a practical stand-in for the gamma error scale
-  /// when the stream statistics are unknown (wide band = noisy estimate).
-  struct EstimateInterval {
-    Count estimate;
-    Count lower;   ///< ~25th percentile of row estimates
-    Count upper;   ///< ~75th percentile of row estimates
-  };
-  EstimateInterval EstimateWithSpread(ItemId item) const;
-
   /// Counter-wise addition: this += other. Requires compatibility (same
   /// depth, width, seed, family); returns InvalidArgument otherwise.
   Status Merge(const CountSketch& other);

@@ -16,6 +16,7 @@
 #include "util/failpoint.h"
 #include "util/frame.h"
 #include "util/iovec.h"
+#include "util/net.h"
 
 namespace streamfreq {
 
@@ -34,9 +35,9 @@ Status ErrnoStatus(const std::string& what, const std::string& path) {
 // full disk may only report there.
 Status WritePieces(const std::string& path, std::string_view head,
                    std::span<const std::string_view> pieces) {
-  const int fd =
-      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
-  if (fd < 0) return ErrnoStatus("cannot open for writing", path);
+  OwnedFd fd(
+      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666));
+  if (!fd.valid()) return ErrnoStatus("cannot open for writing", path);
   std::vector<iovec> iov;
   iov.reserve(1 + pieces.size());
   iov.push_back({const_cast<char*>(head.data()), head.size()});
@@ -44,23 +45,15 @@ Status WritePieces(const std::string& path, std::string_view head,
     iov.push_back({const_cast<char*>(piece.data()), piece.size()});
   }
   const bool written =
-      WriteAllIovecs(iov.data(), iov.size(), [fd](iovec* rest, size_t n) {
-        return ::writev(fd, rest, static_cast<int>(std::min<size_t>(
-                                      n, static_cast<size_t>(IOV_MAX))));
+      WriteAllIovecs(iov.data(), iov.size(), [&fd](iovec* rest, size_t n) {
+        return ::writev(fd.get(), rest, static_cast<int>(std::min<size_t>(
+                                            n, static_cast<size_t>(IOV_MAX))));
       });
-  if (!written) {
-    const Status status = ErrnoStatus("write failed", path);
-    ::close(fd);
-    return status;
-  }
-  if (::close(fd) != 0) return ErrnoStatus("write failed", path);
+  // The status reads errno before the destructor closes the fd.
+  if (!written) return ErrnoStatus("write failed", path);
+  if (::close(fd.Release()) != 0) return ErrnoStatus("write failed", path);
   return Status::OK();
 }
-
-struct FdCloser {
-  int fd;
-  ~FdCloser() { ::close(fd); }
-};
 
 }  // namespace
 
@@ -117,11 +110,10 @@ Result<std::string> ReadBlobFileVerified(const std::string& path,
     return Status::IoError("injected failure: sketch_io.read: " + path);
   }
 
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return ErrnoStatus("cannot open for reading", path);
-  const FdCloser closer{fd};
+  const OwnedFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (!fd.valid()) return ErrnoStatus("cannot open for reading", path);
   struct stat st;
-  if (::fstat(fd, &st) != 0) return ErrnoStatus("cannot stat", path);
+  if (::fstat(fd.get(), &st) != 0) return ErrnoStatus("cannot stat", path);
   // A path that opens but is no file (a directory, say) holds no frame.
   if (!S_ISREG(st.st_mode)) {
     return Status::Corruption("not a regular file: " + path);
@@ -135,7 +127,7 @@ Result<std::string> ReadBlobFileVerified(const std::string& path,
   // field must account for the whole file before anything is sized by it.
   std::array<char, frame::kHeaderSize> header_bytes;
   const ssize_t header_got =
-      ReadUpTo(fd, header_bytes.data(), header_bytes.size());
+      ReadUpTo(fd.get(), header_bytes.data(), header_bytes.size());
   if (header_got < 0) return ErrnoStatus("read failed", path);
   const Result<frame::Header> header = frame::ParseHeader(
       std::string_view(header_bytes.data(), static_cast<size_t>(header_got)),
@@ -150,7 +142,8 @@ Result<std::string> ReadBlobFileVerified(const std::string& path,
   }
 
   std::string payload(static_cast<size_t>(header->payload_len), '\0');
-  const ssize_t payload_got = ReadUpTo(fd, payload.data(), payload.size());
+  const ssize_t payload_got =
+      ReadUpTo(fd.get(), payload.data(), payload.size());
   if (payload_got < 0) return ErrnoStatus("read failed", path);
   if (static_cast<size_t>(payload_got) != payload.size()) {
     return Status::Corruption("frame payload truncated: " + path);

@@ -13,8 +13,8 @@
 
 #include "core/max_change.h"
 #include "core/space_saving.h"
-#include "server/net.h"
 #include "stream/zipf.h"
+#include "util/net.h"
 
 namespace streamfreq {
 namespace {

@@ -3,7 +3,7 @@
 //
 // The CLI process hosts the ROOT. Every other node — ingest workers at the
 // leaves, merge relays in the interior — is a forked child talking framed
-// deltas (dist/delta.h) over unix-domain sockets (server/net.h). Each node
+// deltas (dist/delta.h) over unix-domain sockets (util/net.h). Each node
 // is a MergeNode (dist/delta.h), the same node type MergeTreeSim runs, so
 // the apply rule and the wire bytes are the sim's; this file only adds
 // fork, sockets and poll. All listeners are created before the first

@@ -1,6 +1,6 @@
 #include "dist/delta.h"
 
-#include <set>
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -262,16 +262,20 @@ std::vector<CoverageEntry> MergeNode::Covered() const {
 }
 
 std::vector<ItemId> MergeNode::CandidateUnion() const {
-  std::set<ItemId> ids;
-  if (tracker_.has_value()) {
-    for (const ItemCount& c : tracker_->Candidates(tracker_->capacity())) {
-      ids.insert(c.item);
-    }
-  }
+  std::vector<ItemCount> own;
+  if (tracker_.has_value()) own = tracker_->Candidates(tracker_->capacity());
+  size_t total = own.size();
+  for (const auto& [child, c] : children_) total += c.candidates.size();
+  // One allocation for the union, sorted and deduped in place.
+  std::vector<ItemId> ids;
+  ids.reserve(total);
+  for (const ItemCount& c : own) ids.push_back(c.item);
   for (const auto& [child, c] : children_) {
-    ids.insert(c.candidates.begin(), c.candidates.end());
+    ids.insert(ids.end(), c.candidates.begin(), c.candidates.end());
   }
-  return std::vector<ItemId>(ids.begin(), ids.end());
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
 }
 
 }  // namespace streamfreq

@@ -11,7 +11,7 @@
 // frames are re-delivered.
 //
 // Wire form (inside the standard SFQRPC01 CRC frame, see
-// src/server/protocol.h):
+// src/util/net.h):
 //
 //   u64 magic      kDeltaMagic ("SFQDLT01")
 //   u64 node_id    sender

@@ -5,8 +5,8 @@
 
 #include "core/max_change.h"
 #include "core/space_saving.h"
-#include "server/protocol.h"
 #include "util/failpoint.h"
+#include "util/net.h"
 
 namespace streamfreq {
 

@@ -32,10 +32,10 @@
 #include <vector>
 
 #include "core/count_sketch.h"
-#include "server/net.h"
 #include "server/protocol.h"
 #include "stream/exact_counter.h"
 #include "stream/types.h"
+#include "util/net.h"
 #include "util/result.h"
 #include "util/splitmix64.h"
 #include "util/status.h"

@@ -69,23 +69,6 @@ bool OpcodeNeedsTenant(Opcode op) {
   return true;  // unregistered values never reach dispatch; fail closed
 }
 
-std::string EncodeFrame(std::string_view payload) {
-  std::string frame_bytes;
-  frame_bytes.reserve(kFrameHeaderSize + payload.size());
-  frame::Append(&frame_bytes, kFrameMagic, payload);
-  return frame_bytes;
-}
-
-Result<std::string_view> DecodeFrame(std::string_view frame) {
-  return frame::Decode(frame, kFrameMagic, kMaxPayloadBytes);
-}
-
-Status DecodeFrame(std::string_view frame, std::string* payload) {
-  STREAMFREQ_ASSIGN_OR_RETURN(std::string_view body, DecodeFrame(frame));
-  payload->assign(body);
-  return Status::OK();
-}
-
 uint64_t PolicyToWire(OverflowPolicy policy) {
   return static_cast<uint64_t>(policy);
 }

@@ -1,14 +1,15 @@
 // Wire protocol for `sfq serve`: length-prefixed binary frames over local
 // sockets.
 //
-// A frame is one util/frame.h frame under kFrameMagic ("SFQRPC01"), so a
-// truncated, torn, or bit-flipped frame is detected before any field of
-// the payload is trusted. Payloads are ByteWriter/ByteReader encodings
-// of Request/Response; every variable-length field is length-prefixed and
-// length-checked against the bytes actually present BEFORE allocation, and
-// trailing bytes after the last field are corruption — the decoder accepts
-// exactly the encodings the encoder produces (the corruption-matrix test
-// in tests/server_protocol_test.cc walks every truncation boundary).
+// A frame is one RPC frame (util/net.h: a util/frame.h frame under
+// kFrameMagic, "SFQRPC01"), so a truncated, torn, or bit-flipped frame is
+// detected before any field of the payload is trusted. Payloads are
+// ByteWriter/ByteReader encodings of Request/Response; every
+// variable-length field is length-prefixed and length-checked against the
+// bytes actually present BEFORE allocation, and trailing bytes after the
+// last field are corruption — the decoder accepts exactly the encodings
+// the encoder produces (the corruption-matrix test in
+// tests/server_protocol_test.cc walks every truncation boundary).
 //
 // Every opcode lives in ONE registry table (kOpcodeTable in protocol.cc,
 // exposed via OpcodeTable()); call sites use the Opcode enumerators and
@@ -28,7 +29,7 @@
 #include "stream/exact_counter.h"
 #include "stream/types.h"
 #include "util/bytes.h"
-#include "util/frame.h"
+#include "util/net.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -72,27 +73,6 @@ const char* OpcodeName(Opcode op);
 Result<Opcode> LookupOpcode(uint64_t raw);
 Result<Opcode> OpcodeFromName(std::string_view name);
 bool OpcodeNeedsTenant(Opcode op);
-
-/// Frame geometry: the util/frame.h header under the RPC magic.
-inline constexpr uint64_t kFrameMagic = 0x3130435052514653ULL;  // "SFQRPC01"
-inline constexpr size_t kFrameHeaderSize = frame::kHeaderSize;
-/// Hard bound on one frame's payload; a header declaring more is corrupt
-/// (and nothing is allocated for it).
-inline constexpr uint64_t kMaxPayloadBytes = uint64_t{1} << 26;
-
-/// Wraps `payload` in a checksummed frame.
-std::string EncodeFrame(std::string_view payload);
-
-/// Validates a complete in-memory frame in place and returns a view of its
-/// payload, valid as long as `frame`'s bytes are. Any truncation, magic
-/// mismatch, oversized length, trailing bytes, or CRC mismatch is
-/// Corruption.
-Result<std::string_view> DecodeFrame(std::string_view frame);
-
-/// DecodeFrame into an owned copy of the payload. Only the sfq_bench
-/// harness, which times it as the frame-decode layer, still calls this
-/// form; it copies after the single in-place validation above.
-Status DecodeFrame(std::string_view frame, std::string* payload);
 
 /// Per-tenant configuration carried by kCreateTenant: sketch geometry plus
 /// the PR-4 overflow policies as admission control. Zero depth/width means

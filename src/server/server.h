@@ -35,9 +35,9 @@
 #include <string>
 #include <thread>
 
-#include "server/net.h"
 #include "server/service.h"
 #include "util/mutex.h"
+#include "util/net.h"
 #include "util/result.h"
 
 namespace streamfreq {

@@ -52,8 +52,8 @@
 #include <span>
 #include <string>
 
-#include "server/net.h"
 #include "stream/types.h"
+#include "util/net.h"
 #include "util/result.h"
 
 namespace streamfreq {

@@ -1,5 +1,5 @@
 // The one frame codec behind every checksummed byte format: RPC frames
-// (SFQRPC01, server/protocol.h), journal records (SFQWAL01, server/wal.h),
+// (SFQRPC01, util/net.h), journal records (SFQWAL01, server/wal.h),
 // sketch files and tenant snapshots (core/sketch_io.h). Little-endian:
 //
 //   u64 magic      format tag

@@ -1,4 +1,4 @@
-#include "server/net.h"
+#include "util/net.h"
 
 #include <array>
 #include <cerrno>
@@ -10,7 +10,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "server/protocol.h"
 #include "util/frame.h"
 #include "util/iovec.h"
 #include "util/macros.h"
@@ -40,6 +39,23 @@ Status FillAddr(const std::string& path, sockaddr_un* addr) {
 }
 
 }  // namespace
+
+std::string EncodeFrame(std::string_view payload) {
+  std::string frame_bytes;
+  frame_bytes.reserve(frame::kHeaderSize + payload.size());
+  frame::Append(&frame_bytes, kFrameMagic, payload);
+  return frame_bytes;
+}
+
+Result<std::string_view> DecodeFrame(std::string_view frame) {
+  return frame::Decode(frame, kFrameMagic, kMaxPayloadBytes);
+}
+
+Status DecodeFrame(std::string_view frame, std::string* payload) {
+  STREAMFREQ_ASSIGN_OR_RETURN(std::string_view body, DecodeFrame(frame));
+  payload->assign(body);
+  return Status::OK();
+}
 
 void OwnedFd::Reset() {
   if (fd_ >= 0) {
@@ -93,7 +109,7 @@ Status SendFrame(int fd, std::string_view payload) {
   // Header and payload go out as two iovecs: the payload is sent from the
   // caller's buffer, never copied behind a header.
   const std::string_view pieces[] = {payload};
-  std::array<char, kFrameHeaderSize> header =
+  std::array<char, frame::kHeaderSize> header =
       frame::HeaderFor(kFrameMagic, pieces);
   iovec iov[] = {{header.data(), header.size()},
                  {const_cast<char*>(payload.data()), payload.size()}};
@@ -109,7 +125,7 @@ Status SendFrame(int fd, std::string_view payload) {
 }
 
 Result<std::string> RecvFrame(int fd) {
-  char header[kFrameHeaderSize];
+  char header[frame::kHeaderSize];
   const ssize_t got = ReadUpTo(fd, header, sizeof(header));
   if (got < 0) return ErrnoStatus("read");
   if (got == 0) return Status::NotFound("connection closed");

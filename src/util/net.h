@@ -1,6 +1,8 @@
-// Minimal RAII wrappers over local (AF_UNIX) stream sockets plus framed
-// send/receive, shared by the server, the client library, and the load
-// driver.
+// The RPC transport: RAII wrappers over local (AF_UNIX) stream sockets,
+// and the RPC frame format sent over them. Shared by the server, the
+// client library, the load driver and the merge tree (`sfq aggregate`
+// ships deltas in these frames; MergeTreeSim frames them the same way
+// in memory).
 //
 // Local sockets keep the serving story kernel-arbitrated (real
 // backpressure, real partial reads/writes — everything the corruption and
@@ -8,12 +10,15 @@
 // itself is transport-agnostic, so a TCP listener is a second Listen*
 // function away.
 //
-// All calls handle EINTR and short reads/writes; RecvFrame distinguishes a
-// clean EOF at a frame boundary (NotFound, connection over) from
-// truncation inside a frame (Corruption) and from damaged headers or
-// checksums (Corruption from the util/frame.h codec).
+// An RPC frame is one util/frame.h frame under kFrameMagic ("SFQRPC01"),
+// its payload at most kMaxPayloadBytes. All calls handle EINTR and short
+// reads/writes; RecvFrame distinguishes a clean EOF at a frame boundary
+// (NotFound, connection over) from truncation inside a frame (Corruption)
+// and from damaged headers or checksums (Corruption from the util/frame.h
+// codec).
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -22,6 +27,26 @@
 #include "util/status.h"
 
 namespace streamfreq {
+
+/// The RPC frame magic.
+inline constexpr uint64_t kFrameMagic = 0x3130435052514653ULL;  // "SFQRPC01"
+/// Hard bound on one frame's payload; a header declaring more is corrupt
+/// (and nothing is allocated for it).
+inline constexpr uint64_t kMaxPayloadBytes = uint64_t{1} << 26;
+
+/// Wraps `payload` in a checksummed frame.
+std::string EncodeFrame(std::string_view payload);
+
+/// Validates a complete in-memory frame in place and returns a view of its
+/// payload, valid as long as `frame`'s bytes are. Any truncation, magic
+/// mismatch, oversized length, trailing bytes, or CRC mismatch is
+/// Corruption.
+Result<std::string_view> DecodeFrame(std::string_view frame);
+
+/// DecodeFrame into an owned copy of the payload. Only the sfq_bench
+/// harness, which times it as the frame-decode layer, still calls this
+/// form; it copies after the single in-place validation above.
+Status DecodeFrame(std::string_view frame, std::string* payload);
 
 /// An owned file descriptor: closes on destruction, move-only.
 class OwnedFd {

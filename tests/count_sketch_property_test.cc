@@ -131,7 +131,8 @@ INSTANTIATE_TEST_SUITE_P(
     CaseName);
 
 // Variance scaling (Lemma 1-2): quadrupling b should roughly halve the
-// root-mean-square error of single-row estimates.
+// root-mean-square error of single-row estimates (depth-1 sketches, whose
+// Estimate is their one row estimate).
 TEST(CountSketchVarianceTest, RmseHalvesWhenWidthQuadruples) {
   auto gen = ZipfGenerator::Make(2000, 1.0, 77);
   ASSERT_TRUE(gen.ok());
@@ -153,7 +154,7 @@ TEST(CountSketchVarianceTest, RmseHalvesWhenWidthQuadruples) {
       for (uint64_t rank = 30; rank < 50; ++rank) {
         const ItemId item = gen->IdForRank(rank);
         const double err = static_cast<double>(
-            s->RowEstimates(item)[0] - oracle.CountOf(item));
+            s->Estimate(item) - oracle.CountOf(item));
         se += err * err;
         ++samples;
       }

@@ -55,12 +55,23 @@ TEST(CountSketchTest, EmptySketchEstimatesZero) {
 
 TEST(CountSketchTest, SingleItemIsExact) {
   // With one item there are no collisions: every row estimate is exact.
+  // A depth-1 sketch's Estimate is its one row estimate, so each seed
+  // checks a row on its own, not only the median.
   auto s = CountSketch::Make(SmallParams());
   ASSERT_TRUE(s.ok());
   s->Add(7, 10);
   s->Add(7, 5);
   EXPECT_EQ(s->Estimate(7), 15);
-  for (Count row : s->RowEstimates(7)) EXPECT_EQ(row, 15);
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    CountSketchParams p = SmallParams();
+    p.depth = 1;
+    p.seed = seed;
+    auto row = CountSketch::Make(p);
+    ASSERT_TRUE(row.ok());
+    row->Add(7, 10);
+    row->Add(7, 5);
+    EXPECT_EQ(row->Estimate(7), 15) << "seed " << seed;
+  }
 }
 
 TEST(CountSketchTest, NegationIsSymmetric) {
@@ -448,43 +459,9 @@ TEST(CountSketchTest, SpaceBytesScalesWithDimensions) {
             small->depth() * small->width() * sizeof(int64_t));
 }
 
-TEST(CountSketchTest, SpreadIntervalBracketsMedianAndCollapsesWhenExact) {
-  auto s = CountSketch::Make(SmallParams());
-  ASSERT_TRUE(s.ok());
-  s->Add(7, 500);  // single item: every row agrees
-  const auto exact = s->EstimateWithSpread(7);
-  EXPECT_EQ(exact.estimate, 500);
-  EXPECT_EQ(exact.lower, 500);
-  EXPECT_EQ(exact.upper, 500);
-
-  // Load the sketch heavily at a narrow width: the interval must widen and
-  // still bracket the point estimate.
-  CountSketchParams p = SmallParams();
-  p.width = 16;
-  auto noisy = CountSketch::Make(p);
-  ASSERT_TRUE(noisy.ok());
-  for (ItemId q = 1; q <= 2000; ++q) noisy->Add(q, static_cast<Count>(q % 50));
-  const auto interval = noisy->EstimateWithSpread(1234);
-  EXPECT_LE(interval.lower, interval.estimate);
-  EXPECT_GE(interval.upper, interval.estimate);
-  EXPECT_LT(interval.lower, interval.upper)
-      << "a saturated 16-bucket sketch cannot have agreeing rows";
-}
-
-TEST(CountSketchTest, SpreadMatchesEstimateForOddDepth) {
-  CountSketchParams p = SmallParams();
-  p.depth = 7;
-  auto s = CountSketch::Make(p);
-  ASSERT_TRUE(s.ok());
-  for (ItemId q = 1; q <= 300; ++q) s->Add(q, static_cast<Count>(q));
-  for (ItemId q : {1ull, 50ull, 299ull}) {
-    EXPECT_EQ(s->EstimateWithSpread(q).estimate, s->Estimate(q));
-  }
-}
-
 TEST(CountSketchTest, EstimateUnbiasedOverSeeds) {
-  // E[h_i[q] * s_i[q]] = n_q (Lemma 1 setup): average the row-0 estimate of
-  // a fixed stream over many independent sketches.
+  // E[h_i[q] * s_i[q]] = n_q (Lemma 1 setup): average the single row
+  // estimate of a fixed stream over many independent depth-1 sketches.
   ExactCounter oracle;
   auto gen = ZipfGenerator::Make(500, 1.0, 3);
   ASSERT_TRUE(gen.ok());
@@ -503,7 +480,7 @@ TEST(CountSketchTest, EstimateUnbiasedOverSeeds) {
     auto s = CountSketch::Make(p);
     ASSERT_TRUE(s.ok());
     for (ItemId q : stream) s->Add(q);
-    sum += static_cast<double>(s->RowEstimates(target)[0]);
+    sum += static_cast<double>(s->Estimate(target));
   }
   const double mean = sum / kSeeds;
   // Variance per estimate <= F2/width; stderr = sqrt(var/kSeeds).

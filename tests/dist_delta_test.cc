@@ -521,37 +521,42 @@ TEST(MergeNodeTest, LeafShipsWhatItAdmitted) {
 
 // A fresh Ship serializes the node's counters into the pending encoding
 // and clears them in place: it allocates about the payload once. Copying
-// the sketch to subtract an acked base from it would allocate it twice.
+// the sketch to subtract an acked base from it would allocate it twice,
+// and so would a node-based candidate union at 256 candidates (the
+// tree-fanout4 leaf's tracker).
 TEST(MergeNodeTest, FreshShipAllocatesAboutThePayload) {
   CountSketchParams params;
   params.depth = 5;
   params.width = 2048;
   params.seed = 3;
   auto zero = CountSketch::Make(params);
-  auto tracker = SpaceSaving::Make(16);
   ASSERT_TRUE(zero.ok());
-  ASSERT_TRUE(tracker.ok());
-  MergeNode leaf(1, *zero, std::move(*tracker));
-  auto gen = ZipfGenerator::Make(1000, 1.1, 5);
-  ASSERT_TRUE(gen.ok());
-  for (int round = 0; round < 3; ++round) {
-    const Stream batch = gen->Take(4096);
-    leaf.own().offered += batch.size();
-    leaf.Admit(batch);
+  for (const size_t tracked : {size_t{16}, size_t{256}}) {
+    auto tracker = SpaceSaving::Make(tracked);
+    ASSERT_TRUE(tracker.ok());
+    MergeNode leaf(1, *zero, std::move(*tracker));
+    auto gen = ZipfGenerator::Make(1000, 1.1, 5);
+    ASSERT_TRUE(gen.ok());
+    for (int round = 0; round < 3; ++round) {
+      const Stream batch = gen->Take(4096);
+      leaf.own().offered += batch.size();
+      leaf.Admit(batch);
+      const size_t before = AllocatedBytes();
+      const std::optional<std::string_view> shipped = leaf.Ship(false);
+      const size_t allocated = AllocatedBytes() - before;
+      ASSERT_TRUE(shipped.has_value());
+      EXPECT_LE(allocated, shipped->size() + shipped->size() / 10)
+          << tracked << " candidates, round " << round;
+      EXPECT_EQ(Bytes(leaf.acc()), Bytes(*zero))
+          << tracked << " candidates, round " << round;
+      ASSERT_TRUE(leaf.up().Acked(leaf.up().acked_seqno() + 1).ok());
+    }
+    // The count is live: a copy of the sketch's counters shows in it.
     const size_t before = AllocatedBytes();
-    const std::optional<std::string_view> shipped = leaf.Ship(false);
-    const size_t allocated = AllocatedBytes() - before;
-    ASSERT_TRUE(shipped.has_value());
-    EXPECT_LE(allocated, shipped->size() + shipped->size() / 10)
-        << "round " << round;
-    EXPECT_EQ(Bytes(leaf.acc()), Bytes(*zero)) << "round " << round;
-    ASSERT_TRUE(leaf.up().Acked(leaf.up().acked_seqno() + 1).ok());
+    const CountSketch copy = leaf.acc();
+    EXPECT_GE(AllocatedBytes() - before,
+              params.depth * params.width * sizeof(Count));
   }
-  // The count is live: a copy of the sketch's counters shows in it.
-  const size_t before = AllocatedBytes();
-  const CountSketch copy = leaf.acc();
-  EXPECT_GE(AllocatedBytes() - before,
-            params.depth * params.width * sizeof(Count));
 }
 
 // A resend is the stored encoding, and a call with nothing to ship answers

@@ -22,6 +22,7 @@
 #include "server/snapshotter.h"
 #include "server/wal.h"
 #include "util/crc32.h"
+#include "util/net.h"
 
 namespace streamfreq {
 namespace {

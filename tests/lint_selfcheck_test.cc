@@ -26,6 +26,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -310,6 +311,21 @@ TEST(LintSelfcheck, RawPagesConfinesMappingsToPagesModule) {
       "/tests/lint_fixtures/raw_pages.cc' --as src/util/pages.cc"));
   EXPECT_EQ(home.output.find("[sfq-raw-pages]"), std::string::npos)
       << home.output;
+}
+
+// The server's socket transport lives in src/util/net.*, below dist; the
+// two server rules that guard sockets and files cover it there too.
+TEST(LintSelfcheck, ServerRulesCoverTheTransport) {
+  for (const auto& [fixture, rule] :
+       {std::pair{"raw_server_write.cc", "[sfq-durable-write]"},
+        std::pair{"blocking_under_lock.cc", "[sfq-blocking-under-lock]"}}) {
+    const RunResult r = Exec(LintCmd("--check-file '" + std::string(kRoot) +
+                                     "/tests/lint_fixtures/" + fixture +
+                                     "' --as src/util/net.cc"));
+    EXPECT_EQ(r.exit_code, 1) << fixture << "\n" << r.output;
+    EXPECT_NE(r.output.find(rule), std::string::npos)
+        << fixture << "\n" << r.output;
+  }
 }
 
 // On a clean tree --json prints nothing at all (no summary line), so CI

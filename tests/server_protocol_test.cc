@@ -18,9 +18,9 @@
 
 #include <pthread.h>
 
-#include "server/net.h"
 #include "util/bytes.h"
 #include "util/frame.h"
+#include "util/net.h"
 
 namespace streamfreq {
 namespace {
@@ -128,12 +128,12 @@ TEST(FrameTest, RoundTripsPayloads) {
        {std::string(), std::string("x"), std::string(100000, 'q'),
         std::string("\0\xff\x7f", 3)}) {
     const std::string frame = EncodeFrame(payload);
-    ASSERT_EQ(frame.size(), kFrameHeaderSize + payload.size());
+    ASSERT_EQ(frame.size(), frame::kHeaderSize + payload.size());
     auto decoded = DecodeFrame(frame);
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(*decoded, payload);
     // Validated in place: the payload is a view into the frame's bytes.
-    EXPECT_EQ(decoded->data(), frame.data() + kFrameHeaderSize);
+    EXPECT_EQ(decoded->data(), frame.data() + frame::kHeaderSize);
   }
 }
 
@@ -151,7 +151,7 @@ TEST(FrameTest, TruncationAtEveryBoundaryIsCorruption) {
 
 TEST(FrameTest, EveryHeaderBitFlipIsCorruption) {
   const std::string frame = EncodeFrame("bit flip battery");
-  for (size_t byte = 0; byte < kFrameHeaderSize; ++byte) {
+  for (size_t byte = 0; byte < frame::kHeaderSize; ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string damaged = frame;
       damaged[byte] = static_cast<char>(damaged[byte] ^ (1 << bit));
@@ -163,7 +163,7 @@ TEST(FrameTest, EveryHeaderBitFlipIsCorruption) {
 
 TEST(FrameTest, EveryPayloadBitFlipIsCorruption) {
   const std::string frame = EncodeFrame("payload flip battery");
-  for (size_t byte = kFrameHeaderSize; byte < frame.size(); ++byte) {
+  for (size_t byte = frame::kHeaderSize; byte < frame.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string damaged = frame;
       damaged[byte] = static_cast<char>(damaged[byte] ^ (1 << bit));

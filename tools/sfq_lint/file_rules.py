@@ -18,6 +18,9 @@ from .tokenizer import code_lines
 
 CXX_EXTENSIONS = (".h", ".cc", ".cpp", ".hpp")
 
+# durable-write scope: the server, and its socket transport in src/util.
+DURABLE_WRITE_PATHS = ("src/server/", "src/util/net.")
+
 # Member types that need no lock: atomics, the synchronization primitives
 # themselves, joined-thread handles, and internally-synchronized classes.
 THREADSAFE_TYPE_PREFIXES = (
@@ -58,9 +61,9 @@ class FileLinter:
                 self.check_failpoint_site()
             if not self.path.startswith("src/server/protocol"):
                 self.check_server_opcode_cast()
-        if self.path.startswith("src/server/") and not self.path.startswith(
-            "src/server/wal."
-        ):
+        if self.path.startswith(
+            DURABLE_WRITE_PATHS
+        ) and not self.path.startswith("src/server/wal."):
             self.check_durable_write()
         if (
             in_src or in_tools or self.path.startswith("bench/")
@@ -295,7 +298,8 @@ class FileLinter:
     )
 
     def check_durable_write(self):
-        """src/server/ persists state only through the two audited paths.
+        """src/server/ and the RPC transport (src/util/net.*) persist state
+        only through the two audited paths.
 
         Tenant durability rests on exactly two write disciplines: the
         sketch_io write-temp-then-rename snapshot path (one rename is one
@@ -310,7 +314,8 @@ class FileLinter:
                 self.report(
                     idx,
                     "durable-write",
-                    f"raw file write '{m.group(0).strip()}' in src/server/; "
+                    f"raw file write '{m.group(0).strip()}' in the server "
+                    "or its transport; "
                     "persist through core/sketch_io.h (write-temp-then-"
                     "rename) or the WAL (src/server/wal.cc) so a crash "
                     "cannot publish a half-written file recovery would "
