@@ -81,6 +81,7 @@
 #include <vector>
 
 #include "concurrent/batch_queue.h"
+#include "concurrent/overflow_policy.h"
 #include "concurrent/snapshot.h"
 #include "core/count_sketch.h"
 #include "stream/types.h"
@@ -88,19 +89,6 @@
 #include "util/result.h"
 
 namespace streamfreq {
-
-/// What a producer does with a batch the queue would not accept within its
-/// deadline (only consulted when push_timeout_ms > 0).
-enum class OverflowPolicy : uint8_t {
-  /// Fail the Ingest call with IoError. The default: overload is loud.
-  kBlock,
-  /// Drop the whole batch, count it (shed_batches/shed_items), continue.
-  kShed,
-  /// Keep every sample_keep_one_in-th item of the batch and enqueue the
-  /// remainder with a blocking push; count the rest as
-  /// sampled_items_dropped. Trades a bounded accuracy hit for liveness.
-  kSample,
-};
 
 /// Degradation counters, all zero on a fault-free run. The conservation
 /// invariant (checked by tests and the chaos harness) is

@@ -4,8 +4,8 @@ namespace streamfreq {
 
 Result<CountMinTopK> CountMinTopK::Make(const CountMinParams& sketch_params,
                                         size_t tracked) {
-  if (tracked == 0) {
-    return Status::InvalidArgument("CountMinTopK: tracked must be positive");
+  if (tracked == 0 || tracked > TrackedSet::kMaxCapacity) {
+    return Status::InvalidArgument("CountMinTopK: tracked must be in [1, 2^31)");
   }
   STREAMFREQ_ASSIGN_OR_RETURN(CountMin sketch, CountMin::Make(sketch_params));
   return CountMinTopK(std::move(sketch), tracked);

@@ -140,8 +140,8 @@ void CountSketch::BatchAddScalar(std::span<const ItemId> items,
   BatchAddDispatch(items, weight, batch_hash::Backend::kScalar);
 }
 
-template <typename CounterFn>
-Count CountSketch::CombineRows(ItemId item, CounterFn counter) const noexcept {
+template <typename RowFn>
+Count CountSketch::CombineRows(ItemId item, RowFn row_estimate) const noexcept {
   // Row estimates live on the stack for the common shallow depths; deep
   // sketches fall back to the heap-allocating path.
   constexpr size_t kStackRows = 64;
@@ -154,10 +154,7 @@ Count CountSketch::CombineRows(ItemId item, CounterFn counter) const noexcept {
     heap_est.resize(depth_);
     est = heap_est.data();
   }
-  for (size_t i = 0; i < depth_; ++i) {
-    const BucketSign bs = Locate(i, item);
-    est[i] = counter(i, bs.bucket) * bs.sign;
-  }
+  for (size_t i = 0; i < depth_; ++i) est[i] = row_estimate(i, Locate(i, item));
   if (params_.estimator == Estimator::kMean) {
     // Mean ablation: average rounded toward zero.
     Count sum = 0;
@@ -175,18 +172,30 @@ Count CountSketch::CombineRows(ItemId item, CounterFn counter) const noexcept {
 }
 
 Count CountSketch::Estimate(ItemId item) const noexcept {
-  return CombineRows(item, [this](size_t row, uint64_t bucket) {
-    return counters_.At(row, bucket);
+  return CombineRows(item, [this](size_t row, BucketSign bs) {
+    return counters_.At(row, bs.bucket) * bs.sign;
+  });
+}
+
+// sfq-hot-path
+Count CountSketch::AddAndEstimate(ItemId item, Count weight) noexcept {
+  // Each row's counter is final once its own update lands (no other row
+  // touches it), so reading it right after the add equals Add + Estimate.
+  return CombineRows(item, [this, weight](size_t row, BucketSign bs) {
+    int64_t& counter = counters_.At(row, bs.bucket);
+    counter += weight * bs.sign;
+    return counter * bs.sign;
   });
 }
 
 Count CountSketch::EstimateDifference(ItemId item,
                                       const CountSketch& base) const noexcept {
   SFQ_DCHECK(CompatibleWith(base));
-  return CombineRows(item, [this, &base](size_t row, uint64_t bucket) {
+  return CombineRows(item, [this, &base](size_t row, BucketSign bs) {
     return static_cast<Count>(
-        static_cast<uint64_t>(counters_.At(row, bucket)) -
-        static_cast<uint64_t>(base.counters_.At(row, bucket)));
+               static_cast<uint64_t>(counters_.At(row, bs.bucket)) -
+               static_cast<uint64_t>(base.counters_.At(row, bs.bucket))) *
+           bs.sign;
   });
 }
 

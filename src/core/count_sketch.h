@@ -92,6 +92,12 @@ class CountSketch {
   /// Mean estimates round toward zero.
   Count Estimate(ItemId item) const noexcept;
 
+  /// Add(item, weight), then Estimate(item), locating each row's bucket and
+  /// sign once: counters and the returned estimate equal the two calls'.
+  /// The tracker's path for an untracked arrival (CountSketchTopK). Like
+  /// Estimate, it allocates only for sketches deeper than 64 rows.
+  Count AddAndEstimate(ItemId item, Count weight = 1) noexcept;
+
   /// Estimate(item) on this − base, without building the difference: each
   /// row's counter minus base's (wrapping like Subtract), then Estimate's
   /// median or mean. Equal to copying this, Subtract(base) and Estimate.
@@ -171,10 +177,10 @@ class CountSketch {
   };
   BucketSign Locate(size_t row, ItemId item) const noexcept;
 
-  /// Estimate's median or mean over the row values
-  /// counter(row, bucket) * sign, with `counter` reading the cell.
-  template <typename CounterFn>
-  Count CombineRows(ItemId item, CounterFn counter) const noexcept;
+  /// Estimate's median or mean over the row estimates
+  /// row_estimate(row, Locate(row, item)), one call per row in order.
+  template <typename RowFn>
+  Count CombineRows(ItemId item, RowFn row_estimate) const noexcept;
 
   /// Row-major batch update over one hash family's function vectors,
   /// through the selected batch-hash backend.

@@ -9,8 +9,8 @@ namespace streamfreq {
 
 Result<MaxChangeDetector> MaxChangeDetector::Make(
     const CountSketchParams& sketch_params, size_t tracked) {
-  if (tracked == 0) {
-    return Status::InvalidArgument("MaxChangeDetector: tracked must be positive");
+  if (tracked == 0 || tracked > TrackedSet::kMaxCapacity) {
+    return Status::InvalidArgument("MaxChangeDetector: tracked must be in [1, 2^31)");
   }
   STREAMFREQ_ASSIGN_OR_RETURN(CountSketch sketch, CountSketch::Make(sketch_params));
   return MaxChangeDetector(std::move(sketch), tracked);

@@ -4,8 +4,8 @@ namespace streamfreq {
 
 Result<CountSketchTopK> CountSketchTopK::Make(
     const CountSketchParams& sketch_params, size_t tracked) {
-  if (tracked == 0) {
-    return Status::InvalidArgument("CountSketchTopK: tracked must be positive");
+  if (tracked == 0 || tracked > TrackedSet::kMaxCapacity) {
+    return Status::InvalidArgument("CountSketchTopK: tracked must be in [1, 2^31)");
   }
   STREAMFREQ_ASSIGN_OR_RETURN(CountSketch sketch, CountSketch::Make(sketch_params));
   return CountSketchTopK(std::move(sketch), tracked);
@@ -21,11 +21,15 @@ std::string CountSketchTopK::Name() const {
 }
 
 TrackerEvent CountSketchTopK::AddTracked(ItemId item, Count weight) {
-  sketch_.Add(item, weight);
   // Tracked item: count it exactly from here on (paper step 2, first arm).
-  if (tracked_.AddIfTracked(item, weight)) return {};
+  if (tracked_.AddIfTracked(item, weight)) {
+    sketch_.Add(item, weight);
+    return {};
+  }
+  // Untracked: one pass over the rows adds the arrival and reads the
+  // estimate it is offered at.
   const TrackedSet::Admission admission =
-      tracked_.TryAdmit(item, sketch_.Estimate(item));
+      tracked_.TryAdmit(item, sketch_.AddAndEstimate(item, weight));
   return {admission.admitted, admission.evicted ? admission.victim : 0};
 }
 

@@ -25,7 +25,7 @@
 #include <string_view>
 #include <vector>
 
-#include "concurrent/parallel_ingestor.h"
+#include "concurrent/overflow_policy.h"
 #include "stream/exact_counter.h"
 #include "stream/types.h"
 #include "util/bytes.h"

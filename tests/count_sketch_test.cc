@@ -448,6 +448,42 @@ TEST(CountSketchTest, EvenDepthMedianAveragesMiddles) {
   EXPECT_EQ(s->Estimate(3), 21);
 }
 
+// AddAndEstimate is Add followed by Estimate in one pass over the rows: the
+// same counters and the same answer, for every family and estimator, odd
+// and even depths, the deep (heap-buffered) median, and signed weights.
+TEST(CountSketchTest, AddAndEstimateEqualsAddThenEstimate) {
+  for (const HashFamily family :
+       {HashFamily::kCarterWegman, HashFamily::kMultiplyShift,
+        HashFamily::kTabulation}) {
+    for (const Estimator estimator : {Estimator::kMedian, Estimator::kMean}) {
+      for (const size_t depth : {size_t{1}, size_t{4}, size_t{5}, size_t{65}}) {
+        CountSketchParams p = SmallParams();
+        p.depth = depth;
+        p.width = 16;  // collisions, so row values differ
+        p.family = family;
+        p.estimator = estimator;
+        auto two_calls = CountSketch::Make(p);
+        auto one_call = CountSketch::Make(p);
+        ASSERT_TRUE(two_calls.ok() && one_call.ok());
+        Xoshiro256 rng(depth * 31 + static_cast<uint64_t>(family));
+        for (int i = 0; i < 2000; ++i) {
+          const ItemId item = rng.UniformBelow(200);
+          const Count weight = static_cast<Count>(rng.UniformBelow(7)) - 3;
+          two_calls->Add(item, weight);
+          ASSERT_EQ(one_call->AddAndEstimate(item, weight),
+                    two_calls->Estimate(item));
+        }
+        for (size_t row = 0; row < depth; ++row) {
+          for (size_t bucket = 0; bucket < p.width; ++bucket) {
+            ASSERT_EQ(one_call->CounterAt(row, bucket),
+                      two_calls->CounterAt(row, bucket));
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(CountSketchTest, SpaceBytesScalesWithDimensions) {
   CountSketchParams p = SmallParams();
   auto small = CountSketch::Make(p);

@@ -9,10 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <optional>
 #include <span>
 #include <string>
@@ -21,49 +18,15 @@
 
 #include "core/count_sketch.h"
 #include "core/space_saving.h"
+#include "counting_allocator.h"
 #include "dist/delta.h"
 #include "dist/merge_tree.h"
 #include "dist/tree.h"
 #include "stream/zipf.h"
 #include "util/failpoint.h"
-#include "util/pages.h"
-
-// Every operator new in this binary is counted, so a test can bound what a
-// call allocates (FreshShipAllocatesAboutThePayload), together with the
-// counter arrays PageBuffer allocates itself. The array and sized forms of
-// the standard library route through these. The nothrow form is replaced
-// too: std::stable_sort's buffer comes from it and goes back through the
-// plain operator delete, and AddressSanitizer, which supplies any form not
-// replaced here, would see its allocation freed with free().
-namespace {
-std::atomic<size_t> g_new_bytes{0};
-}  // namespace
-
-void* operator new(size_t size, const std::nothrow_t&) noexcept {
-  g_new_bytes.fetch_add(size, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-
-void* operator new(size_t size) {
-  if (void* p = operator new(size, std::nothrow)) return p;
-  throw std::bad_alloc();
-}
-
-// Out of line, so GCC does not see free() meet a new-expression's pointer
-// after inlining (-Wmismatched-new-delete).
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
-  std::free(p);
-}
 
 namespace streamfreq {
 namespace {
-
-// Bytes allocated so far: operator new plus PageBuffer's counter arrays.
-size_t AllocatedBytes() {
-  return g_new_bytes.load(std::memory_order_relaxed) +
-         PageBuffer::AllocatedBytes();
-}
 
 CountSketchParams SmallParams() {
   CountSketchParams params;
@@ -541,9 +504,9 @@ TEST(MergeNodeTest, FreshShipAllocatesAboutThePayload) {
       const Stream batch = gen->Take(4096);
       leaf.own().offered += batch.size();
       leaf.Admit(batch);
-      const size_t before = AllocatedBytes();
+      const size_t before = testing_alloc::AllocatedBytes();
       const std::optional<std::string_view> shipped = leaf.Ship(false);
-      const size_t allocated = AllocatedBytes() - before;
+      const size_t allocated = testing_alloc::AllocatedBytes() - before;
       ASSERT_TRUE(shipped.has_value());
       EXPECT_LE(allocated, shipped->size() + shipped->size() / 10)
           << tracked << " candidates, round " << round;
@@ -552,9 +515,9 @@ TEST(MergeNodeTest, FreshShipAllocatesAboutThePayload) {
       ASSERT_TRUE(leaf.up().Acked(leaf.up().acked_seqno() + 1).ok());
     }
     // The count is live: a copy of the sketch's counters shows in it.
-    const size_t before = AllocatedBytes();
+    const size_t before = testing_alloc::AllocatedBytes();
     const CountSketch copy = leaf.acc();
-    EXPECT_GE(AllocatedBytes() - before,
+    EXPECT_GE(testing_alloc::AllocatedBytes() - before,
               params.depth * params.width * sizeof(Count));
   }
 }
@@ -582,18 +545,18 @@ TEST(MergeNodeTest, ResendAllocatesNothing) {
   const std::string sent(*fresh);
   ASSERT_EQ(DecodeDelta(sent)->candidates.size(), 256u);
 
-  size_t before = AllocatedBytes();
+  size_t before = testing_alloc::AllocatedBytes();
   for (int resend = 0; resend < 3; ++resend) {
     const std::optional<std::string_view> again = leaf.Ship(false);
     ASSERT_TRUE(again.has_value());
     EXPECT_TRUE(*again == sent) << "resend " << resend;
   }
-  EXPECT_EQ(AllocatedBytes() - before, 0u) << "a resend allocated";
+  EXPECT_EQ(testing_alloc::AllocatedBytes() - before, 0u) << "a resend allocated";
 
   ASSERT_TRUE(leaf.up().Acked(1).ok());
-  before = AllocatedBytes();
+  before = testing_alloc::AllocatedBytes();
   EXPECT_FALSE(leaf.Ship(false).has_value());
-  EXPECT_EQ(AllocatedBytes() - before, 0u) << "an idle Ship allocated";
+  EXPECT_EQ(testing_alloc::AllocatedBytes() - before, 0u) << "an idle Ship allocated";
 }
 
 // End-to-end: a planted severed-link + lost-ack schedule. Severs delay

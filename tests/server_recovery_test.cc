@@ -8,9 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <new>
 #include <thread>
 #include <fstream>
 #include <span>
@@ -18,6 +16,7 @@
 #include <vector>
 
 #include "core/count_sketch.h"
+#include "counting_allocator.h"
 #include "server/protocol.h"
 #include "server/service.h"
 #include "server/snapshotter.h"
@@ -25,38 +24,6 @@
 #include "util/bytes.h"
 #include "util/failpoint.h"
 #include "util/frame.h"
-
-// Every operator new in this binary is counted, so a test can bound what a
-// journal replay allocates (ReplayAllocatesAboutOneRecord). The array and
-// sized forms of the standard library route through these; the nothrow
-// form (std::stable_sort's buffer) is replaced too, since a sanitizer
-// runtime would otherwise pair its own nothrow new with this delete.
-namespace {
-std::atomic<size_t> g_new_bytes{0};
-}  // namespace
-
-[[gnu::noinline]] void* operator new(size_t size) {
-  g_new_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-[[gnu::noinline]] void* operator new(size_t size,
-                                     const std::nothrow_t&) noexcept {
-  g_new_bytes.fetch_add(size, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-
-// All out of line, so GCC does not see free() meet a new-expression's
-// pointer after inlining (-Wmismatched-new-delete).
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete(void* p,
-                                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace streamfreq {
 namespace {
@@ -337,10 +304,10 @@ TEST(WalTest, ReplayAllocatesAboutOneRecord) {
     for (const ItemId id : items) sum += id;
     return Status::OK();
   };
-  const size_t before = g_new_bytes.load();
+  const size_t before = testing_alloc::NewBytes();
   auto stats =
       ReplayWalSegments(std::span<const std::string>(&path, 1), 0, apply);
-  const size_t allocated = g_new_bytes.load() - before;
+  const size_t allocated = testing_alloc::NewBytes() - before;
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(records, kRecords);
   EXPECT_FALSE(stats->torn_tail);

@@ -2,39 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <new>
 
+#include "counting_allocator.h"
 #include "server/snapshotter.h"
 #include "util/bytes.h"
 #include "util/failpoint.h"
 #include "util/frame.h"
 #include "verify/program.h"
-
-// Every operator new in this binary is counted, so a test can bound what a
-// call allocates (WriterAllocatesNoSketchSizedBuffer,
-// ReaderAllocatesThePayloadOnce). The array, nothrow and sized forms of the
-// standard library all route through these two.
-namespace {
-std::atomic<size_t> g_new_bytes{0};
-}  // namespace
-
-void* operator new(size_t size) {
-  g_new_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-// Out of line, so GCC does not see free() meet a new-expression's pointer
-// after inlining (-Wmismatched-new-delete).
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
-  std::free(p);
-}
 
 namespace streamfreq {
 namespace {
@@ -449,19 +426,19 @@ TEST(SketchIoTest, WriterAllocatesNoSketchSizedBuffer) {
   const std::string sketch_path = TempPath("sfq_alloc_guard.skf");
   const std::string snapshot_path = TempPath("sfq_alloc_guard.sfs");
 
-  const size_t before = g_new_bytes.load();
+  const size_t before = testing_alloc::NewBytes();
   const Status sketch_written = WriteSketchFile(sketch_path, sketch);
   const Status snapshot_written =
       WriteTenantSnapshot(snapshot_path, snap, sketch);
-  const size_t allocated = g_new_bytes.load() - before;
+  const size_t allocated = testing_alloc::NewBytes() - before;
 
   ASSERT_TRUE(sketch_written.ok()) << sketch_written.ToString();
   ASSERT_TRUE(snapshot_written.ok()) << snapshot_written.ToString();
   EXPECT_LT(allocated, kBound);
   // The counting operator new is live: reading the file back allocates it.
-  const size_t before_read = g_new_bytes.load();
+  const size_t before_read = testing_alloc::NewBytes();
   ASSERT_TRUE(ReadSketchFile(sketch_path).ok());
-  EXPECT_GT(g_new_bytes.load() - before_read, sketch.SerializedSize());
+  EXPECT_GT(testing_alloc::NewBytes() - before_read, sketch.SerializedSize());
   std::remove(sketch_path.c_str());
   std::remove(snapshot_path.c_str());
 }
@@ -476,10 +453,10 @@ TEST(SketchIoTest, ReaderAllocatesThePayloadOnce) {
   ASSERT_TRUE(WriteSketchFile(path, sketch).ok());
   const size_t file_bytes = std::filesystem::file_size(path);
 
-  const size_t before = g_new_bytes.load();
+  const size_t before = testing_alloc::NewBytes();
   const Result<std::string> payload =
       ReadBlobFileVerified(path, kSketchFileMagic);
-  const size_t allocated = g_new_bytes.load() - before;
+  const size_t allocated = testing_alloc::NewBytes() - before;
 
   ASSERT_TRUE(payload.ok()) << payload.status().ToString();
   EXPECT_LE(allocated, file_bytes + file_bytes / 10);
