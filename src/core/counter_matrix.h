@@ -66,8 +66,12 @@ class CounterMatrix {
         stride_(other.stride_),
         buf_(CopyOrDie(other.buf_)) {}
 
+  /// Copies into this matrix's own storage when it is the same size, so
+  /// refreshing a sketch in place asks for no memory.
   CounterMatrix& operator=(const CounterMatrix& other) {
-    if (this != &other) *this = CounterMatrix(other);
+    if (this == &other) return *this;
+    if (buf_.size() != other.buf_.size()) return *this = CounterMatrix(other);
+    CopySameSize(other);
     return *this;
   }
 
@@ -128,6 +132,17 @@ class CounterMatrix {
   size_t AllocatedBytes() const { return depth_ * stride_ * sizeof(int64_t); }
 
  private:
+  /// Copy-assignment into storage of other's size: a memcpy, no memory.
+  // sfq-hot-path
+  void CopySameSize(const CounterMatrix& other) noexcept {
+    depth_ = other.depth_;
+    width_ = other.width_;
+    stride_ = other.stride_;
+    if (buf_.size() > 0) {
+      std::memcpy(buf_.data(), other.buf_.data(), buf_.size());
+    }
+  }
+
   static PageBuffer CopyOrDie(const PageBuffer& from) {
     Result<PageBuffer> copy = PageBuffer::CopyOf(from);
     SFQ_CHECK(copy.ok()) << "CounterMatrix copy: " << copy.status().ToString();

@@ -149,6 +149,10 @@ std::vector<ItemCount> SpaceSaving::GuaranteedAtLeast(Count threshold) const {
   return RankByCount(std::move(out));
 }
 
+void SpaceSaving::AppendItems(std::vector<ItemId>* out) const {
+  for (const Slot& s : heap_) out->push_back(s.item);
+}
+
 std::vector<SpaceSavingEntry> SpaceSaving::Entries() const {
   std::vector<SpaceSavingEntry> out;
   out.reserve(heap_.size());

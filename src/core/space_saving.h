@@ -83,6 +83,10 @@ class SpaceSaving final : public StreamSummary {
   /// a lower bound. Requires equal capacities.
   Status Merge(const SpaceSaving& other);
 
+  /// Appends every monitored item to `out`, in unspecified order (heap
+  /// order): the candidate set without a ranking or a count per item.
+  void AppendItems(std::vector<ItemId>* out) const;
+
   /// Every monitored triple in unspecified order (heap order). Pair with
   /// FromEntries for exact state round-trips (persistence, snapshots).
   std::vector<SpaceSavingEntry> Entries() const;

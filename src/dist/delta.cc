@@ -262,14 +262,12 @@ std::vector<CoverageEntry> MergeNode::Covered() const {
 }
 
 std::vector<ItemId> MergeNode::CandidateUnion() const {
-  std::vector<ItemCount> own;
-  if (tracker_.has_value()) own = tracker_->Candidates(tracker_->capacity());
-  size_t total = own.size();
+  size_t total = tracker_.has_value() ? tracker_->MonitoredCount() : 0;
   for (const auto& [child, c] : children_) total += c.candidates.size();
   // One allocation for the union, sorted and deduped in place.
   std::vector<ItemId> ids;
   ids.reserve(total);
-  for (const ItemCount& c : own) ids.push_back(c.item);
+  if (tracker_.has_value()) tracker_->AppendItems(&ids);
   for (const auto& [child, c] : children_) {
     ids.insert(ids.end(), c.candidates.begin(), c.candidates.end());
   }

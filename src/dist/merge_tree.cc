@@ -1,11 +1,13 @@
 #include "dist/merge_tree.h"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "core/max_change.h"
 #include "core/space_saving.h"
 #include "util/failpoint.h"
+#include "util/frame.h"
 #include "util/net.h"
 
 namespace streamfreq {
@@ -73,8 +75,17 @@ Status MergeTreeSim::Offer(uint64_t node, std::span<const ItemId> batch) {
   const std::span<const ItemId> admitted = batch.first(keep);
   if (!admitted.empty() && n.live.has_value()) {
     // Copy-on-write: `ref` is the checkpoint at the live watermark until it
-    // moves past it, which it is about to.
-    n.checkpoints.try_emplace(*n.live, *n.ref);
+    // moves past it, which it is about to. A pruned checkpoint's storage
+    // takes the copy when there is one: a counter memcpy, no new array.
+    if (!n.checkpoints.contains(*n.live)) {
+      if (n.spare.empty()) {
+        n.checkpoints.emplace(*n.live, *n.ref);
+      } else {
+        n.spare.key() = *n.live;
+        n.spare.mapped() = *n.ref;
+        n.checkpoints.insert(std::move(n.spare));
+      }
+    }
     n.live.reset();
   }
   n.merge.Admit(admitted);
@@ -98,19 +109,17 @@ bool MergeTreeSim::FinalReady(uint64_t node) const {
   return true;
 }
 
-Result<std::optional<uint64_t>> MergeTreeSim::Deliver(uint64_t parent,
-                                                      uint64_t child,
-                                                      std::string_view frame,
-                                                      bool* applied) {
+Result<std::optional<uint64_t>> MergeTreeSim::Deliver(
+    uint64_t parent, uint64_t child, std::string_view header,
+    std::string_view payload, bool* applied) {
   *applied = false;
-  const Result<std::string_view> payload = DecodeFrame(frame);
-  if (!payload.ok()) {
+  if (const Status verified = VerifyFrame(header, payload); !verified.ok()) {
     // A tampered frame MUST be caught here (CRC/length); anything else
     // reaching this path is a transport bug.
-    if (payload.status().IsCorruption()) return std::optional<uint64_t>();
-    return payload.status();
+    if (verified.IsCorruption()) return std::optional<uint64_t>();
+    return verified;
   }
-  STREAMFREQ_ASSIGN_OR_RETURN(DeltaView delta, DecodeDelta(*payload));
+  STREAMFREQ_ASSIGN_OR_RETURN(DeltaView delta, DecodeDelta(payload));
   MergeNode& p = nodes_[parent].merge;
   if (const FailDecision fp = SFQ_FAILPOINT("dist.deliver"); fp) {
     // Parent drops a valid delta before applying but still answers with
@@ -158,35 +167,54 @@ Result<bool> MergeTreeSim::ShipRound() {
       n.in_flight = n.merge.Covered();
     }
     ++stats_.deltas_shipped;
+    stats_.bytes_shipped += payload->size();
     const uint64_t parent = topo_.parent[u];
     if (!nodes_[parent].alive) {
       ++stats_.severed_links;
       continue;
     }
-    std::string frame = EncodeFrame(*payload);
+    // The frame is the header SendFrame would write, followed by the
+    // pending encoding where it lies; nothing is copied behind the header.
+    const std::string_view pieces[] = {*payload};
+    std::array<char, frame::kHeaderSize> header =
+        frame::HeaderFor(kFrameMagic, pieces);
+    std::string_view header_sent(header.data(), header.size());
+    std::string_view payload_sent = *payload;
+    std::string damaged;  // a bit-flipped payload's copy
     if (const FailDecision fp = SFQ_FAILPOINT("dist.ship"); fp) {
       if (fp.action == FailAction::kError ||
           fp.action == FailAction::kCrash) {
         ++stats_.severed_links;  // frame never arrives
         continue;
       }
+      const size_t frame_size = header.size() + payload->size();
       if (fp.action == FailAction::kTorn) {
         const size_t kept = fp.param != 0
-                                ? std::min<size_t>(fp.param, frame.size())
-                                : frame.size() / 2;
-        frame.resize(kept);
+                                ? std::min<size_t>(fp.param, frame_size)
+                                : frame_size / 2;
+        header_sent = header_sent.substr(0, kept);
+        payload_sent = payload_sent.substr(0, kept - header_sent.size());
       } else if (fp.action == FailAction::kBitFlip) {
-        const size_t bit = fp.param % (frame.size() * 8);
-        frame[bit / 8] = static_cast<char>(
-            static_cast<unsigned char>(frame[bit / 8]) ^ (1u << (bit % 8)));
+        const size_t bit = fp.param % (frame_size * 8);
+        char* byte;
+        if (bit / 8 < header.size()) {
+          byte = &header[bit / 8];
+        } else {
+          damaged.assign(*payload);
+          payload_sent = damaged;
+          byte = &damaged[bit / 8 - header.size()];
+        }
+        *byte = static_cast<char>(static_cast<unsigned char>(*byte) ^
+                                  (1u << (bit % 8)));
       }
     }
     bool applied = false;
-    STREAMFREQ_ASSIGN_OR_RETURN(std::optional<uint64_t> ack,
-                                Deliver(parent, u, frame, &applied));
+    STREAMFREQ_ASSIGN_OR_RETURN(
+        std::optional<uint64_t> ack,
+        Deliver(parent, u, header_sent, payload_sent, &applied));
     progress = progress || applied;
     if (!ack.has_value()) {
-      ++stats_.severed_links;  // torn/bit-flipped frame caught by the CRC
+      ++stats_.severed_links;  // torn/bit-flipped frame caught by VerifyFrame
       continue;
     }
     if (SFQ_FAILPOINT("dist.ack")) {
@@ -200,8 +228,9 @@ Result<bool> MergeTreeSim::ShipRound() {
 }
 
 void MergeTreeSim::PruneCheckpoints(uint64_t leaf) {
-  std::map<uint64_t, CountSketch>& checkpoints = nodes_[leaf].checkpoints;
-  std::optional<uint64_t>& live = nodes_[leaf].live;
+  Node& l = nodes_[leaf];
+  std::map<uint64_t, CountSketch>& checkpoints = l.checkpoints;
+  std::optional<uint64_t>& live = l.live;
   if (checkpoints.empty() && !live.has_value()) return;
   std::vector<uint64_t> pinned;
   for (uint64_t u = leaf;; u = topo_.parent[u]) {
@@ -225,8 +254,15 @@ void MergeTreeSim::PruneCheckpoints(uint64_t leaf) {
   const auto unpinned = [&pinned](uint64_t watermark) {
     return std::find(pinned.begin(), pinned.end(), watermark) == pinned.end();
   };
-  std::erase_if(checkpoints,
-                [&](const auto& entry) { return unpinned(entry.first); });
+  for (auto it = checkpoints.begin(); it != checkpoints.end();) {
+    if (!unpinned(it->first)) {
+      ++it;
+    } else if (l.spare.empty()) {
+      l.spare = checkpoints.extract(it++);  // storage for the next Offer
+    } else {
+      it = checkpoints.erase(it);
+    }
+  }
   if (live.has_value() && unpinned(*live)) live.reset();
 }
 

@@ -36,10 +36,19 @@
 // The shipped mass is checked at the parent, so nothing goes unchecked.
 // Checkpoints are copy-on-write: the newest one is `ref` itself (the
 // "live" watermark) until Offer is about to admit items past it, and only
-// then is it copied. A leaf retains only the checkpoints still referenced
-// — the watermarks its ancestors cover plus the last shipped watermark of
-// every non-root node on its path, at most 2·depth — so the oracle costs
-// O(sketch × depth) per leaf instead of a copy of every item.
+// then are `ref`'s counters copied, into the storage of a checkpoint pruned
+// earlier when there is one. A leaf retains only the checkpoints still
+// referenced — the watermarks its ancestors cover plus the last shipped
+// watermark of every non-root node on its path, at most 2·depth — and one
+// pruned checkpoint's storage, so the oracle costs O(sketch × depth) per
+// leaf instead of a copy of every item, and a steady round allocates no
+// array for it.
+//
+// Frames travel as the RPC transport sends them (util/net.h): the header
+// SendFrame would write, built over the pending encoding where it lies, and
+// checked at the parent by VerifyFrame, RecvFrame's checks on the two views.
+// Only a torn or bit-flipped dist.ship fault makes a copy, of the payload it
+// damages.
 //
 // Every node is a MergeNode (delta.h), the node type the process-backed
 // deployment (src/dist/aggregate.{h,cc}) runs too; the sim adds the fault
@@ -67,6 +76,7 @@ namespace streamfreq {
 /// Aggregate transport/fault counters for one sim run.
 struct MergeTreeStats {
   uint64_t deltas_shipped = 0;   ///< frames sent (incl. resends)
+  uint64_t bytes_shipped = 0;    ///< their payload bytes (incl. resends)
   uint64_t deltas_applied = 0;   ///< fresh deltas merged at a parent
   uint64_t delta_dedups = 0;     ///< re-deliveries skipped by seqno
   uint64_t severed_links = 0;    ///< frames lost/torn/bit-flipped in flight
@@ -174,6 +184,9 @@ class MergeTreeSim {
     /// Leaves only: copies of `ref`, keyed by the watermark of the delta
     /// built at that point; PruneCheckpoints drops unreferenced ones.
     std::map<uint64_t, CountSketch> checkpoints;
+    /// Leaves only: a checkpoint PruneCheckpoints dropped, kept so the next
+    /// copy-on-write in Offer re-keys it and copies `ref` into its storage.
+    std::map<uint64_t, CountSketch>::node_type spare;
     /// Leaves only: the watermark of the newest delta while `ref` has not
     /// moved past it — the checkpoint there is `ref` itself. Offer copies
     /// it into `checkpoints` before admitting items.
@@ -190,7 +203,8 @@ class MergeTreeSim {
   /// Drops the checkpoints of `leaf` (the live one included) that no
   /// ancestor's covered map and no last shipped coverage on its path refers
   /// to — no node can reach any other watermark of this leaf without a new
-  /// delta, which checkpoints anew.
+  /// delta, which checkpoints anew. The first one dropped becomes the
+  /// leaf's spare when it has none.
   void PruneCheckpoints(uint64_t leaf);
 
   /// The reference checkpoint of `leaf` at `watermark` (`ref` at the live
@@ -199,10 +213,12 @@ class MergeTreeSim {
   Result<const CountSketch*> Checkpoint(uint64_t node, uint64_t leaf,
                                         uint64_t watermark) const;
 
-  /// Delivers `frame` from `child` to `parent`; returns the cumulative ack
-  /// seqno, or nullopt when the link severed (torn/bitflip caught by CRC).
+  /// Delivers the frame `header` + `payload` from `child` to `parent`;
+  /// returns the cumulative ack seqno, or nullopt when the link severed
+  /// (torn/bitflip caught by the header or CRC check).
   Result<std::optional<uint64_t>> Deliver(uint64_t parent, uint64_t child,
-                                          std::string_view frame,
+                                          std::string_view header,
+                                          std::string_view payload,
                                           bool* applied);
 
   TreeTopology topo_;

@@ -61,6 +61,9 @@ Result<Header> ParseHeader(std::string_view header, uint64_t magic,
 }
 
 Status VerifyPayload(const Header& header, std::string_view payload) {
+  if (payload.size() != header.payload_len) {
+    return Status::Corruption("frame payload length mismatch");
+  }
   if (crc32c::Mask(crc32c::Value(payload.data(), payload.size())) !=
       header.masked_crc) {
     return Status::Corruption("frame payload checksum mismatch");

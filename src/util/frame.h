@@ -58,7 +58,8 @@ struct Header {
 Result<Header> ParseHeader(std::string_view header, uint64_t magic,
                            uint64_t max_payload);
 
-/// Corruption unless `payload` matches the CRC in `header`.
+/// Corruption unless `payload` is the one `header` declares: its length
+/// and its CRC.
 Status VerifyPayload(const Header& header, std::string_view payload);
 
 /// Validates the frame at the front of `data`, which may continue past it

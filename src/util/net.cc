@@ -57,6 +57,13 @@ Status DecodeFrame(std::string_view frame, std::string* payload) {
   return Status::OK();
 }
 
+Status VerifyFrame(std::string_view header, std::string_view payload) {
+  STREAMFREQ_ASSIGN_OR_RETURN(
+      const frame::Header parsed,
+      frame::ParseHeader(header, kFrameMagic, kMaxPayloadBytes));
+  return frame::VerifyPayload(parsed, payload);
+}
+
 void OwnedFd::Reset() {
   if (fd_ >= 0) {
     ::close(fd_);

@@ -1,8 +1,8 @@
 // The RPC transport: RAII wrappers over local (AF_UNIX) stream sockets,
 // and the RPC frame format sent over them. Shared by the server, the
 // client library, the load driver and the merge tree (`sfq aggregate`
-// ships deltas in these frames; MergeTreeSim frames them the same way
-// in memory).
+// ships deltas in these frames; MergeTreeSim builds and checks the same
+// header in memory, over each delta where it lies).
 //
 // Local sockets keep the serving story kernel-arbitrated (real
 // backpressure, real partial reads/writes — everything the corruption and
@@ -47,6 +47,11 @@ Result<std::string_view> DecodeFrame(std::string_view frame);
 /// harness, which times it as the frame-decode layer, still calls this
 /// form; it copies after the single in-place validation above.
 Status DecodeFrame(std::string_view frame, std::string* payload);
+
+/// RecvFrame's checks on a frame whose header and payload lie apart, read
+/// or built separately: Corruption on a short header, bad magic, an
+/// oversized or mismatched length, or a CRC mismatch. Nothing is copied.
+Status VerifyFrame(std::string_view header, std::string_view payload);
 
 /// An owned file descriptor: closes on destruction, move-only.
 class OwnedFd {

@@ -18,8 +18,9 @@
 // A mapping is the wrong tool for an array that is made and dropped over
 // and over: each one costs an mmap, a populate and an munmap, several
 // times what reused heap memory costs. Code that does that keeps its
-// storage instead (CounterMatrix's same-size copy-assignment, the
-// ParallelIngestor's recycled snapshots). Arrays below kMapThreshold keep
+// storage instead: the ParallelIngestor recycles its snapshots, and
+// MergeTreeSim refills its pruned checkpoints and re-marked epochs through
+// CounterMatrix's same-size copy-assignment. Arrays below kMapThreshold keep
 // aligned_alloc + memset, which reuses heap memory; measured in
 // docs/PERFORMANCE.md ("Counter storage").
 //

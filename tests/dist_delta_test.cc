@@ -24,6 +24,7 @@
 #include "dist/tree.h"
 #include "stream/zipf.h"
 #include "util/failpoint.h"
+#include "util/pages.h"
 
 namespace streamfreq {
 namespace {
@@ -664,8 +665,13 @@ TEST(DistDeltaE2ETest, DroppedDeliveriesAreAppliedExactlyOnce) {
 
 // Torn and bit-flipped frames must die at the transport CRC and count as
 // severs — a tampered frame reaching the apply path would be a dedup hole.
+// The header and the payload are checked apart, so each gets its damage:
+// a tear inside the payload and one inside the 20-byte header, and a bit
+// flipped in the magic, in the length field and inside the payload.
 TEST(DistDeltaE2ETest, TamperedFramesDieAtTheCrc) {
-  for (const char* spec : {"dist.ship=torn*4", "dist.ship=bitflip:3*4"}) {
+  for (const char* spec :
+       {"dist.ship=torn*4", "dist.ship=torn:7*4", "dist.ship=bitflip:3*4",
+        "dist.ship=bitflip:70*4", "dist.ship=bitflip:2000*4"}) {
     auto topo = BuildBalancedTree(/*workers=*/3, /*fanout=*/0);
     ASSERT_TRUE(topo.ok());
     auto sim = MergeTreeSim::Make(*topo, SmallParams(), /*tracked=*/8);
@@ -687,7 +693,7 @@ TEST(DistDeltaE2ETest, TamperedFramesDieAtTheCrc) {
     sim->Seal();
     ASSERT_TRUE(sim->Drain(/*max_rounds=*/200).ok());
 
-    EXPECT_GT(sim->stats().severed_links, 0u) << spec;
+    EXPECT_EQ(sim->stats().severed_links, 4u) << spec;
     ASSERT_TRUE(sim->CheckInvariants().ok())
         << spec << ": " << sim->CheckInvariants().ToString();
     EXPECT_EQ(sim->root_ledger().ingested, 3u * 1000u) << spec;
@@ -728,6 +734,90 @@ TEST(MergeTreeSimTest, MaxChangeWithoutMarkRanksByRootEstimate) {
   auto change = sim->MaxChange(5);
   ASSERT_TRUE(change.ok()) << change.status().ToString();
   EXPECT_EQ(*change, want);
+}
+
+// MarkEpoch refreshes the epoch sketch in its own storage: only the first
+// mark allocates a counter array, and a later one copies the root's
+// counters into it.
+TEST(MergeTreeSimTest, SecondMarkEpochAllocatesNoCounterStorage) {
+  auto topo = BuildBalancedTree(/*workers=*/4, /*fanout=*/2);
+  ASSERT_TRUE(topo.ok());
+  const CountSketchParams params = SmallParams();
+  auto sim = MergeTreeSim::Make(*topo, params, /*tracked=*/16);
+  ASSERT_TRUE(sim.ok());
+  auto gen = ZipfGenerator::Make(400, 1.1, 43);
+  ASSERT_TRUE(gen.ok());
+  const auto offer_and_drain = [&] {
+    for (uint64_t leaf : sim->topology().leaves) {
+      ASSERT_TRUE(sim->Offer(leaf, gen->Take(500)).ok());
+    }
+    ASSERT_TRUE(sim->Drain(/*max_rounds=*/16).ok());
+  };
+  offer_and_drain();
+  size_t before = testing_alloc::AllocatedBytes();
+  sim->MarkEpoch();
+  EXPECT_GE(testing_alloc::AllocatedBytes() - before,
+            params.depth * params.width * sizeof(Count));
+
+  offer_and_drain();
+  before = testing_alloc::AllocatedBytes();
+  sim->MarkEpoch();
+  EXPECT_EQ(testing_alloc::AllocatedBytes() - before, 0u);
+  // The epoch holds the root's counters now: nothing has changed since.
+  auto change = sim->MaxChange(8);
+  ASSERT_TRUE(change.ok()) << change.status().ToString();
+  ASSERT_FALSE(change->empty());
+  for (const ItemCount& c : *change) EXPECT_EQ(c.count, 0) << c.item;
+}
+
+// A steady fault-free wave of the tree-fanout4 shape (16 leaves under
+// fanout 4, 5 x 2048 counters, 256 candidates, 4096 items per leaf) copies
+// no sketch. Each leaf's copy-on-write checkpoint refills the storage of
+// the one pruned a round earlier, so the Offers allocate no counter array;
+// each delta is framed and checked where its encoding lies, so ShipRound
+// allocates the 20 encodings it ships and little else.
+TEST(MergeTreeSimTest, SteadyWaveCopiesNoSketch) {
+  auto topo = BuildBalancedTree(/*workers=*/16, /*fanout=*/4);
+  ASSERT_TRUE(topo.ok());
+  CountSketchParams params;
+  params.depth = 5;
+  params.width = 2048;
+  params.seed = 3;
+  auto sim = MergeTreeSim::Make(*topo, params, /*tracked=*/256);
+  ASSERT_TRUE(sim.ok());
+  auto gen = ZipfGenerator::Make(100000, 1.1, 19);
+  ASSERT_TRUE(gen.ok());
+  const auto& leaves = sim->topology().leaves;
+  ASSERT_EQ(leaves.size(), 16u);
+  for (int wave = 0; wave < 6; ++wave) {
+    std::vector<Stream> batches;
+    for (size_t i = 0; i < leaves.size(); ++i) {
+      batches.push_back(gen->Take(4096));
+    }
+    const size_t pages_before = PageBuffer::AllocatedBytes();
+    for (size_t i = 0; i < leaves.size(); ++i) {
+      ASSERT_TRUE(sim->Offer(leaves[i], batches[i]).ok());
+    }
+    const size_t offer_pages = PageBuffer::AllocatedBytes() - pages_before;
+
+    const MergeTreeStats stats_before = sim->stats();
+    const size_t before = testing_alloc::AllocatedBytes();
+    ASSERT_TRUE(sim->ShipRound().ok());
+    const size_t ship_bytes = testing_alloc::AllocatedBytes() - before;
+    const uint64_t deltas =
+        sim->stats().deltas_shipped - stats_before.deltas_shipped;
+    const uint64_t encoded =
+        sim->stats().bytes_shipped - stats_before.bytes_shipped;
+    ASSERT_TRUE(sim->CheckInvariants().ok())
+        << "wave " << wave << ": " << sim->CheckInvariants().ToString();
+    if (wave < 3) continue;  // warm-up: checkpoints and spares settle
+    EXPECT_EQ(offer_pages, 0u) << "wave " << wave;
+    EXPECT_EQ(deltas, 20u) << "wave " << wave;
+    EXPECT_LE(ship_bytes, encoded + encoded / 10)
+        << "wave " << wave << ": " << deltas << " deltas of " << encoded
+        << " encoded bytes";
+  }
+  EXPECT_EQ(sim->root_ledger().ingested, 6u * 16u * 4096u);
 }
 
 // Copy-on-write checkpoints under lost acks: every ack is lost, so each

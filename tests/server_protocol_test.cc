@@ -188,6 +188,34 @@ TEST(FrameTest, OversizedDeclaredLengthIsCorruptionNotAllocation) {
   EXPECT_TRUE(DecodeFrame(header).status().IsCorruption());
 }
 
+// VerifyFrame takes the header and the payload as two views and gives
+// DecodeFrame's verdict on every tear and bit flip of their concatenation.
+TEST(FrameTest, VerifyFrameOnSplitViewsAgreesWithDecodeFrame) {
+  const std::string payload = "split header and payload";
+  const std::string frame = EncodeFrame(payload);
+  const std::string_view header =
+      std::string_view(frame).substr(0, frame::kHeaderSize);
+  EXPECT_TRUE(VerifyFrame(header, payload).ok());
+  for (size_t len = 0; len < frame.size(); ++len) {
+    const std::string_view torn_header = header.substr(0, len);
+    const std::string_view torn_payload = std::string_view(payload).substr(
+        0, len - torn_header.size());
+    EXPECT_TRUE(VerifyFrame(torn_header, torn_payload).IsCorruption())
+        << "tear after " << len << " bytes verified";
+  }
+  for (size_t byte = 0; byte < frame.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string damaged = frame;
+      damaged[byte] = static_cast<char>(damaged[byte] ^ (1 << bit));
+      const std::string_view view(damaged);
+      EXPECT_TRUE(VerifyFrame(view.substr(0, frame::kHeaderSize),
+                              view.substr(frame::kHeaderSize))
+                      .IsCorruption())
+          << "flip at byte " << byte << " bit " << bit;
+    }
+  }
+}
+
 TEST(RequestTest, RoundTripsEveryOpcode) {
   for (const OpcodeInfo& info : OpcodeTable()) {
     const Request request = SampleRequest(info.op);

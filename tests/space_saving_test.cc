@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
+#include <vector>
 
 #include "stream/exact_counter.h"
 #include "stream/zipf.h"
@@ -155,6 +157,25 @@ TEST(SpaceSavingTest, CandidatesSortedDescending) {
   EXPECT_EQ(c[0].item, 2u);
   EXPECT_EQ(c[1].item, 3u);
   EXPECT_EQ(c[2].item, 1u);
+}
+
+// AppendItems is the monitored set, appended behind what `out` holds.
+TEST(SpaceSavingTest, AppendItemsAppendsTheMonitoredSet) {
+  auto gen = ZipfGenerator::Make(1000, 1.1, 17);
+  ASSERT_TRUE(gen.ok());
+  auto ss = SpaceSaving::Make(32);
+  ASSERT_TRUE(ss.ok());
+  ss->BatchAdd(gen->Take(5000));
+  std::vector<ItemId> items = {7};
+  ss->AppendItems(&items);
+  ASSERT_EQ(items.size(), 1 + ss->MonitoredCount());
+  EXPECT_EQ(items[0], 7u);
+  std::vector<ItemId> want;
+  for (const ItemCount& c : ss->Candidates(32)) want.push_back(c.item);
+  std::vector<ItemId> got(items.begin() + 1, items.end());
+  std::sort(want.begin(), want.end());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace
