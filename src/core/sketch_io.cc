@@ -1,16 +1,11 @@
 #include "core/sketch_io.h"
 
-#include <algorithm>
 #include <array>
-#include <cerrno>
-#include <climits>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include <fcntl.h>
 #include <sys/stat.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include "util/failpoint.h"
@@ -26,10 +21,6 @@ namespace {
 // length field must not claim terabytes).
 constexpr uint64_t kMaxBlobPayloadBytes = uint64_t{1} << 40;
 
-Status ErrnoStatus(const std::string& what, const std::string& path) {
-  return Status::IoError(what + ": " + path + ": " + std::strerror(errno));
-}
-
 // Writes `head` and then `pieces` back to back to a new `path` (created or
 // truncated) with writev on its own fd, and checks the close as well: a
 // full disk may only report there.
@@ -38,19 +29,10 @@ Status WritePieces(const std::string& path, std::string_view head,
   OwnedFd fd(
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666));
   if (!fd.valid()) return ErrnoStatus("cannot open for writing", path);
-  std::vector<iovec> iov;
-  iov.reserve(1 + pieces.size());
-  iov.push_back({const_cast<char*>(head.data()), head.size()});
-  for (const std::string_view piece : pieces) {
-    iov.push_back({const_cast<char*>(piece.data()), piece.size()});
-  }
-  const bool written =
-      WriteAllIovecs(iov.data(), iov.size(), [&fd](iovec* rest, size_t n) {
-        return ::writev(fd.get(), rest, static_cast<int>(std::min<size_t>(
-                                            n, static_cast<size_t>(IOV_MAX))));
-      });
   // The status reads errno before the destructor closes the fd.
-  if (!written) return ErrnoStatus("write failed", path);
+  if (!WriteAllPieces(fd.get(), head, pieces)) {
+    return ErrnoStatus("write failed", path);
+  }
   if (::close(fd.Release()) != 0) return ErrnoStatus("write failed", path);
   return Status::OK();
 }
@@ -110,7 +92,8 @@ Result<std::string> ReadBlobFileVerified(const std::string& path,
     return Status::IoError("injected failure: sketch_io.read: " + path);
   }
 
-  const OwnedFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  // O_NONBLOCK: a FIFO opens without waiting for a writer, then fails below.
+  const OwnedFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK));
   if (!fd.valid()) return ErrnoStatus("cannot open for reading", path);
   struct stat st;
   if (::fstat(fd.get(), &st) != 0) return ErrnoStatus("cannot stat", path);

@@ -79,13 +79,12 @@ struct SketchService::Tenant {
   Tenant(TenantSpec spec_in, CountSketchParams params_in,
          std::unique_ptr<TenantStore> store_in,
          std::unique_ptr<SpaceSaving> candidates_in,
-         TenantRecovery recovery_in = {}, uint64_t base_ingested_in = 0)
+         TenantRecovery recovery_in = {})
       : spec(std::move(spec_in)),
         params(params_in),
         store(std::move(store_in)),
         ingestor(&store->ingestor()),
-        recovery(recovery_in),
-        base_ingested(base_ingested_in) {
+        recovery(recovery_in) {
     MutexLock lock(mu);
     candidates = std::move(candidates_in);
   }
@@ -97,11 +96,11 @@ struct SketchService::Tenant {
   const std::unique_ptr<TenantStore> store;
   const std::unique_ptr<ParallelIngestor<CountSketch>> owned_ingestor;
   ParallelIngestor<CountSketch>* const ingestor;
-  const TenantRecovery recovery{};  ///< what startup recovery found
-  /// Items already folded into the ingestor's recovered seed sketch; the
-  /// ingestor's own items_ingested counts only post-recovery work, so the
-  /// conservation law reads base_ingested + items_ingested.
-  const uint64_t base_ingested = 0;
+  /// What startup recovery found. Its base_items were folded into the
+  /// ingestor's recovered seed sketch; the ingestor's own items_ingested
+  /// counts only post-recovery work, so the conservation law reads
+  /// base_items + items_ingested (statsz: base_ingested).
+  const TenantRecovery recovery{};
 
   mutable Mutex mu;
   /// All-time heavy-hitter candidates; top-k scores them on the snapshot.
@@ -119,25 +118,8 @@ struct SketchService::Tenant {
   uint64_t served_epoch SFQ_GUARDED_BY(mu) = 0;
   /// Admission bookkeeping (see the header's conservation contract).
   uint64_t offered_items SFQ_GUARDED_BY(mu) = 0;
-  uint64_t rejected_items SFQ_GUARDED_BY(mu) = 0;
-  uint64_t rejected_requests SFQ_GUARDED_BY(mu) = 0;
-  uint64_t queries SFQ_GUARDED_BY(mu) = 0;
-  uint64_t stale_serves SFQ_GUARDED_BY(mu) = 0;
+  TenantLedger ledger SFQ_GUARDED_BY(mu);  ///< what snapshots persist
   uint64_t snapshot_failures SFQ_GUARDED_BY(mu) = 0;
-  bool sealed SFQ_GUARDED_BY(mu) = false;
-
-  /// The durable ledger + candidate triples, for the snapshotter.
-  LedgerSample SampleLedger() SFQ_REQUIRES(mu) {
-    LedgerSample sample;
-    sample.rejected_items = rejected_items;
-    sample.rejected_requests = rejected_requests;
-    sample.queries = queries;
-    sample.stale_serves = stale_serves;
-    sample.sealed = sealed;
-    sample.candidate_capacity = candidates->capacity();
-    sample.candidates = candidates->Entries();
-    return sample;
-  }
 
   /// The candidate slate a k-result query scores: Space-Saving's best 3k.
   /// Its own counts are upper bounds with merge slack; the sketch estimate
@@ -163,7 +145,7 @@ struct SketchService::Tenant {
       SFQ_REQUIRES(mu) {
     if (const FailDecision fp = SFQ_FAILPOINT("server.publish");
         fp.action == FailAction::kError) {
-      ++stale_serves;
+      ++ledger.stale_serves;
       if (served == nullptr) served = ingestor->Snapshot(&served_epoch);
       *epoch = served_epoch;
       return served;
@@ -326,9 +308,9 @@ Response SketchService::Ingest(Tenant& tenant, const Request& request) {
   {
     MutexLock lock(tenant.mu);
     tenant.offered_items += request.items.size();
-    if (tenant.sealed) {
-      tenant.rejected_items += request.items.size();
-      ++tenant.rejected_requests;
+    if (tenant.ledger.sealed) {
+      tenant.ledger.rejected_items += request.items.size();
+      ++tenant.ledger.rejected_requests;
       return Response::FromStatus(
           Status::InvalidArgument("ingest: tenant is sealed"));
     }
@@ -344,8 +326,8 @@ Response SketchService::Ingest(Tenant& tenant, const Request& request) {
   {
     MutexLock lock(tenant.mu);
     if (!status.ok()) {
-      tenant.rejected_items += request.items.size();
-      ++tenant.rejected_requests;
+      tenant.ledger.rejected_items += request.items.size();
+      ++tenant.ledger.rejected_requests;
       return Response::FromStatus(status);
     }
     tenant.candidates->BatchAdd(items);
@@ -365,7 +347,7 @@ Response SketchService::Seal(Tenant& tenant) {
   uint64_t epoch;
   {
     MutexLock lock(tenant.mu);
-    tenant.sealed = true;
+    tenant.ledger.sealed = true;
     // Pin the serving cache to the final snapshot so post-seal queries are
     // exact even when server.publish withholds refreshes.
     tenant.served = tenant.ingestor->Snapshot(&tenant.served_epoch);
@@ -386,7 +368,7 @@ Response SketchService::TopK(Tenant& tenant, const Request& request) {
         Status::InvalidArgument("topk: k must be >= 1"));
   }
   MutexLock lock(tenant.mu);
-  ++tenant.queries;
+  ++tenant.ledger.queries;
   Response resp;
   const std::shared_ptr<const CountSketch> snapshot =
       tenant.Serving(&resp.epoch);
@@ -398,7 +380,7 @@ Response SketchService::TopK(Tenant& tenant, const Request& request) {
 
 Response SketchService::Estimate(Tenant& tenant, const Request& request) {
   MutexLock lock(tenant.mu);
-  ++tenant.queries;
+  ++tenant.ledger.queries;
   Response resp;
   const std::shared_ptr<const CountSketch> snapshot =
       tenant.Serving(&resp.epoch);
@@ -408,7 +390,7 @@ Response SketchService::Estimate(Tenant& tenant, const Request& request) {
 
 Response SketchService::MarkEpoch(Tenant& tenant) {
   MutexLock lock(tenant.mu);
-  ++tenant.queries;
+  ++tenant.ledger.queries;
   Response resp;
   const std::shared_ptr<const CountSketch> snapshot =
       tenant.Serving(&resp.epoch);
@@ -422,7 +404,7 @@ Response SketchService::MaxChange(Tenant& tenant, const Request& request) {
         Status::InvalidArgument("maxchange: k must be >= 1"));
   }
   MutexLock lock(tenant.mu);
-  ++tenant.queries;
+  ++tenant.ledger.queries;
   if (tenant.marked == nullptr) {
     return Response::FromStatus(Status::InvalidArgument(
         "maxchange: no marked epoch (send mark first)"));
@@ -442,7 +424,7 @@ Response SketchService::MaxChange(Tenant& tenant, const Request& request) {
 
 Response SketchService::Export(Tenant& tenant) {
   MutexLock lock(tenant.mu);
-  ++tenant.queries;
+  ++tenant.ledger.queries;
   Response resp;
   const std::shared_ptr<const CountSketch> snapshot =
       tenant.Serving(&resp.epoch);
@@ -454,7 +436,8 @@ void SketchService::MaybeSnapshot(Tenant& tenant) {
   LedgerSample sample;
   {
     MutexLock lock(tenant.mu);
-    sample = tenant.SampleLedger();
+    sample = {tenant.ledger, tenant.candidates->capacity(),
+              tenant.candidates->Entries()};
   }
   // Candidate triples and ledger are sampled under the tenant lock while
   // appends continue under the store lock, so a snapshot's candidates may
@@ -545,7 +528,7 @@ Status SketchService::RecoverTenant(const std::string& name,
   auto tenant = std::make_shared<Tenant>(
       spec, params, std::move(opened.store),
       std::make_unique<SpaceSaving>(std::move(opened.candidates)),
-      opened.recovery, opened.state.durable_items);
+      opened.recovery);
   {
     MutexLock lock(tenant->mu);
     // Derived ledger: everything durable counts as offered-and-ingested,
@@ -555,13 +538,9 @@ Status SketchService::RecoverTenant(const std::string& name,
     // forgotten on BOTH sides of the equation, so conservation holds by
     // construction.
     tenant->offered_items =
-        opened.state.rejected_items + opened.state.durable_items;
-    tenant->rejected_items = opened.state.rejected_items;
-    tenant->rejected_requests = opened.state.rejected_requests;
-    tenant->queries = opened.state.queries;
-    tenant->stale_serves = opened.state.stale_serves;
-    tenant->sealed = opened.state.sealed;
-    if (opened.state.sealed) {
+        opened.state.ledger.rejected_items + opened.state.durable_items;
+    tenant->ledger = opened.state.ledger;
+    if (tenant->ledger.sealed) {
       // A recovered sealed tenant serves read-only from its seed snapshot.
       tenant->served = tenant->ingestor->Snapshot(&tenant->served_epoch);
     }
@@ -626,7 +605,7 @@ std::string SketchService::TenantsJson() const {
     if (tenant->store != nullptr) {
       AppendJsonBool(&out, "durable", true);
       out += ",";
-      AppendJsonKey(&out, "base_ingested", tenant->base_ingested);
+      AppendJsonKey(&out, "base_ingested", tenant->recovery.base_items);
       out += ",";
       AppendJsonKey(&out, "wal_seqno", tenant->store->last_seqno());
       out += ",";
@@ -641,18 +620,17 @@ std::string SketchService::TenantsJson() const {
     MutexLock lock(tenant->mu);
     AppendJsonKey(&out, "offered_items", tenant->offered_items);
     out += ",";
-    AppendJsonKey(&out, "rejected_items", tenant->rejected_items);
+    AppendJsonKey(&out, "rejected_items", tenant->ledger.rejected_items);
     out += ",";
-    AppendJsonKey(&out, "rejected_requests", tenant->rejected_requests);
+    AppendJsonKey(&out, "rejected_requests", tenant->ledger.rejected_requests);
     out += ",";
-    AppendJsonKey(&out, "queries", tenant->queries);
+    AppendJsonKey(&out, "queries", tenant->ledger.queries);
     out += ",";
-    AppendJsonKey(&out, "stale_serves", tenant->stale_serves);
+    AppendJsonKey(&out, "stale_serves", tenant->ledger.stale_serves);
     out += ",";
     AppendJsonKey(&out, "snapshot_failures", tenant->snapshot_failures);
     out += ",";
-    out += "\"sealed\":";
-    out += tenant->sealed ? "true" : "false";
+    AppendJsonBool(&out, "sealed", tenant->ledger.sealed);
     out += "}";
   }
   out += "}";

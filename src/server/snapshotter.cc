@@ -84,6 +84,26 @@ std::string TenantStore::JournalPath(const std::string& dir,
          std::to_string(first_seqno) + std::string(kJournalSuffix);
 }
 
+void TenantLedger::EncodeTo(ByteWriter& w) const {
+  w.PutU64(rejected_items);
+  w.PutU64(rejected_requests);
+  w.PutU64(queries);
+  w.PutU64(stale_serves);
+  w.PutU64(sealed ? 1 : 0);
+}
+
+Status TenantLedger::DecodeFrom(ByteReader& r) {
+  STREAMFREQ_RETURN_NOT_OK(r.GetU64(&rejected_items));
+  STREAMFREQ_RETURN_NOT_OK(r.GetU64(&rejected_requests));
+  STREAMFREQ_RETURN_NOT_OK(r.GetU64(&queries));
+  STREAMFREQ_RETURN_NOT_OK(r.GetU64(&stale_serves));
+  uint64_t flag;
+  STREAMFREQ_RETURN_NOT_OK(r.GetU64(&flag));
+  if (flag > 1) return Status::Corruption("snapshot: sealed flag not boolean");
+  sealed = flag == 1;
+  return Status::OK();
+}
+
 Status WriteTenantSnapshot(const std::string& path, const TenantSnapshot& snap,
                            const CountSketch& sketch) {
   if (const FailDecision fp = SFQ_FAILPOINT("snapshot.publish"); fp) {
@@ -102,11 +122,7 @@ Status WriteTenantSnapshot(const std::string& path, const TenantSnapshot& snap,
   snap.spec.EncodeTo(w);
   w.PutU64(snap.wal_seqno);
   w.PutU64(snap.durable_items);
-  w.PutU64(snap.rejected_items);
-  w.PutU64(snap.rejected_requests);
-  w.PutU64(snap.queries);
-  w.PutU64(snap.stale_serves);
-  w.PutU64(snap.sealed ? 1 : 0);
+  snap.ledger.EncodeTo(w);
   w.PutU64(snap.candidate_capacity);
   w.PutU64(snap.candidates.size());
   for (const SpaceSavingEntry& e : snap.candidates) {
@@ -134,16 +150,7 @@ Result<LoadedSnapshot> ReadTenantSnapshot(const std::string& path) {
   STREAMFREQ_RETURN_NOT_OK(snap.spec.DecodeFrom(r));
   STREAMFREQ_RETURN_NOT_OK(r.GetU64(&snap.wal_seqno));
   STREAMFREQ_RETURN_NOT_OK(r.GetU64(&snap.durable_items));
-  STREAMFREQ_RETURN_NOT_OK(r.GetU64(&snap.rejected_items));
-  STREAMFREQ_RETURN_NOT_OK(r.GetU64(&snap.rejected_requests));
-  STREAMFREQ_RETURN_NOT_OK(r.GetU64(&snap.queries));
-  STREAMFREQ_RETURN_NOT_OK(r.GetU64(&snap.stale_serves));
-  uint64_t sealed;
-  STREAMFREQ_RETURN_NOT_OK(r.GetU64(&sealed));
-  if (sealed > 1) {
-    return Status::Corruption("snapshot: sealed flag not boolean: " + path);
-  }
-  snap.sealed = sealed == 1;
+  STREAMFREQ_RETURN_NOT_OK(snap.ledger.DecodeFrom(r));
   STREAMFREQ_RETURN_NOT_OK(r.GetU64(&snap.candidate_capacity));
   uint64_t count;
   STREAMFREQ_RETURN_NOT_OK(r.GetU64(&count));
@@ -349,7 +356,7 @@ Status TenantStore::Cut(uint64_t* seqno, uint64_t* items) {
   return Status::OK();
 }
 
-Status TenantStore::WriteSnapshot(const LedgerSample& ledger) {
+Status TenantStore::WriteSnapshot(const LedgerSample& sample) {
   MutexLock publish(publish_mu_);
   uint64_t seqno = 0;
   uint64_t items = 0;
@@ -392,17 +399,8 @@ Status TenantStore::WriteSnapshot(const LedgerSample& ledger) {
   // A failed fold keeps every segment: recovery still has the journal.
   if (!pin.ok()) return done(pin.status());
 
-  TenantSnapshot snap;
-  snap.spec = spec_;
-  snap.wal_seqno = seqno;
-  snap.durable_items = items;
-  snap.rejected_items = ledger.rejected_items;
-  snap.rejected_requests = ledger.rejected_requests;
-  snap.queries = ledger.queries;
-  snap.stale_serves = ledger.stale_serves;
-  snap.sealed = ledger.sealed;
-  snap.candidate_capacity = ledger.candidate_capacity;
-  snap.candidates = ledger.candidates;
+  const TenantSnapshot snap{spec_, seqno, items, sample.ledger,
+                            sample.candidate_capacity, sample.candidates};
   // A failed write is benign: the segments still cover everything past
   // the previous snapshot, so recovery is unaffected.
   const Status written =

@@ -15,8 +15,8 @@
 //   TenantSpec               11 u64 fields (TenantSpec::EncodeTo)
 //   u64 wal_seqno            highest journal record folded in
 //   u64 durable_items        items covered (== sum of record sizes 1..seqno)
-//   u64 rejected_items | u64 rejected_requests | u64 queries |
-//   u64 stale_serves | u64 sealed(0/1)
+//   TenantLedger             u64 rejected_items | u64 rejected_requests |
+//                            u64 queries | u64 stale_serves | u64 sealed(0/1)
 //   u64 candidate_capacity | u64 candidate count |
 //     count x (u64 item, i64 count, i64 error)
 //   string sketch            CountSketch::SerializeTo bytes (u64 len prefix)
@@ -70,16 +70,27 @@ namespace streamfreq {
 inline constexpr uint64_t kSnapshotMagic = 0x3130504E53515153ULL;
 inline constexpr uint64_t kSnapshotVersion = 1;
 
-/// Everything one snapshot file carries besides the sketch.
-struct TenantSnapshot {
-  TenantSpec spec;
-  uint64_t wal_seqno = 0;
-  uint64_t durable_items = 0;
+/// The counters a durable tenant persists beside its sketch. The service
+/// keeps one per tenant, every snapshot carries a copy, and recovery seeds
+/// the tenant from it.
+struct TenantLedger {
   uint64_t rejected_items = 0;
   uint64_t rejected_requests = 0;
   uint64_t queries = 0;
   uint64_t stale_serves = 0;
   bool sealed = false;
+
+  /// Fixed layout: five u64 fields in declaration order, sealed as 0/1.
+  void EncodeTo(ByteWriter& w) const;
+  Status DecodeFrom(ByteReader& r);
+};
+
+/// Everything one snapshot file carries besides the sketch.
+struct TenantSnapshot {
+  TenantSpec spec;
+  uint64_t wal_seqno = 0;
+  uint64_t durable_items = 0;
+  TenantLedger ledger;
   uint64_t candidate_capacity = 0;
   std::vector<SpaceSavingEntry> candidates;
 };
@@ -105,11 +116,7 @@ Result<LoadedSnapshot> ReadTenantSnapshot(const std::string& path);
 /// Ledger + candidate sample the service captures under the tenant mutex
 /// and hands to WriteSnapshot.
 struct LedgerSample {
-  uint64_t rejected_items = 0;
-  uint64_t rejected_requests = 0;
-  uint64_t queries = 0;
-  uint64_t stale_serves = 0;
-  bool sealed = false;
+  TenantLedger ledger;
   uint64_t candidate_capacity = 0;
   std::vector<SpaceSavingEntry> candidates;
 };
@@ -173,10 +180,10 @@ class TenantStore {
   /// publish is under way.
   bool SnapshotDue() const SFQ_EXCLUDES(mu_);
 
-  /// Publishes a snapshot of the durable state + `ledger`, then unlinks
+  /// Publishes a snapshot of the durable state + `sample`, then unlinks
   /// the journal segments it covers. A failed fold or write keeps every
   /// segment (recovery still works from the previous snapshot).
-  Status WriteSnapshot(const LedgerSample& ledger)
+  Status WriteSnapshot(const LedgerSample& sample)
       SFQ_EXCLUDES(publish_mu_, mu_);
 
   /// Drains the ingestor's workers (no snapshot is written: what was

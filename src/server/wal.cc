@@ -1,15 +1,18 @@
 #include "server/wal.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <array>
-#include <filesystem>
+#include <cerrno>
+#include <string_view>
 #include <vector>
 
 #include "util/bytes.h"
 #include "util/failpoint.h"
 #include "util/frame.h"
+#include "util/iovec.h"
 
 namespace streamfreq {
 
@@ -34,32 +37,24 @@ Result<WalFsync> WalFsyncFromName(std::string_view name) {
 }
 
 Result<WalWriter> WalWriter::Open(std::string path, WalFsync fsync) {
-  WalWriter writer(std::move(path), fsync);
-  STREAMFREQ_RETURN_NOT_OK(writer.OpenStreams());
-  return writer;
-}
-
-Status WalWriter::OpenStreams() {
-  out_.open(path_, std::ios::binary | std::ios::app);
-  if (!out_) return Status::IoError("wal: cannot open for append: " + path_);
-  const int fd = ::open(path_.c_str(), O_WRONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::IoError("wal: cannot open sync descriptor: " + path_);
-  }
-  sync_fd_ = OwnedFd(fd);
-  return Status::OK();
+  // NOLINTNEXTLINE(sfq-durable-write): records are CRC frames replay checks
+  OwnedFd fd(::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
+                    0666));
+  if (!fd.valid()) return ErrnoStatus("cannot open for append", path);
+  return WalWriter(std::move(path), fsync, std::move(fd));
 }
 
 Status WalWriter::Append(uint64_t seqno, std::span<const ItemId> items) {
-  std::string record;
-  // Header, seqno, count, items.
-  record.reserve(frame::kHeaderSize + 16 + items.size_bytes());
-  const size_t start = frame::Begin(&record);
-  ByteWriter w(&record);
-  w.PutU64(seqno);
-  w.PutU64(items.size());
-  w.PutBytes(items.data(), items.size_bytes());
-  frame::Finish(&record, start, kWalMagic);
+  // The record goes out from where its pieces lie: the frame header, the
+  // seqno/count head, and the items.
+  const uint64_t head[2] = {seqno, items.size()};
+  const std::array<std::string_view, 2> payload = {
+      std::string_view(reinterpret_cast<const char*>(head), sizeof(head)),
+      std::string_view(reinterpret_cast<const char*>(items.data()),
+                       items.size_bytes())};
+  const std::array<char, frame::kHeaderSize> header =
+      frame::HeaderFor(kWalMagic, payload);
+  const std::string_view frame_head(header.data(), header.size());
 
   if (const FailDecision fp = SFQ_FAILPOINT("wal.append"); fp) {
     MaybeDieAtFailpoint(fp);  // power cut before the record lands
@@ -67,17 +62,19 @@ Status WalWriter::Append(uint64_t seqno, std::span<const ItemId> items) {
       // Power-cut semantics: a prefix of the record reaches the file. The
       // store must treat the journal as poisoned afterwards; replay stops
       // at this torn tail.
+      std::string record(frame_head);
+      for (const std::string_view piece : payload) record.append(piece);
       size_t keep = fp.param == 0 ? record.size() / 2 : fp.param;
       keep = keep < record.size() ? keep : record.size();
-      out_.write(record.data(), static_cast<std::streamsize>(keep));
-      out_.flush();
+      (void)WriteAllPieces(fd_.get(), std::string_view(record).substr(0, keep),
+                           {});
     }
     return Status::IoError("injected failure: wal.append: " + path_);
   }
 
-  out_.write(record.data(), static_cast<std::streamsize>(record.size()));
-  out_.flush();
-  if (!out_) return Status::IoError("wal: append failed: " + path_);
+  if (!WriteAllPieces(fd_.get(), frame_head, payload)) {
+    return ErrnoStatus("append failed", path_);
+  }
   ++unsynced_appends_;
 
   const bool barrier =
@@ -97,9 +94,7 @@ Status WalWriter::Fsync() {
       return Status::IoError("injected failure: wal.fsync: " + path_);
     }
   }
-  if (::fsync(sync_fd_.get()) != 0) {
-    return Status::IoError("wal: fsync failed: " + path_);
-  }
+  if (::fsync(fd_.get()) != 0) return ErrnoStatus("fsync failed", path_);
   ++fsyncs_;
   unsynced_appends_ = 0;
   return Status::OK();
@@ -107,24 +102,36 @@ Status WalWriter::Fsync() {
 
 namespace {
 
-/// Replays one segment into `stats`. Sets `*damaged` when a record failed
-/// its frame checks; that record and the rest of the file are discarded.
+/// Replays one segment into `stats`. Sets `torn_tail` when a record failed
+/// its frame checks; that record and the rest of the file are discarded,
+/// and so is every later segment: replay never crosses damage.
 Status ReplaySegment(const std::string& path, uint64_t base_seqno,
                      const WalReplayFn& apply, std::vector<uint64_t>* buffer,
-                     WalReplayStats* stats, bool* damaged) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::OK();  // a missing segment holds nothing
-  const uint64_t size = static_cast<uint64_t>(in.tellg());
-  in.seekg(0);
+                     WalReplayStats* stats) {
+  // O_NONBLOCK: a FIFO opens without waiting for a writer, then fails below.
+  const OwnedFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK));
+  if (!fd.valid()) {
+    if (errno == ENOENT) return Status::OK();  // a missing segment is empty
+    return ErrnoStatus("cannot open for replay", path);
+  }
+  struct stat st;
+  if (::fstat(fd.get(), &st) != 0) return ErrnoStatus("cannot stat", path);
+  // A path that opens but is no file (a directory, say) holds no records,
+  // and its size is no journal length.
+  if (!S_ISREG(st.st_mode)) {
+    return Status::Corruption("wal: not a regular file: " + path);
+  }
+  const uint64_t size = static_cast<uint64_t>(st.st_size);
   uint64_t off = 0;
   std::array<char, frame::kHeaderSize> head;
-  while (off < size) {
+  while (!stats->torn_tail && off < size) {
     // Any truncation, magic mismatch, implausible length, or checksum
     // failure ends the intact prefix: everything from here on is the torn
     // tail.
     if (size - off < frame::kHeaderSize) break;
-    in.read(head.data(), frame::kHeaderSize);
-    if (static_cast<size_t>(in.gcount()) != frame::kHeaderSize) break;
+    const ssize_t head_got = ReadUpTo(fd.get(), head.data(), head.size());
+    if (head_got < 0) return ErrnoStatus("read failed", path);
+    if (static_cast<size_t>(head_got) != head.size()) break;
     const Result<frame::Header> header = frame::ParseHeader(
         std::string_view(head.data(), head.size()), kWalMagic,
         kWalMaxPayloadBytes);
@@ -134,8 +141,10 @@ Status ReplaySegment(const std::string& path, uint64_t base_seqno,
     // u64 words, so the items behind the 16-byte record head are aligned.
     buffer->resize(static_cast<size_t>((len + 7) / 8));
     char* bytes = reinterpret_cast<char*>(buffer->data());
-    in.read(bytes, static_cast<std::streamsize>(len));
-    if (static_cast<uint64_t>(in.gcount()) != len) break;
+    const ssize_t payload_got =
+        ReadUpTo(fd.get(), bytes, static_cast<size_t>(len));
+    if (payload_got < 0) return ErrnoStatus("read failed", path);
+    if (static_cast<uint64_t>(payload_got) != len) break;
     const std::string_view payload(bytes, static_cast<size_t>(len));
     if (!frame::VerifyPayload(*header, payload).ok()) break;
 
@@ -169,7 +178,7 @@ Status ReplaySegment(const std::string& path, uint64_t base_seqno,
     off += record_size;
   }
   if (off < size) {
-    *damaged = true;
+    stats->torn_tail = true;
     stats->discarded_bytes += size - off;
   }
   return Status::OK();
@@ -184,15 +193,8 @@ Result<WalReplayStats> ReplayWalSegments(std::span<const std::string> paths,
   stats.last_seqno = base_seqno;
   std::vector<uint64_t> buffer;
   for (const std::string& path : paths) {
-    if (stats.torn_tail) {
-      // Replay never crosses damage: later segments are discarded whole.
-      std::error_code ec;
-      const uintmax_t size = std::filesystem::file_size(path, ec);
-      if (!ec) stats.discarded_bytes += size;
-      continue;
-    }
-    STREAMFREQ_RETURN_NOT_OK(ReplaySegment(path, base_seqno, apply, &buffer,
-                                           &stats, &stats.torn_tail));
+    STREAMFREQ_RETURN_NOT_OK(
+        ReplaySegment(path, base_seqno, apply, &buffer, &stats));
   }
   return stats;
 }

@@ -17,9 +17,11 @@
 // segments oldest first as one record stream; a journal written before
 // segments existed (`journal.sfw`) replays as the oldest segment.
 //
-// Replay reads record by record: the 20-byte frame header, then the
-// payload into one reused buffer. Replaying a journal allocates about one
-// record, however long the journal is.
+// One descriptor per segment: an append is one writev of the frame header,
+// the 16-byte seqno/count head and the items where they lie, and fsync runs
+// on that descriptor. Replay reads a segment through a descriptor, record
+// by record (the 20-byte frame header, then the payload into one reused
+// buffer), so it allocates about one record however long the journal is.
 //
 // Torn-tail tolerance: a crash mid-append leaves a prefix of the final
 // record on disk. Replay verifies each record's frame before applying it
@@ -40,14 +42,9 @@
 // all three (process kills preserve the page cache, so acked <= offered
 // must hold for every policy); the arithmetic window itself is asserted at
 // the WalWriter level in tests/server_recovery_test.cc.
-//
-// Lint note: writes go through std::ofstream (the blocking-under-lock rule
-// whitelists method-call writes); the separate descriptor exists only for
-// fsync(2), which is not a blocking-listed call.
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <span>
 #include <string>
@@ -116,16 +113,14 @@ class WalWriter {
   uint64_t unsynced_appends() const { return unsynced_appends_; }
 
  private:
-  WalWriter(std::string path, WalFsync fsync) noexcept
-      : path_(std::move(path)), fsync_(fsync) {}
+  WalWriter(std::string path, WalFsync fsync, OwnedFd fd) noexcept
+      : path_(std::move(path)), fsync_(fsync), fd_(std::move(fd)) {}
 
-  Status OpenStreams();
   Status Fsync();
 
   std::string path_;
   WalFsync fsync_;
-  std::ofstream out_;
-  OwnedFd sync_fd_;  ///< separate descriptor for fsync(2) only
+  OwnedFd fd_;  ///< O_APPEND; written and fsynced
   uint64_t fsyncs_ = 0;
   uint64_t unsynced_appends_ = 0;
 };
@@ -137,11 +132,13 @@ using WalReplayFn =
 /// Replays the journal segments at `paths`, oldest first, as one record
 /// stream, invoking `apply` for every intact record with seqno >
 /// `base_seqno` (records at or below the base are duplicates the snapshot
-/// already covers). A missing file is an empty segment. A sequence gap or
-/// regression beyond the base means the records cannot be the suffix of
-/// the snapshot's history and fails with Corruption; a damaged or
-/// truncated record stops replay, and it and every byte after it (later
-/// segments included) are reported as discarded via the stats.
+/// already covers). A missing file is an empty segment; a path that is no
+/// regular file is Corruption, and one that cannot be opened or read is
+/// IoError. A sequence gap or regression beyond the base means the records
+/// cannot be the suffix of the snapshot's history and fails with
+/// Corruption; a damaged or truncated record stops replay, and it and every
+/// byte after it (later segments included) are reported as discarded via
+/// the stats.
 Result<WalReplayStats> ReplayWalSegments(std::span<const std::string> paths,
                                          uint64_t base_seqno,
                                          const WalReplayFn& apply);

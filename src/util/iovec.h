@@ -3,17 +3,32 @@
 // limit — and stop inside an iovec; WriteAllIovecs repeats the call on what
 // is left. Callers send bytes from where they already live (a frame header
 // and a payload, a file head and counter rows) without joining them in a
-// buffer. ReadUpTo does the same for read(2) into one buffer.
+// buffer; WriteAllPieces is that loop over writev(2) for files. ReadUpTo
+// does the same for read(2) into one buffer. ErrnoStatus reports a failed
+// file call.
 #pragma once
 
 #include <cerrno>
+#include <climits>
 #include <cstddef>
+#include <cstring>
+#include <span>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include <sys/types.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include "util/status.h"
+
 namespace streamfreq {
+
+/// IoError "`what`: `path`: <strerror(errno)>" for the call that just failed.
+inline Status ErrnoStatus(const std::string& what, const std::string& path) {
+  return Status::IoError(what + ": " + path + ": " + std::strerror(errno));
+}
 
 /// Calls `write_some(iov, count)` — one writev or sendmsg over the iovecs
 /// left, returning the bytes it moved or -1 with errno set — until all of
@@ -39,6 +54,22 @@ bool WriteAllIovecs(iovec* iov, size_t count, WriteSome write_some) {
     }
   }
   return true;
+}
+
+/// Writes `head` and then `pieces` back to back to `fd` with writev(2), at
+/// most IOV_MAX iovecs per call, until every byte is written. False on
+/// failure, with errno kept for the caller's message.
+inline bool WriteAllPieces(int fd, std::string_view head,
+                           std::span<const std::string_view> pieces) {
+  std::vector<iovec> iov;
+  iov.reserve(1 + pieces.size());
+  iov.push_back({const_cast<char*>(head.data()), head.size()});
+  for (const std::string_view piece : pieces) {
+    iov.push_back({const_cast<char*>(piece.data()), piece.size()});
+  }
+  return WriteAllIovecs(iov.data(), iov.size(), [fd](iovec* rest, size_t n) {
+    return ::writev(fd, rest, static_cast<int>(n < IOV_MAX ? n : IOV_MAX));
+  });
 }
 
 /// read(2) into `data` until `len` bytes arrive or the input ends,

@@ -4,7 +4,9 @@
 // snapshot+journal recovery, and whole-service recovery with the
 // conservation ledger and bit-identical sketches.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -321,6 +323,109 @@ TEST(WalTest, ReplayAllocatesAboutOneRecord) {
   const size_t record_bytes = 16 + kItemsPerRecord * sizeof(ItemId);
   EXPECT_GE(allocated, record_bytes) << "the counting operator new is live";
   EXPECT_LT(allocated, 4 * record_bytes + (size_t{16} << 10));
+}
+
+// A replay path that opens but is no file holds no records: Corruption,
+// not a torn tail sized by a directory's length, and a FIFO fails without
+// waiting for a writer. A path that cannot be opened for a reason other
+// than absence is IoError, not an empty segment.
+TEST(WalTest, UnreadableSegmentIsAnErrorNotATornTail) {
+  const std::string dir = TempDir("wal_not_a_file");
+  Replayed got;
+  const std::string subdir = dir + "/journal.4.sfw";
+  std::filesystem::create_directories(subdir);
+  auto as_dir = Replay(subdir, 0, &got);
+  EXPECT_TRUE(as_dir.status().IsCorruption()) << as_dir.status().ToString();
+  const std::string fifo = dir + "/journal.5.sfw";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  auto as_fifo = Replay(fifo, 0, &got);
+  EXPECT_TRUE(as_fifo.status().IsCorruption()) << as_fifo.status().ToString();
+
+  const std::string file = WriteJournal(dir, {{1}});
+  auto under_file = Replay(file + "/journal.1.sfw", 0, &got);
+  EXPECT_TRUE(under_file.status().IsIoError())
+      << under_file.status().ToString();
+}
+
+size_t OpenDescriptors() {
+  size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+// The journal is written and fsynced through one descriptor.
+TEST(WalTest, OpenHoldsOneDescriptor) {
+  const std::string dir = TempDir("wal_one_fd");
+  const size_t before = OpenDescriptors();
+  auto wal = WalWriter::Open(dir + "/journal.sfw", WalFsync::kAlways);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  EXPECT_EQ(OpenDescriptors(), before + 1);
+  ASSERT_TRUE(wal->Append(1, std::vector<ItemId>{1, 2}).ok());
+  EXPECT_EQ(wal->fsyncs(), 1u);
+}
+
+/// One journal record, encoded the copying way: the payload in a buffer,
+/// then framed.
+std::string RecordBytes(uint64_t seqno, const std::vector<ItemId>& items) {
+  std::string payload;
+  ByteWriter w(&payload);
+  w.PutU64(seqno);
+  w.PutU64(items.size());
+  for (const ItemId id : items) w.PutU64(id);
+  std::string record;
+  frame::Append(&record, kWalMagic, payload);
+  return record;
+}
+
+std::vector<ItemId> SpreadItems(size_t n) {
+  std::vector<ItemId> items(n);
+  for (size_t i = 0; i < n; ++i) items[i] = i * 0x9E3779B97F4A7C15ULL + 7;
+  return items;
+}
+
+// An append writes the items from where they lie: no record-sized buffer.
+TEST(WalTest, AppendCopiesNoItems) {
+  const std::string path = TempDir("wal_append_alloc") + "/journal.sfw";
+  const std::vector<ItemId> items = SpreadItems(4096);
+  auto wal = WalWriter::Open(path, WalFsync::kNever);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  const size_t before = testing_alloc::NewBytes();
+  const Status appended = wal->Append(1, items);
+  const size_t allocated = testing_alloc::NewBytes() - before;
+  ASSERT_TRUE(appended.ok()) << appended.ToString();
+  EXPECT_LT(allocated, items.size() * sizeof(ItemId));
+  EXPECT_EQ(ReadFileBytes(path), RecordBytes(1, items));
+}
+
+// wal.append=torn lands exactly a prefix of the record: half of it by
+// default, else `param` bytes (at most the whole record), wherever the cut
+// falls among header, record head and items.
+TEST(WalTest, TornAppendLeavesTheRecordPrefix) {
+  const std::vector<ItemId> items = SpreadItems(5);
+  const std::string first = RecordBytes(1, {42});
+  const std::string second = RecordBytes(2, items);
+  for (const size_t param : {size_t{0}, size_t{7}, size_t{20}, size_t{30},
+                             size_t{36}, size_t{50}, size_t{1} << 20}) {
+    const std::string path =
+        TempDir("wal_torn_append_" + std::to_string(param)) + "/journal.sfw";
+    auto wal = WalWriter::Open(path, WalFsync::kAlways);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    ASSERT_TRUE(wal->Append(1, std::vector<ItemId>{42}).ok());
+    {
+      ScopedFailpoints fp("wal.append=torn:" + std::to_string(param) + "*1",
+                          3);
+      ASSERT_TRUE(fp.status().ok()) << fp.status().ToString();
+      EXPECT_FALSE(wal->Append(2, items).ok());
+    }
+    const size_t keep =
+        std::min(param == 0 ? second.size() / 2 : param, second.size());
+    EXPECT_EQ(ReadFileBytes(path), first + second.substr(0, keep))
+        << "param " << param;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -892,6 +997,96 @@ TEST(ServiceRecoveryTest, DuplicateJournalRecordsAreDedupedOnReplay) {
   opened->store->ingestor().Snapshot()->SerializeTo(&got_bytes);
   reference->SerializeTo(&want_bytes);
   EXPECT_EQ(got_bytes, want_bytes);
+}
+
+// A journal segment name that is a directory makes the tenant's recovery
+// fail and keeps its files; replay must not read it as a torn tail and
+// then drop the segments.
+TEST(ServiceRecoveryTest, SegmentThatIsADirectoryFailsRecovery) {
+  const std::string data_dir = TempDir("svc_segment_dir");
+  const std::string dir = data_dir + "/t";
+  {
+    auto store = TenantStore::Create(dir, TestSpec(), TestParams(),
+                                     WalFsync::kAlways, 1 << 20);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    for (const ItemId q : {1, 2, 3}) {
+      ASSERT_TRUE((*store)->Append(std::vector<ItemId>{q}).ok());
+    }
+  }
+  std::filesystem::create_directories(TenantStore::JournalPath(dir, 4));
+
+  auto opened = TenantStore::Open(dir, WalFsync::kAlways, 1 << 20);
+  EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
+  EXPECT_TRUE(std::filesystem::exists(TenantStore::JournalPath(dir, 1)));
+
+  ServiceOptions options;
+  options.data_dir = data_dir;
+  SketchService svc(options);
+  ASSERT_TRUE(svc.Recover().ok());
+  EXPECT_EQ(svc.TenantCount(), 0u);
+  EXPECT_EQ(svc.recovery_failures().count("t"), 1u);
+}
+
+// Every persisted ledger field comes back after a restart, and so do the
+// fields derived from them. A second restart reads them all back equal.
+TEST(ServiceRecoveryTest, PersistedLedgerSurvivesRestart) {
+  const std::string data_dir = TempDir("svc_ledger");
+  ServiceOptions options;
+  options.data_dir = data_dir;
+  options.snapshot_every_items = 1 << 20;
+  const std::vector<std::string> fields = {
+      "rejected_items", "rejected_requests", "queries",      "stale_serves",
+      "sealed",         "offered_items",     "base_ingested"};
+  // sealed reads "true"/"false"; every other field is a number.
+  const auto values = [&fields](const std::string& json) {
+    std::vector<int64_t> out;
+    for (const std::string& field : fields) {
+      out.push_back(field == "sealed"
+                        ? int64_t{json.find("\"sealed\":true") !=
+                                  std::string::npos}
+                        : JsonField(json, "t", field));
+    }
+    return out;
+  };
+
+  std::string before;
+  {
+    SketchService svc(options);
+    ASSERT_TRUE(svc.Recover().ok());
+    ASSERT_TRUE(Handle1(svc, Opcode::kCreateTenant, "t").ok());
+    ASSERT_TRUE(Handle1(svc, Opcode::kIngest, "t", {1, 2, 2, 3}).ok());
+    ASSERT_TRUE(Handle1(svc, Opcode::kIngest, "t", {3, 3}).ok());
+    EXPECT_TRUE(Handle1(svc, Opcode::kTopK, "t").ok());
+    {
+      ScopedFailpoints fp("server.publish=error*1", 7);
+      ASSERT_TRUE(fp.status().ok()) << fp.status().ToString();
+      EXPECT_TRUE(Handle1(svc, Opcode::kTopK, "t").ok());
+    }
+    EXPECT_TRUE(Handle1(svc, Opcode::kTopK, "t").ok());
+    ASSERT_TRUE(Handle1(svc, Opcode::kSeal, "t").ok());
+    EXPECT_FALSE(Handle1(svc, Opcode::kIngest, "t", {4, 5, 6}).ok());
+    Handle1(svc, Opcode::kSeal, "t");  // snapshots the ledger again
+    before = svc.TenantsJson();
+  }
+  EXPECT_EQ(values(before),
+            (std::vector<int64_t>{3, 1, 3, 1, 1, 9, 0}));
+  EXPECT_EQ(JsonField(before, "t", "items_ingested"), 6);
+
+  std::string after;
+  {
+    SketchService svc(options);
+    ASSERT_TRUE(svc.Recover().ok());
+    ASSERT_TRUE(svc.recovery_failures().empty());
+    after = svc.TenantsJson();
+  }
+  // The created tenant's ingest is the recovered tenant's base.
+  std::vector<int64_t> want = values(before);
+  want.back() = JsonField(before, "t", "items_ingested");
+  EXPECT_EQ(values(after), want);
+
+  SketchService svc(options);
+  ASSERT_TRUE(svc.Recover().ok());
+  EXPECT_EQ(values(svc.TenantsJson()), values(after));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "core/sketch_io.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -50,11 +51,18 @@ TEST(SketchIoTest, MissingFileIsIoError) {
 
 // A path that opens but cannot be read as a file (a directory, say a
 // mistyped --sketch flag) is a clean error, not a size-driven allocation.
+// A FIFO is one too, without waiting for a writer.
 TEST(SketchIoTest, DirectoryIsCorruptionNotACrash) {
   const std::string dir = TempPath("sfq_sketch_dir.skf");
   std::filesystem::create_directories(dir);
   EXPECT_TRUE(ReadSketchFile(dir).status().IsCorruption());
   std::filesystem::remove(dir);
+
+  const std::string fifo = TempPath("sfq_sketch_fifo.skf");
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  EXPECT_TRUE(ReadSketchFile(fifo).status().IsCorruption());
+  std::remove(fifo.c_str());
 }
 
 TEST(SketchIoTest, FlippedPayloadBitIsCorruption) {
@@ -357,11 +365,11 @@ std::string CopyingSnapshotPayload(const TenantSnapshot& snap,
   snap.spec.EncodeTo(w);
   w.PutU64(snap.wal_seqno);
   w.PutU64(snap.durable_items);
-  w.PutU64(snap.rejected_items);
-  w.PutU64(snap.rejected_requests);
-  w.PutU64(snap.queries);
-  w.PutU64(snap.stale_serves);
-  w.PutU64(snap.sealed ? 1 : 0);
+  w.PutU64(snap.ledger.rejected_items);
+  w.PutU64(snap.ledger.rejected_requests);
+  w.PutU64(snap.ledger.queries);
+  w.PutU64(snap.ledger.stale_serves);
+  w.PutU64(snap.ledger.sealed ? 1 : 0);
   w.PutU64(snap.candidate_capacity);
   w.PutU64(snap.candidates.size());
   for (const SpaceSavingEntry& e : snap.candidates) {
@@ -383,11 +391,11 @@ TenantSnapshot MakeSnapshotState(const CountSketch& sketch) {
   snap.spec.tracked = 64;
   snap.wal_seqno = 17;
   snap.durable_items = 5000;
-  snap.rejected_items = 3;
-  snap.rejected_requests = 1;
-  snap.queries = 9;
-  snap.stale_serves = 2;
-  snap.sealed = true;
+  snap.ledger.rejected_items = 3;
+  snap.ledger.rejected_requests = 1;
+  snap.ledger.queries = 9;
+  snap.ledger.stale_serves = 2;
+  snap.ledger.sealed = true;
   snap.candidate_capacity = 64;
   for (ItemId q = 1; q <= 40; ++q) {
     snap.candidates.push_back({q * 7919, static_cast<Count>(100 - q),

@@ -61,9 +61,7 @@ class FileLinter:
                 self.check_failpoint_site()
             if not self.path.startswith("src/server/protocol"):
                 self.check_server_opcode_cast()
-        if self.path.startswith(
-            DURABLE_WRITE_PATHS
-        ) and not self.path.startswith("src/server/wal."):
+        if self.path.startswith(DURABLE_WRITE_PATHS):
             self.check_durable_write()
         if (
             in_src or in_tools or self.path.startswith("bench/")
@@ -306,7 +304,9 @@ class FileLinter:
         commit point) and the CRC-framed WAL append in src/server/wal.cc
         (torn tails are detected and discarded at replay). A raw ofstream,
         fopen/fwrite, or rename anywhere else in the server can leave a
-        half-written file that recovery has no framing to reject.
+        half-written file that recovery has no framing to reject. The WAL
+        itself is checked too: its one journal open carries a NOLINT, so a
+        second writer there (an ofstream beside the descriptor) fails.
         """
         for idx, code in enumerate(self.code):
             m = self.DURABLE_WRITE_RE.search(code)
