@@ -212,10 +212,15 @@ ParallelIngestor<CountSketch>::AwaitFold(FoldTicket ticket) {
   return std::move(outcome.pin);
 }
 
-Result<CountSketch> ParallelIngestor<CountSketch>::Finish() {
+Status ParallelIngestor<CountSketch>::Drain() {
   Shutdown();
   MutexLock lock(merge_mu_);
-  if (!first_error_.ok()) return first_error_;
+  return first_error_;
+}
+
+Result<CountSketch> ParallelIngestor<CountSketch>::Finish() {
+  STREAMFREQ_RETURN_NOT_OK(Drain());
+  MutexLock lock(merge_mu_);
   return *latest_;
 }
 

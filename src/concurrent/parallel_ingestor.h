@@ -234,8 +234,11 @@ class ParallelIngestor<CountSketch> {
       SFQ_EXCLUDES(fold_mu_, drain_mu_, merge_mu_);
 
   /// Drains the queue, joins the workers, folds every worker's remaining
-  /// delta, publishes the final snapshot, and returns a copy of the merged
-  /// sketch. Idempotent; the first internal error (if any) wins.
+  /// delta and publishes the final snapshot. Idempotent; returns the first
+  /// internal error, if any.
+  Status Drain();
+
+  /// Drain, then a copy of the merged sketch.
   Result<CountSketch> Finish();
 
   /// Pins the latest published merged sketch: it stays valid and unchanged

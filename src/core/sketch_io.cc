@@ -21,19 +21,16 @@ namespace {
 // length field must not claim terabytes).
 constexpr uint64_t kMaxBlobPayloadBytes = uint64_t{1} << 40;
 
-// Writes `head` and then `pieces` back to back to a new `path` (created or
-// truncated) with writev on its own fd, and checks the close as well: a
-// full disk may only report there.
-Status WritePieces(const std::string& path, std::string_view head,
-                   std::span<const std::string_view> pieces) {
+// Creates (or truncates) `path`, writes it with `write(fd)` (false with
+// errno set on failure) and checks the close: a full disk may report there.
+template <typename Write>
+Status WriteFile(const std::string& path, Write write) {
   OwnedFd fd(
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666));
-  if (!fd.valid()) return ErrnoStatus("cannot open for writing", path);
+  if (!fd.valid()) return ErrnoStatus("cannot open for writing: " + path);
   // The status reads errno before the destructor closes the fd.
-  if (!WriteAllPieces(fd.get(), head, pieces)) {
-    return ErrnoStatus("write failed", path);
-  }
-  if (::close(fd.Release()) != 0) return ErrnoStatus("write failed", path);
+  if (!write(fd.get())) return ErrnoStatus("write failed: " + path);
+  if (::close(fd.Release()) != 0) return ErrnoStatus("write failed: " + path);
   return Status::OK();
 }
 
@@ -43,6 +40,7 @@ Status WriteBlobFileAtomic(const std::string& path, uint64_t magic,
                            std::span<const std::string_view> pieces) {
   const std::array<char, frame::kHeaderSize> header =
       frame::HeaderFor(magic, pieces);
+  const std::string_view head(header.data(), header.size());
 
   if (const FailDecision fp = SFQ_FAILPOINT("sketch_io.write"); fp) {
     MaybeDieAtFailpoint(fp);  // power cut before any byte lands
@@ -50,12 +48,9 @@ Status WriteBlobFileAtomic(const std::string& path, uint64_t magic,
       // Simulate a crash mid-write of a non-atomic writer: a prefix of the
       // frame lands at the *destination* path, bypassing the temp+rename
       // protocol, so readers must catch it via truncation/CRC checks.
-      std::string frame_bytes(header.data(), header.size());
-      for (const std::string_view piece : pieces) frame_bytes.append(piece);
-      size_t keep = fp.param == 0 ? frame_bytes.size() / 2 : fp.param;
-      keep = keep < frame_bytes.size() ? keep : frame_bytes.size();
-      (void)WritePieces(path, std::string_view(frame_bytes).substr(0, keep),
-                        {});
+      (void)WriteFile(path, [&](int fd) {
+        return WriteTornPrefix(fd, head, pieces, fp.param);
+      });
     }
     return Status::IoError("injected failure: sketch_io.write: " + path);
   }
@@ -65,8 +60,8 @@ Status WriteBlobFileAtomic(const std::string& path, uint64_t magic,
   // either the old complete file or the new complete file, never a prefix.
   // The payload is written from where it lives, behind the header.
   const std::string tmp_path = path + ".tmp";
-  const Status write_status = WritePieces(
-      tmp_path, std::string_view(header.data(), header.size()), pieces);
+  const Status write_status = WriteFile(
+      tmp_path, [&](int fd) { return WriteAllPieces(fd, head, pieces); });
   if (!write_status.ok()) {
     std::remove(tmp_path.c_str());
     return write_status;
@@ -94,9 +89,9 @@ Result<std::string> ReadBlobFileVerified(const std::string& path,
 
   // O_NONBLOCK: a FIFO opens without waiting for a writer, then fails below.
   const OwnedFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK));
-  if (!fd.valid()) return ErrnoStatus("cannot open for reading", path);
+  if (!fd.valid()) return ErrnoStatus("cannot open for reading: " + path);
   struct stat st;
-  if (::fstat(fd.get(), &st) != 0) return ErrnoStatus("cannot stat", path);
+  if (::fstat(fd.get(), &st) != 0) return ErrnoStatus("cannot stat: " + path);
   // A path that opens but is no file (a directory, say) holds no frame.
   if (!S_ISREG(st.st_mode)) {
     return Status::Corruption("not a regular file: " + path);
@@ -105,38 +100,27 @@ Result<std::string> ReadBlobFileVerified(const std::string& path,
     return Status(status.code(), status.message() + ": " + path);
   };
 
-  // Exactly one frame: truncation, wrong magic, an implausible length,
-  // trailing bytes and a checksum mismatch are all Corruption. The length
-  // field must account for the whole file before anything is sized by it.
-  std::array<char, frame::kHeaderSize> header_bytes;
-  const ssize_t header_got =
-      ReadUpTo(fd.get(), header_bytes.data(), header_bytes.size());
-  if (header_got < 0) return ErrnoStatus("read failed", path);
-  const Result<frame::Header> header = frame::ParseHeader(
-      std::string_view(header_bytes.data(), static_cast<size_t>(header_got)),
-      magic, kMaxBlobPayloadBytes);
+  // Exactly one frame: an empty file, truncation, wrong magic, an
+  // implausible length, trailing bytes and a checksum mismatch are all
+  // Corruption. The length must match the file before it sizes anything.
+  const Result<std::optional<frame::Header>> header =
+      frame::ReadHeader(fd.get(), magic, kMaxBlobPayloadBytes);
   if (!header.ok()) return with_path(header.status());
-  const uint64_t file_size = static_cast<uint64_t>(st.st_size);
-  if (header->payload_len + frame::kHeaderSize < file_size) {
-    return Status::Corruption("trailing bytes after frame payload: " + path);
-  }
-  if (header->payload_len + frame::kHeaderSize > file_size) {
-    return Status::Corruption("frame payload truncated: " + path);
+  if (!*header) return Status::Corruption("empty file: " + path);
+  if ((*header)->payload_len + frame::kHeaderSize !=
+      static_cast<uint64_t>(st.st_size)) {
+    return Status::Corruption("frame length does not match file size: " + path);
   }
 
-  std::string payload(static_cast<size_t>(header->payload_len), '\0');
-  const ssize_t payload_got =
-      ReadUpTo(fd.get(), payload.data(), payload.size());
-  if (payload_got < 0) return ErrnoStatus("read failed", path);
-  if (static_cast<size_t>(payload_got) != payload.size()) {
-    return Status::Corruption("frame payload truncated: " + path);
-  }
+  std::string payload(static_cast<size_t>((*header)->payload_len), '\0');
+  const Status read = frame::ReadPayload(fd.get(), payload);
+  if (!read.ok()) return with_path(read);
   if (fp.action == FailAction::kBitFlip && !payload.empty()) {
     // Bit rot in the payload between write and read; the CRC must catch it.
     const uint64_t bit = fp.param % (payload.size() * 8);
     payload[bit / 8] ^= static_cast<char>(1u << (bit % 8));
   }
-  if (const Status verified = frame::VerifyPayload(*header, payload);
+  if (const Status verified = frame::VerifyPayload(**header, payload);
       !verified.ok()) {
     return with_path(verified);
   }

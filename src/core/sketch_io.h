@@ -19,10 +19,12 @@
 // mid-save leaves the previous checkpoint intact, never a prefix. Neither
 // the file nor the directory is fsynced, so after a power loss the rename
 // may not have reached the disk (docs/SERVER.md, "Durability gap"). Reads
-// treat every adversarial input as data, not UB: short reads, wrong magic,
-// implausible lengths, trailing bytes, and checksum mismatches all come
-// back as Corruption (see the corruption-matrix cases in
-// tests/sketch_io_test.cc, exercised under ASan/UBSan by check.sh).
+// take the util/frame.h reader's steps that RPC and journal replay share,
+// with this reader's verdicts: the file holds exactly one frame, so an
+// empty file, short reads, wrong magic, implausible lengths, trailing
+// bytes, and checksum mismatches all come back as Corruption (see the
+// corruption-matrix cases in tests/sketch_io_test.cc, exercised under
+// ASan/UBSan by check.sh).
 #pragma once
 
 #include <cstdint>

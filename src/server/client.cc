@@ -16,6 +16,17 @@ namespace {
 // to be meaningful.
 constexpr size_t kIngestChunkItems = 1 << 16;
 
+// Sleeps the backoff before retry `attempt`: half of the step, which
+// doubles per attempt up to 64x `retry.backoff_ms`, plus one jitter draw
+// of up to the other half.
+void BackoffSleep(const RetryOptions& retry, uint32_t attempt,
+                  SplitMix64* jitter) {
+  const uint64_t cap_ms = retry.backoff_ms << std::min<uint32_t>(attempt, 6);
+  const uint64_t half = cap_ms / 2;
+  std::this_thread::sleep_for(std::chrono::milliseconds(
+      half + (cap_ms == 0 ? 0 : jitter->Next() % (half + 1))));
+}
+
 }  // namespace
 
 Result<SfqClient> SfqClient::Connect(const std::string& socket_path,
@@ -33,19 +44,8 @@ Result<SfqClient> SfqClient::Connect(const std::string& socket_path,
       return client;
     }
     if (attempt >= retry.retries) return fd.status();
-    const uint64_t cap_ms = retry.backoff_ms
-                            << std::min<uint32_t>(attempt, 6);
-    const uint64_t half = cap_ms / 2;
-    std::this_thread::sleep_for(std::chrono::milliseconds(
-        half + (cap_ms == 0 ? 0 : jitter.Next() % (half + 1))));
+    BackoffSleep(retry, attempt, &jitter);
   }
-}
-
-void SfqClient::BackoffSleep(uint32_t attempt) {
-  const uint64_t cap_ms = retry_.backoff_ms << std::min<uint32_t>(attempt, 6);
-  const uint64_t half = cap_ms / 2;
-  std::this_thread::sleep_for(std::chrono::milliseconds(
-      half + (cap_ms == 0 ? 0 : jitter_.Next() % (half + 1))));
 }
 
 Result<Response> SfqClient::Call(const Request& request) {
@@ -108,7 +108,7 @@ Status SfqClient::IngestChunk(const Request& request) {
     if (socket_path_.empty() || attempt >= retry_.retries) {
       return response.status();
     }
-    BackoffSleep(attempt);
+    BackoffSleep(retry_, attempt, &jitter_);
     // The old connection is dead after a transport error; reconnect. On
     // failure the stale fd stays and the next Call fails fast, burning
     // another attempt.

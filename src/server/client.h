@@ -102,8 +102,6 @@ class SfqClient {
 
   /// One ingest chunk with transport-level retry (reconnect + resend).
   Status IngestChunk(const Request& request);
-  /// Sleeps the backoff for `attempt` and advances the jitter stream.
-  void BackoffSleep(uint32_t attempt);
 
   OwnedFd fd_;
   std::string socket_path_;  ///< empty when retry is off (no reconnects)

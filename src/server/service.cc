@@ -291,7 +291,7 @@ Response SketchService::DropTenant(const Request& request) {
   }
   // Drain outside the registry lock; in-flight handlers still hold valid
   // shared_ptrs and finish against the sealed ingestor.
-  Result<CountSketch> merged = tenant->ingestor->Finish();
+  const Status drained = tenant->ingestor->Drain();
   if (tenant->store != nullptr) {
     // The tenant is gone from the registry; its durable state goes with it.
     // Best-effort: a directory that survives in full re-registers the
@@ -300,7 +300,7 @@ Response SketchService::DropTenant(const Request& request) {
     std::error_code ec;
     std::filesystem::remove_all(tenant->store->dir(), ec);
   }
-  if (!merged.ok()) return Response::FromStatus(merged.status());
+  if (!drained.ok()) return Response::FromStatus(drained);
   return Response{};
 }
 
@@ -341,9 +341,9 @@ Response SketchService::Ingest(Tenant& tenant, const Request& request) {
 }
 
 Response SketchService::Seal(Tenant& tenant) {
-  // Finish drains the queue and publishes the final fold; afterwards the
-  // tenant serves read-only traffic from an exact snapshot.
-  Result<CountSketch> merged = tenant.ingestor->Finish();
+  // Drain publishes the final fold; afterwards the tenant serves read-only
+  // traffic from an exact snapshot.
+  const Status drained = tenant.ingestor->Drain();
   uint64_t epoch;
   {
     MutexLock lock(tenant.mu);
@@ -356,7 +356,7 @@ Response SketchService::Seal(Tenant& tenant) {
   // Persist the sealed state so a post-seal restart recovers a read-only
   // tenant with its final ledger.
   if (tenant.store != nullptr) MaybeSnapshot(tenant);
-  if (!merged.ok()) return Response::FromStatus(merged.status());
+  if (!drained.ok()) return Response::FromStatus(drained);
   Response resp;
   resp.epoch = epoch;
   return resp;

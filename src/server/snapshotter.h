@@ -190,7 +190,7 @@ class TenantStore {
   /// journaled is recoverable).
   ~TenantStore();
 
-  /// The tenant's ingestor: queries read its snapshots, Seal finishes it.
+  /// The tenant's ingestor: queries read its snapshots, Seal drains it.
   Ingestor& ingestor() const { return *ingestor_; }
 
   uint64_t last_seqno() const SFQ_EXCLUDES(mu_);

@@ -40,7 +40,7 @@ Result<WalWriter> WalWriter::Open(std::string path, WalFsync fsync) {
   // NOLINTNEXTLINE(sfq-durable-write): records are CRC frames replay checks
   OwnedFd fd(::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
                     0666));
-  if (!fd.valid()) return ErrnoStatus("cannot open for append", path);
+  if (!fd.valid()) return ErrnoStatus("cannot open for append: " + path);
   return WalWriter(std::move(path), fsync, std::move(fd));
 }
 
@@ -62,18 +62,13 @@ Status WalWriter::Append(uint64_t seqno, std::span<const ItemId> items) {
       // Power-cut semantics: a prefix of the record reaches the file. The
       // store must treat the journal as poisoned afterwards; replay stops
       // at this torn tail.
-      std::string record(frame_head);
-      for (const std::string_view piece : payload) record.append(piece);
-      size_t keep = fp.param == 0 ? record.size() / 2 : fp.param;
-      keep = keep < record.size() ? keep : record.size();
-      (void)WriteAllPieces(fd_.get(), std::string_view(record).substr(0, keep),
-                           {});
+      (void)WriteTornPrefix(fd_.get(), frame_head, payload, fp.param);
     }
     return Status::IoError("injected failure: wal.append: " + path_);
   }
 
   if (!WriteAllPieces(fd_.get(), frame_head, payload)) {
-    return ErrnoStatus("append failed", path_);
+    return ErrnoStatus("append failed: " + path_);
   }
   ++unsynced_appends_;
 
@@ -94,7 +89,7 @@ Status WalWriter::Fsync() {
       return Status::IoError("injected failure: wal.fsync: " + path_);
     }
   }
-  if (::fsync(fd_.get()) != 0) return ErrnoStatus("fsync failed", path_);
+  if (::fsync(fd_.get()) != 0) return ErrnoStatus("fsync failed: " + path_);
   ++fsyncs_;
   unsynced_appends_ = 0;
   return Status::OK();
@@ -112,10 +107,10 @@ Status ReplaySegment(const std::string& path, uint64_t base_seqno,
   const OwnedFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK));
   if (!fd.valid()) {
     if (errno == ENOENT) return Status::OK();  // a missing segment is empty
-    return ErrnoStatus("cannot open for replay", path);
+    return ErrnoStatus("cannot open for replay: " + path);
   }
   struct stat st;
-  if (::fstat(fd.get(), &st) != 0) return ErrnoStatus("cannot stat", path);
+  if (::fstat(fd.get(), &st) != 0) return ErrnoStatus("cannot stat: " + path);
   // A path that opens but is no file (a directory, say) holds no records,
   // and its size is no journal length.
   if (!S_ISREG(st.st_mode)) {
@@ -123,30 +118,23 @@ Status ReplaySegment(const std::string& path, uint64_t base_seqno,
   }
   const uint64_t size = static_cast<uint64_t>(st.st_size);
   uint64_t off = 0;
-  std::array<char, frame::kHeaderSize> head;
   while (!stats->torn_tail && off < size) {
     // Any truncation, magic mismatch, implausible length, or checksum
     // failure ends the intact prefix: everything from here on is the torn
-    // tail.
-    if (size - off < frame::kHeaderSize) break;
-    const ssize_t head_got = ReadUpTo(fd.get(), head.data(), head.size());
-    if (head_got < 0) return ErrnoStatus("read failed", path);
-    if (static_cast<size_t>(head_got) != head.size()) break;
-    const Result<frame::Header> header = frame::ParseHeader(
-        std::string_view(head.data(), head.size()), kWalMagic,
-        kWalMaxPayloadBytes);
-    if (!header.ok()) break;
-    const uint64_t len = header->payload_len;
-    if (len > size - off - frame::kHeaderSize) break;
+    // tail. A failed read is no tail: it fails the replay.
+    const Result<std::optional<frame::Header>> header =
+        frame::ReadHeader(fd.get(), kWalMagic, kWalMaxPayloadBytes);
+    if (header.status().IsIoError()) return header.status();
+    if (!header.ok() || !*header) break;
+    const uint64_t len = (*header)->payload_len;
+    if (frame::kHeaderSize + len > size - off) break;
     // u64 words, so the items behind the 16-byte record head are aligned.
     buffer->resize(static_cast<size_t>((len + 7) / 8));
     char* bytes = reinterpret_cast<char*>(buffer->data());
-    const ssize_t payload_got =
-        ReadUpTo(fd.get(), bytes, static_cast<size_t>(len));
-    if (payload_got < 0) return ErrnoStatus("read failed", path);
-    if (static_cast<uint64_t>(payload_got) != len) break;
     const std::string_view payload(bytes, static_cast<size_t>(len));
-    if (!frame::VerifyPayload(*header, payload).ok()) break;
+    const Status read = frame::ReadPayload(fd.get(), {bytes, payload.size()});
+    if (read.IsIoError()) return read;
+    if (!read.ok() || !frame::VerifyPayload(**header, payload).ok()) break;
 
     // A CRC-valid record with a malformed payload is not a torn write —
     // the checksum vouches these bytes were written whole. Fail loudly.

@@ -20,8 +20,11 @@
 // One descriptor per segment: an append is one writev of the frame header,
 // the 16-byte seqno/count head and the items where they lie, and fsync runs
 // on that descriptor. Replay reads a segment through a descriptor, record
-// by record (the 20-byte frame header, then the payload into one reused
-// buffer), so it allocates about one record however long the journal is.
+// by record, with the util/frame.h reader's steps that RPC and blob files
+// share (the 20-byte header, then the payload into one reused buffer), so
+// it allocates about one record however long the journal is. Its verdicts:
+// an end before a header ends the segment, Corruption is the torn tail,
+// and a failed read fails the replay.
 //
 // Torn-tail tolerance: a crash mid-append leaves a prefix of the final
 // record on disk. Replay verifies each record's frame before applying it

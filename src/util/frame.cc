@@ -1,12 +1,34 @@
 #include "util/frame.h"
 
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
 
 #include "util/crc32.h"
+#include "util/iovec.h"
 #include "util/macros.h"
 
 namespace streamfreq {
 namespace frame {
+
+namespace {
+
+// read(2) into `out` until it is full or the input ends, retrying EINTR:
+// the bytes read, fewer than out.size() only at the end of the input.
+Result<size_t> ReadUpTo(int fd, std::span<char> out) {
+  size_t got = 0;
+  while (got < out.size()) {
+    const ssize_t n = ::read(fd, out.data() + got, out.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return ErrnoStatus("read");
+    if (n == 0) break;
+    got += static_cast<size_t>(n);
+  }
+  return got;
+}
+
+}  // namespace
 
 size_t Begin(std::string* out) {
   const size_t start = out->size();
@@ -92,6 +114,23 @@ Result<std::string_view> Decode(std::string_view frame, uint64_t magic,
     return Status::Corruption("trailing bytes after frame payload");
   }
   return payload;
+}
+
+Result<std::optional<Header>> ReadHeader(int fd, uint64_t magic,
+                                         uint64_t max_payload) {
+  char header[kHeaderSize];
+  STREAMFREQ_ASSIGN_OR_RETURN(const size_t got, ReadUpTo(fd, header));
+  if (got == 0) return std::optional<Header>();
+  STREAMFREQ_ASSIGN_OR_RETURN(
+      const Header parsed,
+      ParseHeader(std::string_view(header, got), magic, max_payload));
+  return std::optional<Header>(parsed);
+}
+
+Status ReadPayload(int fd, std::span<char> payload) {
+  STREAMFREQ_ASSIGN_OR_RETURN(const size_t got, ReadUpTo(fd, payload));
+  if (got < payload.size()) return Status::Corruption("frame truncated");
+  return Status::OK();
 }
 
 }  // namespace frame

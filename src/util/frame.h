@@ -15,12 +15,15 @@
 // Decoding checks magic, the length bound (before anything is sized by
 // it), the bytes present and the CRC, and returns a view of the payload.
 // Every failure is Corruption; each format decides what that means (the
-// server closes the connection, replay stops at a torn tail).
+// server closes the connection, replay stops at a torn tail). Every reader
+// of a descriptor (RecvFrame, blob files, journal replay) takes the same
+// steps: ReadHeader, ReadPayload, VerifyPayload.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -53,8 +56,7 @@ struct Header {
   uint32_t masked_crc = 0;
 };
 
-/// Checks a header's size, magic and length bound, for readers that learn
-/// the payload length before reading the payload (sockets).
+/// Checks a header's size, magic and length bound.
 Result<Header> ParseHeader(std::string_view header, uint64_t magic,
                            uint64_t max_payload);
 
@@ -71,6 +73,15 @@ Result<std::string_view> DecodePrefix(std::string_view data, uint64_t magic,
 /// DecodePrefix of exactly one frame: trailing bytes are Corruption.
 Result<std::string_view> Decode(std::string_view frame, uint64_t magic,
                                 uint64_t max_payload);
+
+/// The steps of a reader of `fd`. ReadHeader reads and parses a header:
+/// std::nullopt when the input ends before its first byte, Corruption when
+/// it ends inside it or ParseHeader refuses it. ReadPayload fills `payload`
+/// (sized from the header): Corruption when the input ends first. Either
+/// is IoError when read(2) fails.
+Result<std::optional<Header>> ReadHeader(int fd, uint64_t magic,
+                                         uint64_t max_payload);
+Status ReadPayload(int fd, std::span<char> payload);
 
 }  // namespace frame
 }  // namespace streamfreq

@@ -3,9 +3,9 @@
 // limit — and stop inside an iovec; WriteAllIovecs repeats the call on what
 // is left. Callers send bytes from where they already live (a frame header
 // and a payload, a file head and counter rows) without joining them in a
-// buffer; WriteAllPieces is that loop over writev(2) for files. ReadUpTo
-// does the same for read(2) into one buffer. ErrnoStatus reports a failed
-// file call.
+// buffer; WriteAllPieces is that loop over writev(2) for files, and
+// WriteTornPrefix writes a prefix of the same bytes. ErrnoStatus reports a
+// failed file call.
 #pragma once
 
 #include <cerrno>
@@ -19,15 +19,14 @@
 
 #include <sys/types.h>
 #include <sys/uio.h>
-#include <unistd.h>
 
 #include "util/status.h"
 
 namespace streamfreq {
 
-/// IoError "`what`: `path`: <strerror(errno)>" for the call that just failed.
-inline Status ErrnoStatus(const std::string& what, const std::string& path) {
-  return Status::IoError(what + ": " + path + ": " + std::strerror(errno));
+/// IoError "`what`: <strerror(errno)>" for the call that just failed.
+inline Status ErrnoStatus(const std::string& what) {
+  return Status::IoError(what + ": " + std::strerror(errno));
 }
 
 /// Calls `write_some(iov, count)` — one writev or sendmsg over the iovecs
@@ -72,21 +71,15 @@ inline bool WriteAllPieces(int fd, std::string_view head,
   });
 }
 
-/// read(2) into `data` until `len` bytes arrive or the input ends,
-/// retrying EINTR. Returns the bytes read, fewer than `len` only at end of
-/// input, or -1 with errno set on any other failure.
-inline ssize_t ReadUpTo(int fd, char* data, size_t len) {
-  size_t got = 0;
-  while (got < len) {
-    const ssize_t n = ::read(fd, data + got, len - got);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    if (n == 0) break;
-    got += static_cast<size_t>(n);
-  }
-  return static_cast<ssize_t>(got);
+/// WriteAllPieces of only the first `keep` bytes (half when 0): the prefix a
+/// crash mid-write leaves, for the torn-write failpoints.
+inline bool WriteTornPrefix(int fd, std::string_view head,
+                            std::span<const std::string_view> pieces,
+                            size_t keep) {
+  std::string bytes(head);
+  for (const std::string_view piece : pieces) bytes.append(piece);
+  if (keep == 0) keep = bytes.size() / 2;
+  return WriteAllPieces(fd, std::string_view(bytes).substr(0, keep), {});
 }
 
 }  // namespace streamfreq

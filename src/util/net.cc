@@ -18,10 +18,6 @@ namespace streamfreq {
 
 namespace {
 
-Status ErrnoStatus(const std::string& what) {
-  return Status::IoError(what + ": " + std::strerror(errno));
-}
-
 Result<OwnedFd> MakeUnixSocket() {
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) return ErrnoStatus("socket(AF_UNIX)");
@@ -132,26 +128,13 @@ Status SendFrame(int fd, std::string_view payload) {
 }
 
 Result<std::string> RecvFrame(int fd) {
-  char header[frame::kHeaderSize];
-  const ssize_t got = ReadUpTo(fd, header, sizeof(header));
-  if (got < 0) return ErrnoStatus("read");
-  if (got == 0) return Status::NotFound("connection closed");
-  if (static_cast<size_t>(got) < sizeof(header)) {
-    return Status::Corruption("connection closed inside a frame header");
-  }
   STREAMFREQ_ASSIGN_OR_RETURN(
-      const frame::Header parsed,
-      frame::ParseHeader(std::string_view(header, sizeof(header)),
-                         kFrameMagic, kMaxPayloadBytes));
-  std::string payload(static_cast<size_t>(parsed.payload_len), '\0');
-  if (!payload.empty()) {
-    const ssize_t payload_got = ReadUpTo(fd, payload.data(), payload.size());
-    if (payload_got < 0) return ErrnoStatus("read");
-    if (static_cast<size_t>(payload_got) < payload.size()) {
-      return Status::Corruption("connection closed inside a frame payload");
-    }
-  }
-  STREAMFREQ_RETURN_NOT_OK(frame::VerifyPayload(parsed, payload));
+      const std::optional<frame::Header> header,
+      frame::ReadHeader(fd, kFrameMagic, kMaxPayloadBytes));
+  if (!header) return Status::NotFound("connection closed");
+  std::string payload(static_cast<size_t>(header->payload_len), '\0');
+  STREAMFREQ_RETURN_NOT_OK(frame::ReadPayload(fd, payload));
+  STREAMFREQ_RETURN_NOT_OK(frame::VerifyPayload(*header, payload));
   return payload;
 }
 

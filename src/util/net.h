@@ -12,10 +12,11 @@
 //
 // An RPC frame is one util/frame.h frame under kFrameMagic ("SFQRPC01"),
 // its payload at most kMaxPayloadBytes. All calls handle EINTR and short
-// reads/writes; RecvFrame distinguishes a clean EOF at a frame boundary
-// (NotFound, connection over) from truncation inside a frame (Corruption)
-// and from damaged headers or checksums (Corruption from the util/frame.h
-// codec).
+// reads/writes. RecvFrame is the util/frame.h reader (ReadHeader,
+// ReadPayload, VerifyPayload) that blob files and journal replay share;
+// its verdicts are its own: a clean EOF at a frame boundary is NotFound
+// (connection over), while truncation inside a frame and damaged headers
+// or checksums are Corruption.
 #pragma once
 
 #include <cstdint>

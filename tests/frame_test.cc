@@ -1,12 +1,16 @@
-// The util/frame.h codec and the three formats built on it: RPC frames
-// (DecodeFrame), journal records (ReplayWalSegments) and blob files
-// (ReadBlobFileVerified). One corruption matrix runs over all three and
-// expects each format's own verdict: Corruption for a frame or a blob
-// file, a torn-tail stop for the journal. Golden bytes pin the encodings
-// so that "the bytes did not change" is a test, not a one-off diff.
+// The util/frame.h codec and the four readers built on it: RPC frames in
+// memory (DecodeFrame) and from a descriptor (RecvFrame), journal records
+// (ReplayWalSegments) and blob files (ReadBlobFileVerified). The last three
+// share one header step and one payload step. One corruption matrix runs
+// over all four and expects each reader's own verdict: Corruption for a
+// frame or a blob file, a torn-tail stop for the journal, and for
+// RecvFrame Corruption inside a frame and NotFound at a clean end. Golden
+// bytes pin the encodings so that "the bytes did not change" is a test,
+// not a one-off diff.
 #include "util/frame.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <array>
 #include <cstdint>
@@ -134,17 +138,18 @@ TEST(FrameCodecTest, LengthBoundIsCheckedBeforeThePayload) {
 }
 
 // ---------------------------------------------------------------------------
-// One corruption matrix over the three formats.
+// One corruption matrix over the four readers.
 // ---------------------------------------------------------------------------
 
-enum class Format { kRpcFrame, kWalRecord, kBlobFile };
+enum class Format { kRpcFrame, kWalRecord, kBlobFile, kRecvFrame };
 
 // What a format's reader made of a (possibly damaged) one-frame input.
 enum class Verdict {
   kIntact,          // the whole frame decoded
   kRejected,        // Corruption (frame, blob) / torn tail at byte 0 (WAL)
-  kEmpty,           // WAL only: an empty journal
-  kIntactThenTorn,  // WAL only: the record applied, the rest is a torn tail
+  kEmpty,           // an empty journal (WAL), a closed stream (RecvFrame)
+  kIntactThenTorn,  // the record applied and the rest is a torn tail (WAL),
+                    // the frame and then Corruption (RecvFrame)
   kUnexpected,      // anything else: a wrong status code or a partial read
 };
 
@@ -156,6 +161,8 @@ const char* FormatName(Format format) {
       return "WalRecord";
     case Format::kBlobFile:
       return "BlobFile";
+    case Format::kRecvFrame:
+      return "RecvFrame";
   }
   return "unknown";
 }
@@ -172,6 +179,7 @@ class FrameFormatTest : public ::testing::TestWithParam<Format> {
   std::string Encode() {
     switch (GetParam()) {
       case Format::kRpcFrame:
+      case Format::kRecvFrame:
         return EncodeFrame("corruption matrix payload");
       case Format::kWalRecord: {
         auto wal = WalWriter::Open(path_, WalFsync::kNever);
@@ -224,6 +232,27 @@ class FrameFormatTest : public ::testing::TestWithParam<Format> {
         return status.IsCorruption() ? Verdict::kRejected
                                      : Verdict::kUnexpected;
       }
+      case Format::kRecvFrame: {
+        // The bytes sit in a pipe whose writer has closed, as a peer's
+        // frames sit in a socket the peer has shut down.
+        int fds[2];
+        if (::pipe(fds) != 0) return Verdict::kUnexpected;
+        OwnedFd read_end(fds[0]);
+        OwnedFd write_end(fds[1]);
+        if (::write(write_end.get(), bytes.data(), bytes.size()) !=
+            static_cast<ssize_t>(bytes.size())) {
+          return Verdict::kUnexpected;
+        }
+        write_end.Reset();
+        const Status first = RecvFrame(read_end.get()).status();
+        if (first.IsNotFound()) return Verdict::kEmpty;
+        if (first.IsCorruption()) return Verdict::kRejected;
+        if (!first.ok()) return Verdict::kUnexpected;
+        const Status second = RecvFrame(read_end.get()).status();
+        if (second.IsNotFound()) return Verdict::kIntact;
+        return second.IsCorruption() ? Verdict::kIntactThenTorn
+                                     : Verdict::kUnexpected;
+      }
     }
     return Verdict::kUnexpected;
   }
@@ -239,10 +268,13 @@ TEST_P(FrameFormatTest, IntactFrameDecodes) {
 
 TEST_P(FrameFormatTest, EveryTruncationBoundary) {
   const std::string bytes = Encode();
-  // An empty journal is a journal with nothing past the snapshot; an empty
-  // frame or blob file is damage.
-  EXPECT_EQ(Read(""), GetParam() == Format::kWalRecord ? Verdict::kEmpty
-                                                       : Verdict::kRejected);
+  // An empty journal is a journal with nothing past the snapshot, and an
+  // empty stream is a peer that hung up between frames; an empty frame or
+  // blob file is damage.
+  EXPECT_EQ(Read(""), GetParam() == Format::kWalRecord ||
+                              GetParam() == Format::kRecvFrame
+                          ? Verdict::kEmpty
+                          : Verdict::kRejected);
   for (size_t len = 1; len < bytes.size(); ++len) {
     EXPECT_EQ(Read(bytes.substr(0, len)), Verdict::kRejected)
         << "prefix of " << len << " bytes";
@@ -269,8 +301,10 @@ TEST_P(FrameFormatTest, PayloadBitFlip) {
 
 TEST_P(FrameFormatTest, TrailingBytes) {
   // A frame or blob with bytes after it is damage; in a journal the intact
-  // record still applies and the extra bytes are a torn tail.
-  EXPECT_EQ(Read(Encode() + "x"), GetParam() == Format::kWalRecord
+  // record still applies and the extra bytes are a torn tail, and on a
+  // stream the frame arrives and the extra bytes are a frame cut short.
+  EXPECT_EQ(Read(Encode() + "x"), GetParam() == Format::kWalRecord ||
+                                          GetParam() == Format::kRecvFrame
                                       ? Verdict::kIntactThenTorn
                                       : Verdict::kRejected);
 }
@@ -278,7 +312,8 @@ TEST_P(FrameFormatTest, TrailingBytes) {
 INSTANTIATE_TEST_SUITE_P(AllFormats, FrameFormatTest,
                          ::testing::Values(Format::kRpcFrame,
                                            Format::kWalRecord,
-                                           Format::kBlobFile),
+                                           Format::kBlobFile,
+                                           Format::kRecvFrame),
                          [](const ::testing::TestParamInfo<Format>& info) {
                            return std::string(FormatName(info.param));
                          });

@@ -521,6 +521,55 @@ TEST(ServingCacheTest, UnfaultedQueriesBetweenFoldsAllocateNoArray) {
   EXPECT_EQ(tenant.Field("stale_serves"), 0);
 }
 
+// Seal and drop drain the tenant's workers without copying its sketch, so
+// neither allocates a counter array beyond those the tenant already holds.
+TEST(ServingCacheTest, SealAndDropAllocateNoArray) {
+  SketchService service;
+  ServedTenant tenant(&service);
+  tenant.IngestAndSettle(4);
+  Request request;
+  request.tenant = ServedTenant::kName;
+  for (const Opcode op : {Opcode::kSeal, Opcode::kDropTenant}) {
+    request.op = op;
+    const size_t before = PageBuffer::AllocatedBytes();
+    const Response response = service.Handle(request);
+    ASSERT_TRUE(response.ok()) << OpcodeName(op) << ": " << response.message;
+    EXPECT_EQ(PageBuffer::AllocatedBytes() - before, 0u) << OpcodeName(op);
+  }
+}
+
+// A client with retries rides out a severed connection: the one
+// server.read fault closes its connection at a frame boundary, before or
+// after the first of two ingests, and the chunk it cuts off reconnects and
+// is applied exactly once.
+TEST_F(ServerE2eTest, RetriedIngestReconnectsAndAppliesOnce) {
+#if !STREAMFREQ_FAILPOINTS
+  GTEST_SKIP() << "failpoints are compiled out";
+#endif
+  RetryOptions retry;
+  retry.retries = 2;
+  retry.backoff_ms = 1;
+  auto client = SfqClient::Connect(server_->socket_path(), retry);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  TenantSpec spec;
+  spec.depth = 3;
+  spec.width = 64;
+  ASSERT_TRUE(client->CreateTenant("retried", spec).ok());
+  const Stream items = MakeZipfStream(3000, 5);
+  {
+    ScopedFailpoints fp("server.read=error*1", 1);
+    ASSERT_TRUE(fp.status().ok()) << fp.status().ToString();
+    ASSERT_TRUE(client->Ingest("retried", items).ok());
+    ASSERT_TRUE(client->Ingest("retried", items).ok());
+  }
+  EXPECT_EQ(server_->Stats().read_faults, 1u);
+  EXPECT_EQ(server_->Stats().connections_accepted, 2u);
+  auto statsz = client->Statsz();
+  ASSERT_TRUE(statsz.ok()) << statsz.status().ToString();
+  EXPECT_EQ(StatszField(*statsz, "retried", "offered_items"),
+            static_cast<int64_t>(2 * items.size()));
+}
+
 // Lifecycle errors come back as clean statuses on a connection that stays
 // usable: unknown tenants, double creation, ingest-after-seal, zero k.
 TEST_F(ServerE2eTest, LifecycleErrorsAreCleanAndNonFatal) {
